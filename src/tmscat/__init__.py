@@ -4,7 +4,33 @@ Numeric transfer operators for arbitrary smooth 2D potentials by
 momentum-space evolution, exact closed forms for point potentials and for a
 slab with a surface line defect, angular scattering amplitudes, and
 spectral-singularity (laser / coherent-perfect-absorber threshold) analysis.
+
+The environment variable TMSCAT_THREADS caps BLAS parallelism.  It is
+applied here, before any submodule imports numpy, because BLAS reads its
+thread variables once, when it is loaded.
 """
+
+import os as _os
+
+
+def _apply_thread_cap() -> None:
+    """Set the BLAS thread variables from TMSCAT_THREADS; ValueError if malformed."""
+    cap = _os.environ.get("TMSCAT_THREADS")
+    if not cap:
+        return
+    try:
+        n = max(1, int(cap))
+    except ValueError:
+        raise ValueError(f"TMSCAT_THREADS must be an integer, got {cap!r}") from None
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+        _os.environ[var] = str(n)
+
+
+try:
+    _apply_thread_cap()
+except ValueError:
+    pass    # the CLI calls it again and exits 2 with the diagnostic
 
 from .errors import (AccuracyWarning, ConsistencyError, DivergenceError,
                      NearResonanceError, NoRootError, ResourceLimitError,
@@ -27,10 +53,9 @@ from .closedforms import (DefectAmplitudes, DefectParams, SingularitySearch,
                           delta2d_operator, slab_defect_amplitudes, slab_entries,
                           slab_operator, slab_xyz, slab_y, spectral_singularity,
                           threshold_gain, threshold_gain_curve, wire_modes)
-from .threed import (DiscGrid, SpectralAmplitude3D, TransferOperator3D,
-                     amplitude3d, build_disc_grid, compose_3d, delta3d_amplitude,
-                     delta3d_operator, disc_quadrature, effective_hamiltonian_3d,
-                     evolve_transfer_3d, identity_operator_3d, scattering_length,
+from .threed import (DiscGrid, amplitude3d, build_disc_grid, compose_3d,
+                     delta3d_amplitude, delta3d_operator, disc_quadrature,
+                     effective_hamiltonian_3d, evolve_transfer_3d, scattering_length,
                      solve_outgoing_3d)
 from .oracle import (ConvergenceReport, Transfer1D, born1_transfer,
                      convergence_report, transfer_1d)

@@ -153,7 +153,7 @@ def criterion_6() -> CriterionResult:
 
     disc = threed.build_disc_grid(k, 10, 6)
     full3 = threed.evolve_transfer_3d(pot, disc, 0.0, length, 800).mult_on_grid()
-    halves3 = threed.compose_3d(
+    halves3 = compose(
         threed.evolve_transfer_3d(pot, disc, length / 2, length, 400),
         threed.evolve_transfer_3d(pot, disc, 0.0, length / 2, 400)).mult_on_grid()
     err_3d = float(np.max(np.abs(halves3 - full3)))
@@ -219,7 +219,7 @@ def criterion_9() -> CriterionResult:
     strength = 1.7
     k = 1.3
     disc = threed.build_disc_grid(k, 16, 8)
-    t_plus, t_minus, _ = threed.solve_outgoing_3d(threed.delta3d_operator(strength, disc))
+    t_plus, t_minus, _ = solve_outgoing(threed.delta3d_operator(strength, disc))
     exact = threed.delta3d_amplitude(strength, k)
     thetas = np.concatenate([np.linspace(0.25, 1.35, 4), np.linspace(1.85, 2.9, 4)])
     phis = np.linspace(0.0, 2 * np.pi, 4, endpoint=False)
@@ -230,7 +230,7 @@ def criterion_9() -> CriterionResult:
 
     def pipeline_f(kk: float) -> complex:
         d = threed.build_disc_grid(kk, 12, 6)
-        tp, tm, _ = threed.solve_outgoing_3d(threed.delta3d_operator(strength, d))
+        tp, tm, _ = solve_outgoing(threed.delta3d_operator(strength, d))
         return threed.amplitude3d(tp, tm, kk, 0.7, 0.3)
 
     f1, f2 = pipeline_f(1e-4), pipeline_f(5e-5)

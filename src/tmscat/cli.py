@@ -7,29 +7,19 @@ separator and '\\n' line endings, so identical inputs give byte-identical
 files.  Exit codes: 0 success, 2 parse/configuration error, 3 numeric or
 singularity error (with a structured JSON diagnostic on stderr).
 
-The environment variable TMSCAT_THREADS caps BLAS parallelism.
+The environment variable TMSCAT_THREADS caps BLAS parallelism (applied when
+the package is imported; a malformed value exits 2).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
 import warnings
 
-
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("TMSCAT_THREADS")
-    if not cap:
-        return
-    try:
-        n = max(1, int(cap))
-    except ValueError:
-        raise ValueError(f"TMSCAT_THREADS must be an integer, got {cap!r}")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ[var] = str(n)
+from . import _apply_thread_cap
 
 
 def _fmt(x) -> str:
@@ -60,18 +50,26 @@ def _load_doc(path: str) -> dict:
     return doc
 
 
+def _finite(x: float, key: str) -> float:
+    if not math.isfinite(x):
+        raise ValueError(f"field {key!r} is not finite")
+    return x
+
+
 def _real(doc: dict, key: str) -> float:
     try:
-        return float(doc[key])
+        x = float(doc[key])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"missing or malformed real field {key!r}") from exc
+    return _finite(x, key)
 
 
 def _cplx(doc: dict, key: str) -> complex:
     try:
-        return complex(float(doc[key]["re"]), float(doc[key]["im"]))
+        re, im = float(doc[key]["re"]), float(doc[key]["im"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"missing or malformed complex field {key!r}") from exc
+    return complex(_finite(re, key), _finite(im, key))
 
 
 def _enc_cplx(z: complex) -> dict:
@@ -262,12 +260,13 @@ def _cmd_singularity(args) -> int:
 def _cmd_delta3d(args) -> int:
     import numpy as np
     from . import threed
+    from .operators import solve_outgoing
 
     doc = _load_doc(args.input)
     strength = _cplx(doc, "strength")
     k = _real(doc, "k")
     disc = threed.build_disc_grid(k, args.n_radial, args.n_azimuthal)
-    t_plus, t_minus, flag = threed.solve_outgoing_3d(threed.delta3d_operator(strength, disc))
+    t_plus, t_minus, flag = solve_outgoing(threed.delta3d_operator(strength, disc))
     if flag.is_singular:
         from .errors import SpectralSingularityError
         raise SpectralSingularityError("extraction hit a spectral singularity")

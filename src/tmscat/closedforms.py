@@ -28,7 +28,7 @@ import numpy as np
 from .errors import (ConsistencyError, NearResonanceError, NoRootError,
                      SpectralSingularityError)
 from .grid import MomentumGrid
-from .operators import TransferOperator, constant_mult
+from .operators import TransferOperator, unit_mult
 
 # The single off-diagonal channel factor of every effective Hamiltonian:
 # rank one and nilpotent, which is what terminates the evolution series for
@@ -82,8 +82,7 @@ def delta2d_operator(strength: complex, grid: MomentumGrid) -> TransferOperator:
     if strength == 0:
         kernel = None
         k0 = None
-    return TransferOperator(grid=grid, mult=constant_mult(np.eye(2)),
-                            kernel=kernel, kernel_at_zero=k0)
+    return TransferOperator(grid=grid, mult=unit_mult(grid), kernel=kernel, kernel_at_zero=k0)
 
 
 def wire_modes(zeta: float, mode: str) -> float:
@@ -131,10 +130,12 @@ class SlabParams:
     k: float
 
     def __post_init__(self):
-        if not self.thickness > 0:
-            raise ValueError("slab thickness must be positive")
-        if not self.k > 0:
-            raise ValueError("wavenumber must be positive")
+        if not np.isfinite(complex(self.epsilon)):
+            raise ValueError("slab permittivity must be finite")
+        if not (np.isfinite(self.thickness) and self.thickness > 0):
+            raise ValueError("slab thickness must be positive and finite")
+        if not (np.isfinite(self.k) and self.k > 0):
+            raise ValueError("wavenumber must be positive and finite")
 
     @property
     def z_tilde(self) -> complex:
@@ -210,18 +211,15 @@ def slab_operator(sp: SlabParams, grid: MomentumGrid, x0: float = 0.0) -> Transf
     """
     if not np.isclose(grid.k, sp.k, rtol=1e-12, atol=0.0):
         raise ValueError("slab parameters and grid carry different wavenumbers")
-
-    def mult(p: np.ndarray) -> np.ndarray:
-        p = np.atleast_1d(np.asarray(p, dtype=float))
-        omega = np.sqrt((sp.k - p) * (sp.k + p)).astype(complex)
-        m = slab_entries(sp, omega)
-        if x0 != 0.0:
-            shift = np.exp(2j * omega * x0)
-            m = m.copy()
-            m[0, 1] = m[0, 1] / shift
-            m[1, 0] = m[1, 0] * shift
-        return m
-
+    # omega from the nodes (then p = 0) as slab_defect_amplitudes forms it, so
+    # the composed pipeline and that closed form see the same frequencies
+    p = np.append(grid.nodes, 0.0)
+    omega = np.sqrt((sp.k - p) * (sp.k + p)).astype(complex)
+    mult = slab_entries(sp, omega)
+    if x0 != 0.0:
+        shift = np.exp(2j * omega * x0)
+        mult[0, 1] = mult[0, 1] / shift
+        mult[1, 0] = mult[1, 0] * shift
     return TransferOperator(grid=grid, mult=mult, kernel=None, kernel_at_zero=None)
 
 

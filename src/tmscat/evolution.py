@@ -17,7 +17,10 @@ The coherent beam at p = 0 is evolved alongside the grid: the two extra
 columns carry the response of the smooth channels to a unit beam in either
 component, and the y-independent part of the potential (which maps beams to
 beams) drives a separate per-channel 2x2 evolution that becomes the
-operator's multiplication part.
+operator's multiplication part, tabulated on the grid channels and at p = 0.
+A potential with no y-dependent member has a generator that is diagonal
+per channel, so only that 2x2 evolution runs and the operator carries no
+kernel.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 
 from .errors import AccuracyWarning, DivergenceError, UnsupportedEvaluationError
 from .grid import MomentumGrid
-from .operators import TransferOperator, constant_mult
+from .operators import TransferOperator, channel_omegas, unit_mult
 from .potentials import (discontinuities, fourier_y, has_uniform_part,
                          is_x_singular, smooth_members, uniform_part, x_support)
 
@@ -147,13 +150,20 @@ def _augmented_hamiltonian(pot, x: float, grid: MomentumGrid) -> np.ndarray:
         h[n:2 * n, 2 * n] = -pref * dp * v0 * ek
         h[n:2 * n, 2 * n + 1] = -pref * dp * v0 * ek.conjugate()
 
-    u = uniform_part(pot, x, k)
+    h[2 * n:, 2 * n:] = _channel_generator(uniform_part(pot, x, k), np.array([k]), x)[0]
+    return h
+
+
+def _channel_generator(u: complex, omegas: np.ndarray, x: float) -> np.ndarray:
+    """(m, 2, 2) generator of a y-independent potential value u at frequencies omegas."""
+    h = np.zeros((omegas.size, 2, 2), dtype=complex)
     if u != 0:
-        e2 = np.exp(2j * k * x)
-        h[2 * n, 2 * n] = u / (2 * k)
-        h[2 * n, 2 * n + 1] = u / (2 * k) / e2
-        h[2 * n + 1, 2 * n] = -u / (2 * k) * e2
-        h[2 * n + 1, 2 * n + 1] = -u / (2 * k)
+        e2 = np.exp(2j * omegas * x)
+        pref = u / (2 * omegas)
+        h[:, 0, 0] = pref
+        h[:, 0, 1] = pref / e2
+        h[:, 1, 0] = -pref * e2
+        h[:, 1, 1] = -pref
     return h
 
 
@@ -196,32 +206,34 @@ def _rk4_pieces(hfun, u, edges, steps, total):
     return u
 
 
-def _evolve_uniform_channels(pot, k: float, omegas: np.ndarray,
-                             cfg: EvolutionConfig) -> np.ndarray:
-    """Per-channel 2x2 evolution of the y-independent part at frequencies omegas."""
-    m = omegas.size
-
-    def hfun(x):
-        u = uniform_part(pot, x, k)
-        h = np.zeros((m, 2, 2), dtype=complex)
-        if u != 0:
-            e2 = np.exp(2j * omegas * x)
-            pref = u / (2 * omegas)
-            h[:, 0, 0] = pref
-            h[:, 0, 1] = pref / e2
-            h[:, 1, 0] = -pref * e2
-            h[:, 1, 1] = -pref
-        return h
-
-    eye = np.broadcast_to(np.eye(2, dtype=complex), (m, 2, 2)).copy()
-    return _rk4(hfun, eye, cfg.x_min, cfg.x_max, cfg.steps,
-                breaks=discontinuities(pot))
+def _evolve_uniform_channels(pot, grid, cfg: EvolutionConfig) -> np.ndarray:
+    """Per-channel 2x2 evolution of the y-independent part: the (2, 2, S + 1) mult."""
+    omegas = channel_omegas(grid)
+    eye = np.broadcast_to(np.eye(2, dtype=complex), (omegas.size, 2, 2)).copy()
+    channels = _rk4(lambda x: _channel_generator(uniform_part(pot, x, grid.k), omegas, x),
+                    eye, cfg.x_min, cfg.x_max, cfg.steps, breaks=discontinuities(pot))
+    return np.moveaxis(channels, 0, -1)
 
 
 def _evolve_raw(pot, grid: MomentumGrid, cfg: EvolutionConfig) -> np.ndarray:
     u0 = np.eye(2 * grid.size + 2, dtype=complex)
     return _rk4(lambda x: _augmented_hamiltonian(pot, x, grid), u0,
                 cfg.x_min, cfg.x_max, cfg.steps, breaks=discontinuities(pot))
+
+
+def _checked(evolve, cfg: EvolutionConfig) -> np.ndarray:
+    """evolve(cfg), refused when non-finite and, with check_tolerance set,
+    compared with evolve at half the steps."""
+    u = evolve(cfg)
+    if not np.all(np.isfinite(u)):
+        raise DivergenceError("evolution produced non-finite values")
+    if cfg.check_tolerance is not None and cfg.steps >= 2:
+        half = EvolutionConfig(cfg.x_min, cfg.x_max, cfg.steps // 2, cfg.scheme)
+        delta = float(np.max(np.abs(u - evolve(half))))
+        if delta > cfg.check_tolerance:
+            warnings.warn(AccuracyWarning(op="evolve_transfer", steps=cfg.steps,
+                                          delta=delta), stacklevel=3)
+    return u
 
 
 def evolve_transfer(pot, grid: MomentumGrid, cfg: EvolutionConfig) -> TransferOperator:
@@ -231,36 +243,22 @@ def evolve_transfer(pot, grid: MomentumGrid, cfg: EvolutionConfig) -> TransferOp
     numeric x-support (see auto_config); a partial window yields the
     operator of the restriction, suitable for composition.
 
-    Zero potential gives exactly the identity.  Non-finite values raise
-    DivergenceError; with check_tolerance set, a step-halving comparison
-    emits AccuracyWarning when the result is not converged.
+    Zero potential gives exactly the identity, and a y-independent one a
+    purely multiplicative operator (kernel None), which is also how
+    evolve_transfer_3d evolves layers on a DiscGrid.  Non-finite values
+    raise DivergenceError; with check_tolerance set, a step-halving
+    comparison emits AccuracyWarning when the result is not converged.
     """
     if is_x_singular(pot):
         raise UnsupportedEvaluationError(
             f"{type(pot).__name__} is singular in x; use its closed-form operator")
+    if not smooth_members(pot):
+        mult = _checked(lambda c: _evolve_uniform_channels(pot, grid, c), cfg)
+        return TransferOperator(grid=grid, mult=mult, kernel=None, kernel_at_zero=None)
+
     n = grid.size
-    u = _evolve_raw(pot, grid, cfg)
-    if not np.all(np.isfinite(u)):
-        raise DivergenceError("evolution produced non-finite values")
-
-    if cfg.check_tolerance is not None and cfg.steps >= 2:
-        half = EvolutionConfig(cfg.x_min, cfg.x_max, cfg.steps // 2, cfg.scheme)
-        delta = float(np.max(np.abs(u - _evolve_raw(pot, grid, half))))
-        if delta > cfg.check_tolerance:
-            warnings.warn(AccuracyWarning(op="evolve_transfer", steps=cfg.steps,
-                                          delta=delta), stacklevel=2)
-
-    if has_uniform_part(pot):
-        def mult(p: np.ndarray) -> np.ndarray:
-            p = np.atleast_1d(np.asarray(p, dtype=float))
-            om = np.sqrt((grid.k - p) * (grid.k + p))
-            channels = _evolve_uniform_channels(pot, grid.k, om, cfg)
-            return np.moveaxis(channels, 0, -1)
-
-        mult_nodes = mult(grid.nodes)
-    else:
-        mult = constant_mult(np.eye(2))
-        mult_nodes = None
+    u = _checked(lambda c: _evolve_raw(pot, grid, c), cfg)
+    mult = _evolve_uniform_channels(pot, grid, cfg) if has_uniform_part(pot) else unit_mult(grid)
 
     kernel = np.empty((2, 2, n, n), dtype=complex)
     kernel[0, 0] = u[:n, :n]
@@ -268,11 +266,7 @@ def evolve_transfer(pot, grid: MomentumGrid, cfg: EvolutionConfig) -> TransferOp
     kernel[1, 0] = u[n:2 * n, :n]
     kernel[1, 1] = u[n:2 * n, n:2 * n]
     idx = np.arange(n)
-    if mult_nodes is None:
-        kernel[0, 0, idx, idx] -= 1.0
-        kernel[1, 1, idx, idx] -= 1.0
-    else:
-        kernel[:, :, idx, idx] -= mult_nodes
+    kernel[:, :, idx, idx] -= mult[:, :, :n]
 
     k0 = np.empty((2, 2, n), dtype=complex)
     k0[0, 0] = u[:n, 2 * n]

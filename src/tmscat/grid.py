@@ -82,8 +82,9 @@ class SpectralAmplitude:
     """A half-line wave in momentum representation.
 
     delta_coeff is the coefficient multiplying 2 pi delta(p) (the coherent
-    plane-wave beam); smooth holds samples of the diffuse part on the grid
-    nodes.  The delta factor itself is never sampled numerically.
+    plane-wave beam; 4 pi^2 delta2(pvec) on a 3D DiscGrid); smooth holds
+    samples of the diffuse part on the grid nodes.  The delta factor itself
+    is never sampled numerically.
     """
 
     grid: MomentumGrid

@@ -1,31 +1,39 @@
 """Transfer operators on the channel grid: composition and wave extraction.
 
 A transfer operator maps the left-asymptotic coefficient pair (A-, B-) of a
-wave to the right-asymptotic pair (A+, B+).  In two dimensions these
-coefficients are functions of the transverse momentum p, and the operator
-splits into
+wave to the right-asymptotic pair (A+, B+).  These coefficients are
+functions of the transverse momentum (p in 2D, the vector pvec in 3D), and
+the operator splits into
 
     M = mult(p) + K,
 
-a 2x2 multiplication part evaluable at any p in (-k, k), plus a smoothing
-integral part K represented by Nystrom matrices on the grid (quadrature
-weights folded in).  An incident coherent beam c * 2 pi delta(p) survives
-only through the multiplication part, while K turns it into a smooth
-function; the columns of K against the delta channel are stored separately
-in kernel_at_zero, so the delta function itself is never sampled.
+a 2x2 multiplication part plus a smoothing integral part K represented by
+Nystrom matrices on the grid (quadrature weights folded in).  The
+multiplication part is tabulated once, when the operator is built, on the
+S grid channels and on the coherent channel p = 0, stored last.  An
+incident coherent beam c * 2 pi delta(p) survives only through the
+multiplication part, while K turns it into a smooth function; the columns
+of K against the delta channel are stored separately in kernel_at_zero, so
+the delta function itself is never sampled.
+
+One operator type, composition and extraction serve both the 2D
+MomentumGrid and the 3D DiscGrid; only the grid differs.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.linalg
 
 from .grid import (MomentumGrid, SpectralAmplitude, barycentric_interpolate,
                    chebyshev_barycentric_weights)
+
+if TYPE_CHECKING:
+    from .threed import DiscGrid
 
 # rcond thresholds for the smooth-channel solve diagnostics
 RCOND_SINGULAR = 1e-14
@@ -54,23 +62,39 @@ class SingularityFlag:
         return cls(kind="none")
 
 
+def channel_omegas(grid: MomentumGrid | DiscGrid) -> np.ndarray:
+    """Frequencies at which mult is tabulated: the grid's omegas, then k (p = 0)."""
+    return np.append(grid.omegas, grid.k)
+
+
+def unit_mult(grid: MomentumGrid | DiscGrid) -> np.ndarray:
+    """The identity multiplication part, a (2, 2, S + 1) view."""
+    return np.broadcast_to(np.eye(2, dtype=complex)[:, :, None], (2, 2, grid.size + 1))
+
+
 @dataclass(frozen=True)
 class TransferOperator:
-    """mult + kernel split of a transfer operator on a MomentumGrid.
+    """mult + kernel split of a transfer operator on a MomentumGrid or DiscGrid.
 
-    mult maps an array of momenta to a (2, 2, m) array; kernel is a
-    (2, 2, N, N) array (None means zero), kernel_at_zero a (2, 2, N) array
+    mult is a read-only (2, 2, S + 1) array: the multiplication part on the
+    S grid channels, then on the coherent channel p = 0.  kernel is a
+    (2, 2, S, S) array (None means zero), kernel_at_zero a (2, 2, S) array
     of responses to a unit coherent beam in either channel (None means
     zero).  Instances are immutable.
     """
 
-    grid: MomentumGrid
-    mult: Callable[[np.ndarray], np.ndarray]
+    grid: MomentumGrid | DiscGrid
+    mult: np.ndarray
     kernel: np.ndarray | None
     kernel_at_zero: np.ndarray | None
 
     def __post_init__(self):
         n = self.grid.size
+        mult = np.array(self.mult, dtype=complex)
+        if mult.shape != (2, 2, n + 1):
+            raise ValueError(f"mult shape {mult.shape} does not match the grid")
+        mult.setflags(write=False)
+        object.__setattr__(self, "mult", mult)
         if self.kernel is not None and self.kernel.shape != (2, 2, n, n):
             raise ValueError(f"kernel shape {self.kernel.shape} does not match the grid")
         if self.kernel_at_zero is not None and self.kernel_at_zero.shape != (2, 2, n):
@@ -78,41 +102,29 @@ class TransferOperator:
                 f"kernel_at_zero shape {self.kernel_at_zero.shape} does not match the grid")
 
     def mult_on_grid(self) -> np.ndarray:
-        return np.asarray(self.mult(self.grid.nodes))
+        return self.mult[:, :, :-1]
 
     def mult_at_zero(self) -> np.ndarray:
-        return np.asarray(self.mult(np.zeros(1)))[:, :, 0]
+        return self.mult[:, :, -1]
 
     def entries_on_grid(self) -> np.ndarray:
-        """Full (2, 2, N, N) matrix of the operator restricted to the grid."""
+        """Full (2, 2, S, S) matrix of the operator restricted to the grid."""
         n = self.grid.size
         out = np.zeros((2, 2, n, n), dtype=complex)
-        mg = self.mult_on_grid()
         idx = np.arange(n)
-        out[:, :, idx, idx] = mg
+        out[:, :, idx, idx] = self.mult_on_grid()
         if self.kernel is not None:
             out = out + self.kernel
         return out
 
 
-def constant_mult(matrix: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    matrix = np.asarray(matrix, dtype=complex)
-
-    def mult(p: np.ndarray) -> np.ndarray:
-        p = np.atleast_1d(p)
-        return np.broadcast_to(matrix[:, :, None], (2, 2, p.size)).copy()
-
-    return mult
+def identity_operator(grid: MomentumGrid | DiscGrid) -> TransferOperator:
+    return TransferOperator(grid=grid, mult=unit_mult(grid), kernel=None, kernel_at_zero=None)
 
 
-def identity_operator(grid: MomentumGrid) -> TransferOperator:
-    return TransferOperator(grid=grid, mult=constant_mult(np.eye(2)),
-                            kernel=None, kernel_at_zero=None)
-
-
-def _same_grid(a: MomentumGrid, b: MomentumGrid) -> bool:
-    return a is b or (a.k == b.k and a.size == b.size
-                      and np.array_equal(a.nodes, b.nodes))
+def _same_grid(a, b) -> bool:
+    return a is b or (type(a) is type(b) and all(
+        np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(a)))
 
 
 def compose(second: TransferOperator, first: TransferOperator) -> TransferOperator:
@@ -124,15 +136,8 @@ def compose(second: TransferOperator, first: TransferOperator) -> TransferOperat
     """
     if not _same_grid(second.grid, first.grid):
         raise ValueError("operands live on different grids")
-    grid = first.grid
-    m2, m1 = second.mult, first.mult
-
-    def mult(p: np.ndarray) -> np.ndarray:
-        a, b = np.asarray(m2(p)), np.asarray(m1(p))
-        return np.einsum("acm,cbm->abm", a, b)
-
-    m2g = second.mult_on_grid()
-    m1g = first.mult_on_grid()
+    mult = np.einsum("acm,cbm->abm", second.mult, first.mult)
+    m2g, m1g = second.mult_on_grid(), first.mult_on_grid()
     k2, k1 = second.kernel, first.kernel
 
     kernel = None
@@ -146,27 +151,32 @@ def compose(second: TransferOperator, first: TransferOperator) -> TransferOperat
             kernel = kernel + np.einsum("acjs,cbsl->abjl", k2, k1)
 
     k01, k02 = first.kernel_at_zero, second.kernel_at_zero
-    m1z = first.mult_at_zero()
     k0 = None
     if k01 is not None:
         k0 = np.einsum("acj,cbj->abj", m2g, k01)
         if k2 is not None:
             k0 = k0 + np.einsum("acjl,cbl->abj", k2, k01)
     if k02 is not None:
-        term = np.einsum("acj,cb->abj", k02, m1z)
+        term = np.einsum("acj,cb->abj", k02, first.mult_at_zero())
         k0 = term if k0 is None else k0 + term
 
-    return TransferOperator(grid=grid, mult=mult, kernel=kernel, kernel_at_zero=k0)
+    return TransferOperator(grid=first.grid, mult=mult, kernel=kernel, kernel_at_zero=k0)
 
 
-def _solve_outgoing_channels(m0, mult_grid, kernel, k0, incident):
-    """Shared extraction algebra for the 2D and 3D operators.
+def solve_outgoing(op: TransferOperator, incident: complex = 1.0):
+    """Outgoing amplitudes for an incident coherent beam incident * 2 pi delta(p).
 
-    m0: (2, 2) multiplication part on the coherent channel; mult_grid:
-    (2, 2, S) samples; kernel: (2, 2, S, S) or None; k0: (2, 2, S) or None.
-    Returns (b0, phi, tp_delta, tp_smooth, flag).
+    (In 3D the beam is incident * 4 pi^2 delta2(pvec); the algebra is the
+    same.)  Returns (T_plus, T_minus, flag): T_minus is the reflected
+    amplitude B-, T_plus = A+ - A- the transmitted modification; both split
+    into a delta coefficient and smooth node samples.  When the
+    reflected-channel system is (near-)singular the flag reports it and
+    values may be non-finite; such a point is a spectral singularity of the
+    potential.
     """
-    s = mult_grid.shape[-1]
+    m0, mult_grid = op.mult_at_zero(), op.mult_on_grid()
+    kernel, k0 = op.kernel, op.kernel_at_zero
+    s = op.grid.size
     scale = float(np.max(np.abs(m0)))
     flag_kind = "none"
     if abs(m0[1, 1]) <= MULT_ZERO_TOL * max(1.0, scale):
@@ -211,24 +221,10 @@ def _solve_outgoing_channels(m0, mult_grid, kernel, k0, incident):
     tp_smooth = k011 * incident + b0 * k012 + mult_grid[0, 1] * phi
     if kernel is not None:
         tp_smooth = tp_smooth + kernel[0, 1] @ phi
-    return b0, phi, tp_delta, tp_smooth, SingularityFlag(flag_kind, condition)
-
-
-def solve_outgoing(op: TransferOperator, incident: complex = 1.0):
-    """Outgoing amplitudes for an incident coherent beam incident * 2 pi delta(p).
-
-    Returns (T_plus, T_minus, flag): T_minus is the reflected amplitude
-    B-, T_plus = A+ - A- the transmitted modification; both split into a
-    delta coefficient and smooth node samples.  When the reflected-channel
-    system is (near-)singular the flag reports it and values may be
-    non-finite; such a point is a spectral singularity of the potential.
-    """
-    b0, phi, tp_delta, tp_smooth, flag = _solve_outgoing_channels(
-        op.mult_at_zero(), op.mult_on_grid(), op.kernel, op.kernel_at_zero, incident)
     grid = op.grid
     t_minus = SpectralAmplitude(grid=grid, delta_coeff=complex(b0), smooth=phi)
     t_plus = SpectralAmplitude(grid=grid, delta_coeff=complex(tp_delta), smooth=tp_smooth)
-    return t_plus, t_minus, flag
+    return t_plus, t_minus, SingularityFlag(flag_kind, condition)
 
 
 COS_EXCLUSION = 1e-12

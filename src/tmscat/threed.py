@@ -9,25 +9,27 @@ is parametrized by omega itself: integrals over the disc satisfy
 so Gauss-Legendre nodes in omega integrate the ubiquitous 1/omega factor
 with its plain weights (exactly, for constants, at any node count), while
 the uniform azimuthal rule is exact for trigonometric polynomials.  The
-incident coherent beam is 4 pi^2 delta(p_x) delta(p_y) and the extraction
-algebra is identical to the 2D case.
+incident coherent beam is 4 pi^2 delta(p_x) delta(p_y).  Operators on a
+DiscGrid are the same TransferOperator as in 2D, and compose,
+solve_outgoing and SpectralAmplitude serve them unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import ResourceLimitError, UnsupportedEvaluationError
 from .closedforms import CHANNEL_FACTOR
-from .operators import SingularityFlag, _solve_outgoing_channels
-from .potentials import (Slab, SumPotential, discontinuities, has_uniform_part,
-                         is_x_singular, uniform_part, x_support)
+from .evolution import EvolutionConfig, _channel_generator, evolve_transfer
+from .grid import SpectralAmplitude
+from .operators import TransferOperator, compose, identity_operator, solve_outgoing, unit_mult
+from .potentials import Slab, SumPotential, has_uniform_part, is_x_singular, uniform_part
 
-# dense 3D evolution is bounded to desk scale; the physics of interest
-# (point defect, stacked layers) never needs more channels
+# 3D evolution is bounded to desk scale, where dense (2, 2, S, S) blocks stay
+# small; the physics of interest (point defect, stacked layers) never needs
+# more channels
 MAX_CHANNELS_3D = 128
 
 
@@ -94,64 +96,7 @@ def disc_quadrature(grid: DiscGrid, samples: np.ndarray) -> complex:
     return complex(np.sum(grid.point_weights * samples) / (4 * np.pi ** 2))
 
 
-@dataclass(frozen=True)
-class SpectralAmplitude3D:
-    """Coefficient of 4 pi^2 delta(p_x) delta(p_y) plus smooth disc samples."""
-
-    grid: DiscGrid
-    delta_coeff: complex
-    smooth: np.ndarray
-
-    def __post_init__(self):
-        if np.asarray(self.smooth).shape != (self.grid.size,):
-            raise ValueError("smooth sample count does not match the grid")
-
-    @classmethod
-    def zero(cls, grid: DiscGrid) -> "SpectralAmplitude3D":
-        return cls(grid=grid, delta_coeff=0.0 + 0.0j,
-                   smooth=np.zeros(grid.size, dtype=complex))
-
-
-@dataclass(frozen=True)
-class TransferOperator3D:
-    """mult + kernel split on a DiscGrid; mult maps (px, py) to (2, 2, m)."""
-
-    grid: DiscGrid
-    mult: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    kernel: np.ndarray | None
-    kernel_at_zero: np.ndarray | None
-
-    def __post_init__(self):
-        s = self.grid.size
-        if self.kernel is not None and self.kernel.shape != (2, 2, s, s):
-            raise ValueError(f"kernel shape {self.kernel.shape} does not match the grid")
-        if self.kernel_at_zero is not None and self.kernel_at_zero.shape != (2, 2, s):
-            raise ValueError(
-                f"kernel_at_zero shape {self.kernel_at_zero.shape} does not match the grid")
-
-    def mult_on_grid(self) -> np.ndarray:
-        return np.asarray(self.mult(self.grid.px, self.grid.py))
-
-    def mult_at_zero(self) -> np.ndarray:
-        return np.asarray(self.mult(np.zeros(1), np.zeros(1)))[:, :, 0]
-
-
-def constant_mult_3d(matrix: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    matrix = np.asarray(matrix, dtype=complex)
-
-    def mult(px: np.ndarray, py: np.ndarray) -> np.ndarray:
-        px = np.atleast_1d(px)
-        return np.broadcast_to(matrix[:, :, None], (2, 2, px.size)).copy()
-
-    return mult
-
-
-def identity_operator_3d(grid: DiscGrid) -> TransferOperator3D:
-    return TransferOperator3D(grid=grid, mult=constant_mult_3d(np.eye(2)),
-                              kernel=None, kernel_at_zero=None)
-
-
-def delta3d_operator(strength: complex, grid: DiscGrid) -> TransferOperator3D:
+def delta3d_operator(strength: complex, grid: DiscGrid) -> TransferOperator:
     """Transfer operator of the 3D point potential strength * delta3(r).
 
     Identity plus the rank-one disc average: block (a, b) entries
@@ -159,13 +104,12 @@ def delta3d_operator(strength: complex, grid: DiscGrid) -> TransferOperator3D:
     """
     strength = complex(strength)
     if strength == 0:
-        return identity_operator_3d(grid)
+        return identity_operator(grid)
     col = -(0.5j * strength) / grid.omegas
     row = grid.point_weights / (4 * np.pi ** 2)
     kernel = np.einsum("ab,j,l->abjl", CHANNEL_FACTOR, col, row)
     k0 = np.einsum("ab,j->abj", CHANNEL_FACTOR, col)
-    return TransferOperator3D(grid=grid, mult=constant_mult_3d(np.eye(2)),
-                              kernel=kernel, kernel_at_zero=k0)
+    return TransferOperator(grid=grid, mult=unit_mult(grid), kernel=kernel, kernel_at_zero=k0)
 
 
 def delta3d_amplitude(strength: complex, k: float) -> complex:
@@ -179,55 +123,9 @@ def scattering_length(strength: complex) -> complex:
     return complex(strength) / (4 * np.pi)
 
 
-def solve_outgoing_3d(op: TransferOperator3D, incident: complex = 1.0):
-    """Outgoing amplitudes for an incident beam incident * 4 pi^2 delta2(pvec).
-
-    Same algebra as the 2D extraction with the disc normalization.
-    Returns (T_plus, T_minus, flag).
-    """
-    b0, phi, tp_delta, tp_smooth, flag = _solve_outgoing_channels(
-        op.mult_at_zero(), op.mult_on_grid(), op.kernel, op.kernel_at_zero, incident)
-    grid = op.grid
-    t_minus = SpectralAmplitude3D(grid=grid, delta_coeff=complex(b0), smooth=phi)
-    t_plus = SpectralAmplitude3D(grid=grid, delta_coeff=complex(tp_delta), smooth=tp_smooth)
-    return t_plus, t_minus, flag
-
-
-def compose_3d(second: TransferOperator3D, first: TransferOperator3D) -> TransferOperator3D:
-    """Operator product for z-ordered disjoint supports (first acts first)."""
-    if not (second.grid is first.grid
-            or (second.grid.k == first.grid.k
-                and np.array_equal(second.grid.px, first.grid.px)
-                and np.array_equal(second.grid.py, first.grid.py))):
-        raise ValueError("operands live on different grids")
-    grid = first.grid
-    m2, m1 = second.mult, first.mult
-
-    def mult(px: np.ndarray, py: np.ndarray) -> np.ndarray:
-        return np.einsum("acm,cbm->abm", np.asarray(m2(px, py)), np.asarray(m1(px, py)))
-
-    m2g, m1g = second.mult_on_grid(), first.mult_on_grid()
-    k2, k1 = second.kernel, first.kernel
-    kernel = None
-    if k1 is not None:
-        kernel = np.einsum("acj,cbjl->abjl", m2g, k1)
-    if k2 is not None:
-        term = np.einsum("acjl,cbl->abjl", k2, m1g)
-        kernel = term if kernel is None else kernel + term
-        if k1 is not None:
-            kernel = kernel + np.einsum("acjs,cbsl->abjl", k2, k1)
-
-    k01, k02 = first.kernel_at_zero, second.kernel_at_zero
-    m1z = first.mult_at_zero()
-    k0 = None
-    if k01 is not None:
-        k0 = np.einsum("acj,cbj->abj", m2g, k01)
-        if k2 is not None:
-            k0 = k0 + np.einsum("acjl,cbl->abj", k2, k01)
-    if k02 is not None:
-        term = np.einsum("acj,cb->abj", k02, m1z)
-        k0 = term if k0 is None else k0 + term
-    return TransferOperator3D(grid=grid, mult=mult, kernel=kernel, kernel_at_zero=k0)
+# names of the former separate 3D operator API
+compose_3d = compose
+solve_outgoing_3d = solve_outgoing
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +154,7 @@ def _trig_interpolate(values: np.ndarray, phi: float) -> complex:
     return complex(coeff @ np.exp(1j * modes * phi))
 
 
-def amplitude3d(t_plus: SpectralAmplitude3D, t_minus: SpectralAmplitude3D,
+def amplitude3d(t_plus: SpectralAmplitude, t_minus: SpectralAmplitude,
                 k: float, theta: float, phi: float) -> complex:
     """Angular amplitude f(theta, phi) = -(i / 2 pi) [omega T](k sin th cos ph, k sin th sin ph).
 
@@ -313,56 +211,23 @@ def effective_hamiltonian_3d(pot, z: float, grid: DiscGrid) -> np.ndarray:
     _require_uniform(pot)
     s = grid.size
     blocks = np.zeros((2, 2, s, s), dtype=complex)
-    u = uniform_part(pot, z, grid.k)
-    if u != 0:
-        e2 = np.exp(2j * grid.omegas * z)
-        pref = u / (2 * grid.omegas)
-        idx = np.arange(s)
-        blocks[0, 0, idx, idx] = pref
-        blocks[0, 1, idx, idx] = pref / e2
-        blocks[1, 0, idx, idx] = -pref * e2
-        blocks[1, 1, idx, idx] = -pref
+    idx = np.arange(s)
+    blocks[:, :, idx, idx] = np.moveaxis(
+        _channel_generator(uniform_part(pot, z, grid.k), grid.omegas, z), 0, -1)
     return blocks
 
 
 def evolve_transfer_3d(pot, grid: DiscGrid, z_min: float, z_max: float,
-                       steps: int) -> TransferOperator3D:
-    """Numeric transfer operator of a layered potential over [z_min, z_max]."""
+                       steps: int) -> TransferOperator:
+    """Numeric transfer operator of a layered potential over [z_min, z_max].
+
+    The generator is diagonal per channel, so the operator is purely
+    multiplicative: the 2D per-channel evolution at the disc's frequencies.
+    """
     _require_uniform(pot)
     if grid.size > MAX_CHANNELS_3D:
         raise ResourceLimitError(
-            f"grid has {grid.size} channels; dense 3D evolution is capped at {MAX_CHANNELS_3D}")
+            f"grid has {grid.size} channels; 3D evolution is capped at {MAX_CHANNELS_3D}")
     if not z_min < z_max:
         raise ValueError("z_min must be below z_max")
-
-    def channels(omegas: np.ndarray) -> np.ndarray:
-        m = omegas.size
-
-        def hfun(z):
-            h = np.zeros((m, 2, 2), dtype=complex)
-            u = uniform_part(pot, z, grid.k)
-            if u != 0:
-                e2 = np.exp(2j * omegas * z)
-                pref = u / (2 * omegas)
-                h[:, 0, 0] = pref
-                h[:, 0, 1] = pref / e2
-                h[:, 1, 0] = -pref * e2
-                h[:, 1, 1] = -pref
-            return h
-
-        from .evolution import _rk4
-        eye = np.broadcast_to(np.eye(2, dtype=complex), (m, 2, 2)).copy()
-        return _rk4(hfun, eye, z_min, z_max, steps, breaks=discontinuities(pot))
-
-    def mult(px: np.ndarray, py: np.ndarray) -> np.ndarray:
-        px = np.atleast_1d(np.asarray(px, dtype=float))
-        py = np.atleast_1d(np.asarray(py, dtype=float))
-        om = np.sqrt(grid.k ** 2 - px * px - py * py)
-        return np.moveaxis(channels(om), 0, -1)
-
-    return TransferOperator3D(grid=grid, mult=mult, kernel=None, kernel_at_zero=None)
-
-
-def support_window_3d(pot) -> tuple[float, float]:
-    """z-support of a layered potential (axis label aside, same as x_support)."""
-    return x_support(pot)
+    return evolve_transfer(pot, grid, EvolutionConfig(z_min, z_max, steps))

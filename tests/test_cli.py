@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from tmscat.cli import main
+
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                    "NUMEXPR_NUM_THREADS", "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
 
 def write_doc(path, doc):
@@ -188,19 +194,40 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("field, value", [("epsilon", {"re": "nan", "im": "0.01"}),
+                                          ("thickness", "inf")])
+def test_slab_non_finite_input_exits_2(tmp_path, capsys, field, value):
+    doc = {"epsilon": cplx(2 + 0.01j), "thickness": "1.0", "k": "2.0", field: value}
+    inp = write_doc(tmp_path / "in.json", doc)
+    out = tmp_path / "transfer.csv"
+    assert main(["slab", "--input", inp, "--output", str(out)]) == 2
+    assert not out.exists()
+    assert field in capsys.readouterr().err
+
+
 def test_bad_knob_exits_2(tmp_path):
     inp = write_doc(tmp_path / "in.json", {"strength": cplx(1.0), "k": "1.0"})
     assert main(["delta2d", "--input", inp, "--output",
                  str(tmp_path / "o.csv"), "--grid-size", "0"]) == 2
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
 def test_thread_cap_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("TMSCAT_THREADS", "2")
+    # a fresh process importing tmscat first runs BLAS on one thread
+    import tmscat
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["TMSCAT_THREADS"] = "1"
+    src = os.path.dirname(os.path.dirname(tmscat.__file__))
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = ("import os, tmscat, numpy as np\n"
+            "a = np.random.default_rng(0).random((600, 600))\n"
+            "a @ a\n"
+            "print(len(os.listdir('/proc/self/task')))\n")
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert int(run.stdout.split()[-1]) == 1
     inp = write_doc(tmp_path / "in.json", {"eta": "1.5", "thickness": "1.0"})
-    assert main(["threshold-gain", "--input", inp,
-                 "--output", str(tmp_path / "g.csv")]) == 0
-    import os
-    assert os.environ["OMP_NUM_THREADS"] == "2"
     monkeypatch.setenv("TMSCAT_THREADS", "zebra")
     assert main(["threshold-gain", "--input", inp,
                  "--output", str(tmp_path / "g.csv")]) == 2

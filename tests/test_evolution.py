@@ -101,8 +101,8 @@ def test_slab_evolution_matches_closed_form():
     got = num.entries_on_grid()
     want = slab_operator(sp, g).entries_on_grid()
     assert np.max(np.abs(got - want)) < 1e-8
-    # y-independent potential: kernel part is numerically zero
-    assert num.kernel is None or np.max(np.abs(num.kernel)) < 1e-13
+    # y-independent potential: only the channel evolution runs, no kernel part
+    assert num.kernel is None and num.kernel_at_zero is None
     assert np.max(np.abs(num.mult_at_zero() - slab_operator(sp, g).mult_at_zero())) < 1e-8
 
 
@@ -151,6 +151,17 @@ def test_accuracy_warning_on_coarse_steps():
     assert rec[0].message.record()["delta"] > 1e-12
 
 
+def test_accuracy_warning_on_coarse_steps_without_kernel():
+    # the y-independent path compares its tabulated channels at steps / 2
+    g = build_grid(2.0, 6)
+    cfg = EvolutionConfig(0.0, 1.0, 8, check_tolerance=1e-14)
+    with pytest.warns(AccuracyWarning) as rec:
+        op = evolve_transfer(Slab(epsilon=3.0 + 0.1j, thickness=1.0), g, cfg)
+    assert op.kernel is None
+    assert rec[0].message.record()["steps"] == 8
+    assert rec[0].message.record()["delta"] > 1e-14
+
+
 def test_no_warning_when_converged():
     import warnings
     g = build_grid(1.3, 6)
@@ -175,6 +186,8 @@ def test_mixed_sum_delta_channel_consistency():
     cfg = EvolutionConfig(-10.0, 1.0, 900)
     op = evolve_transfer(pot, g, cfg)
     slab_only = evolve_transfer(Slab(epsilon=1.7, thickness=1.0), g, cfg)
+    # the bump makes the sum y-dependent: it takes the dense path
+    assert op.kernel is not None and slab_only.kernel is None
     assert np.max(np.abs(op.mult_at_zero() - slab_only.mult_at_zero())) < 1e-12
     # and the composition of the pieces reproduces the joint evolution
     bump_op = evolve_transfer(bump, g, EvolutionConfig(-10.0, -2.0, 640))
@@ -200,13 +213,21 @@ def test_numeric_slab_extraction_gives_beam_coefficients():
     assert flag.kind == "none"
 
 
-def test_numeric_slab_mult_evaluable_off_grid():
+def test_numeric_slab_mult_matches_closed_form_on_other_grids():
+    # mult is tabulated on the grid nodes and at p = 0; momenta off the nodes
+    # of g are reached on grids whose nodes they are
+    sp = SlabParams(1.8, 0.9, 2.0)
+    pot = Slab(epsilon=1.8, thickness=0.9)
+    cfg = EvolutionConfig(0.0, 0.9, 800)
     g = build_grid(2.0, 8)
-    num = evolve_transfer(Slab(epsilon=1.8, thickness=0.9), g,
-                          EvolutionConfig(0.0, 0.9, 800))
-    p = np.array([0.0, 0.333, -1.234])
-    want = slab_operator(SlabParams(1.8, 0.9, 2.0), g).mult(p)
-    assert np.max(np.abs(np.asarray(num.mult(p)) - np.asarray(want))) < 1e-9
+    num = evolve_transfer(pot, g, cfg)
+    assert np.max(np.abs(num.mult_at_zero() - slab_operator(sp, g).mult_at_zero())) < 1e-9
+    for n in (5, 11):
+        other = build_grid(2.0, n)
+        assert not np.isin(other.nodes, g.nodes).any()
+        got = evolve_transfer(pot, other, cfg).mult_on_grid()
+        want = slab_operator(sp, other).mult_on_grid()
+        assert np.max(np.abs(got - want)) < 1e-9
 
 
 def test_divergent_evolution_raises():

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from tmscat import (GaussianBump, ResourceLimitError, Slab, SlabParams,
-                    UnsupportedEvaluationError, amplitude3d, build_disc_grid,
-                    compose_3d, delta3d_amplitude, delta3d_operator,
-                    disc_quadrature, effective_hamiltonian_3d,
-                    evolve_transfer_3d, identity_operator_3d, scattering_length,
+                    SpectralAmplitude, UnsupportedEvaluationError, amplitude3d,
+                    build_disc_grid, build_grid, compose_3d, delta3d_amplitude,
+                    delta3d_operator, disc_quadrature, effective_hamiltonian_3d,
+                    evolve_transfer_3d, identity_operator, scattering_length,
                     slab_entries, solve_outgoing_3d)
 
 
@@ -89,8 +89,16 @@ def test_extraction_linearity(disc):
     assert np.allclose(tpc.smooth, c * tp1.smooth, rtol=1e-13, atol=1e-16)
 
 
+def test_compose_rejects_grid_mismatch(disc):
+    other = build_disc_grid(disc.k, disc.n_radial, disc.n_azimuthal + 2)
+    with pytest.raises(ValueError):
+        compose_3d(delta3d_operator(1.0, disc), delta3d_operator(1.0, other))
+    with pytest.raises(ValueError):
+        compose_3d(delta3d_operator(1.0, disc), identity_operator(build_grid(disc.k, disc.size)))
+
+
 def test_amplitude_zero_and_exclusion(disc):
-    tp, tm, _ = solve_outgoing_3d(identity_operator_3d(disc))
+    tp, tm, _ = solve_outgoing_3d(identity_operator(disc))
     assert amplitude3d(tp, tm, disc.k, 0.5, 1.0) == 0
     with pytest.raises(ValueError):
         amplitude3d(tp, tm, disc.k, np.pi / 2, 0.0)
@@ -99,11 +107,10 @@ def test_amplitude_zero_and_exclusion(disc):
 def test_amplitude_interpolation_exact_on_band_limited_data(disc):
     # manufactured smooth part: low azimuthal modes over a polynomial in
     # omega, resolved exactly by the radial x trigonometric interpolant
-    from tmscat.threed import SpectralAmplitude3D
     a, b, c = 0.7 - 0.2j, 0.3 + 0.1j, -0.15j
     phi_pts = np.arctan2(disc.py, disc.px)
     smooth = (a + b * np.exp(1j * phi_pts) + c * np.exp(-2j * phi_pts)) / disc.omegas
-    amp = SpectralAmplitude3D(grid=disc, delta_coeff=0.0, smooth=smooth)
+    amp = SpectralAmplitude(grid=disc, delta_coeff=0.0, smooth=smooth)
     for theta, phi in [(0.4, 0.9), (1.1, 2.2), (2.5, 5.0)]:
         got = amplitude3d(amp, amp, disc.k, theta, phi)
         want = -1j / (2 * np.pi) * (a + b * np.exp(1j * phi) + c * np.exp(-2j * phi))
