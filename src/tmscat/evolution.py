@@ -21,6 +21,14 @@ operator's multiplication part, tabulated on the grid channels and at p = 0.
 A potential with no y-dependent member has a generator that is diagonal
 per channel, so only that 2x2 evolution runs and the operator carries no
 kernel.
+
+The RK4 never forms H.  Every smooth member is separable, vt(x, q) =
+profile(x) transform_y(q), so its transverse matrices (the Nystrom matrix
+and the beam-source column) are built once per evolution; at each stage
+they are combined with the members' profiles, and H U is applied in
+factored form, one N x (N+1) product per application in place of a dense
+(2N+2) x (2N+2) one.  effective_hamiltonian and potential_kernel assemble
+the dense generator as the reference the factored form is tested against.
 """
 
 from __future__ import annotations
@@ -120,38 +128,81 @@ def effective_hamiltonian(pot, x: float, grid: MomentumGrid) -> HamiltonianBlock
     return HamiltonianBlock(x=float(x), blocks=_assemble_blocks(v, x, grid.omegas))
 
 
-def _augmented_hamiltonian(pot, x: float, grid: MomentumGrid) -> np.ndarray:
-    """(2N+2) x (2N+2) generator: grid blocks, beam-source columns, beam 2x2.
+class _StageGenerator:
+    """H(x) at one x of the (2N+2)-row state, applied as `H @ U` in factored form.
 
-    Nothing maps smooth channels back into the beam, so the matrix is block
-    upper triangular.
+    With d+- = e^{+-i omega x} and e+- = e^{+-ikx}, the grid rows of H U are
+    (1/2 omega) d- W and -(1/2 omega) d+ W, where W = [V | v0] Z and
+    Z = [d+ U1 + d- U2; e+ U_beam+ + e- U_beam-].  Pulling d- and e- out of
+    Z, the stage holds t = (1/2 omega) d- [V | v0] diag(d-, e-), so the
+    first rows are t @ [d+^2 U1 + U2; e+^2 U_beam+ + U_beam-] and the second
+    rows are -d+^2 times the first: one N x (N+1) product per application.
+    The beam rows are the beam 2x2 block times U_beam (None when it is
+    zero); nothing maps smooth channels back into the beam.
     """
-    n = grid.size
-    k = grid.k
-    h = np.zeros((2 * n + 2, 2 * n + 2), dtype=complex)
-    v = potential_kernel(pot, x, grid)
-    blocks = _assemble_blocks(v, x, grid.omegas)
-    h[:n, :n] = blocks[0, 0]
-    h[:n, n:2 * n] = blocks[0, 1]
-    h[n:2 * n, :n] = blocks[1, 0]
-    h[n:2 * n, n:2 * n] = blocks[1, 1]
 
+    __slots__ = ("n", "t", "phase2", "flip", "beam")
+
+    def __init__(self, t: np.ndarray, phase2: np.ndarray, beam: np.ndarray | None):
+        self.n = t.shape[0]
+        self.t = t
+        self.phase2 = phase2[:, None]           # d+^2, then e+^2
+        self.flip = -self.phase2[:-1]
+        self.beam = beam
+
+    def __matmul__(self, u: np.ndarray) -> np.ndarray:
+        n = self.n
+        z = np.empty((n + 1, u.shape[1]), dtype=complex)
+        np.multiply(self.phase2[:n], u[:n], out=z[:n])
+        z[:n] += u[n:2 * n]
+        np.multiply(self.phase2[n], u[2 * n], out=z[n])
+        z[n] += u[2 * n + 1]
+        out = np.empty_like(u)
+        np.matmul(self.t, z, out=out[:n])
+        np.multiply(self.flip, out[:n], out=out[n:2 * n])
+        if self.beam is None:
+            out[2 * n:] = 0
+        else:
+            np.matmul(self.beam, u[2 * n:], out=out[2 * n:])
+        return out
+
+
+def _factored_generator(pot, grid: MomentumGrid):
+    """x -> H(x) of the (2N+2)-row state as a _StageGenerator.
+
+    Every smooth member is separable, so its block of [V | v0] is profile(x)
+    times an x-independent [S | s0], built here once per evolution: S is the
+    member's transverse transform at p_j - p_l with the quadrature weights
+    w_l omega_l / 2 pi folded into its columns, s0 the transform at p_j (the
+    beam-source column).  The y-independent part u(x) adds u(x) to the
+    diagonal of V.
+    """
+    n, k = grid.size, grid.k
     members = smooth_members(pot)
-    if members:
-        v0 = np.zeros(n, dtype=complex)
-        for member in members:
-            v0 = v0 + fourier_y(member, x, grid.nodes)
-        dp = np.exp(1j * grid.omegas * x)
-        dm = dp.conj()
-        pref = 0.5 / grid.omegas
-        ek = np.exp(1j * k * x)
-        h[:n, 2 * n] = pref * dm * v0 * ek
-        h[:n, 2 * n + 1] = pref * dm * v0 * ek.conjugate()
-        h[n:2 * n, 2 * n] = -pref * dp * v0 * ek
-        h[n:2 * n, 2 * n + 1] = -pref * dp * v0 * ek.conjugate()
+    q = grid.nodes[:, None] - grid.nodes[None, :]
+    cols = grid.weights * grid.omegas / (2 * np.pi)
+    sources = np.empty((len(members), n, n + 1), dtype=complex)
+    for source, member in zip(sources, members):
+        source[:, :n] = member.transform_y(q) * cols[None, :]
+        source[:, n] = member.transform_y(grid.nodes)
+    sources = sources.reshape(len(members), -1)
+    frequencies = channel_omegas(grid)
+    half_inv = 0.5 / grid.omegas
+    diag = np.arange(n)
 
-    h[2 * n:, 2 * n:] = _channel_generator(uniform_part(pot, x, k), np.array([k]), x)[0]
-    return h
+    def at(x: float) -> _StageGenerator:
+        u = uniform_part(pot, x, k)
+        t = np.dot([m.profile(x) for m in members], sources).reshape(n, n + 1)
+        if u != 0:
+            t[diag, diag] += u
+        phase = np.exp((1j * x) * frequencies)      # d+, then e+
+        minus = phase.conj()
+        t *= (half_inv * minus[:n])[:, None]
+        t *= minus
+        beam = _channel_generator(u, frequencies[n:], x)[0] if u != 0 else None
+        return _StageGenerator(t, phase * phase, beam)
+
+    return at
 
 
 def _channel_generator(u: complex, omegas: np.ndarray, x: float) -> np.ndarray:
@@ -215,10 +266,10 @@ def _evolve_uniform_channels(pot, grid, cfg: EvolutionConfig) -> np.ndarray:
     return np.moveaxis(channels, 0, -1)
 
 
-def _evolve_raw(pot, grid: MomentumGrid, cfg: EvolutionConfig) -> np.ndarray:
-    u0 = np.eye(2 * grid.size + 2, dtype=complex)
-    return _rk4(lambda x: _augmented_hamiltonian(pot, x, grid), u0,
-                cfg.x_min, cfg.x_max, cfg.steps, breaks=discontinuities(pot))
+def _evolve_raw(pot, generator, size: int, cfg: EvolutionConfig) -> np.ndarray:
+    """RK4 of the (size x size) state from the identity under generator (x -> H(x))."""
+    u0 = np.eye(size, dtype=complex)
+    return _rk4(generator, u0, cfg.x_min, cfg.x_max, cfg.steps, breaks=discontinuities(pot))
 
 
 def _checked(evolve, cfg: EvolutionConfig) -> np.ndarray:
@@ -257,7 +308,8 @@ def evolve_transfer(pot, grid: MomentumGrid, cfg: EvolutionConfig) -> TransferOp
         return TransferOperator(grid=grid, mult=mult, kernel=None, kernel_at_zero=None)
 
     n = grid.size
-    u = _checked(lambda c: _evolve_raw(pot, grid, c), cfg)
+    generator = _factored_generator(pot, grid)
+    u = _checked(lambda c: _evolve_raw(pot, generator, 2 * n + 2, c), cfg)
     mult = _evolve_uniform_channels(pot, grid, cfg) if has_uniform_part(pot) else unit_mult(grid)
 
     kernel = np.empty((2, 2, n, n), dtype=complex)

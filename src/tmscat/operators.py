@@ -27,8 +27,8 @@ from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.linalg
 
+from .errors import DivergenceError
 from .grid import (MomentumGrid, SpectralAmplitude, barycentric_interpolate,
                    chebyshev_barycentric_weights)
 
@@ -80,7 +80,8 @@ class TransferOperator:
     S grid channels, then on the coherent channel p = 0.  kernel is a
     (2, 2, S, S) array (None means zero), kernel_at_zero a (2, 2, S) array
     of responses to a unit coherent beam in either channel (None means
-    zero).  Instances are immutable.
+    zero).  Instances are immutable.  A non-finite mult raises
+    DivergenceError; the kernels are not scanned, since they are large.
     """
 
     grid: MomentumGrid | DiscGrid
@@ -93,6 +94,8 @@ class TransferOperator:
         mult = np.array(self.mult, dtype=complex)
         if mult.shape != (2, 2, n + 1):
             raise ValueError(f"mult shape {mult.shape} does not match the grid")
+        if not np.all(np.isfinite(mult)):
+            raise DivergenceError("multiplication part has non-finite entries")
         mult.setflags(write=False)
         object.__setattr__(self, "mult", mult)
         if self.kernel is not None and self.kernel.shape != (2, 2, n, n):
@@ -193,6 +196,9 @@ def solve_outgoing(op: TransferOperator, incident: complex = 1.0):
     a22 = np.diag(mult_grid[1, 1])
     if kernel is not None:
         a22 = a22 + kernel[1, 1]
+
+    # imported here: scipy.linalg costs more than the rest of `import tmscat`
+    import scipy.linalg
 
     condition = None
     with warnings.catch_warnings():

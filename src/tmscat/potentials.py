@@ -13,6 +13,7 @@ pairs, so documents round-trip exactly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,6 +73,18 @@ class GaussianBump:
         sx, sy = self.widths
         if not (sx > 0 and sy > 0):
             raise ValueError("gaussian widths must be positive")
+
+    def profile(self, x: float) -> float:
+        """x-factor of the transverse transform: exp(-(x - x0)^2 / 2 sx^2)."""
+        sx = self.widths[0]
+        return math.exp(-((x - self.center[0]) ** 2) / (2 * sx * sx))
+
+    def transform_y(self, q) -> np.ndarray:
+        """q-factor of the transverse transform, so vt(x, q) = profile(x) transform_y(q)."""
+        y0, sy = self.center[1], self.widths[1]
+        q = np.asarray(q, dtype=float)
+        return (self.amplitude * np.sqrt(2 * np.pi) * sy
+                * np.exp(-(sy * sy) * q * q / 2 - 1j * q * y0))
 
 
 @dataclass(frozen=True)
@@ -157,12 +170,7 @@ def fourier_y(pot, x: float, q) -> complex | np.ndarray:
     UnsupportedEvaluationError.
     """
     if isinstance(pot, GaussianBump):
-        q = np.asarray(q, dtype=float)
-        x0, y0 = pot.center
-        sx, sy = pot.widths
-        profile = np.exp(-((x - x0) ** 2) / (2 * sx * sx))
-        vals = (pot.amplitude * profile * np.sqrt(2 * np.pi) * sy
-                * np.exp(-(sy * sy) * q * q / 2 - 1j * q * y0))
+        vals = pot.profile(x) * pot.transform_y(q)
         return vals if vals.ndim else complex(vals)
     if isinstance(pot, SumPotential):
         return sum(fourier_y(m, x, q) for m in pot.members)
@@ -193,7 +201,10 @@ def has_uniform_part(pot) -> bool:
 
 
 def smooth_members(pot) -> list:
-    """Members with an ordinary (samplable) transverse transform."""
+    """Members with an ordinary (samplable) transverse transform.
+
+    Each is separable, vt(x, q) = member.profile(x) * member.transform_y(q).
+    """
     if isinstance(pot, GaussianBump):
         return [pot]
     if isinstance(pot, SumPotential):

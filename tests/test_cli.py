@@ -205,6 +205,18 @@ def test_slab_non_finite_input_exits_2(tmp_path, capsys, field, value):
     assert field in capsys.readouterr().err
 
 
+def test_slab_overflow_exits_3(tmp_path, capsys):
+    # k = 1e300 overflows the closed-form entries to non-finite values
+    doc = {"epsilon": cplx(2 + 0.01j), "thickness": "1.0", "k": "1e300"}
+    inp = write_doc(tmp_path / "in.json", doc)
+    out = tmp_path / "transfer.csv"
+    with np.errstate(all="ignore"):
+        assert main(["slab", "--input", inp, "--output", str(out), "--grid-size", "4"]) == 3
+    assert not out.exists()
+    diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert diag["error"] == "DivergenceError"
+
+
 def test_bad_knob_exits_2(tmp_path):
     inp = write_doc(tmp_path / "in.json", {"strength": cplx(1.0), "k": "1.0"})
     assert main(["delta2d", "--input", inp, "--output",
@@ -231,6 +243,19 @@ def test_thread_cap_env(tmp_path, monkeypatch):
     monkeypatch.setenv("TMSCAT_THREADS", "zebra")
     assert main(["threshold-gain", "--input", inp,
                  "--output", str(tmp_path / "g.csv")]) == 2
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is loaded by the first extraction, not by the package import
+    import tmscat
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(tmscat.__file__))
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = "import sys, tmscat\nprint('scipy' in sys.modules)\n"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split()[-1] == "False"
 
 
 @pytest.mark.slow

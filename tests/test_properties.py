@@ -1,4 +1,5 @@
-"""Property tests of the operator algebra on small 2D and 3D grids."""
+"""Property tests of the operator algebra on small 2D and 3D grids, and of
+the factored evolution generator against the dense one."""
 
 import numpy as np
 import pytest
@@ -6,9 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from tmscat import (Slab, TransferOperator, build_disc_grid, build_grid, compose,
+from tmscat import (GaussianBump, Slab, SumPotential, TransferOperator,
+                    build_disc_grid, build_grid, compose,
                     EvolutionConfig, evolve_transfer, evolve_transfer_3d,
-                    identity_operator)
+                    fourier_y, identity_operator, potential_kernel, uniform_part,
+                    x_support)
+from tmscat.evolution import _assemble_blocks, _channel_generator, _factored_generator
+from tmscat.potentials import discontinuities, smooth_members
 
 GRIDS = [pytest.param(build_grid(1.3, 3), id="2d"),
          pytest.param(build_disc_grid(1.3, 2, 2), id="3d")]
@@ -100,3 +105,54 @@ def test_windowed_slab_composes_to_whole_3d(slab):
         op = piece if op is None else compose(piece, op)
     whole = evolve_transfer_3d(pot, disc, 0.0, length, STEPS)
     assert np.max(np.abs(op.mult - whole.mult)) < 1e-6
+
+
+GENERATOR_POTENTIALS = [
+    pytest.param(GaussianBump(0.4 + 0.1j, (0.2, 0.5), (0.6, 0.8)), id="bump"),
+    pytest.param(SumPotential((GaussianBump(0.3, (-3.0, 0.0), (0.35, 0.7)),
+                               GaussianBump(0.25 - 0.05j, (3.0, -0.4), (0.35, 0.6)))),
+                 id="two-bumps"),
+    pytest.param(SumPotential((Slab(2.0 + 0.1j, 1.0),
+                               GaussianBump(0.3, (4.0, 0.2), (0.3, 0.7)))), id="slab+bump"),
+]
+
+
+def dense_generator(pot, x, grid):
+    """(2N+2) x (2N+2) generator: grid blocks, beam-source columns, beam 2x2."""
+    n, k = grid.size, grid.k
+    h = np.zeros((2 * n + 2, 2 * n + 2), dtype=complex)
+    blocks = _assemble_blocks(potential_kernel(pot, x, grid), x, grid.omegas)
+    h[:2 * n, :2 * n] = np.block([[blocks[0, 0], blocks[0, 1]],
+                                  [blocks[1, 0], blocks[1, 1]]])
+    v0 = sum(fourier_y(m, x, grid.nodes) for m in smooth_members(pot))
+    dp = np.exp(1j * grid.omegas * x)
+    ek = np.exp(1j * k * x)
+    col = 0.5 / grid.omegas * v0
+    h[:n, 2 * n] = col * dp.conj() * ek
+    h[:n, 2 * n + 1] = col * dp.conj() / ek
+    h[n:2 * n, 2 * n] = -col * dp * ek
+    h[n:2 * n, 2 * n + 1] = -col * dp / ek
+    h[2 * n:, 2 * n:] = _channel_generator(uniform_part(pot, x, k), np.array([k]), x)[0]
+    return h
+
+
+@st.composite
+def positions(draw, pot):
+    """x inside the support, outside it, or exactly at a support or slab edge."""
+    a, b = x_support(pot)
+    return draw(st.floats(a, b) | st.floats(a - 10.0, a) | st.floats(b, b + 10.0)
+                | st.sampled_from((a, b) + discontinuities(pot)))
+
+
+@pytest.mark.parametrize("n", [5, 12])
+@pytest.mark.parametrize("pot", GENERATOR_POTENTIALS)
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_factored_generator_matches_dense(pot, n, data):
+    grid = build_grid(1.3, n)
+    x = data.draw(positions(pot))
+    u = data.draw(entries((2 * n + 2, 2 * n + 2)))
+    want = dense_generator(pot, x, grid) @ u
+    got = _factored_generator(pot, grid)(x) @ u
+    # far out in a Gaussian tail the profile is subnormal, with no relative precision
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)) + np.finfo(float).tiny
