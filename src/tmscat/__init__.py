@@ -43,7 +43,7 @@ from .potentials import (Delta2D, Delta3D, GaussianBump, Slab, SlabWithDefect,
                          is_y_independent, potential_from_document,
                          potential_from_json, potential_to_document,
                          potential_to_json, uniform_part, x_support)
-from .operators import (ScatteringResult, SingularityFlag, TransferOperator,
+from .operators import (LowRank, ScatteringResult, SingularityFlag, TransferOperator,
                         amplitude, compose, identity_operator, scattering_result,
                         solve_outgoing)
 from .evolution import (EvolutionConfig, HamiltonianBlock, auto_config,

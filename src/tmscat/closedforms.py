@@ -28,12 +28,23 @@ import numpy as np
 from .errors import (ConsistencyError, NearResonanceError, NoRootError,
                      SpectralSingularityError)
 from .grid import MomentumGrid
-from .operators import TransferOperator, unit_mult
+from .operators import LowRank, TransferOperator, identity_operator, unit_mult
 
 # The single off-diagonal channel factor of every effective Hamiltonian:
 # rank one and nilpotent, which is what terminates the evolution series for
 # point scatterers after the first order.
 CHANNEL_FACTOR = np.array([[1.0, 1.0], [-1.0, -1.0]], dtype=complex)
+
+
+def point_kernel(col: np.ndarray, row: np.ndarray) -> LowRank:
+    """Rank-one kernel CHANNEL_FACTOR[a, b] * col[j] * row[l] as its factors.
+
+    CHANNEL_FACTOR = (1, -1)^T (1, 1), so left is (col, -col) and right is
+    row for either column channel b.
+    """
+    return LowRank(left=np.stack([col, -col])[:, :, None],
+                   right=np.stack([row, row])[None])
+
 
 # relative half-width of the singular band around strength = 4i (see
 # delta2d_amplitude); wide enough that wire-mode round trips in floating
@@ -68,21 +79,20 @@ def born2d_amplitude(strength: complex) -> complex:
 def delta2d_operator(strength: complex, grid: MomentumGrid) -> TransferOperator:
     """Transfer operator of the 2D point potential on a channel grid.
 
-    Identity plus a rank-one smoothing part: block (a, b) has entries
+    Identity plus a rank-one smoothing part, stored as its factors
+    (point_kernel): block (a, b) has entries
     -(i z / 2 omega_j) * C[a, b] * (w_l omega_l / 2 pi), the channel average
     discretized with the plain-measure weights; the coherent-beam columns
     are -(i z / 2 omega_j) * C[a, b].
     """
     strength = complex(strength)
-    n = grid.size
+    if strength == 0:
+        return identity_operator(grid)
     col = -(0.5j * strength) / grid.omegas
     row = grid.weights * grid.omegas / (2 * np.pi)
-    kernel = np.einsum("ab,j,l->abjl", CHANNEL_FACTOR, col, row)
     k0 = np.einsum("ab,j->abj", CHANNEL_FACTOR, col)
-    if strength == 0:
-        kernel = None
-        k0 = None
-    return TransferOperator(grid=grid, mult=unit_mult(grid), kernel=kernel, kernel_at_zero=k0)
+    return TransferOperator(grid=grid, mult=unit_mult(grid), kernel=point_kernel(col, row),
+                            kernel_at_zero=k0)
 
 
 def wire_modes(zeta: float, mode: str) -> float:
@@ -378,6 +388,17 @@ def slab_defect_amplitudes(sp: SlabParams, strength: complex, p,
 # threshold gain and spectral singularities
 # ---------------------------------------------------------------------------
 
+def _threshold_gain(eta: float, thickness: float, sin_t, cos_t) -> np.ndarray:
+    """The threshold-gain formula of threshold_gain, from sin and cos of theta."""
+    if not eta > 1:
+        raise ValueError("threshold gain requires eta > 1")
+    if not thickness > 0:
+        raise ValueError("thickness must be positive")
+    root = np.sqrt(eta * eta - sin_t * sin_t)
+    return (4.0 * root / (eta * thickness)) * np.log((root + np.abs(cos_t))
+                                                     / np.sqrt(eta * eta - 1.0))
+
+
 def threshold_gain(eta: float, theta, thickness: float) -> np.ndarray | float:
     """Gain coefficient at which the slab-with-defect starts lasing toward theta.
 
@@ -388,15 +409,8 @@ def threshold_gain(eta: float, theta, thickness: float) -> np.ndarray | float:
     direction of the scattered wave.  Maximal at theta = 0 and pi, zero at
     theta = +-pi/2.
     """
-    if not eta > 1:
-        raise ValueError("threshold gain requires eta > 1")
-    if not thickness > 0:
-        raise ValueError("thickness must be positive")
     theta = np.asarray(theta, dtype=float)
-    sin2 = np.sin(theta) ** 2
-    root = np.sqrt(eta * eta - sin2)
-    g = (4.0 * root / (eta * thickness)) * np.log((root + np.abs(np.cos(theta)))
-                                                  / np.sqrt(eta * eta - 1.0))
+    g = _threshold_gain(eta, thickness, np.sin(theta), np.cos(theta))
     return g if g.ndim else float(g)
 
 
@@ -422,14 +436,7 @@ def threshold_gain_curve(eta: float, thickness: float, theta_deg) -> np.ndarray:
 
     At exactly 90 and 270 degrees the returned gain is exactly zero.
     """
-    if not eta > 1:
-        raise ValueError("threshold gain requires eta > 1")
-    if not thickness > 0:
-        raise ValueError("thickness must be positive")
-    s, c = _sin_cos_degrees(theta_deg)
-    root = np.sqrt(eta * eta - s * s)
-    return (4.0 * root / (eta * thickness)) * np.log((root + np.abs(c))
-                                                     / np.sqrt(eta * eta - 1.0))
+    return _threshold_gain(eta, thickness, *_sin_cos_degrees(theta_deg))
 
 
 @dataclass(frozen=True)

@@ -8,13 +8,22 @@ the operator splits into
     M = mult(p) + K,
 
 a 2x2 multiplication part plus a smoothing integral part K represented by
-Nystrom matrices on the grid (quadrature weights folded in).  The
+Nystrom matrices on the grid (quadrature weights folded in).  K is stored
+either dense, as a (2, 2, S, S) array, or factored, as a LowRank pair of
+(2, S, r) and (r, 2, S) factors: point defects are rank one, and a
+composition of factored kernels stays factored with the ranks added.  The
 multiplication part is tabulated once, when the operator is built, on the
 S grid channels and on the coherent channel p = 0, stored last.  An
 incident coherent beam c * 2 pi delta(p) survives only through the
 multiplication part, while K turns it into a smooth function; the columns
 of K against the delta channel are stored separately in kernel_at_zero, so
 the delta function itself is never sampled.
+
+Extraction solves one S x S system, diag(mult_22) + K_22.  For a factored
+kernel with mult_22 nonzero on every channel that is a capacitance
+(Sherman-Morrison-Woodbury) solve in O(S r^2), and its condition number is
+computed exactly from the factors; otherwise the kernel is densified and
+the system goes through an LU factorization with a gecon estimate.
 
 One operator type, composition and extraction serve both the 2D
 MomentumGrid and the 3D DiscGrid; only the grid differs.
@@ -40,14 +49,22 @@ RCOND_SINGULAR = 1e-14
 RCOND_NEAR_SINGULAR = 1e-9
 # |mult_22(0)| below this (relative to the mult scale) flags the delta channel
 MULT_ZERO_TOL = 1e-13
+# capacitance solve: the rounding amplification (in units of eps) above which
+# it is iteratively refined, the refinement steps allowed before the dense LU
+# runs instead, and the columns per block of the exact 1-norms
+SMW_REFINE_ABOVE = 1e3
+SMW_REFINE_STEPS = 4
+NORM_BLOCK = 256
 
 
 @dataclass(frozen=True)
 class SingularityFlag:
     """Diagnostic attached to an extraction: none, near-singular or singular.
 
-    condition is the estimated condition number of the smooth-channel system
-    (None when it could not be estimated).
+    condition is the 1-norm condition number of the smooth-channel system
+    (None when it could not be computed): exact for a factored kernel solved
+    by its capacitance matrix, the LAPACK gecon estimate (never above the
+    exact value) for the LU path.
     """
 
     kind: str
@@ -73,20 +90,62 @@ def unit_mult(grid: MomentumGrid | DiscGrid) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class LowRank:
+    """Factored smoothing kernel K[a, b, j, l] = sum_r left[a, j, r] right[r, b, l].
+
+    left is a (2, S, r) array and right an (r, 2, S) array.  shape is the
+    dense (2, 2, S, S) shape, nbytes the storage of the factors, and
+    np.asarray densifies the kernel.
+    """
+
+    left: np.ndarray
+    right: np.ndarray
+
+    def __post_init__(self):
+        left = np.asarray(self.left, dtype=complex)
+        right = np.asarray(self.right, dtype=complex)
+        if left.ndim != 3 or left.shape[0] != 2 or right.shape != (left.shape[2], 2, left.shape[1]):
+            raise ValueError(f"factor shapes {left.shape} and {right.shape} do not match")
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+
+    @property
+    def shape(self) -> tuple[int, int, int, int]:
+        s = self.left.shape[1]
+        return (2, 2, s, s)
+
+    @property
+    def nbytes(self) -> int:
+        return self.left.nbytes + self.right.nbytes
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("a factored kernel cannot be densified without a copy")
+        dense = np.einsum("ajr,rbl->abjl", self.left, self.right)
+        return dense if dtype is None else dense.astype(dtype, copy=False)
+
+    def apply(self, vectors: np.ndarray) -> np.ndarray:
+        """K applied to a (2, m, S) stack of columns v: sum_{c,l} K[a, c, j, l] v[c, b, l]."""
+        return np.einsum("ajr,rb->abj", self.left,
+                         np.einsum("rcl,cbl->rb", self.right, vectors))
+
+
+@dataclass(frozen=True)
 class TransferOperator:
     """mult + kernel split of a transfer operator on a MomentumGrid or DiscGrid.
 
     mult is a read-only (2, 2, S + 1) array: the multiplication part on the
     S grid channels, then on the coherent channel p = 0.  kernel is a
-    (2, 2, S, S) array (None means zero), kernel_at_zero a (2, 2, S) array
-    of responses to a unit coherent beam in either channel (None means
-    zero).  Instances are immutable.  A non-finite mult raises
-    DivergenceError; the kernels are not scanned, since they are large.
+    dense (2, 2, S, S) array or its LowRank factors (None means zero);
+    kernel_at_zero is a (2, 2, S) array of responses to a unit coherent
+    beam in either channel (None means zero).  Instances are immutable.  A
+    non-finite mult or LowRank factor raises DivergenceError; dense kernels
+    are not scanned, since they are large.
     """
 
     grid: MomentumGrid | DiscGrid
     mult: np.ndarray
-    kernel: np.ndarray | None
+    kernel: np.ndarray | LowRank | None
     kernel_at_zero: np.ndarray | None
 
     def __post_init__(self):
@@ -100,6 +159,9 @@ class TransferOperator:
         object.__setattr__(self, "mult", mult)
         if self.kernel is not None and self.kernel.shape != (2, 2, n, n):
             raise ValueError(f"kernel shape {self.kernel.shape} does not match the grid")
+        if isinstance(self.kernel, LowRank) and not (np.all(np.isfinite(self.kernel.left))
+                                                     and np.all(np.isfinite(self.kernel.right))):
+            raise DivergenceError("kernel factors have non-finite entries")
         if self.kernel_at_zero is not None and self.kernel_at_zero.shape != (2, 2, n):
             raise ValueError(
                 f"kernel_at_zero shape {self.kernel_at_zero.shape} does not match the grid")
@@ -117,7 +179,7 @@ class TransferOperator:
         idx = np.arange(n)
         out[:, :, idx, idx] = self.mult_on_grid()
         if self.kernel is not None:
-            out = out + self.kernel
+            out = out + np.asarray(self.kernel)
         return out
 
 
@@ -130,19 +192,28 @@ def _same_grid(a, b) -> bool:
         np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(a)))
 
 
-def compose(second: TransferOperator, first: TransferOperator) -> TransferOperator:
-    """Operator product second * first (first acts first).
+def _compose_factored(k2: LowRank | None, k1: LowRank | None,
+                      m2g: np.ndarray, m1g: np.ndarray) -> LowRank | None:
+    """Factors of M2 K1 + K2 M1 + K2 K1: left [M2 L1 + L2 (R2 L1), L2], right [R1; R2 M1]."""
+    lefts, rights = [], []
+    if k1 is not None:
+        left = np.einsum("acj,cjr->ajr", m2g, k1.left)
+        if k2 is not None:
+            left = left + np.einsum("ajs,sr->ajr", k2.left,
+                                    np.einsum("scl,clr->sr", k2.right, k1.left))
+        lefts.append(left)
+        rights.append(k1.right)
+    if k2 is not None:
+        lefts.append(k2.left)
+        rights.append(np.einsum("rcl,cbl->rbl", k2.right, m1g))
+    if not lefts:
+        return None
+    return LowRank(np.concatenate(lefts, axis=2), np.concatenate(rights, axis=0))
 
-    The caller asserts that the x-support of first's potential lies to the
-    left of second's, overlapping at most at a point; only grid identity is
-    checked here.
-    """
-    if not _same_grid(second.grid, first.grid):
-        raise ValueError("operands live on different grids")
-    mult = np.einsum("acm,cbm->abm", second.mult, first.mult)
-    m2g, m1g = second.mult_on_grid(), first.mult_on_grid()
-    k2, k1 = second.kernel, first.kernel
 
+def _compose_dense(k2: np.ndarray | None, k1: np.ndarray | None,
+                   m2g: np.ndarray, m1g: np.ndarray) -> np.ndarray | None:
+    """M2 K1 + K2 M1 + K2 K1 on dense kernels."""
     kernel = None
     if k1 is not None:
         # mult2 acting after K1: row-scale by m2 sampled at the output node
@@ -152,18 +223,177 @@ def compose(second: TransferOperator, first: TransferOperator) -> TransferOperat
         kernel = term if kernel is None else kernel + term
         if k1 is not None:
             kernel = kernel + np.einsum("acjs,cbsl->abjl", k2, k1)
+    return kernel
+
+
+def compose(second: TransferOperator, first: TransferOperator) -> TransferOperator:
+    """Operator product second * first (first acts first).
+
+    Two kernels that are each factored or None compose to a factored kernel
+    of the summed rank; if either is dense, the other is densified.  The
+    caller asserts that the x-support of first's potential lies to the left
+    of second's, overlapping at most at a point; only grid identity is
+    checked here.
+    """
+    if not _same_grid(second.grid, first.grid):
+        raise ValueError("operands live on different grids")
+    mult = np.einsum("acm,cbm->abm", second.mult, first.mult)
+    m2g, m1g = second.mult_on_grid(), first.mult_on_grid()
+    k2, k1 = second.kernel, first.kernel
+    if all(k is None or isinstance(k, LowRank) for k in (k1, k2)):
+        kernel = _compose_factored(k2, k1, m2g, m1g)
+    else:
+        k2, k1 = (None if k is None else np.asarray(k) for k in (k2, k1))
+        kernel = _compose_dense(k2, k1, m2g, m1g)
 
     k01, k02 = first.kernel_at_zero, second.kernel_at_zero
     k0 = None
     if k01 is not None:
         k0 = np.einsum("acj,cbj->abj", m2g, k01)
-        if k2 is not None:
+        if isinstance(k2, LowRank):
+            k0 = k0 + k2.apply(k01)
+        elif k2 is not None:
             k0 = k0 + np.einsum("acjl,cbl->abj", k2, k01)
     if k02 is not None:
         term = np.einsum("acj,cb->abj", k02, first.mult_at_zero())
         k0 = term if k0 is None else k0 + term
 
     return TransferOperator(grid=first.grid, mult=mult, kernel=kernel, kernel_at_zero=k0)
+
+
+def _norm1(columns, n: int) -> float:
+    """Exact 1-norm of the n x n matrix whose columns `columns(cols)` returns,
+    taken in blocks of at most NORM_BLOCK columns."""
+    norm = 0.0
+    for start in range(0, n, NORM_BLOCK):
+        block = columns(np.arange(start, min(start + NORM_BLOCK, n)))
+        norm = max(norm, float(np.max(np.sum(np.abs(block), axis=0))))
+    return norm
+
+
+def _diag_plus_outer(diag: np.ndarray, left: np.ndarray, right: np.ndarray):
+    """Column blocks of diag(diag) + left @ right."""
+    def columns(cols):
+        a = left @ right[:, cols]
+        a[cols, np.arange(cols.size)] += diag[cols]
+        return a
+    return columns
+
+
+class _NotRefined(ArithmeticError):
+    """Iterative refinement did not bring a capacitance solve to roundoff."""
+
+
+class _Capacitance:
+    """D + U Vt with D = diag(d) nonzero, through its r x r capacitance matrix.
+
+    Sherman-Morrison-Woodbury: with C = I + Vt D^-1 U,
+
+        (D + U Vt)^-1 = D^-1 - (D^-1 U)(C^-1 Vt D^-1),
+
+    so nothing of size S x S is ever formed.  A small d_j against a large
+    rank-r part, or an ill-conditioned C, lets the two terms cancel; then
+    (refine = True) every application is iteratively refined, residuals
+    taken in O(S r) per column, until its backward error is within
+    S * eps; _NotRefined if it is not after SMW_REFINE_STEPS steps.
+    Raises LinAlgError when C is singular.
+    """
+
+    def __init__(self, d: np.ndarray, u: np.ndarray, vt: np.ndarray):
+        self.d, self.u, self.vt = d, u, vt
+        self.p = u / d[:, None]
+        cap = np.eye(u.shape[1]) + vt @ self.p
+        self.q = np.linalg.solve(cap, vt / d)
+        self.cap_condition = float(np.linalg.cond(cap, 1))
+        self.norm = _norm1(_diag_plus_outer(d, u, vt), d.size)
+        self.refine = False
+
+    def _inverse(self, b: np.ndarray) -> np.ndarray:
+        """The unrefined formula applied to an S x m block b."""
+        return b / self.d[:, None] - self.p @ (self.q @ b)
+
+    def _refined(self, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+        tol = self.d.size * np.finfo(float).eps
+        b_norm = np.sum(np.abs(b), axis=0)
+        for step in range(SMW_REFINE_STEPS + 1):
+            r = b - (self.d[:, None] * x + self.u @ (self.vt @ x))
+            x_norm = np.sum(np.abs(x), axis=0)
+            if np.all(np.sum(np.abs(r), axis=0) <= tol * (self.norm * x_norm + b_norm)):
+                return x
+            if step < SMW_REFINE_STEPS:
+                x = x + self._inverse(r)
+        raise _NotRefined
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        b = b[:, None]
+        x = self._inverse(b)
+        return (self._refined(x, b) if self.refine else x)[:, 0]
+
+    def inverse_columns(self, cols: np.ndarray) -> np.ndarray:
+        x = _diag_plus_outer(1.0 / self.d, -self.p, self.q)(cols)
+        if not self.refine:
+            return x
+        e = np.zeros_like(x)
+        e[cols, np.arange(cols.size)] = 1.0
+        return self._refined(x, e)
+
+    def amplification(self, inverse_norm: float) -> float:
+        """Bound on the rounding amplification of the unrefined inverse, in units of eps.
+
+        Column j of the inverse is e_j / d_j minus the rank-r part; the
+        magnitudes of the two, against the inverse's norm, bound the
+        cancellation, and the condition of C the error of the small solve.
+        """
+        terms = np.abs(1.0 / self.d) + np.sum(np.abs(self.p), axis=0) @ np.abs(self.q)
+        return self.cap_condition * float(np.max(terms)) / inverse_norm
+
+
+def _capacitance_solve(d: np.ndarray, u: np.ndarray, vt: np.ndarray, rhs: np.ndarray):
+    """Solve (diag(d) + u @ vt) phi = rhs by the capacitance matrix.
+
+    Returns (phi, rcond, condition) with the exact 1-norm condition number,
+    (NaN, 0, None) when the capacitance matrix is singular, or None when
+    even the refined solve stays short of roundoff (the caller then runs the
+    dense LU).
+    """
+    with np.errstate(all="ignore"):
+        try:
+            cap = _Capacitance(d, u, vt)
+        except np.linalg.LinAlgError:
+            return np.full(d.size, np.nan + 0j), 0.0, None
+        try:
+            inverse_norm = _norm1(cap.inverse_columns, d.size)
+            if not cap.amplification(inverse_norm) <= SMW_REFINE_ABOVE:
+                cap.refine = True
+                inverse_norm = _norm1(cap.inverse_columns, d.size)
+            phi = cap.solve(rhs)
+        except _NotRefined:
+            return None
+        condition = cap.norm * inverse_norm
+    if not (np.isfinite(condition) and condition > 0):
+        return phi, 0.0, None
+    return phi, 1.0 / condition, float(condition)
+
+
+def _lu_solve(a22: np.ndarray, rhs: np.ndarray):
+    """Solve a22 phi = rhs by LU; returns (phi, rcond, condition) with gecon's rcond."""
+    # imported here: scipy.linalg costs more than the rest of `import tmscat`
+    import scipy.linalg
+
+    condition = None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        anorm = np.linalg.norm(a22, 1)
+        lu, piv = scipy.linalg.lu_factor(a22, check_finite=False)
+        gecon = scipy.linalg.get_lapack_funcs("gecon", (a22,))
+        rcond, info = gecon(lu, anorm)
+        if info != 0:
+            rcond = 0.0
+        if rcond > 0:
+            condition = float(1.0 / rcond)
+        with np.errstate(all="ignore"):
+            phi = scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
+    return phi, rcond, condition
 
 
 def solve_outgoing(op: TransferOperator, incident: complex = 1.0):
@@ -175,7 +405,8 @@ def solve_outgoing(op: TransferOperator, incident: complex = 1.0):
     into a delta coefficient and smooth node samples.  When the
     reflected-channel system is (near-)singular the flag reports it and
     values may be non-finite; such a point is a spectral singularity of the
-    potential.
+    potential.  A factored kernel whose mult_22 is nonzero on every channel
+    is solved by its capacitance matrix; any other goes through a dense LU.
     """
     m0, mult_grid = op.mult_at_zero(), op.mult_on_grid()
     kernel, k0 = op.kernel, op.kernel_at_zero
@@ -193,26 +424,19 @@ def solve_outgoing(op: TransferOperator, incident: complex = 1.0):
     k021, k022 = (k0[1, 0], k0[1, 1]) if k0 is not None else (zeros, zeros)
 
     rhs = -(k021 * incident + b0 * k022)
-    a22 = np.diag(mult_grid[1, 1])
-    if kernel is not None:
-        a22 = a22 + kernel[1, 1]
-
-    # imported here: scipy.linalg costs more than the rest of `import tmscat`
-    import scipy.linalg
-
-    condition = None
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        anorm = np.linalg.norm(a22, 1)
-        lu, piv = scipy.linalg.lu_factor(a22, check_finite=False)
-        gecon = scipy.linalg.get_lapack_funcs("gecon", (a22,))
-        rcond, info = gecon(lu, anorm)
-        if info != 0:
-            rcond = 0.0
-        if rcond > 0:
-            condition = float(1.0 / rcond)
-        with np.errstate(all="ignore"):
-            phi = scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
+    m22 = mult_grid[1, 1]
+    factored = isinstance(kernel, LowRank)
+    solved = None
+    if factored and np.all(np.abs(m22) > MULT_ZERO_TOL * max(1.0, scale)):
+        solved = _capacitance_solve(m22, kernel.left[1], kernel.right[:, 1], rhs)
+    if solved is None:
+        a22 = np.diag(m22)
+        if factored:
+            a22 = a22 + kernel.left[1] @ kernel.right[:, 1]
+        elif kernel is not None:
+            a22 = a22 + kernel[1, 1]
+        solved = _lu_solve(a22, rhs)
+    phi, rcond, condition = solved
 
     if rcond <= RCOND_SINGULAR or not np.all(np.isfinite(phi)):
         flag_kind = "singular"
@@ -225,7 +449,9 @@ def solve_outgoing(op: TransferOperator, incident: complex = 1.0):
         tp_delta = complex(np.nan)
 
     tp_smooth = k011 * incident + b0 * k012 + mult_grid[0, 1] * phi
-    if kernel is not None:
+    if factored:
+        tp_smooth = tp_smooth + kernel.left[0] @ (kernel.right[:, 1] @ phi)
+    elif kernel is not None:
         tp_smooth = tp_smooth + kernel[0, 1] @ phi
     grid = op.grid
     t_minus = SpectralAmplitude(grid=grid, delta_coeff=complex(b0), smooth=phi)

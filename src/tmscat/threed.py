@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceLimitError, UnsupportedEvaluationError
-from .closedforms import CHANNEL_FACTOR
+from .closedforms import CHANNEL_FACTOR, point_kernel
 from .evolution import EvolutionConfig, _channel_generator, evolve_transfer
 from .grid import SpectralAmplitude
 from .operators import TransferOperator, compose, identity_operator, solve_outgoing, unit_mult
@@ -99,7 +99,8 @@ def disc_quadrature(grid: DiscGrid, samples: np.ndarray) -> complex:
 def delta3d_operator(strength: complex, grid: DiscGrid) -> TransferOperator:
     """Transfer operator of the 3D point potential strength * delta3(r).
 
-    Identity plus the rank-one disc average: block (a, b) entries
+    Identity plus the rank-one disc average, stored as its factors
+    (point_kernel): block (a, b) entries
     -(i z / 2 omega_j) * C[a, b] * W_l / (4 pi^2).
     """
     strength = complex(strength)
@@ -107,9 +108,9 @@ def delta3d_operator(strength: complex, grid: DiscGrid) -> TransferOperator:
         return identity_operator(grid)
     col = -(0.5j * strength) / grid.omegas
     row = grid.point_weights / (4 * np.pi ** 2)
-    kernel = np.einsum("ab,j,l->abjl", CHANNEL_FACTOR, col, row)
     k0 = np.einsum("ab,j->abj", CHANNEL_FACTOR, col)
-    return TransferOperator(grid=grid, mult=unit_mult(grid), kernel=kernel, kernel_at_zero=k0)
+    return TransferOperator(grid=grid, mult=unit_mult(grid), kernel=point_kernel(col, row),
+                            kernel_at_zero=k0)
 
 
 def delta3d_amplitude(strength: complex, k: float) -> complex:

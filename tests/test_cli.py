@@ -246,12 +246,16 @@ def test_thread_cap_env(tmp_path, monkeypatch):
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy is loaded by the first extraction, not by the package import
+    # scipy is loaded by the first dense extraction, not by the package
+    # import, and not by a point defect, whose factored kernel needs no LU
     import tmscat
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(tmscat.__file__))
     env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
-    code = "import sys, tmscat\nprint('scipy' in sys.modules)\n"
+    code = ("import sys, tmscat\n"
+            "tmscat.solve_outgoing(tmscat.delta2d_operator(1.0, tmscat.build_grid(2.0, 16)))\n"
+            "tmscat.solve_outgoing(tmscat.delta3d_operator(1.0, tmscat.build_disc_grid(2.0, 4, 4)))\n"
+            "print('scipy' in sys.modules)\n")
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120)
     assert run.returncode == 0, run.stderr

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from tmscat import (SlabParams, amplitude, build_grid, compose,
-                    delta2d_amplitude, delta2d_operator, identity_operator,
-                    scattering_result, slab_operator, solve_outgoing)
+from tmscat import (DivergenceError, LowRank, SlabParams, TransferOperator, amplitude,
+                    build_grid, compose, delta2d_amplitude, delta2d_operator,
+                    identity_operator, scattering_result, slab_operator, solve_outgoing)
 from tmscat.oracle import transfer_1d
 
 
@@ -138,3 +138,78 @@ def test_scattering_result_serialization(grid):
     assert meta["k"] == grid.k and meta["n"] == grid.size
     assert meta["singularity_flag"] == "none"
     assert meta["t_minus_delta"] == {"re": 0.0, "im": 0.0}
+
+
+def densified(op):
+    return TransferOperator(grid=op.grid, mult=op.mult, kernel=np.asarray(op.kernel),
+                            kernel_at_zero=op.kernel_at_zero)
+
+
+def assert_same_solution(op):
+    """The factored solve of op against the LU of its densified copy; the
+    condition number is exact on the factored path and gecon's estimate,
+    never above it, on the LU."""
+    got, want = solve_outgoing(op), solve_outgoing(densified(op))
+    assert got[2].kind == want[2].kind == "none"
+    for a, b in zip(got[:2], want[:2]):
+        assert np.allclose(a.smooth, b.smooth, rtol=1e-12, atol=1e-14)
+        assert a.delta_coeff == b.delta_coeff
+    assert got[2].condition >= want[2].condition * (1 - 1e-12)
+    return got[2], want[2]
+
+
+def exact_condition(op):
+    return np.linalg.cond(densified(op).entries_on_grid()[1, 1], 1)
+
+
+def test_factored_solve_of_slab_and_defect(grid):
+    op = compose(slab_operator(SlabParams(1.6 + 0.05j, 0.5, grid.k), grid),
+                 delta2d_operator(0.7 - 0.2j, grid))
+    assert isinstance(op.kernel, LowRank) and op.kernel.left.shape[2] == 1
+    flag, _ = assert_same_solution(op)
+    assert abs(flag.condition - exact_condition(op)) <= 1e-10 * flag.condition
+
+
+def test_factored_solve_falls_back_where_m22_vanishes(grid):
+    # a zero of mult_22 at one channel: no capacitance matrix, so the
+    # factored kernel is densified and solved by LU
+    op = compose(slab_operator(SlabParams(1.6 + 0.05j, 0.5, grid.k), grid),
+                 delta2d_operator(0.7 - 0.2j, grid))
+    mult = op.mult.copy()
+    mult[1, 1, 5] = 0.0
+    op = TransferOperator(grid=grid, mult=mult, kernel=op.kernel,
+                          kernel_at_zero=op.kernel_at_zero)
+    assert isinstance(op.kernel, LowRank)
+    flag, flag_dense = assert_same_solution(op)
+    assert flag.condition == flag_dense.condition
+
+
+def test_factored_solve_refines_a_small_diagonal():
+    # mult_22 = 1e-9 at one channel against a rank-one part of size 1: the
+    # capacitance formula cancels to ~1e-7 there, and refinement restores it
+    g = build_grid(1.3, 4)
+    mult = np.ones((2, 2, 5), dtype=complex)
+    mult[1, 1, 0] = 1e-9
+    ones = np.ones(4)
+    k0 = np.linspace(0.5, 2.0, 16).reshape(2, 2, 4) + 0.3j
+    op = TransferOperator(grid=g, mult=mult, kernel_at_zero=k0,
+                          kernel=LowRank(np.stack([ones, ones])[:, :, None],
+                                         np.stack([ones, ones])[None]))
+    flag, _ = assert_same_solution(op)
+    assert abs(flag.condition - exact_condition(op)) <= 1e-12 * flag.condition
+
+
+def test_point_kernel_is_stored_factored():
+    op = delta2d_operator(1.0, build_grid(2.0, 2048))
+    assert op.kernel.shape == (2, 2, 2048, 2048)
+    assert op.kernel.nbytes < 1e6
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_factor_is_a_divergence(grid, bad):
+    kernel = delta2d_operator(1.0, grid).kernel
+    left = kernel.left.copy()
+    left[1, 3, 0] = bad
+    with pytest.raises(DivergenceError):
+        TransferOperator(grid=grid, mult=identity_operator(grid).mult,
+                         kernel=LowRank(left, kernel.right), kernel_at_zero=None)

@@ -1,18 +1,20 @@
-"""Property tests of the operator algebra on small 2D and 3D grids, and of
+"""Property tests of the operator algebra on small 2D and 3D grids (dense and
+factored kernels, composed and extracted against their dense forms), and of
 the factored evolution generator against the dense one."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from tmscat import (GaussianBump, Slab, SumPotential, TransferOperator,
+from tmscat import (GaussianBump, LowRank, Slab, SumPotential, TransferOperator,
                     build_disc_grid, build_grid, compose,
                     EvolutionConfig, evolve_transfer, evolve_transfer_3d,
-                    fourier_y, identity_operator, potential_kernel, uniform_part,
-                    x_support)
+                    fourier_y, identity_operator, potential_kernel, solve_outgoing,
+                    uniform_part, x_support)
 from tmscat.evolution import _assemble_blocks, _channel_generator, _factored_generator
+from tmscat.operators import MULT_ZERO_TOL
 from tmscat.potentials import discontinuities, smooth_members
 
 GRIDS = [pytest.param(build_grid(1.3, 3), id="2d"),
@@ -25,15 +27,29 @@ def entries(shape):
 
 
 @st.composite
-def operators(draw, grid):
+def low_rank(draw, s):
+    r = draw(st.integers(1, 3))
+    return LowRank(draw(entries((2, s, r))), draw(entries((r, 2, s))))
+
+
+@st.composite
+def operators(draw, grid, factored=False):
+    """Operators whose kernel is None, dense or LowRank (only LowRank if factored)."""
     s = grid.size
+    kernels = low_rank(s) if factored else st.none() | entries((2, 2, s, s)) | low_rank(s)
     return TransferOperator(grid=grid, mult=draw(entries((2, 2, s + 1))),
-                            kernel=draw(st.none() | entries((2, 2, s, s))),
+                            kernel=draw(kernels),
                             kernel_at_zero=draw(st.none() | entries((2, 2, s))))
 
 
 def dense(a, shape):
-    return np.zeros(shape, dtype=complex) if a is None else a
+    return np.zeros(shape, dtype=complex) if a is None else np.asarray(a)
+
+
+def densified(op):
+    kernel = None if op.kernel is None else np.asarray(op.kernel)
+    return TransferOperator(grid=op.grid, mult=op.mult, kernel=kernel,
+                            kernel_at_zero=op.kernel_at_zero)
 
 
 def assert_close(a, b, shape):
@@ -69,6 +85,42 @@ def test_identity_is_a_two_sided_unit(grid, data):
         assert np.array_equal(prod.mult, op.mult)
         assert_same(prod.kernel, op.kernel)
         assert_same(prod.kernel_at_zero, op.kernel_at_zero)
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+@settings(deadline=None)
+@given(data=st.data())
+def test_mixed_compose_matches_dense(grid, data):
+    second, first = data.draw(operators(grid)), data.draw(operators(grid))
+    got = compose(second, first)
+    want = compose(densified(second), densified(first))
+    s = grid.size
+    assert_close(got.mult, want.mult, (2, 2, s + 1))
+    assert_close(got.kernel, want.kernel, (2, 2, s, s))
+    assert_close(got.kernel_at_zero, want.kernel_at_zero, (2, 2, s))
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+@settings(deadline=None)
+@given(data=st.data())
+def test_factored_solve_matches_dense(grid, data):
+    s = grid.size
+    op = data.draw(operators(grid, factored=True))
+    a22 = densified(op).entries_on_grid()[1, 1]
+    cond = np.linalg.cond(a22, 1)
+    # beyond this, both solves lose more than the tolerance to roundoff
+    assume(cond < 1e3)
+    tp, tm, flag = solve_outgoing(op)
+    tp_d, tm_d, flag_d = solve_outgoing(densified(op))
+    assert flag.kind == flag_d.kind
+    if flag.is_singular:
+        return    # the values are undefined there, and may be non-finite
+    for got, want in ((tp, tp_d), (tm, tm_d)):
+        assert_close(got.smooth, want.smooth, (s,))
+        assert_close(got.delta_coeff, want.delta_coeff, ())
+    scale = max(1.0, float(np.max(np.abs(op.mult_at_zero()))))
+    if np.all(np.abs(op.mult_on_grid()[1, 1]) > MULT_ZERO_TOL * scale):
+        assert abs(flag.condition - cond) <= 1e-10 * cond
 
 
 WINDOWS, STEPS = 8, 400
