@@ -55,8 +55,7 @@ from .closedforms import (DefectAmplitudes, DefectParams, SingularitySearch,
                           threshold_gain, threshold_gain_curve, wire_modes)
 from .threed import (DiscGrid, amplitude3d, build_disc_grid, compose_3d,
                      delta3d_amplitude, delta3d_operator, disc_quadrature,
-                     effective_hamiltonian_3d, evolve_transfer_3d, scattering_length,
-                     solve_outgoing_3d)
+                     evolve_transfer_3d, scattering_length, solve_outgoing_3d)
 from .oracle import (ConvergenceReport, Transfer1D, born1_transfer,
                      convergence_report, transfer_1d)
 

@@ -20,10 +20,12 @@ of K against the delta channel are stored separately in kernel_at_zero, so
 the delta function itself is never sampled.
 
 Extraction solves one S x S system, diag(mult_22) + K_22.  For a factored
-kernel with mult_22 nonzero on every channel that is a capacitance
-(Sherman-Morrison-Woodbury) solve in O(S r^2), and its condition number is
-computed exactly from the factors; otherwise the kernel is densified and
-the system goes through an LU factorization with a gecon estimate.
+kernel that is a capacitance (Sherman-Morrison-Woodbury) solve in
+O(S r^2), with the condition number computed exactly from the factors.
+Every case the formula does not cover (a dense kernel, mult_22 vanishing
+on a channel, a singular capacitance matrix, or a formula that may cancel)
+goes through one fallback: the kernel is densified and the system is
+solved by LU, with a gecon estimate of the condition number.
 
 One operator type, composition and extraction serve both the 2D
 MomentumGrid and the 3D DiscGrid; only the grid differs.
@@ -50,10 +52,9 @@ RCOND_NEAR_SINGULAR = 1e-9
 # |mult_22(0)| below this (relative to the mult scale) flags the delta channel
 MULT_ZERO_TOL = 1e-13
 # capacitance solve: the rounding amplification (in units of eps) above which
-# it is iteratively refined, the refinement steps allowed before the dense LU
-# runs instead, and the columns per block of the exact 1-norms
-SMW_REFINE_ABOVE = 1e3
-SMW_REFINE_STEPS = 4
+# its formula may cancel and the dense LU runs instead, and the columns per
+# block of the exact 1-norms
+SMW_CANCEL_ABOVE = 1e3
 NORM_BLOCK = 256
 
 
@@ -62,9 +63,9 @@ class SingularityFlag:
     """Diagnostic attached to an extraction: none, near-singular or singular.
 
     condition is the 1-norm condition number of the smooth-channel system
-    (None when it could not be computed): exact for a factored kernel solved
-    by its capacitance matrix, the LAPACK gecon estimate (never above the
-    exact value) for the LU path.
+    (None when it could not be computed): exact where the capacitance
+    formula solves it, the LAPACK gecon estimate (never above the exact
+    value) where the dense LU does.
     """
 
     kind: str
@@ -280,96 +281,39 @@ def _diag_plus_outer(diag: np.ndarray, left: np.ndarray, right: np.ndarray):
     return columns
 
 
-class _NotRefined(ArithmeticError):
-    """Iterative refinement did not bring a capacitance solve to roundoff."""
+def _capacitance_solve(d: np.ndarray, u: np.ndarray, vt: np.ndarray, rhs: np.ndarray,
+                       tol: float):
+    """Solve (diag(d) + u @ vt) phi = rhs by its r x r capacitance matrix.
 
-
-class _Capacitance:
-    """D + U Vt with D = diag(d) nonzero, through its r x r capacitance matrix.
-
-    Sherman-Morrison-Woodbury: with C = I + Vt D^-1 U,
+    Sherman-Morrison-Woodbury: with D = diag(d) and C = I + Vt D^-1 U,
 
         (D + U Vt)^-1 = D^-1 - (D^-1 U)(C^-1 Vt D^-1),
 
-    so nothing of size S x S is ever formed.  A small d_j against a large
-    rank-r part, or an ill-conditioned C, lets the two terms cancel; then
-    (refine = True) every application is iteratively refined, residuals
-    taken in O(S r) per column, until its backward error is within
-    S * eps; _NotRefined if it is not after SMW_REFINE_STEPS steps.
-    Raises LinAlgError when C is singular.
+    so nothing of size S x S is ever formed.  Returns (phi, rcond, condition)
+    with the exact 1-norm condition number, or None where the formula does
+    not hold or may cancel (some |d_j| <= tol, C singular, or a rounding
+    amplification above SMW_CANCEL_ABOVE); the caller then runs the dense LU.
     """
-
-    def __init__(self, d: np.ndarray, u: np.ndarray, vt: np.ndarray):
-        self.d, self.u, self.vt = d, u, vt
-        self.p = u / d[:, None]
-        cap = np.eye(u.shape[1]) + vt @ self.p
-        self.q = np.linalg.solve(cap, vt / d)
-        self.cap_condition = float(np.linalg.cond(cap, 1))
-        self.norm = _norm1(_diag_plus_outer(d, u, vt), d.size)
-        self.refine = False
-
-    def _inverse(self, b: np.ndarray) -> np.ndarray:
-        """The unrefined formula applied to an S x m block b."""
-        return b / self.d[:, None] - self.p @ (self.q @ b)
-
-    def _refined(self, x: np.ndarray, b: np.ndarray) -> np.ndarray:
-        tol = self.d.size * np.finfo(float).eps
-        b_norm = np.sum(np.abs(b), axis=0)
-        for step in range(SMW_REFINE_STEPS + 1):
-            r = b - (self.d[:, None] * x + self.u @ (self.vt @ x))
-            x_norm = np.sum(np.abs(x), axis=0)
-            if np.all(np.sum(np.abs(r), axis=0) <= tol * (self.norm * x_norm + b_norm)):
-                return x
-            if step < SMW_REFINE_STEPS:
-                x = x + self._inverse(r)
-        raise _NotRefined
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        b = b[:, None]
-        x = self._inverse(b)
-        return (self._refined(x, b) if self.refine else x)[:, 0]
-
-    def inverse_columns(self, cols: np.ndarray) -> np.ndarray:
-        x = _diag_plus_outer(1.0 / self.d, -self.p, self.q)(cols)
-        if not self.refine:
-            return x
-        e = np.zeros_like(x)
-        e[cols, np.arange(cols.size)] = 1.0
-        return self._refined(x, e)
-
-    def amplification(self, inverse_norm: float) -> float:
-        """Bound on the rounding amplification of the unrefined inverse, in units of eps.
-
-        Column j of the inverse is e_j / d_j minus the rank-r part; the
-        magnitudes of the two, against the inverse's norm, bound the
-        cancellation, and the condition of C the error of the small solve.
-        """
-        terms = np.abs(1.0 / self.d) + np.sum(np.abs(self.p), axis=0) @ np.abs(self.q)
-        return self.cap_condition * float(np.max(terms)) / inverse_norm
-
-
-def _capacitance_solve(d: np.ndarray, u: np.ndarray, vt: np.ndarray, rhs: np.ndarray):
-    """Solve (diag(d) + u @ vt) phi = rhs by the capacitance matrix.
-
-    Returns (phi, rcond, condition) with the exact 1-norm condition number,
-    (NaN, 0, None) when the capacitance matrix is singular, or None when
-    even the refined solve stays short of roundoff (the caller then runs the
-    dense LU).
-    """
+    if not np.all(np.abs(d) > tol):
+        return None
     with np.errstate(all="ignore"):
+        p = u / d[:, None]
+        cap = np.eye(u.shape[1]) + vt @ p
         try:
-            cap = _Capacitance(d, u, vt)
+            q = np.linalg.solve(cap, vt / d)
         except np.linalg.LinAlgError:
-            return np.full(d.size, np.nan + 0j), 0.0, None
-        try:
-            inverse_norm = _norm1(cap.inverse_columns, d.size)
-            if not cap.amplification(inverse_norm) <= SMW_REFINE_ABOVE:
-                cap.refine = True
-                inverse_norm = _norm1(cap.inverse_columns, d.size)
-            phi = cap.solve(rhs)
-        except _NotRefined:
             return None
-        condition = cap.norm * inverse_norm
+        inverse_norm = _norm1(_diag_plus_outer(1.0 / d, -p, q), d.size)
+        # column j of the inverse is e_j / d_j minus the rank-r part: their
+        # magnitudes against the inverse's norm bound the cancellation, and
+        # the condition of C the error of the small solve
+        terms = np.abs(1.0 / d) + np.sum(np.abs(p), axis=0) @ np.abs(q)
+        amplification = float(np.linalg.cond(cap, 1)) * float(np.max(terms)) / inverse_norm
+        if not amplification <= SMW_CANCEL_ABOVE:
+            return None
+        b = rhs[:, None]
+        phi = (b / d[:, None] - p @ (q @ b))[:, 0]
+        condition = _norm1(_diag_plus_outer(d, u, vt), d.size) * inverse_norm
     if not (np.isfinite(condition) and condition > 0):
         return phi, 0.0, None
     return phi, 1.0 / condition, float(condition)
@@ -405,15 +349,15 @@ def solve_outgoing(op: TransferOperator, incident: complex = 1.0):
     into a delta coefficient and smooth node samples.  When the
     reflected-channel system is (near-)singular the flag reports it and
     values may be non-finite; such a point is a spectral singularity of the
-    potential.  A factored kernel whose mult_22 is nonzero on every channel
-    is solved by its capacitance matrix; any other goes through a dense LU.
+    potential.  A factored kernel is solved by its capacitance matrix where
+    _capacitance_solve accepts it; every other case goes through a dense LU.
     """
     m0, mult_grid = op.mult_at_zero(), op.mult_on_grid()
     kernel, k0 = op.kernel, op.kernel_at_zero
     s = op.grid.size
-    scale = float(np.max(np.abs(m0)))
+    tol = MULT_ZERO_TOL * max(1.0, float(np.max(np.abs(m0))))
     flag_kind = "none"
-    if abs(m0[1, 1]) <= MULT_ZERO_TOL * max(1.0, scale):
+    if abs(m0[1, 1]) <= tol:
         flag_kind = "singular"
         b0 = np.inf + 0j if m0[1, 0] != 0 else 0.0j
     else:
@@ -423,12 +367,13 @@ def solve_outgoing(op: TransferOperator, incident: complex = 1.0):
     k011, k012 = (k0[0, 0], k0[0, 1]) if k0 is not None else (zeros, zeros)
     k021, k022 = (k0[1, 0], k0[1, 1]) if k0 is not None else (zeros, zeros)
 
-    rhs = -(k021 * incident + b0 * k022)
+    # b0 = inf against a zero kernel column gives NaN: the flag is singular
+    with np.errstate(invalid="ignore"):
+        rhs = -(k021 * incident + b0 * k022)
     m22 = mult_grid[1, 1]
     factored = isinstance(kernel, LowRank)
-    solved = None
-    if factored and np.all(np.abs(m22) > MULT_ZERO_TOL * max(1.0, scale)):
-        solved = _capacitance_solve(m22, kernel.left[1], kernel.right[:, 1], rhs)
+    solved = (_capacitance_solve(m22, kernel.left[1], kernel.right[:, 1], rhs, tol)
+              if factored else None)
     if solved is None:
         a22 = np.diag(m22)
         if factored:
@@ -448,11 +393,12 @@ def solve_outgoing(op: TransferOperator, incident: complex = 1.0):
     else:
         tp_delta = complex(np.nan)
 
-    tp_smooth = k011 * incident + b0 * k012 + mult_grid[0, 1] * phi
-    if factored:
-        tp_smooth = tp_smooth + kernel.left[0] @ (kernel.right[:, 1] @ phi)
-    elif kernel is not None:
-        tp_smooth = tp_smooth + kernel[0, 1] @ phi
+    with np.errstate(invalid="ignore"):
+        tp_smooth = k011 * incident + b0 * k012 + mult_grid[0, 1] * phi
+        if factored:
+            tp_smooth = tp_smooth + kernel.left[0] @ (kernel.right[:, 1] @ phi)
+        elif kernel is not None:
+            tp_smooth = tp_smooth + kernel[0, 1] @ phi
     grid = op.grid
     t_minus = SpectralAmplitude(grid=grid, delta_coeff=complex(b0), smooth=phi)
     t_plus = SpectralAmplitude(grid=grid, delta_coeff=complex(tp_delta), smooth=tp_smooth)
@@ -460,6 +406,16 @@ def solve_outgoing(op: TransferOperator, incident: complex = 1.0):
 
 
 COS_EXCLUSION = 1e-12
+
+
+def _checked_grid(t_plus: SpectralAmplitude, t_minus: SpectralAmplitude, k: float):
+    """The grid both amplitudes live on; ValueError if they differ or k is not its wavenumber."""
+    grid = t_plus.grid
+    if not _same_grid(grid, t_minus.grid):
+        raise ValueError("amplitudes live on different grids")
+    if not np.isclose(k, grid.k, rtol=1e-12, atol=0.0):
+        raise ValueError(f"wavenumber {k} does not match the grid ({grid.k})")
+    return grid
 
 
 def amplitude(t_plus: SpectralAmplitude, t_minus: SpectralAmplitude,
@@ -473,11 +429,7 @@ def amplitude(t_plus: SpectralAmplitude, t_minus: SpectralAmplitude,
     pi/2 and 3 pi/2 (omega = 0) are excluded; delta coefficients are not
     folded in (they modify the coherent beam, not the diffuse wave).
     """
-    grid = t_plus.grid
-    if not _same_grid(grid, t_minus.grid):
-        raise ValueError("amplitudes live on different grids")
-    if not np.isclose(k, grid.k, rtol=1e-12, atol=0.0):
-        raise ValueError(f"wavenumber {k} does not match the grid ({grid.k})")
+    grid = _checked_grid(t_plus, t_minus, k)
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float)) % (2 * np.pi)
     cos_t = np.cos(thetas)
     if np.any(np.abs(cos_t) < COS_EXCLUSION):

@@ -229,11 +229,14 @@ def _enc_complex(z) -> dict:
 
 
 def _dec_real(s) -> float:
-    return float(s)
+    x = float(s)
+    if not math.isfinite(x):
+        raise ValueError(f"value {s!r} is not finite")
+    return x
 
 
 def _dec_complex(d) -> complex:
-    return complex(float(d["re"]), float(d["im"]))
+    return complex(_dec_real(d["re"]), _dec_real(d["im"]))
 
 
 def potential_to_document(pot) -> dict:
@@ -259,7 +262,11 @@ def potential_to_document(pot) -> dict:
 
 
 def potential_from_document(doc: dict):
-    """Inverse of potential_to_document. Raises ValueError on malformed input."""
+    """Inverse of potential_to_document.
+
+    Raises ValueError, naming the kind, on malformed input, non-finite
+    numbers included.
+    """
     try:
         kind = doc["kind"]
     except (TypeError, KeyError):
@@ -285,7 +292,7 @@ def potential_from_document(doc: dict):
         if kind == "sum":
             return SumPotential(members=tuple(potential_from_document(m)
                                               for m in doc["members"]))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed {kind!r} potential document: {exc}") from exc
     raise ValueError(f"unknown potential kind {kind!r}")
 

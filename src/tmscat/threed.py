@@ -22,14 +22,14 @@ import numpy as np
 
 from .errors import ResourceLimitError, UnsupportedEvaluationError
 from .closedforms import CHANNEL_FACTOR, point_kernel
-from .evolution import EvolutionConfig, _channel_generator, evolve_transfer
+from .evolution import EvolutionConfig, evolve_transfer
 from .grid import SpectralAmplitude
-from .operators import TransferOperator, compose, identity_operator, solve_outgoing, unit_mult
-from .potentials import Slab, SumPotential, has_uniform_part, is_x_singular, uniform_part
+from .operators import (TransferOperator, _checked_grid, compose, identity_operator,
+                        solve_outgoing, unit_mult)
+from .potentials import Slab, SumPotential, has_uniform_part, is_x_singular
 
-# 3D evolution is bounded to desk scale, where dense (2, 2, S, S) blocks stay
-# small; the physics of interest (point defect, stacked layers) never needs
-# more channels
+# 3D evolution is bounded to desk scale; the physics of interest (point
+# defect, stacked layers) never needs more channels
 MAX_CHANNELS_3D = 128
 
 
@@ -162,9 +162,10 @@ def amplitude3d(t_plus: SpectralAmplitude, t_minus: SpectralAmplitude,
     T_plus is used for cos theta > 0, T_minus for cos theta < 0; theta =
     pi/2 (omega = 0) is excluded.  As in 2D, the omega-premultiplied samples
     are interpolated: polynomial in the radial omega variable, trigonometric
-    in azimuth.
+    in azimuth.  ValueError if the amplitudes live on different grids or k
+    is not the grid's wavenumber.
     """
-    grid = t_plus.grid
+    grid = _checked_grid(t_plus, t_minus, k)
     cos_t = float(np.cos(theta))
     if abs(cos_t) < 1e-12:
         raise ValueError("f(theta, phi) is undefined at cos(theta) = 0")
@@ -198,24 +199,6 @@ def _require_uniform(pot) -> None:
     if isinstance(pot, SumPotential) and any(not isinstance(m, Slab) for m in pot.members):
         raise UnsupportedEvaluationError(
             "3D numeric evolution supports transverse-uniform layered potentials only")
-
-
-def effective_hamiltonian_3d(pot, z: float, grid: DiscGrid) -> np.ndarray:
-    """Evolution generator blocks (2, 2, S, S) at height z.
-
-    Restricted to transverse-uniform layered potentials (diagonal in pvec)
-    and to desk-scale grids.
-    """
-    if grid.size > MAX_CHANNELS_3D:
-        raise ResourceLimitError(
-            f"grid has {grid.size} channels; dense 3D blocks are capped at {MAX_CHANNELS_3D}")
-    _require_uniform(pot)
-    s = grid.size
-    blocks = np.zeros((2, 2, s, s), dtype=complex)
-    idx = np.arange(s)
-    blocks[:, :, idx, idx] = np.moveaxis(
-        _channel_generator(uniform_part(pot, z, grid.k), grid.omegas, z), 0, -1)
-    return blocks
 
 
 def evolve_transfer_3d(pot, grid: DiscGrid, z_min: float, z_max: float,

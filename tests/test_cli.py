@@ -205,6 +205,29 @@ def test_slab_non_finite_input_exits_2(tmp_path, capsys, field, value):
     assert field in capsys.readouterr().err
 
 
+BUMP = {"kind": "gaussian_bump", "amplitude": cplx(0.5),
+        "center": {"x": "0.0", "y": "0.0"}, "widths": {"x": "0.8", "y": "0.8"}}
+SLAB = {"kind": "slab", "epsilon": cplx(1.5), "thickness": "1.0"}
+
+
+@pytest.mark.parametrize("pot", [
+    {**BUMP, "amplitude": {"re": "nan", "im": "0.0"}},
+    {**BUMP, "amplitude": {"re": "0.5", "im": "inf"}},
+    {**BUMP, "center": {"x": "0.0", "y": "nan"}},
+    {**BUMP, "widths": {"x": "0.8", "y": "inf"}},
+    {**SLAB, "epsilon": {"re": "1.5", "im": "nan"}},
+    {**SLAB, "thickness": "inf"},
+], ids=["amplitude-nan", "amplitude-inf", "center-nan", "width-inf", "epsilon-nan",
+        "thickness-inf"])
+def test_scatter_non_finite_potential_exits_2(tmp_path, capsys, pot):
+    inp = write_doc(tmp_path / "in.json", {"potential": pot, "k": "1.5"})
+    out = tmp_path / "amp.csv"
+    assert main(["scatter", "--input", inp, "--output", str(out), "--grid-size", "8",
+                 "--steps", "50"]) == 2
+    assert not out.exists()
+    assert pot["kind"] in capsys.readouterr().err
+
+
 def test_slab_overflow_exits_3(tmp_path, capsys):
     # k = 1e300 overflows the closed-form entries to non-finite values
     doc = {"epsilon": cplx(2 + 0.01j), "thickness": "1.0", "k": "1e300"}

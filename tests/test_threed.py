@@ -4,8 +4,7 @@ import pytest
 from tmscat import (GaussianBump, ResourceLimitError, Slab, SlabParams,
                     SpectralAmplitude, UnsupportedEvaluationError, amplitude3d,
                     build_disc_grid, build_grid, compose_3d, delta3d_amplitude,
-                    delta3d_operator, disc_quadrature, effective_hamiltonian_3d,
-                    evolve_transfer_3d, identity_operator, scattering_length,
+                    delta3d_operator, disc_quadrature, evolve_transfer_3d, identity_operator, scattering_length,
                     slab_entries, solve_outgoing_3d)
 
 
@@ -126,6 +125,16 @@ def test_point_amplitude_matches_closed_form(disc):
             assert abs(amplitude3d(tp, tm, disc.k, theta, phi) - want) < 1e-10
 
 
+def test_amplitude_checks_wavenumber_and_grid(disc):
+    tp, tm, _ = solve_outgoing_3d(delta3d_operator(1.7, disc))
+    with pytest.raises(ValueError, match="wavenumber"):
+        amplitude3d(tp, tm, 2 * disc.k, 0.7, 0.4)
+    # same channel count, different grid
+    _, other, _ = solve_outgoing_3d(delta3d_operator(1.7, build_disc_grid(disc.k, 8, 12)))
+    with pytest.raises(ValueError, match="different grids"):
+        amplitude3d(tp, other, disc.k, 0.7, 0.4)
+
+
 def test_scattering_length_and_cross_section_scale():
     strength = 2.4
     assert abs(scattering_length(strength) - strength / (4 * np.pi)) < 1e-16
@@ -138,18 +147,6 @@ def test_scattering_length_and_cross_section_scale():
 # ---------------------------------------------------------------------------
 # layered potentials along z
 # ---------------------------------------------------------------------------
-
-def test_hamiltonian_zero_for_empty_layer(disc):
-    blocks = effective_hamiltonian_3d(Slab(epsilon=1.0, thickness=1.0), 0.5, disc)
-    assert not blocks.any()
-
-
-def test_hamiltonian_linearity(disc):
-    b1 = effective_hamiltonian_3d(Slab(epsilon=1.5, thickness=1.0), 0.5, disc)
-    b2 = effective_hamiltonian_3d(Slab(epsilon=2.0, thickness=1.0), 0.5, disc)
-    # the generator is linear in the potential value k^2 (1 - eps)
-    assert np.allclose(2 * b1, b2, rtol=1e-14)
-
 
 def test_layer_evolution_matches_channel_closed_form(disc):
     eps, length = 2 + 0.01j, 1.0
@@ -175,7 +172,7 @@ def test_stacked_layers_compose(disc):
 def test_resource_limit_and_unsupported():
     big = build_disc_grid(1.0, 20, 10)
     with pytest.raises(ResourceLimitError):
-        effective_hamiltonian_3d(Slab(epsilon=2.0, thickness=1.0), 0.5, big)
+        evolve_transfer_3d(Slab(epsilon=2.0, thickness=1.0), big, 0.0, 1.0, 10)
     small = build_disc_grid(1.0, 4, 4)
     with pytest.raises(UnsupportedEvaluationError):
         evolve_transfer_3d(GaussianBump(amplitude=1.0, center=(0, 0), widths=(1, 1)),
