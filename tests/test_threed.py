@@ -4,8 +4,8 @@ import pytest
 from tmscat import (GaussianBump, ResourceLimitError, Slab, SlabParams,
                     SpectralAmplitude, UnsupportedEvaluationError, amplitude3d,
                     build_disc_grid, build_grid, compose_3d, delta3d_amplitude,
-                    delta3d_operator, disc_quadrature, evolve_transfer_3d, identity_operator, scattering_length,
-                    slab_entries, solve_outgoing_3d)
+                    delta3d_operator, disc_quadrature, evolve_transfer_3d,
+                    identity_operator, scattering_length, slab_entries, solve_outgoing_3d)
 
 
 @pytest.fixture
