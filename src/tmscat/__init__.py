@@ -46,8 +46,8 @@ from .potentials import (Delta2D, Delta3D, GaussianBump, Slab, SlabWithDefect,
 from .operators import (LowRank, ScatteringResult, SingularityFlag, TransferOperator,
                         amplitude, compose, identity_operator, scattering_result,
                         solve_outgoing)
-from .evolution import (EvolutionConfig, HamiltonianBlock, auto_config,
-                        effective_hamiltonian, evolve_transfer, potential_kernel)
+from .evolution import (EvolutionConfig, auto_config, effective_hamiltonian,
+                        evolve_transfer, potential_kernel)
 from .closedforms import (DefectAmplitudes, DefectParams, SingularitySearch,
                           SlabParams, born2d_amplitude, delta2d_amplitude,
                           delta2d_operator, slab_defect_amplitudes, slab_entries,

@@ -19,7 +19,18 @@ import math
 import sys
 import warnings
 
-from . import _apply_thread_cap
+import numpy as np
+
+from . import _apply_thread_cap, threed
+from . import closedforms as cf
+from .errors import AccuracyWarning, SpectralSingularityError, TmscatError
+from .evolution import EvolutionConfig, auto_config, evolve_transfer
+from .grid import SpectralAmplitude, build_grid
+from .operators import ScatteringResult, SingularityFlag, scattering_result, solve_outgoing
+from .potentials import _dec_complex, _dec_real, potential_from_document
+
+TPM_HEADER = ["p", "re_t_plus", "im_t_plus", "re_t_minus", "im_t_minus"]
+AMP_HEADER = ["theta_deg", "re_f", "im_f", "abs_f_sq"]
 
 
 def _fmt(x) -> str:
@@ -33,10 +44,39 @@ def _write_csv(path: str, header: list[str], rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _encode(value):
+    """Floats as 17-digit decimal strings and complex numbers as {re, im}, recursively."""
+    if isinstance(value, dict):
+        return {key: _encode(v) for key, v in value.items()}
+    if isinstance(value, complex):
+        return {"re": _fmt(value.real), "im": _fmt(value.imag)}
+    if isinstance(value, float):
+        return _fmt(value)
+    return value
+
+
 def _write_json(path: str, record: dict) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write(json.dumps(record, indent=2, sort_keys=True))
+        fh.write(json.dumps(_encode(record), indent=2, sort_keys=True))
         fh.write("\n")
+
+
+def _write_scattering(path: str, thetas_deg, res: ScatteringResult, **extra) -> None:
+    """The amplitude table, its .tpm.csv and its .meta.json (metadata plus extra).
+
+    A singular extraction raises SpectralSingularityError before any file is
+    written.
+    """
+    flag = res.singularity_flag
+    if flag.is_singular:
+        cond = "inf" if flag.condition is None else f"{flag.condition:.3e}"
+        raise SpectralSingularityError(f"extraction hit a spectral singularity (condition {cond})")
+    _write_csv(path, AMP_HEADER, [(t, f.real, f.imag, abs(f) ** 2)
+                                  for t, (_, f) in zip(thetas_deg, res.f_samples)])
+    tp, tm = res.t_plus.smooth, res.t_minus.smooth
+    _write_csv(path + ".tpm.csv", TPM_HEADER,
+               zip(res.t_plus.grid.nodes, tp.real, tp.imag, tm.real, tm.imag))
+    _write_json(path + ".meta.json", {**res.metadata(), **extra})
 
 
 def _load_doc(path: str) -> dict:
@@ -50,94 +90,38 @@ def _load_doc(path: str) -> dict:
     return doc
 
 
-def _finite(x: float, key: str) -> float:
-    if not math.isfinite(x):
-        raise ValueError(f"field {key!r} is not finite")
-    return x
-
-
-def _real(doc: dict, key: str) -> float:
+def _field(doc: dict, key: str, decode=_dec_real):
+    """doc[key] read by a potential-document decoder; ValueError naming the key."""
     try:
-        x = float(doc[key])
+        return decode(doc[key])
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"missing or malformed real field {key!r}") from exc
-    return _finite(x, key)
+        raise ValueError(f"missing or malformed field {key!r}: {exc}") from exc
 
 
-def _cplx(doc: dict, key: str) -> complex:
-    try:
-        re, im = float(doc[key]["re"]), float(doc[key]["im"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"missing or malformed complex field {key!r}") from exc
-    return complex(_finite(re, key), _finite(im, key))
-
-
-def _enc_cplx(z: complex) -> dict:
-    return {"re": _fmt(z.real), "im": _fmt(z.imag)}
+def _slab_params(doc: dict) -> cf.SlabParams:
+    return cf.SlabParams(epsilon=_field(doc, "epsilon", _dec_complex),
+                         thickness=_field(doc, "thickness"), k=_field(doc, "k"))
 
 
 def _theta_grid_deg(samples: int):
-    import numpy as np
     theta = np.arange(samples) * (360.0 / samples)
     keep = (np.abs(theta - 90.0) > 0.75) & (np.abs(theta - 270.0) > 0.75)
     return theta[keep]
 
 
-def _amplitude_rows(thetas_deg, fvals):
-    return [(t, f.real, f.imag, abs(f) ** 2) for t, f in zip(thetas_deg, fvals)]
-
-
-def _meta_record(k: float, n: int, t_plus, t_minus, flag) -> dict:
-    return {
-        "k": _fmt(k),
-        "n": n,
-        "t_plus_delta": _enc_cplx(t_plus.delta_coeff),
-        "t_minus_delta": _enc_cplx(t_minus.delta_coeff),
-        "singularity_flag": flag.kind,
-    }
-
-
-def _tpm_rows(grid, t_plus, t_minus):
-    return [(p, tp.real, tp.imag, tm.real, tm.imag)
-            for p, tp, tm in zip(grid.nodes, t_plus.smooth, t_minus.smooth)]
-
-
-TPM_HEADER = ["p", "re_t_plus", "im_t_plus", "re_t_minus", "im_t_minus"]
-AMP_HEADER = ["theta_deg", "re_f", "im_f", "abs_f_sq"]
-
-
 def _cmd_delta2d(args) -> int:
-    import numpy as np
-    from . import closedforms as cf
-    from .grid import build_grid
-    from .operators import amplitude, solve_outgoing
-
     doc = _load_doc(args.input)
-    strength = _cplx(doc, "strength")
-    k = _real(doc, "k")
-    grid = build_grid(k, args.grid_size)
-    t_plus, t_minus, flag = solve_outgoing(cf.delta2d_operator(strength, grid))
-    if flag.is_singular:
-        cond = "inf" if flag.condition is None else f"{flag.condition:.3e}"
-        raise cf.SpectralSingularityError(
-            f"spectral singularity at strength {strength} (condition {cond})")
+    strength = _field(doc, "strength", _dec_complex)
+    grid = build_grid(_field(doc, "k"), args.grid_size)
     thetas_deg = _theta_grid_deg(args.theta_samples)
-    f = [v for _, v in amplitude(t_plus, t_minus, k, np.radians(thetas_deg))]
-    _write_csv(args.output, AMP_HEADER, _amplitude_rows(thetas_deg, f))
-    _write_csv(args.output + ".tpm.csv", TPM_HEADER, _tpm_rows(grid, t_plus, t_minus))
-    meta = _meta_record(k, grid.size, t_plus, t_minus, flag)
-    meta["f_closed_form"] = _enc_cplx(cf.delta2d_amplitude(strength))
-    _write_json(args.output + ".meta.json", meta)
+    res = scattering_result(cf.delta2d_operator(strength, grid), np.radians(thetas_deg))
+    _write_scattering(args.output, thetas_deg, res,
+                      f_closed_form=cf.delta2d_amplitude(strength))
     return 0
 
 
 def _cmd_slab(args) -> int:
-    from . import closedforms as cf
-    from .grid import build_grid
-
-    doc = _load_doc(args.input)
-    sp = cf.SlabParams(epsilon=_cplx(doc, "epsilon"),
-                       thickness=_real(doc, "thickness"), k=_real(doc, "k"))
+    sp = _slab_params(_load_doc(args.input))
     grid = build_grid(sp.k, args.grid_size)
     m = cf.slab_operator(sp, grid).mult_on_grid()
     rows = [(p, m[0, 0, j].real, m[0, 0, j].imag, m[0, 1, j].real, m[0, 1, j].imag,
@@ -149,14 +133,9 @@ def _cmd_slab(args) -> int:
 
 
 def _cmd_slab_defect(args) -> int:
-    import numpy as np
-    from . import closedforms as cf
-    from .grid import build_grid
-
     doc = _load_doc(args.input)
-    sp = cf.SlabParams(epsilon=_cplx(doc, "epsilon"),
-                       thickness=_real(doc, "thickness"), k=_real(doc, "k"))
-    strength = _cplx(doc, "strength")
+    sp = _slab_params(doc)
+    strength = _field(doc, "strength", _dec_complex)
     thetas_deg = _theta_grid_deg(args.theta_samples)
     rad = np.radians(thetas_deg)
     p = sp.k * np.sin(rad)
@@ -164,57 +143,39 @@ def _cmd_slab_defect(args) -> int:
     omega = np.sqrt(sp.k ** 2 - p ** 2)
     smooth = np.where(np.cos(rad) > 0, res.smooth_plus, res.smooth_minus)
     f = -1j * omega * smooth / np.sqrt(2 * np.pi)
-    _write_csv(args.output, AMP_HEADER, _amplitude_rows(thetas_deg, f))
 
     grid = build_grid(sp.k, args.grid_size)
     nodes = cf.slab_defect_amplitudes(sp, strength, grid.nodes,
                                       quad_points=args.quad_points)
-    rows = [(pp, tp.real, tp.imag, tm.real, tm.imag)
-            for pp, tp, tm in zip(grid.nodes, nodes.smooth_plus, nodes.smooth_minus)]
-    _write_csv(args.output + ".tpm.csv", TPM_HEADER, rows)
-    _write_json(args.output + ".meta.json", {
-        "k": _fmt(sp.k), "n": grid.size,
-        "t_plus_delta": _enc_cplx(nodes.delta_plus),
-        "t_minus_delta": _enc_cplx(nodes.delta_minus),
-        "singularity_flag": "none",
-    })
+    _write_scattering(args.output, thetas_deg, ScatteringResult(
+        t_plus=SpectralAmplitude(grid, nodes.delta_plus, nodes.smooth_plus),
+        t_minus=SpectralAmplitude(grid, nodes.delta_minus, nodes.smooth_minus),
+        f_samples=list(zip(rad, f)), singularity_flag=SingularityFlag.none()))
     return 0
 
 
 def _cmd_threshold_gain(args) -> int:
-    import numpy as np
-    from .closedforms import threshold_gain_curve
-
     doc = _load_doc(args.input)
-    eta = _real(doc, "eta")
-    thickness = _real(doc, "thickness")
+    eta = _field(doc, "eta")
+    thickness = _field(doc, "thickness")
     theta = np.arange(args.theta_samples) * (180.0 / (args.theta_samples - 1)) \
         if args.theta_samples > 1 else np.array([0.0])
-    g = threshold_gain_curve(eta, thickness, theta)
+    g = cf.threshold_gain_curve(eta, thickness, theta)
     _write_csv(args.output, ["theta_deg", "g_times_L"],
                [(t, gv * thickness) for t, gv in zip(theta, g)])
     return 0
 
 
 def _cmd_scatter(args) -> int:
-    import numpy as np
-    from .errors import AccuracyWarning
-    from .evolution import auto_config, evolve_transfer
-    from .grid import build_grid
-    from .operators import amplitude, solve_outgoing
-    from .potentials import potential_from_document
-
     doc = _load_doc(args.input)
     if "potential" not in doc:
         raise ValueError("scatter document needs a 'potential' entry")
     pot = potential_from_document(doc["potential"])
-    k = _real(doc, "k")
-    grid = build_grid(k, args.grid_size)
+    grid = build_grid(_field(doc, "k"), args.grid_size)
     if "evolution" in doc:
         ev = doc["evolution"]
-        from .evolution import EvolutionConfig
-        cfg = EvolutionConfig(x_min=_real(ev, "x_min"), x_max=_real(ev, "x_max"),
-                              steps=int(_real(ev, "steps")),
+        cfg = EvolutionConfig(x_min=_field(ev, "x_min"), x_max=_field(ev, "x_max"),
+                              steps=_field(ev, "steps"),
                               check_tolerance=args.check_tolerance)
     else:
         cfg = auto_config(pot, args.steps, check_tolerance=args.check_tolerance)
@@ -224,63 +185,48 @@ def _cmd_scatter(args) -> int:
     for w in caught:
         if isinstance(w.message, AccuracyWarning):
             print(json.dumps(w.message.record()), file=sys.stderr)
-    t_plus, t_minus, flag = solve_outgoing(op)
-    if flag.is_singular:
-        from .errors import SpectralSingularityError
-        raise SpectralSingularityError("extraction hit a spectral singularity")
     thetas_deg = _theta_grid_deg(args.theta_samples)
-    f = [v for _, v in amplitude(t_plus, t_minus, k, np.radians(thetas_deg))]
-    _write_csv(args.output, AMP_HEADER, _amplitude_rows(thetas_deg, f))
-    _write_csv(args.output + ".tpm.csv", TPM_HEADER, _tpm_rows(grid, t_plus, t_minus))
-    _write_json(args.output + ".meta.json", _meta_record(k, grid.size, t_plus, t_minus, flag))
+    _write_scattering(args.output, thetas_deg,
+                      scattering_result(op, np.radians(thetas_deg)))
     return 0
 
 
 def _cmd_singularity(args) -> int:
-    from . import closedforms as cf
-
     doc = _load_doc(args.input)
-    sp = cf.SlabParams(epsilon=_cplx(doc, "epsilon"),
-                       thickness=_real(doc, "thickness"), k=_real(doc, "k"))
+    sp = _slab_params(doc)
     unknown = doc.get("unknown")
     if unknown not in ("omega", "k"):
         raise ValueError("singularity document needs unknown: 'omega' or 'k'")
-    guess = _cplx(doc, "guess")
-    res = cf.spectral_singularity(sp, unknown, guess)
+    res = cf.spectral_singularity(sp, unknown, _field(doc, "guess", _dec_complex))
     _write_json(args.output, {
-        "root_re": _fmt(res.root.real),
-        "root_im": _fmt(res.root.imag),
-        "residual": _fmt(res.z_abs),
-        "m22_abs": _fmt(res.m22_abs),
+        "root_re": res.root.real,
+        "root_im": res.root.imag,
+        "residual": res.z_abs,
+        "m22_abs": res.m22_abs,
         "iterations": res.iterations,
     })
     return 0
 
 
 def _cmd_delta3d(args) -> int:
-    import numpy as np
-    from . import threed
-    from .operators import solve_outgoing
-
     doc = _load_doc(args.input)
-    strength = _cplx(doc, "strength")
-    k = _real(doc, "k")
+    strength = _field(doc, "strength", _dec_complex)
+    k = _field(doc, "k")
     disc = threed.build_disc_grid(k, args.n_radial, args.n_azimuthal)
     t_plus, t_minus, flag = solve_outgoing(threed.delta3d_operator(strength, disc))
     if flag.is_singular:
-        from .errors import SpectralSingularityError
         raise SpectralSingularityError("extraction hit a spectral singularity")
     f = threed.amplitude3d(t_plus, t_minus, k, 0.7, 0.4)
     xi = threed.scattering_length(strength)
     _write_json(args.output, {
-        "k": _fmt(k),
-        "f_re": _fmt(f.real),
-        "f_im": _fmt(f.imag),
-        "abs_f_sq": _fmt(abs(f) ** 2),
-        "f_closed_form": _enc_cplx(threed.delta3d_amplitude(strength, k)),
-        "xi_re": _fmt(xi.real),
-        "xi_im": _fmt(xi.imag),
-        "mu": _fmt(4 * np.pi / abs(strength)) if strength != 0 else None,
+        "k": k,
+        "f_re": f.real,
+        "f_im": f.imag,
+        "abs_f_sq": abs(f) ** 2,
+        "f_closed_form": threed.delta3d_amplitude(strength, k),
+        "xi_re": xi.real,
+        "xi_im": xi.imag,
+        "mu": 4 * np.pi / abs(strength) if strength != 0 else None,
         "singularity_flag": flag.kind,
     })
     return 0
@@ -346,7 +292,10 @@ def main(argv=None) -> int:
     try:
         _apply_thread_cap()
         args = _build_parser().parse_args(argv)
-        if getattr(args, "check_tolerance", None) is not None and args.check_tolerance <= 0:
+        tol = getattr(args, "check_tolerance", None)
+        if tol is not None and not math.isfinite(tol):
+            raise ValueError(f"--check-tolerance must be finite, got {tol}")
+        if tol is not None and tol <= 0:
             args.check_tolerance = None
         numeric_knobs = [getattr(args, name, 1) for name in
                          ("grid_size", "theta_samples", "quad_points", "steps",
@@ -356,8 +305,6 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"tmscat: {exc}", file=sys.stderr)
         return 2
-
-    from .errors import TmscatError
 
     try:
         return args.fn(args)

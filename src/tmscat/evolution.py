@@ -62,8 +62,9 @@ class EvolutionConfig:
     def __post_init__(self):
         if not self.x_min < self.x_max:
             raise ValueError("x_min must be below x_max")
-        if self.steps < 1:
-            raise ValueError("steps must be at least 1")
+        if not float(self.steps).is_integer() or self.steps < 1:
+            raise ValueError(f"steps must be an integer >= 1, got {self.steps}")
+        object.__setattr__(self, "steps", int(self.steps))
         if self.scheme != "rk4":
             raise ValueError(f"unsupported scheme {self.scheme!r} (only 'rk4')")
 
@@ -99,14 +100,6 @@ def potential_kernel(pot, x: float, grid: MomentumGrid) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class HamiltonianBlock:
-    """Discretized evolution generator at one position: (2, 2, N, N) blocks."""
-
-    x: float
-    blocks: np.ndarray
-
-
 def _assemble_blocks(v: np.ndarray, x: float, omegas: np.ndarray) -> np.ndarray:
     dp = np.exp(1j * omegas * x)
     dm = dp.conj()
@@ -119,13 +112,12 @@ def _assemble_blocks(v: np.ndarray, x: float, omegas: np.ndarray) -> np.ndarray:
     return blocks
 
 
-def effective_hamiltonian(pot, x: float, grid: MomentumGrid) -> HamiltonianBlock:
-    """Evolution generator on the grid at position x.
+def effective_hamiltonian(pot, x: float, grid: MomentumGrid) -> np.ndarray:
+    """Evolution generator on the grid at position x, as (2, 2, N, N) blocks.
 
     Vanishes identically wherever the potential does.
     """
-    v = potential_kernel(pot, x, grid)
-    return HamiltonianBlock(x=float(x), blocks=_assemble_blocks(v, x, grid.omegas))
+    return _assemble_blocks(potential_kernel(pot, x, grid), x, grid.omegas)
 
 
 class _StageGenerator:

@@ -458,13 +458,9 @@ class ScatteringResult:
     f_samples: list[tuple[float, complex]]
     singularity_flag: SingularityFlag
 
-    def csv_rows(self) -> list[tuple[float, float, float, float]]:
-        """Rows (theta_deg, re_f, im_f, abs_f_sq) for the amplitude table."""
-        return [(np.degrees(t), f.real, f.imag, abs(f) ** 2)
-                for t, f in self.f_samples]
-
     def metadata(self) -> dict:
-        """JSON-style record: wavenumber, grid size, beam coefficients, flag."""
+        """JSON-style record: wavenumber, grid size, beam coefficients, flag
+        kind and condition number (None when the flag carries none)."""
         grid = self.t_plus.grid
         return {
             "k": grid.k,
@@ -474,6 +470,7 @@ class ScatteringResult:
             "t_minus_delta": {"re": self.t_minus.delta_coeff.real,
                               "im": self.t_minus.delta_coeff.imag},
             "singularity_flag": self.singularity_flag.kind,
+            "condition": self.singularity_flag.condition,
         }
 
 

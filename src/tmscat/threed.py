@@ -68,19 +68,22 @@ class DiscGrid:
 def build_disc_grid(k: float, n_radial: int, n_azimuthal: int) -> DiscGrid:
     if not np.isfinite(k) or k <= 0:
         raise ValueError(f"wavenumber must be positive and finite, got {k}")
-    if n_radial < 2 or n_azimuthal < 2:
-        raise ValueError("need at least 2 radial and 2 azimuthal points")
-    x, w = np.polynomial.legendre.leggauss(int(n_radial))
+    if (int(n_radial) != n_radial or int(n_azimuthal) != n_azimuthal
+            or n_radial < 2 or n_azimuthal < 2):
+        raise ValueError("need integer sizes of at least 2 radial and 2 azimuthal points, "
+                         f"got {n_radial} and {n_azimuthal}")
+    n_radial, n_azimuthal = int(n_radial), int(n_azimuthal)
+    x, w = np.polynomial.legendre.leggauss(n_radial)
     omega_r = 0.5 * k * (x + 1.0)
     w_r = 0.5 * k * w
     rho = np.sqrt((k - omega_r) * (k + omega_r))
-    phis = 2.0 * np.pi * np.arange(int(n_azimuthal)) / int(n_azimuthal)
-    w_phi = 2.0 * np.pi / int(n_azimuthal)
+    phis = 2.0 * np.pi * np.arange(n_azimuthal) / n_azimuthal
+    w_phi = 2.0 * np.pi / n_azimuthal
     px = (rho[:, None] * np.cos(phis)[None, :]).ravel()
     py = (rho[:, None] * np.sin(phis)[None, :]).ravel()
-    omegas = np.repeat(omega_r, int(n_azimuthal))
+    omegas = np.repeat(omega_r, n_azimuthal)
     # rho drho = omega domega, so the plain measure folds omega into w_r
-    point_weights = np.repeat(w_r * omega_r * w_phi, int(n_azimuthal))
+    point_weights = np.repeat(w_r * omega_r * w_phi, n_azimuthal)
     for a in (omega_r, w_r, phis, px, py, omegas, point_weights):
         a.setflags(write=False)
     return DiscGrid(k=float(k), omega_radial=omega_r, radial_weights=w_r,

@@ -228,6 +228,64 @@ def test_scatter_non_finite_potential_exits_2(tmp_path, capsys, pot):
     assert pot["kind"] in capsys.readouterr().err
 
 
+def test_scatter_fractional_steps_exits_2(tmp_path, capsys):
+    doc = {"potential": BUMP, "k": "1.5",
+           "evolution": {"x_min": "-3.0", "x_max": "3.0", "steps": "2.5"}}
+    inp = write_doc(tmp_path / "in.json", doc)
+    out = tmp_path / "amp.csv"
+    args = ["scatter", "--input", inp, "--output", str(out), "--grid-size", "8"]
+    assert main(args) == 2
+    assert not out.exists()
+    assert "steps" in capsys.readouterr().err
+    # an integral count still runs, and the warning record carries an integer
+    doc["evolution"]["steps"] = "4"
+    write_doc(tmp_path / "in.json", doc)
+    assert main(args) == 0
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["steps"] == 4 and isinstance(record["steps"], int)
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+def test_scatter_non_finite_check_tolerance_exits_2(tmp_path, capsys, tol):
+    inp = write_doc(tmp_path / "in.json", {"potential": BUMP, "k": "1.5"})
+    out = tmp_path / "amp.csv"
+    args = ["scatter", "--input", inp, "--output", str(out), "--grid-size", "8",
+            "--steps", "4"]
+    assert main(args + [f"--check-tolerance={tol}"]) == 2
+    assert not out.exists()
+    assert "check-tolerance" in capsys.readouterr().err
+    # the default tolerance reports the coarse run; a tolerance <= 0 disables the check
+    assert main(args) == 0
+    assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["delta"] > 1e-6
+    assert main(args + ["--check-tolerance", "0"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_scattering_outputs_share_one_record(tmp_path):
+    runs = {
+        "delta2d": {"strength": cplx(1.0 - 0.5j), "k": "2.0"},
+        "slab-defect": {"epsilon": cplx(2 + 0.01j), "thickness": "1.0",
+                        "strength": cplx(1.0), "k": "2.0"},
+        "scatter": {"potential": BUMP, "k": "1.5"},
+    }
+    metas = {}
+    for command, doc in runs.items():
+        inp = write_doc(tmp_path / (command + ".json"), doc)
+        out = str(tmp_path / (command + ".csv"))
+        extra = ["--steps", "200"] if command == "scatter" else []
+        assert main([command, "--input", inp, "--output", out, "--grid-size", "12",
+                     "--theta-samples", "36"] + extra) == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert np.allclose(rows[:, 3], rows[:, 1] ** 2 + rows[:, 2] ** 2, rtol=1e-14, atol=0)
+        metas[command] = json.loads(open(out + ".meta.json").read())
+    keys = {"k", "n", "t_plus_delta", "t_minus_delta", "singularity_flag", "condition"}
+    assert set(metas["slab-defect"]) == set(metas["scatter"]) == keys
+    assert set(metas["delta2d"]) == keys | {"f_closed_form"}
+    assert metas["slab-defect"]["condition"] is None
+    assert float(metas["delta2d"]["condition"]) >= 1.0
+    assert float(metas["scatter"]["condition"]) >= 1.0
+
+
 def test_slab_overflow_exits_3(tmp_path, capsys):
     # k = 1e300 overflows the closed-form entries to non-finite values
     doc = {"epsilon": cplx(2 + 0.01j), "thickness": "1.0", "k": "1e300"}

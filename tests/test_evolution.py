@@ -55,16 +55,16 @@ def test_kernel_rejects_point_potentials():
 
 def test_hamiltonian_vanishes_with_potential():
     g = build_grid(1.5, 6)
-    blocks = effective_hamiltonian(centered_bump(amp=0.0), 0.3, g).blocks
+    blocks = effective_hamiltonian(centered_bump(amp=0.0), 0.3, g)
     assert not blocks.any()
     # far outside the support the Gaussian profile underflows to exactly zero
-    far = effective_hamiltonian(centered_bump(), 40.0, g).blocks
+    far = effective_hamiltonian(centered_bump(), 40.0, g)
     assert not far.any()
 
 
 def test_hamiltonian_structure_at_origin():
     g = build_grid(1.5, 6)
-    h = effective_hamiltonian(centered_bump(), 0.0, g).blocks
+    h = effective_hamiltonian(centered_bump(), 0.0, g)
     assert np.array_equal(h[0, 0], h[0, 1])
     assert np.array_equal(h[1, 0], h[1, 1])
     assert np.array_equal(h[1, 0], -h[0, 0])
@@ -76,7 +76,7 @@ def test_hamiltonian_row_phase_pattern():
     # rows are phase conjugates: H21 = -D+^2 H11 and H22 = -D+^2 H12
     g = build_grid(1.5, 6)
     x = 0.37
-    h = effective_hamiltonian(centered_bump(), x, g).blocks
+    h = effective_hamiltonian(centered_bump(), x, g)
     d2 = np.exp(2j * g.omegas * x)
     assert np.max(np.abs(h[1, 0] + d2[:, None] * h[0, 0])) < 1e-15
     assert np.max(np.abs(h[1, 1] + d2[:, None] * h[0, 1])) < 1e-15
@@ -252,3 +252,11 @@ def test_config_validation():
         EvolutionConfig(0.0, 1.0, 0)
     with pytest.raises(ValueError):
         EvolutionConfig(0.0, 1.0, 10, scheme="euler")
+
+
+def test_config_rejects_fractional_steps():
+    for steps in (2.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            EvolutionConfig(0.0, 1.0, steps)
+    cfg = EvolutionConfig(0.0, 1.0, 300.0)
+    assert cfg.steps == 300 and isinstance(cfg.steps, int)

@@ -50,6 +50,13 @@ def test_grid_validation():
         build_disc_grid(1.0, 1, 4)
 
 
+@pytest.mark.parametrize("n_radial, n_azimuthal", [(2.7, 3.9), (4, 4.5), (4.5, 4)])
+def test_grid_rejects_non_integer_sizes(n_radial, n_azimuthal):
+    with pytest.raises(ValueError):
+        build_disc_grid(1.0, n_radial, n_azimuthal)
+    assert build_disc_grid(1.0, 4.0, 6.0).size == 24
+
+
 def test_point_operator_zero_coupling_is_identity(disc):
     op = delta3d_operator(0.0, disc)
     assert op.kernel is None and op.kernel_at_zero is None
