@@ -179,11 +179,7 @@ def criterion_7(n: int = 2048) -> CriterionResult:
               abs(t_plus.delta_coeff - exact.delta_plus))
     # the identity check inside slab_defect_amplitudes enforces 1e-10; measure it
     x_k, _ = cf.slab_xyz(sp, sp.k)
-    y_k = cf.slab_y(sp, strength)
-    u, w = cf._gauss_legendre_quarter(400)
-    b_avg = (x_k - 1.0) - (1j * strength * x_k / (np.pi * y_k)) * np.sum(
-        w * cf._x_of(sp, sp.k * np.cos(u)))
-    ident = abs(b_avg + 1.0 - 2.0 * x_k / y_k)
+    ident = cf.defect_identity_residual(sp, strength, x_k, cf.slab_y(sp, strength))
     ok = err < 1e-8 and ident < 1e-10
     return CriterionResult(7, "slab + defect consistency", ok,
                            f"pipeline vs direct (N={n}) {err:.2e} (tol 1e-8), "

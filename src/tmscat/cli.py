@@ -139,17 +139,17 @@ def _cmd_slab_defect(args) -> int:
     thetas_deg = _theta_grid_deg(args.theta_samples)
     rad = np.radians(thetas_deg)
     p = sp.k * np.sin(rad)
-    res = cf.slab_defect_amplitudes(sp, strength, p, quad_points=args.quad_points)
-    omega = np.sqrt(sp.k ** 2 - p ** 2)
-    smooth = np.where(np.cos(rad) > 0, res.smooth_plus, res.smooth_minus)
-    f = -1j * omega * smooth / np.sqrt(2 * np.pi)
-
     grid = build_grid(sp.k, args.grid_size)
-    nodes = cf.slab_defect_amplitudes(sp, strength, grid.nodes,
-                                      quad_points=args.quad_points)
+    # one closed-form evaluation at the sampled angles, then at the grid nodes
+    res = cf.slab_defect_amplitudes(sp, strength, np.concatenate([p, grid.nodes]),
+                                    quad_points=args.quad_points)
+    m = p.size
+    omega = np.sqrt(sp.k ** 2 - p ** 2)
+    smooth = np.where(np.cos(rad) > 0, res.smooth_plus[:m], res.smooth_minus[:m])
+    f = -1j * omega * smooth / np.sqrt(2 * np.pi)
     _write_scattering(args.output, thetas_deg, ScatteringResult(
-        t_plus=SpectralAmplitude(grid, nodes.delta_plus, nodes.smooth_plus),
-        t_minus=SpectralAmplitude(grid, nodes.delta_minus, nodes.smooth_minus),
+        t_plus=SpectralAmplitude(grid, res.delta_plus, res.smooth_plus[m:]),
+        t_minus=SpectralAmplitude(grid, res.delta_minus, res.smooth_minus[m:]),
         f_samples=list(zip(rad, f)), singularity_flag=SingularityFlag.none()))
     return 0
 

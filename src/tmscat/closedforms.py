@@ -36,14 +36,21 @@ from .operators import LowRank, TransferOperator, identity_operator, unit_mult
 CHANNEL_FACTOR = np.array([[1.0, 1.0], [-1.0, -1.0]], dtype=complex)
 
 
-def point_kernel(col: np.ndarray, row: np.ndarray) -> LowRank:
-    """Rank-one kernel CHANNEL_FACTOR[a, b] * col[j] * row[l] as its factors.
+def point_operator(strength: complex, grid, row: np.ndarray) -> TransferOperator:
+    """Identity plus the rank-one kernel -(i z / 2 omega_j) C[a, b] row_l of a point potential.
 
-    CHANNEL_FACTOR = (1, -1)^T (1, 1), so left is (col, -col) and right is
-    row for either column channel b.
+    C = CHANNEL_FACTOR = (1, -1)^T (1, 1), so the factors are left
+    (col, -col) with col_j = -i z / 2 omega_j, and right the row for either
+    column channel b, with 1 appended: a unit coherent beam enters the
+    channel average with weight one.
     """
-    return LowRank(left=np.stack([col, -col])[:, :, None],
-                   right=np.stack([row, row])[None])
+    strength = complex(strength)
+    if strength == 0:
+        return identity_operator(grid)
+    col = -(0.5j * strength) / grid.omegas
+    row = np.append(row, 1.0)
+    return TransferOperator(grid=grid, mult=unit_mult(grid), kernel=LowRank(
+        left=np.stack([col, -col])[:, :, None], right=np.stack([row, row])[None]))
 
 
 # relative half-width of the singular band around strength = 4i (see
@@ -79,20 +86,10 @@ def born2d_amplitude(strength: complex) -> complex:
 def delta2d_operator(strength: complex, grid: MomentumGrid) -> TransferOperator:
     """Transfer operator of the 2D point potential on a channel grid.
 
-    Identity plus a rank-one smoothing part, stored as its factors
-    (point_kernel): block (a, b) has entries
-    -(i z / 2 omega_j) * C[a, b] * (w_l omega_l / 2 pi), the channel average
-    discretized with the plain-measure weights; the coherent-beam columns
-    are -(i z / 2 omega_j) * C[a, b].
+    A point_operator whose row is w_l omega_l / 2 pi: the channel average
+    discretized with the plain-measure weights.
     """
-    strength = complex(strength)
-    if strength == 0:
-        return identity_operator(grid)
-    col = -(0.5j * strength) / grid.omegas
-    row = grid.weights * grid.omegas / (2 * np.pi)
-    k0 = np.einsum("ab,j->abj", CHANNEL_FACTOR, col)
-    return TransferOperator(grid=grid, mult=unit_mult(grid), kernel=point_kernel(col, row),
-                            kernel_at_zero=k0)
+    return point_operator(strength, grid, grid.weights * grid.omegas / (2 * np.pi))
 
 
 def wire_modes(zeta: float, mode: str) -> float:
@@ -230,7 +227,7 @@ def slab_operator(sp: SlabParams, grid: MomentumGrid, x0: float = 0.0) -> Transf
         shift = np.exp(2j * omega * x0)
         mult[0, 1] = mult[0, 1] / shift
         mult[1, 0] = mult[1, 0] * shift
-    return TransferOperator(grid=grid, mult=mult, kernel=None, kernel_at_zero=None)
+    return TransferOperator(grid=grid, mult=mult, kernel=None)
 
 
 class SlabXZ(NamedTuple):
@@ -335,6 +332,20 @@ class DefectAmplitudes(NamedTuple):
     smooth_plus: np.ndarray
 
 
+def defect_identity_residual(sp: SlabParams, strength: complex, x_k: complex,
+                             y_k: complex, quad_points: int = 200) -> float:
+    """|B- average + 1 - 2 X(k) / Y(k)| for the slab with a line defect.
+
+    The average of B- = T- + delta over the channels, with x_k = X(k) and
+    y_k = Y(k), is recomputed independently of slab_y: the cosine
+    substitution and a doubled quadrature (2 quad_points nodes).
+    """
+    u, w = _gauss_legendre_quarter(2 * quad_points)
+    x_int = np.sum(w * _x_of(sp, sp.k * np.cos(u)))
+    b_avg = (x_k - 1.0) - (1j * strength * x_k / (np.pi * y_k)) * x_int
+    return float(abs(b_avg + 1.0 - 2.0 * x_k / y_k))
+
+
 def slab_defect_amplitudes(sp: SlabParams, strength: complex, p,
                            quad_points: int = 200) -> DefectAmplitudes:
     """Outgoing amplitudes of a slab with a surface line defect at x = y = 0.
@@ -346,8 +357,8 @@ def slab_defect_amplitudes(sp: SlabParams, strength: complex, p,
 
     The delta coefficients are stored as coefficients of 2 pi delta(p) (the
     2 pi k [X(k)-1] delta(p) term divided by omega = k on the delta support).
-    The independent identity  B- average + 1 = 2 X(k) / Y(k)  is recomputed
-    with a doubled quadrature and must hold to 1e-10.
+    The identity of defect_identity_residual must hold to 1e-10 (relative
+    to 2 X(k) / Y(k) where that exceeds 1), or ConsistencyError is raised.
     """
     p = np.atleast_1d(np.asarray(p, dtype=float))
     if np.any(np.abs(p) >= sp.k):
@@ -371,15 +382,9 @@ def slab_defect_amplitudes(sp: SlabParams, strength: complex, p,
     delta_minus = x_k - 1.0
     delta_plus = 1.0 / m_k[1, 1] - 1.0
 
-    # independent re-derivation of the self-consistency scalar
-    u, w = _gauss_legendre_quarter(2 * quad_points)
-    x_int = np.sum(w * _x_of(sp, sp.k * np.cos(u)))
-    b_avg = delta_minus - (1j * strength * x_k / (np.pi * y_k)) * x_int
-    target = 2.0 * x_k / y_k
-    if abs(b_avg + 1.0 - target) > 1e-10 * max(1.0, abs(target)):
-        raise ConsistencyError(
-            f"self-consistency identity violated by {abs(b_avg + 1 - target):.3e}")
-
+    residual = defect_identity_residual(sp, strength, x_k, y_k, quad_points)
+    if residual > 1e-10 * max(1.0, abs(2.0 * x_k / y_k)):
+        raise ConsistencyError(f"self-consistency identity violated by {residual:.3e}")
     return DefectAmplitudes(delta_minus=complex(delta_minus), smooth_minus=smooth_minus,
                             delta_plus=complex(delta_plus), smooth_plus=smooth_plus)
 

@@ -15,9 +15,10 @@ potential vanishes, since H is exactly zero there.
 
 The coherent beam at p = 0 is evolved alongside the grid: the two extra
 columns carry the response of the smooth channels to a unit beam in either
-component, and the y-independent part of the potential (which maps beams to
-beams) drives a separate per-channel 2x2 evolution that becomes the
-operator's multiplication part, tabulated on the grid channels and at p = 0.
+component, which becomes the kernel's last column, and the y-independent
+part of the potential (which maps beams to beams) drives a separate
+per-channel 2x2 evolution that becomes the operator's multiplication part,
+tabulated on the grid channels and at p = 0.
 A potential with no y-dependent member has a generator that is diagonal
 per channel, so only that 2x2 evolution runs and the operator carries no
 kernel.
@@ -50,13 +51,13 @@ class EvolutionConfig:
     """Integration window and step count for the fixed-step RK4 scheme.
 
     check_tolerance, when set, re-runs the evolution at half the steps and
-    emits an AccuracyWarning if any operator entry moves by more than it.
+    emits an AccuracyWarning if any operator entry moves by more than it; a
+    non-finite tolerance raises ValueError.
     """
 
     x_min: float
     x_max: float
     steps: int
-    scheme: str = "rk4"
     check_tolerance: float | None = None
 
     def __post_init__(self):
@@ -65,8 +66,8 @@ class EvolutionConfig:
         if not float(self.steps).is_integer() or self.steps < 1:
             raise ValueError(f"steps must be an integer >= 1, got {self.steps}")
         object.__setattr__(self, "steps", int(self.steps))
-        if self.scheme != "rk4":
-            raise ValueError(f"unsupported scheme {self.scheme!r} (only 'rk4')")
+        if self.check_tolerance is not None and not np.isfinite(self.check_tolerance):
+            raise ValueError(f"check_tolerance must be finite, got {self.check_tolerance}")
 
 
 def auto_config(pot, steps: int, check_tolerance: float | None = None) -> EvolutionConfig:
@@ -271,7 +272,7 @@ def _checked(evolve, cfg: EvolutionConfig) -> np.ndarray:
     if not np.all(np.isfinite(u)):
         raise DivergenceError("evolution produced non-finite values")
     if cfg.check_tolerance is not None and cfg.steps >= 2:
-        half = EvolutionConfig(cfg.x_min, cfg.x_max, cfg.steps // 2, cfg.scheme)
+        half = EvolutionConfig(cfg.x_min, cfg.x_max, cfg.steps // 2)
         delta = float(np.max(np.abs(u - evolve(half))))
         if delta > cfg.check_tolerance:
             warnings.warn(AccuracyWarning(op="evolve_transfer", steps=cfg.steps,
@@ -297,29 +298,17 @@ def evolve_transfer(pot, grid: MomentumGrid, cfg: EvolutionConfig) -> TransferOp
             f"{type(pot).__name__} is singular in x; use its closed-form operator")
     if not smooth_members(pot):
         mult = _checked(lambda c: _evolve_uniform_channels(pot, grid, c), cfg)
-        return TransferOperator(grid=grid, mult=mult, kernel=None, kernel_at_zero=None)
+        return TransferOperator(grid=grid, mult=mult, kernel=None)
 
     n = grid.size
     generator = _factored_generator(pot, grid)
     u = _checked(lambda c: _evolve_raw(pot, generator, 2 * n + 2, c), cfg)
     mult = _evolve_uniform_channels(pot, grid, cfg) if has_uniform_part(pot) else unit_mult(grid)
 
-    kernel = np.empty((2, 2, n, n), dtype=complex)
-    kernel[0, 0] = u[:n, :n]
-    kernel[0, 1] = u[:n, n:2 * n]
-    kernel[1, 0] = u[n:2 * n, :n]
-    kernel[1, 1] = u[n:2 * n, n:2 * n]
+    # state columns (grid+, grid-, beam+, beam-) to kernel columns (a, b, j, l);
+    # take keeps rows contiguous, so the solve's products round as on a row-major kernel
+    cols = np.r_[0:n, 2 * n, n:2 * n, 2 * n + 1]
+    kernel = u[:2 * n].take(cols, axis=1).reshape(2, n, 2, n + 1).transpose(0, 2, 1, 3)
     idx = np.arange(n)
     kernel[:, :, idx, idx] -= mult[:, :, :n]
-
-    k0 = np.empty((2, 2, n), dtype=complex)
-    k0[0, 0] = u[:n, 2 * n]
-    k0[0, 1] = u[:n, 2 * n + 1]
-    k0[1, 0] = u[n:2 * n, 2 * n]
-    k0[1, 1] = u[n:2 * n, 2 * n + 1]
-
-    if not kernel.any():
-        kernel = None
-    if not k0.any():
-        k0 = None
-    return TransferOperator(grid=grid, mult=mult, kernel=kernel, kernel_at_zero=k0)
+    return TransferOperator(grid=grid, mult=mult, kernel=kernel if kernel.any() else None)

@@ -8,16 +8,16 @@ the operator splits into
     M = mult(p) + K,
 
 a 2x2 multiplication part plus a smoothing integral part K represented by
-Nystrom matrices on the grid (quadrature weights folded in).  K is stored
-either dense, as a (2, 2, S, S) array, or factored, as a LowRank pair of
-(2, S, r) and (r, 2, S) factors: point defects are rank one, and a
-composition of factored kernels stays factored with the ranks added.  The
-multiplication part is tabulated once, when the operator is built, on the
-S grid channels and on the coherent channel p = 0, stored last.  An
-incident coherent beam c * 2 pi delta(p) survives only through the
-multiplication part, while K turns it into a smooth function; the columns
-of K against the delta channel are stored separately in kernel_at_zero, so
-the delta function itself is never sampled.
+Nystrom matrices on the grid (quadrature weights folded in).  Both act on
+the S grid channels and, stored last, the coherent channel p = 0: the
+operator is the block matrix diag(mult) + [K; 0].  An incident coherent
+beam c * 2 pi delta(p) survives only through mult, while K turns it into a
+smooth function: K has S rows and S + 1 columns, the last one its response
+to a unit beam, so the delta function itself is never sampled.  K is stored
+dense, as a (2, 2, S, S + 1) array, or factored, as a LowRank pair of
+(2, S, r) and (r, 2, S + 1) factors: point defects are rank one, and a
+composition of factored kernels stays factored with the ranks added.  mult
+is tabulated once, when the operator is built.
 
 Extraction solves one S x S system, diag(mult_22) + K_22.  For a factored
 kernel that is a capacitance (Sherman-Morrison-Woodbury) solve in
@@ -94,9 +94,9 @@ def unit_mult(grid: MomentumGrid | DiscGrid) -> np.ndarray:
 class LowRank:
     """Factored smoothing kernel K[a, b, j, l] = sum_r left[a, j, r] right[r, b, l].
 
-    left is a (2, S, r) array and right an (r, 2, S) array.  shape is the
-    dense (2, 2, S, S) shape, nbytes the storage of the factors, and
-    np.asarray densifies the kernel.
+    left is a (2, S, r) array and right an (r, 2, S + 1) array, its last
+    column the beam channel.  shape is the dense (2, 2, S, S + 1) shape,
+    nbytes the storage of the factors, and np.asarray densifies the kernel.
     """
 
     left: np.ndarray
@@ -105,7 +105,8 @@ class LowRank:
     def __post_init__(self):
         left = np.asarray(self.left, dtype=complex)
         right = np.asarray(self.right, dtype=complex)
-        if left.ndim != 3 or left.shape[0] != 2 or right.shape != (left.shape[2], 2, left.shape[1]):
+        if (left.ndim != 3 or left.shape[0] != 2
+                or right.shape != (left.shape[2], 2, left.shape[1] + 1)):
             raise ValueError(f"factor shapes {left.shape} and {right.shape} do not match")
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
@@ -113,7 +114,7 @@ class LowRank:
     @property
     def shape(self) -> tuple[int, int, int, int]:
         s = self.left.shape[1]
-        return (2, 2, s, s)
+        return (2, 2, s, s + 1)
 
     @property
     def nbytes(self) -> int:
@@ -125,29 +126,22 @@ class LowRank:
         dense = np.einsum("ajr,rbl->abjl", self.left, self.right)
         return dense if dtype is None else dense.astype(dtype, copy=False)
 
-    def apply(self, vectors: np.ndarray) -> np.ndarray:
-        """K applied to a (2, m, S) stack of columns v: sum_{c,l} K[a, c, j, l] v[c, b, l]."""
-        return np.einsum("ajr,rb->abj", self.left,
-                         np.einsum("rcl,cbl->rb", self.right, vectors))
-
 
 @dataclass(frozen=True)
 class TransferOperator:
     """mult + kernel split of a transfer operator on a MomentumGrid or DiscGrid.
 
     mult is a read-only (2, 2, S + 1) array: the multiplication part on the
-    S grid channels, then on the coherent channel p = 0.  kernel is a
-    dense (2, 2, S, S) array or its LowRank factors (None means zero);
-    kernel_at_zero is a (2, 2, S) array of responses to a unit coherent
-    beam in either channel (None means zero).  Instances are immutable.  A
-    non-finite mult or LowRank factor raises DivergenceError; dense kernels
-    are not scanned, since they are large.
+    S grid channels, then on the coherent channel p = 0.  kernel is a dense
+    (2, 2, S, S + 1) array or its LowRank factors (None means zero), with
+    the same S + 1 columns.  Instances are immutable.  A non-finite mult or
+    LowRank factor raises DivergenceError; dense kernels are not scanned,
+    since they are large.
     """
 
     grid: MomentumGrid | DiscGrid
     mult: np.ndarray
     kernel: np.ndarray | LowRank | None
-    kernel_at_zero: np.ndarray | None
 
     def __post_init__(self):
         n = self.grid.size
@@ -158,14 +152,18 @@ class TransferOperator:
             raise DivergenceError("multiplication part has non-finite entries")
         mult.setflags(write=False)
         object.__setattr__(self, "mult", mult)
-        if self.kernel is not None and self.kernel.shape != (2, 2, n, n):
+        if self.kernel is not None and self.kernel.shape != (2, 2, n, n + 1):
             raise ValueError(f"kernel shape {self.kernel.shape} does not match the grid")
         if isinstance(self.kernel, LowRank) and not (np.all(np.isfinite(self.kernel.left))
                                                      and np.all(np.isfinite(self.kernel.right))):
             raise DivergenceError("kernel factors have non-finite entries")
-        if self.kernel_at_zero is not None and self.kernel_at_zero.shape != (2, 2, n):
-            raise ValueError(
-                f"kernel_at_zero shape {self.kernel_at_zero.shape} does not match the grid")
+
+    @property
+    def kernel_at_zero(self) -> np.ndarray | None:
+        """The kernel's beam column, (2, 2, S): responses to a unit coherent beam."""
+        if isinstance(self.kernel, LowRank):
+            return np.einsum("ajr,rb->abj", self.kernel.left, self.kernel.right[:, :, -1])
+        return None if self.kernel is None else self.kernel[..., -1]
 
     def mult_on_grid(self) -> np.ndarray:
         return self.mult[:, :, :-1]
@@ -180,12 +178,12 @@ class TransferOperator:
         idx = np.arange(n)
         out[:, :, idx, idx] = self.mult_on_grid()
         if self.kernel is not None:
-            out = out + np.asarray(self.kernel)
+            out = out + np.asarray(self.kernel)[..., :-1]
         return out
 
 
 def identity_operator(grid: MomentumGrid | DiscGrid) -> TransferOperator:
-    return TransferOperator(grid=grid, mult=unit_mult(grid), kernel=None, kernel_at_zero=None)
+    return TransferOperator(grid=grid, mult=unit_mult(grid), kernel=None)
 
 
 def _same_grid(a, b) -> bool:
@@ -194,72 +192,61 @@ def _same_grid(a, b) -> bool:
 
 
 def _compose_factored(k2: LowRank | None, k1: LowRank | None,
-                      m2g: np.ndarray, m1g: np.ndarray) -> LowRank | None:
+                      m2g: np.ndarray, m1: np.ndarray) -> LowRank | None:
     """Factors of M2 K1 + K2 M1 + K2 K1: left [M2 L1 + L2 (R2 L1), L2], right [R1; R2 M1]."""
     lefts, rights = [], []
     if k1 is not None:
         left = np.einsum("acj,cjr->ajr", m2g, k1.left)
         if k2 is not None:
             left = left + np.einsum("ajs,sr->ajr", k2.left,
-                                    np.einsum("scl,clr->sr", k2.right, k1.left))
+                                    np.einsum("scl,clr->sr", k2.right[:, :, :-1], k1.left))
         lefts.append(left)
         rights.append(k1.right)
     if k2 is not None:
         lefts.append(k2.left)
-        rights.append(np.einsum("rcl,cbl->rbl", k2.right, m1g))
+        rights.append(np.einsum("rcl,cbl->rbl", k2.right, m1))
     if not lefts:
         return None
     return LowRank(np.concatenate(lefts, axis=2), np.concatenate(rights, axis=0))
 
 
 def _compose_dense(k2: np.ndarray | None, k1: np.ndarray | None,
-                   m2g: np.ndarray, m1g: np.ndarray) -> np.ndarray | None:
+                   m2g: np.ndarray, m1: np.ndarray) -> np.ndarray | None:
     """M2 K1 + K2 M1 + K2 K1 on dense kernels."""
     kernel = None
     if k1 is not None:
         # mult2 acting after K1: row-scale by m2 sampled at the output node
         kernel = np.einsum("acj,cbjl->abjl", m2g, k1)
     if k2 is not None:
-        term = np.einsum("acjl,cbl->abjl", k2, m1g)
+        term = np.einsum("acjl,cbl->abjl", k2, m1)
         kernel = term if kernel is None else kernel + term
         if k1 is not None:
-            kernel = kernel + np.einsum("acjs,cbsl->abjl", k2, k1)
+            kernel = kernel + np.einsum("acjs,cbsl->abjl", k2[..., :-1], k1)
     return kernel
 
 
 def compose(second: TransferOperator, first: TransferOperator) -> TransferOperator:
     """Operator product second * first (first acts first).
 
-    Two kernels that are each factored or None compose to a factored kernel
-    of the summed rank; if either is dense, the other is densified.  The
-    caller asserts that the x-support of first's potential lies to the left
-    of second's, overlapping at most at a point; only grid identity is
-    checked here.
+    The kernel is K = M2 K1 + K2 M1 + K2 K1, with M1 the whole mult of
+    first, beam channel included, and K2 K1 summed over the grid channels
+    only (K1 has no beam rows).  Two kernels that are each factored or None
+    compose to a factored kernel of the summed rank; if either is dense, the
+    other is densified.  The caller asserts that the x-support of first's
+    potential lies to the left of second's, overlapping at most at a point;
+    only grid identity is checked here.
     """
     if not _same_grid(second.grid, first.grid):
         raise ValueError("operands live on different grids")
     mult = np.einsum("acm,cbm->abm", second.mult, first.mult)
-    m2g, m1g = second.mult_on_grid(), first.mult_on_grid()
+    m2g, m1 = second.mult_on_grid(), first.mult
     k2, k1 = second.kernel, first.kernel
     if all(k is None or isinstance(k, LowRank) for k in (k1, k2)):
-        kernel = _compose_factored(k2, k1, m2g, m1g)
+        kernel = _compose_factored(k2, k1, m2g, m1)
     else:
         k2, k1 = (None if k is None else np.asarray(k) for k in (k2, k1))
-        kernel = _compose_dense(k2, k1, m2g, m1g)
-
-    k01, k02 = first.kernel_at_zero, second.kernel_at_zero
-    k0 = None
-    if k01 is not None:
-        k0 = np.einsum("acj,cbj->abj", m2g, k01)
-        if isinstance(k2, LowRank):
-            k0 = k0 + k2.apply(k01)
-        elif k2 is not None:
-            k0 = k0 + np.einsum("acjl,cbl->abj", k2, k01)
-    if k02 is not None:
-        term = np.einsum("acj,cb->abj", k02, first.mult_at_zero())
-        k0 = term if k0 is None else k0 + term
-
-    return TransferOperator(grid=first.grid, mult=mult, kernel=kernel, kernel_at_zero=k0)
+        kernel = _compose_dense(k2, k1, m2g, m1)
+    return TransferOperator(grid=first.grid, mult=mult, kernel=kernel)
 
 
 def _norm1(columns, n: int) -> float:
@@ -354,7 +341,8 @@ def solve_outgoing(op: TransferOperator, incident: complex = 1.0):
     """
     m0, mult_grid = op.mult_at_zero(), op.mult_on_grid()
     kernel, k0 = op.kernel, op.kernel_at_zero
-    s = op.grid.size
+    if k0 is None:
+        k0 = np.zeros((2, 2, op.grid.size), dtype=complex)
     tol = MULT_ZERO_TOL * max(1.0, float(np.max(np.abs(m0))))
     flag_kind = "none"
     if abs(m0[1, 1]) <= tol:
@@ -363,23 +351,19 @@ def solve_outgoing(op: TransferOperator, incident: complex = 1.0):
     else:
         b0 = -m0[1, 0] / m0[1, 1] * incident
 
-    zeros = np.zeros(s, dtype=complex)
-    k011, k012 = (k0[0, 0], k0[0, 1]) if k0 is not None else (zeros, zeros)
-    k021, k022 = (k0[1, 0], k0[1, 1]) if k0 is not None else (zeros, zeros)
-
     # b0 = inf against a zero kernel column gives NaN: the flag is singular
     with np.errstate(invalid="ignore"):
-        rhs = -(k021 * incident + b0 * k022)
+        rhs = -(k0[1, 0] * incident + b0 * k0[1, 1])
     m22 = mult_grid[1, 1]
     factored = isinstance(kernel, LowRank)
-    solved = (_capacitance_solve(m22, kernel.left[1], kernel.right[:, 1], rhs, tol)
+    solved = (_capacitance_solve(m22, kernel.left[1], kernel.right[:, 1, :-1], rhs, tol)
               if factored else None)
     if solved is None:
         a22 = np.diag(m22)
         if factored:
-            a22 = a22 + kernel.left[1] @ kernel.right[:, 1]
+            a22 = a22 + kernel.left[1] @ kernel.right[:, 1, :-1]
         elif kernel is not None:
-            a22 = a22 + kernel[1, 1]
+            a22 = a22 + kernel[1, 1, :, :-1]
         solved = _lu_solve(a22, rhs)
     phi, rcond, condition = solved
 
@@ -394,11 +378,11 @@ def solve_outgoing(op: TransferOperator, incident: complex = 1.0):
         tp_delta = complex(np.nan)
 
     with np.errstate(invalid="ignore"):
-        tp_smooth = k011 * incident + b0 * k012 + mult_grid[0, 1] * phi
+        tp_smooth = k0[0, 0] * incident + b0 * k0[0, 1] + mult_grid[0, 1] * phi
         if factored:
-            tp_smooth = tp_smooth + kernel.left[0] @ (kernel.right[:, 1] @ phi)
+            tp_smooth = tp_smooth + kernel.left[0] @ (kernel.right[:, 1, :-1] @ phi)
         elif kernel is not None:
-            tp_smooth = tp_smooth + kernel[0, 1] @ phi
+            tp_smooth = tp_smooth + kernel[0, 1, :, :-1] @ phi
     grid = op.grid
     t_minus = SpectralAmplitude(grid=grid, delta_coeff=complex(b0), smooth=phi)
     t_plus = SpectralAmplitude(grid=grid, delta_coeff=complex(tp_delta), smooth=tp_smooth)

@@ -21,12 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceLimitError, UnsupportedEvaluationError
-from .closedforms import CHANNEL_FACTOR, point_kernel
+from .closedforms import point_operator
 from .evolution import EvolutionConfig, evolve_transfer
 from .grid import SpectralAmplitude
-from .operators import (TransferOperator, _checked_grid, compose, identity_operator,
-                        solve_outgoing, unit_mult)
-from .potentials import Slab, SumPotential, has_uniform_part, is_x_singular
+from .operators import TransferOperator, _checked_grid, compose, solve_outgoing
+from .potentials import is_x_singular, is_y_independent
 
 # 3D evolution is bounded to desk scale; the physics of interest (point
 # defect, stacked layers) never needs more channels
@@ -102,18 +101,9 @@ def disc_quadrature(grid: DiscGrid, samples: np.ndarray) -> complex:
 def delta3d_operator(strength: complex, grid: DiscGrid) -> TransferOperator:
     """Transfer operator of the 3D point potential strength * delta3(r).
 
-    Identity plus the rank-one disc average, stored as its factors
-    (point_kernel): block (a, b) entries
-    -(i z / 2 omega_j) * C[a, b] * W_l / (4 pi^2).
+    A point_operator whose row is the disc average W_l / (4 pi^2).
     """
-    strength = complex(strength)
-    if strength == 0:
-        return identity_operator(grid)
-    col = -(0.5j * strength) / grid.omegas
-    row = grid.point_weights / (4 * np.pi ** 2)
-    k0 = np.einsum("ab,j->abj", CHANNEL_FACTOR, col)
-    return TransferOperator(grid=grid, mult=unit_mult(grid), kernel=point_kernel(col, row),
-                            kernel_at_zero=k0)
+    return point_operator(strength, grid, grid.point_weights / (4 * np.pi ** 2))
 
 
 def delta3d_amplitude(strength: complex, k: float) -> complex:
@@ -192,18 +182,6 @@ def amplitude3d(t_plus: SpectralAmplitude, t_minus: SpectralAmplitude,
 # numeric evolution along z (xy-independent potentials)
 # ---------------------------------------------------------------------------
 
-def _require_uniform(pot) -> None:
-    if is_x_singular(pot):
-        raise UnsupportedEvaluationError(
-            f"{type(pot).__name__} is singular along the axis; use its closed form")
-    if not isinstance(pot, (Slab, SumPotential)) or not has_uniform_part(pot):
-        raise UnsupportedEvaluationError(
-            "3D numeric evolution supports transverse-uniform layered potentials only")
-    if isinstance(pot, SumPotential) and any(not isinstance(m, Slab) for m in pot.members):
-        raise UnsupportedEvaluationError(
-            "3D numeric evolution supports transverse-uniform layered potentials only")
-
-
 def evolve_transfer_3d(pot, grid: DiscGrid, z_min: float, z_max: float,
                        steps: int) -> TransferOperator:
     """Numeric transfer operator of a layered potential over [z_min, z_max].
@@ -211,7 +189,12 @@ def evolve_transfer_3d(pot, grid: DiscGrid, z_min: float, z_max: float,
     The generator is diagonal per channel, so the operator is purely
     multiplicative: the 2D per-channel evolution at the disc's frequencies.
     """
-    _require_uniform(pot)
+    if is_x_singular(pot):
+        raise UnsupportedEvaluationError(
+            f"{type(pot).__name__} is singular along the axis; use its closed form")
+    if not is_y_independent(pot):
+        raise UnsupportedEvaluationError(
+            "3D numeric evolution supports transverse-uniform layered potentials only")
     if grid.size > MAX_CHANNELS_3D:
         raise ResourceLimitError(
             f"grid has {grid.size} channels; 3D evolution is capped at {MAX_CHANNELS_3D}")

@@ -136,7 +136,7 @@ def test_y_even_kernel_parity():
     # centered transform even in q: kernel invariant under (p, q) -> (-p, -q)
     g = build_grid(1.5, 8)
     op = evolve_transfer(centered_bump(amp=0.7), g, auto_config(centered_bump(), 300))
-    k = op.kernel
+    k = op.kernel[..., :-1]
     flipped = k[:, :, ::-1, ::-1]
     assert np.max(np.abs(k - flipped)) < 1e-12
 
@@ -250,8 +250,10 @@ def test_config_validation():
         EvolutionConfig(1.0, 0.0, 10)
     with pytest.raises(ValueError):
         EvolutionConfig(0.0, 1.0, 0)
-    with pytest.raises(ValueError):
-        EvolutionConfig(0.0, 1.0, 10, scheme="euler")
+    # a nan tolerance would silently switch the step-halving check off
+    for tol in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError):
+            auto_config(centered_bump(amp=0.5), 4, check_tolerance=tol)
 
 
 def test_config_rejects_fractional_steps():

@@ -139,8 +139,7 @@ def test_scattering_result_serialization(grid):
 
 
 def densified(op):
-    return TransferOperator(grid=op.grid, mult=op.mult, kernel=np.asarray(op.kernel),
-                            kernel_at_zero=op.kernel_at_zero)
+    return TransferOperator(grid=op.grid, mult=op.mult, kernel=np.asarray(op.kernel))
 
 
 def assert_same_solution(op):
@@ -175,8 +174,7 @@ def test_factored_solve_falls_back_where_m22_vanishes(grid):
                  delta2d_operator(0.7 - 0.2j, grid))
     mult = op.mult.copy()
     mult[1, 1, 5] = 0.0
-    op = TransferOperator(grid=grid, mult=mult, kernel=op.kernel,
-                          kernel_at_zero=op.kernel_at_zero)
+    op = TransferOperator(grid=grid, mult=mult, kernel=op.kernel)
     assert isinstance(op.kernel, LowRank)
     flag, flag_dense = assert_same_solution(op)
     assert flag.condition == flag_dense.condition
@@ -190,9 +188,14 @@ def test_factored_solve_hands_a_small_diagonal_to_the_lu():
     mult[1, 1, 0] = 1e-9
     ones = np.ones(4)
     k0 = np.linspace(0.5, 2.0, 16).reshape(2, 2, 4) + 0.3j
-    op = TransferOperator(grid=g, mult=mult, kernel_at_zero=k0,
-                          kernel=LowRank(np.stack([ones, ones])[:, :, None],
-                                         np.stack([ones, ones])[None]))
+    # a beam column k0 independent of the grid part: two ranks, k0[:, b] against
+    # the unit vector at (b, S)
+    right = np.zeros((3, 2, 5), dtype=complex)
+    right[0, :, :4] = 1.0
+    right[[1, 2], [0, 1], 4] = 1.0
+    left = np.concatenate([np.stack([ones, ones])[:, :, None], k0.transpose(0, 2, 1)], axis=2)
+    op = TransferOperator(grid=g, mult=mult, kernel=LowRank(left, right))
+    assert np.array_equal(op.kernel_at_zero, k0)
     with mock.patch.object(ops, "_lu_solve", wraps=ops._lu_solve) as lu:
         solve_outgoing(op)
     lu.assert_called_once()
@@ -202,7 +205,7 @@ def test_factored_solve_hands_a_small_diagonal_to_the_lu():
 
 def test_point_kernel_is_stored_factored():
     op = delta2d_operator(1.0, build_grid(2.0, 2048))
-    assert op.kernel.shape == (2, 2, 2048, 2048)
+    assert op.kernel.shape == (2, 2, 2048, 2049)
     assert op.kernel.nbytes < 1e6
 
 
@@ -213,4 +216,4 @@ def test_non_finite_factor_is_a_divergence(grid, bad):
     left[1, 3, 0] = bad
     with pytest.raises(DivergenceError):
         TransferOperator(grid=grid, mult=identity_operator(grid).mult,
-                         kernel=LowRank(left, kernel.right), kernel_at_zero=None)
+                         kernel=LowRank(left, kernel.right))

@@ -30,18 +30,28 @@ def entries(shape):
 
 @st.composite
 def low_rank(draw, s):
+    """Rank 1-3 factors with a zero beam column; a drawn beam column k0 adds two
+    ranks, left k0[:, b] against right the unit vector at (b, S), so the beam
+    is independent of the grid factors."""
     r = draw(st.integers(1, 3))
-    return LowRank(draw(entries((2, s, r))), draw(entries((r, 2, s))))
+    left = draw(entries((2, s, r)))
+    right = np.zeros((r, 2, s + 1), dtype=complex)
+    right[:, :, :s] = draw(entries((r, 2, s)))
+    k0 = draw(st.none() | entries((2, 2, s)))
+    if k0 is not None:
+        unit = np.zeros((2, 2, s + 1), dtype=complex)
+        unit[[0, 1], [0, 1], s] = 1.0
+        left = np.concatenate([left, k0.transpose(0, 2, 1)], axis=2)
+        right = np.concatenate([right, unit])
+    return LowRank(left, right)
 
 
 @st.composite
 def operators(draw, grid, factored=False):
     """Operators whose kernel is None, dense or LowRank (only LowRank if factored)."""
     s = grid.size
-    kernels = low_rank(s) if factored else st.none() | entries((2, 2, s, s)) | low_rank(s)
-    return TransferOperator(grid=grid, mult=draw(entries((2, 2, s + 1))),
-                            kernel=draw(kernels),
-                            kernel_at_zero=draw(st.none() | entries((2, 2, s))))
+    kernels = low_rank(s) if factored else st.none() | entries((2, 2, s, s + 1)) | low_rank(s)
+    return TransferOperator(grid=grid, mult=draw(entries((2, 2, s + 1))), kernel=draw(kernels))
 
 
 def dense(a, shape):
@@ -50,8 +60,17 @@ def dense(a, shape):
 
 def densified(op):
     kernel = None if op.kernel is None else np.asarray(op.kernel)
-    return TransferOperator(grid=op.grid, mult=op.mult, kernel=kernel,
-                            kernel_at_zero=op.kernel_at_zero)
+    return TransferOperator(grid=op.grid, mult=op.mult, kernel=kernel)
+
+
+def block_matrix(op):
+    """The operator as a 2(S+1)-square matrix: diag(mult) + [K; 0] per channel block."""
+    s = op.grid.size
+    blocks = np.zeros((2, 2, s + 1, s + 1), dtype=complex)
+    blocks[:, :, :s] = dense(op.kernel, (2, 2, s, s + 1))
+    idx = np.arange(s + 1)
+    blocks[:, :, idx, idx] += op.mult
+    return blocks.transpose(0, 2, 1, 3).reshape(2 * s + 2, 2 * s + 2)
 
 
 def assert_close(a, b, shape):
@@ -74,8 +93,7 @@ def test_compose_is_associative(grid, data):
     right = compose(compose(a, b), c)
     s = grid.size
     assert_close(left.mult, right.mult, (2, 2, s + 1))
-    assert_close(left.kernel, right.kernel, (2, 2, s, s))
-    assert_close(left.kernel_at_zero, right.kernel_at_zero, (2, 2, s))
+    assert_close(left.kernel, right.kernel, (2, 2, s, s + 1))
 
 
 @pytest.mark.parametrize("grid", GRIDS)
@@ -86,7 +104,6 @@ def test_identity_is_a_two_sided_unit(grid, data):
     for prod in (compose(op, ident), compose(ident, op)):
         assert np.array_equal(prod.mult, op.mult)
         assert_same(prod.kernel, op.kernel)
-        assert_same(prod.kernel_at_zero, op.kernel_at_zero)
 
 
 @pytest.mark.parametrize("grid", GRIDS)
@@ -98,8 +115,10 @@ def test_mixed_compose_matches_dense(grid, data):
     want = compose(densified(second), densified(first))
     s = grid.size
     assert_close(got.mult, want.mult, (2, 2, s + 1))
-    assert_close(got.kernel, want.kernel, (2, 2, s, s))
-    assert_close(got.kernel_at_zero, want.kernel_at_zero, (2, 2, s))
+    assert_close(got.kernel, want.kernel, (2, 2, s, s + 1))
+    # independent of compose: the product of the two block matrices
+    product = block_matrix(second) @ block_matrix(first)
+    assert_close(block_matrix(got), product, product.shape)
 
 
 @pytest.mark.parametrize("grid", GRIDS)
