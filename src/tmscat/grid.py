@@ -116,14 +116,9 @@ def barycentric_interpolate(nodes: np.ndarray, bary_weights: np.ndarray,
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     diff = x[:, None] - nodes[None, :]
-    out = np.empty(x.size, dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kernel = bary_weights / diff
+        out = (kernel @ values / kernel.sum(axis=1)).astype(complex, copy=False)
     hit_rows, hit_cols = np.nonzero(diff == 0.0)
-    kernel = np.zeros_like(diff, dtype=float)
-    safe = diff != 0.0
-    kernel[safe] = bary_weights[np.nonzero(safe)[1]] / diff[safe]
-    denom = kernel.sum(axis=1)
-    numer = kernel @ values
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out[:] = numer / denom
     out[hit_rows] = values[hit_cols]
     return out

@@ -21,11 +21,13 @@ is tabulated once, when the operator is built.
 
 Extraction solves one S x S system, diag(mult_22) + K_22.  For a factored
 kernel that is a capacitance (Sherman-Morrison-Woodbury) solve in
-O(S r^2), with the condition number computed exactly from the factors.
+O(S r^2), with the condition number estimated from the factors in O(S r).
 Every case the formula does not cover (a dense kernel, mult_22 vanishing
 on a channel, a singular capacitance matrix, or a formula that may cancel)
 goes through one fallback: the kernel is densified and the system is
-solved by LU, with a gecon estimate of the condition number.
+solved by LU, with a gecon estimate of the condition number.  Both
+estimates run the same Hager-Higham algorithm and never exceed the exact
+value.
 
 One operator type, composition and extraction serve both the 2D
 MomentumGrid and the 3D DiscGrid; only the grid differs.
@@ -52,10 +54,8 @@ RCOND_NEAR_SINGULAR = 1e-9
 # |mult_22(0)| below this (relative to the mult scale) flags the delta channel
 MULT_ZERO_TOL = 1e-13
 # capacitance solve: the rounding amplification (in units of eps) above which
-# its formula may cancel and the dense LU runs instead, and the columns per
-# block of the exact 1-norms
+# its formula may cancel and the dense LU runs instead
 SMW_CANCEL_ABOVE = 1e3
-NORM_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -63,9 +63,10 @@ class SingularityFlag:
     """Diagnostic attached to an extraction: none, near-singular or singular.
 
     condition is the 1-norm condition number of the smooth-channel system
-    (None when it could not be computed): exact where the capacitance
-    formula solves it, the LAPACK gecon estimate (never above the exact
-    value) where the dense LU does.
+    (None when it could not be computed): a Hager-Higham 1-norm estimate,
+    never above the exact value, on both extraction paths (from the
+    factors where the capacitance formula solves it, LAPACK's gecon where
+    the dense LU does).
     """
 
     kind: str
@@ -249,23 +250,34 @@ def compose(second: TransferOperator, first: TransferOperator) -> TransferOperat
     return TransferOperator(grid=first.grid, mult=mult, kernel=kernel)
 
 
-def _norm1(columns, n: int) -> float:
-    """Exact 1-norm of the n x n matrix whose columns `columns(cols)` returns,
-    taken in blocks of at most NORM_BLOCK columns."""
-    norm = 0.0
-    for start in range(0, n, NORM_BLOCK):
-        block = columns(np.arange(start, min(start + NORM_BLOCK, n)))
-        norm = max(norm, float(np.max(np.sum(np.abs(block), axis=0))))
-    return norm
+def _unit_phases(x: np.ndarray) -> np.ndarray:
+    """x / |x| entrywise, 1 where |x| underflows (xLACN2's sign vector)."""
+    mag = np.abs(x)
+    nonzero = mag > np.finfo(float).tiny
+    return np.where(nonzero, x / np.where(nonzero, mag, 1.0), 1.0)
 
 
-def _diag_plus_outer(diag: np.ndarray, left: np.ndarray, right: np.ndarray):
-    """Column blocks of diag(diag) + left @ right."""
-    def columns(cols):
-        a = left @ right[:, cols]
-        a[cols, np.arange(cols.size)] += diag[cols]
-        return a
-    return columns
+def _norm1_estimate(apply, adjoint, n: int) -> float:
+    """Hager-Higham estimate of the 1-norm of an n x n matrix A, never above
+    the exact value: the algorithm of LAPACK xLACN2 (the one gecon runs on
+    the LU factors), driven by apply(x) = A x and adjoint(x) = A^H x."""
+    x = apply(np.full(n, 1.0 / n))
+    est = float(np.sum(np.abs(x)))
+    if n == 1:
+        return est
+    j = int(np.argmax(np.abs(adjoint(_unit_phases(x)))))
+    for _ in range(4):
+        x = apply(np.eye(1, n, j)[0])
+        previous, est = est, float(np.sum(np.abs(x)))
+        if est <= previous:
+            break
+        y = np.abs(adjoint(_unit_phases(x)))
+        last, j = j, int(np.argmax(y))
+        if y[last] == y[j]:
+            break
+    # the alternating vector 1, -(1 + 1/(n-1)), ..., of 1-norm 3n/2
+    alternating = (1.0 + np.arange(n) / (n - 1)) * (-1.0) ** np.arange(n)
+    return max(est, 2.0 * float(np.sum(np.abs(apply(alternating)))) / (3 * n))
 
 
 def _capacitance_solve(d: np.ndarray, u: np.ndarray, vt: np.ndarray, rhs: np.ndarray,
@@ -277,9 +289,11 @@ def _capacitance_solve(d: np.ndarray, u: np.ndarray, vt: np.ndarray, rhs: np.nda
         (D + U Vt)^-1 = D^-1 - (D^-1 U)(C^-1 Vt D^-1),
 
     so nothing of size S x S is ever formed.  Returns (phi, rcond, condition)
-    with the exact 1-norm condition number, or None where the formula does
-    not hold or may cancel (some |d_j| <= tol, C singular, or a rounding
-    amplification above SMW_CANCEL_ABOVE); the caller then runs the dense LU.
+    with the 1-norm condition number estimated from the factors in O(S r),
+    or None where the formula does not hold or may cancel (some
+    |d_j| <= tol, C singular, or a rounding amplification above
+    SMW_CANCEL_ABOVE, bounded a priori over every right-hand side and a
+    posteriori for this one); the caller then runs the dense LU.
     """
     if not np.all(np.abs(d) > tol):
         return None
@@ -290,17 +304,27 @@ def _capacitance_solve(d: np.ndarray, u: np.ndarray, vt: np.ndarray, rhs: np.nda
             q = np.linalg.solve(cap, vt / d)
         except np.linalg.LinAlgError:
             return None
-        inverse_norm = _norm1(_diag_plus_outer(1.0 / d, -p, q), d.size)
+        dh, ph, qh = d.conj(), p.conj().T, q.conj().T
+        inverse_norm = _norm1_estimate(lambda x: x / d - p @ (q @ x),
+                                       lambda x: x / dh - qh @ (ph @ x), d.size)
         # column j of the inverse is e_j / d_j minus the rank-r part: their
         # magnitudes against the inverse's norm bound the cancellation, and
         # the condition of C the error of the small solve
+        cap_condition = float(np.linalg.cond(cap, 1))
         terms = np.abs(1.0 / d) + np.sum(np.abs(p), axis=0) @ np.abs(q)
-        amplification = float(np.linalg.cond(cap, 1)) * float(np.max(terms)) / inverse_norm
-        if not amplification <= SMW_CANCEL_ABOVE:
+        if not cap_condition * float(np.max(terms)) / inverse_norm <= SMW_CANCEL_ABOVE:
             return None
         b = rhs[:, None]
         phi = (b / d[:, None] - p @ (q @ b))[:, 0]
-        condition = _norm1(_diag_plus_outer(d, u, vt), d.size) * inverse_norm
+        # the same bound on this rhs's terms against phi itself; a zero rhs
+        # gives phi = 0 exactly, a non-finite one a singular flag
+        if np.all(np.isfinite(rhs)) and np.any(rhs):
+            rhs_terms = np.abs(rhs / d) + np.abs(p) @ (np.abs(q) @ np.abs(rhs))
+            if not cap_condition * np.max(rhs_terms) / np.max(np.abs(phi)) <= SMW_CANCEL_ABOVE:
+                return None
+        uh, vh = u.conj().T, vt.conj().T
+        condition = _norm1_estimate(lambda x: d * x + u @ (vt @ x),
+                                    lambda x: dh * x + vh @ (uh @ x), d.size) * inverse_norm
     if not (np.isfinite(condition) and condition > 0):
         return phi, 0.0, None
     return phi, 1.0 / condition, float(condition)

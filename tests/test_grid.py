@@ -105,3 +105,15 @@ def test_barycentric_exact_at_nodes():
     vals = np.exp(1j * g.nodes)
     got = barycentric_interpolate(g.nodes, w, vals, g.nodes[3])
     assert got[0] == vals[3]
+
+
+def test_barycentric_node_hit_among_other_points():
+    # the hit row returns the stored value, without a divide warning, and
+    # leaves the other rows as they are without it
+    g = build_grid(2.0, 9)
+    w = chebyshev_barycentric_weights(9)
+    vals = np.exp(1j * g.nodes) / (1.0 + g.nodes ** 2)
+    x = np.array([-1.7, g.nodes[4], 0.3, g.nodes[0]])
+    got = barycentric_interpolate(g.nodes, w, vals, x)
+    assert got[1] == vals[4] and got[3] == vals[0]
+    assert np.array_equal(got[[0, 2]], barycentric_interpolate(g.nodes, w, vals, x[[0, 2]]))
