@@ -23,13 +23,18 @@ A potential with no y-dependent member has a generator that is diagonal
 per channel, so only that 2x2 evolution runs and the operator carries no
 kernel.
 
-The RK4 never forms H.  Every smooth member is separable, vt(x, q) =
+The RK4 never forms H.  The minus rows of H U are -e^{2i omega x} times
+its plus rows, and the beam enters like one more channel, at frequency k.
+So the state is kept as its plus rows A and minus rows B on the N + 1
+channels, and each stage applies H as one product, T (P A + B) with
+P = e^{2i omega x} (_stage_tables); the second and third stages share one
+product (_rk4).  Every smooth member is separable, vt(x, q) =
 profile(x) transform_y(q), so its transverse matrices (the Nystrom matrix
-and the beam-source column) are built once per evolution; at each stage
-they are combined with the members' profiles, and H U is applied in
-factored form, one N x (N+1) product per application in place of a dense
-(2N+2) x (2N+2) one.  effective_hamiltonian and potential_kernel assemble
-the dense generator as the reference the factored form is tested against.
+and the beam-source column) are built once per evolution and scaled by the
+profiles and the phases at each stage point.  With the y-independent part
+alone T is diagonal, and the same RK4 runs on elementwise products.
+effective_hamiltonian and potential_kernel assemble the dense generator as
+the reference the factored form is tested against.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ class EvolutionConfig:
 
     check_tolerance, when set, re-runs the evolution at half the steps and
     emits an AccuracyWarning if any operator entry moves by more than it; a
-    non-finite tolerance raises ValueError.
+    non-finite bound or tolerance raises ValueError.
     """
 
     x_min: float
@@ -61,6 +66,9 @@ class EvolutionConfig:
     check_tolerance: float | None = None
 
     def __post_init__(self):
+        for name in ("x_min", "x_max"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.x_min < self.x_max:
             raise ValueError("x_min must be below x_max")
         if not float(self.steps).is_integer() or self.steps < 1:
@@ -121,148 +129,137 @@ def effective_hamiltonian(pot, x: float, grid: MomentumGrid) -> np.ndarray:
     return _assemble_blocks(potential_kernel(pot, x, grid), x, grid.omegas)
 
 
-class _StageGenerator:
-    """H(x) at one x of the (2N+2)-row state, applied as `H @ U` in factored form.
+def _stage_tables(pot, grid, members):
+    """(xs, scale) -> (t_at, P, apply): the generator at the points xs, as
+    t_at(i) = T at xs[i] and one row of P per point.
 
-    With d+- = e^{+-i omega x} and e+- = e^{+-ikx}, the grid rows of H U are
-    (1/2 omega) d- W and -(1/2 omega) d+ W, where W = [V | v0] Z and
-    Z = [d+ U1 + d- U2; e+ U_beam+ + e- U_beam-].  Pulling d- and e- out of
-    Z, the stage holds t = (1/2 omega) d- [V | v0] diag(d-, e-), so the
-    first rows are t @ [d+^2 U1 + U2; e+^2 U_beam+ + U_beam-] and the second
-    rows are -d+^2 times the first: one N x (N+1) product per application.
-    The beam rows are the beam 2x2 block times U_beam (None when it is
-    zero); nothing maps smooth channels back into the beam.
+    On the C = S + 1 channels (the grid's, then the beam's at frequency k),
+    with P = e^{2i omega x}, the plus rows of H U are T (P A + B) and the
+    minus rows -P times those, where A and B are the plus and minus rows of
+    U and
+
+        T = diag(e^{-i omega x} / 2 omega) (sum_m profile_m(x) S_m + u(x) I)
+            diag(e^{-i omega x}),
+
+    times scale.  S_m is the member's transverse transform at p_j - p_l with
+    the quadrature weights w_l omega_l / 2 pi folded into its columns, and at
+    p_j (the beam source) in its last column; its beam row is zero, since
+    nothing maps smooth channels back into the beam.  The S_m are built once
+    here.  With no members T is diagonal: t_at(i) is its column, applied by
+    np.multiply; otherwise t_at(i) builds the matrix for np.matmul.
     """
+    omegas = channel_omegas(grid)
+    c, k = omegas.size, grid.k
+    uniform = has_uniform_part(pot)
+    if members:
+        n = grid.size
+        sources = np.zeros((len(members) + uniform, c, c), dtype=complex)
+        q = grid.nodes[:, None] - grid.nodes[None, :]
+        for source, member in zip(sources, members):
+            source[:n, :n] = member.transform_y(q) * (grid.weights * grid.omegas / (2 * np.pi))
+            source[:n, n] = member.transform_y(grid.nodes)
+        if uniform:
+            sources[-1] = np.eye(c)     # u(x) I, weighted like a member's profile
+        sources = sources.reshape(len(sources), -1)
 
-    __slots__ = ("n", "t", "phase2", "flip", "beam")
-
-    def __init__(self, t: np.ndarray, phase2: np.ndarray, beam: np.ndarray | None):
-        self.n = t.shape[0]
-        self.t = t
-        self.phase2 = phase2[:, None]           # d+^2, then e+^2
-        self.flip = -self.phase2[:-1]
-        self.beam = beam
-
-    def __matmul__(self, u: np.ndarray) -> np.ndarray:
-        n = self.n
-        z = np.empty((n + 1, u.shape[1]), dtype=complex)
-        np.multiply(self.phase2[:n], u[:n], out=z[:n])
-        z[:n] += u[n:2 * n]
-        np.multiply(self.phase2[n], u[2 * n], out=z[n])
-        z[n] += u[2 * n + 1]
-        out = np.empty_like(u)
-        np.matmul(self.t, z, out=out[:n])
-        np.multiply(self.flip, out[:n], out=out[n:2 * n])
-        if self.beam is None:
-            out[2 * n:] = 0
-        else:
-            np.matmul(self.beam, u[2 * n:], out=out[2 * n:])
-        return out
-
-
-def _factored_generator(pot, grid: MomentumGrid):
-    """x -> H(x) of the (2N+2)-row state as a _StageGenerator.
-
-    Every smooth member is separable, so its block of [V | v0] is profile(x)
-    times an x-independent [S | s0], built here once per evolution: S is the
-    member's transverse transform at p_j - p_l with the quadrature weights
-    w_l omega_l / 2 pi folded into its columns, s0 the transform at p_j (the
-    beam-source column).  The y-independent part u(x) adds u(x) to the
-    diagonal of V.
-    """
-    n, k = grid.size, grid.k
-    members = smooth_members(pot)
-    q = grid.nodes[:, None] - grid.nodes[None, :]
-    cols = grid.weights * grid.omegas / (2 * np.pi)
-    sources = np.empty((len(members), n, n + 1), dtype=complex)
-    for source, member in zip(sources, members):
-        source[:, :n] = member.transform_y(q) * cols[None, :]
-        source[:, n] = member.transform_y(grid.nodes)
-    sources = sources.reshape(len(members), -1)
-    frequencies = channel_omegas(grid)
-    half_inv = 0.5 / grid.omegas
-    diag = np.arange(n)
-
-    def at(x: float) -> _StageGenerator:
-        u = uniform_part(pot, x, k)
-        t = np.dot([m.profile(x) for m in members], sources).reshape(n, n + 1)
-        if u != 0:
-            t[diag, diag] += u
-        phase = np.exp((1j * x) * frequencies)      # d+, then e+
+    def tables(xs, scale):
+        phase = np.exp(1j * np.multiply.outer(xs, omegas))
         minus = phase.conj()
-        t *= (half_inv * minus[:n])[:, None]
-        t *= minus
-        beam = _channel_generator(u, frequencies[n:], x)[0] if u != 0 else None
-        return _StageGenerator(t, phase * phase, beam)
+        rows = (scale[:, None] * (0.5 / omegas)) * minus
+        u = uniform_part(pot, xs, k)
+        if not members:
+            return (u[:, None] * rows * minus)[..., None].__getitem__, phase * phase, np.multiply
+        weights = np.stack([m.profile(xs) for m in members] + ([u] if uniform else []), axis=1)
 
-    return at
+        def t_at(i):
+            t = np.dot(weights[i], sources).reshape(c, c)
+            t *= np.multiply.outer(rows[i], minus[i])
+            return t
 
+        return t_at, phase * phase, np.matmul
 
-def _channel_generator(u: complex, omegas: np.ndarray, x: float) -> np.ndarray:
-    """(m, 2, 2) generator of a y-independent potential value u at frequencies omegas."""
-    h = np.zeros((omegas.size, 2, 2), dtype=complex)
-    if u != 0:
-        e2 = np.exp(2j * omegas * x)
-        pref = u / (2 * omegas)
-        h[:, 0, 0] = pref
-        h[:, 0, 1] = pref / e2
-        h[:, 1, 0] = -pref * e2
-        h[:, 1, 1] = -pref
-    return h
+    return tables
 
 
-def _rk4(hfun, u0: np.ndarray, x_min: float, x_max: float, steps: int,
+def _rk4(tables, y: np.ndarray, x_min: float, x_max: float, steps: int,
          breaks=()) -> np.ndarray:
-    """Classical fixed-step RK4 for dU/dx = -i H(x) U on stacked matrices.
+    """Classical fixed-step RK4 for dU/dx = -i H(x) U on the half state y = (A, B).
 
     The window is split at the interior breakpoints (known discontinuities of
     H); stage evaluations are clamped a hair inside each piece, so pointwise
     sampling never straddles a jump and the scheme keeps its fourth order for
-    piecewise-smooth generators.
+    piecewise-smooth generators.  T carries -i h / 6 (-i h / 3 at midpoints),
+    so a stage's product k = T z is its A increment over 6 (both of the
+    midpoint's over 3), and its B increment is -P k.  The input of the third
+    stage has z = P_m A + B exactly and that of the second differs from it
+    by 3 (P_m - P_l) k1, so the two run as one product on [z2 | z3].  Where
+    T vanishes A and B stay exactly as they are.  Updates y in place.
     """
     edges = [x_min] + sorted(b for b in set(breaks) if x_min < b < x_max) + [x_max]
+    a, b = y
+    c, m = a.shape
+    z, k1, k4, s, w = (np.empty((c, m), dtype=complex) for _ in range(5))     # z: z1, then z4
+    z23, k23 = np.empty((c, 2 * m), dtype=complex), np.empty((c, 2 * m), dtype=complex)
+    z2, z3, k3 = z23[:, :m], z23[:, m:], k23[:, m:]
     # overflow is tolerated here: callers check finiteness and raise
     with np.errstate(over="ignore", invalid="ignore"):
-        return _rk4_pieces(hfun, u0, edges, steps, x_max - x_min)
+        for p0, p1 in zip(edges, edges[1:]):
+            n = max(1, round(steps * (p1 - p0) / (x_max - x_min)))
+            h = (p1 - p0) / n
+            nudge = (p1 - p0) * 1e-9
+            left = p0 + np.arange(n) * h
+            xs = np.empty(2 * n + 1)
+            xs[0], xs[1::2], xs[2::2] = p0, left + h / 2, left + h
+            scale = np.full(2 * n + 1, -1j * h / 6)
+            scale[1::2] *= 2
+            t_at, p, apply = tables(np.clip(xs, p0 + nudge, p1 - nudge), scale)
+            p = p[:, :, None]
+            dm, dr = 3 * (p[1::2] - p[:-1:2]), 3 * (p[2::2] - p[1::2])
+            t_right = t_at(0)
+            for i in range(n):
+                pl, pm, pr = p[2 * i], p[2 * i + 1], p[2 * i + 2]
+                np.multiply(pl, a, out=z)
+                z += b
+                apply(t_right, z, out=k1)
+                np.multiply(pm, a, out=z3)
+                z3 += b
+                np.multiply(dm[i], k1, out=z2)
+                z2 += z3
+                apply(t_at(2 * i + 1), z23, out=k23)
+                t_right = t_at(2 * i + 2)
+                np.multiply(pr, a, out=z)
+                z += b
+                np.multiply(dr[i], k3, out=w)
+                z += w
+                apply(t_right, z, out=k4)
+                np.add(k23[:, :m], k3, out=s)
+                a += k1
+                a += s
+                a += k4
+                np.multiply(pl, k1, out=w)
+                b -= w
+                np.multiply(pm, s, out=w)
+                b -= w
+                np.multiply(pr, k4, out=w)
+                b -= w
+    return y
 
 
-def _rk4_pieces(hfun, u, edges, steps, total):
-    for p0, p1 in zip(edges, edges[1:]):
-        n = max(1, round(steps * (p1 - p0) / total))
-        h = (p1 - p0) / n
-        nudge = (p1 - p0) * 1e-9
-        lo, hi = p0 + nudge, p1 - nudge
+def _evolution(pot, grid, members):
+    """cfg -> the half state evolved from the identity: plus and minus rows of
+    the C channels, columns (plus, minus) x (C channels, or one per channel
+    without members, whose generator is diagonal)."""
+    tables = _stage_tables(pot, grid, members)
+    c = grid.size + 1
+    eye = np.eye(c) if members else np.ones((c, 1))
 
-        def at(x):
-            return hfun(min(max(x, lo), hi))
+    def evolve(cfg: EvolutionConfig) -> np.ndarray:
+        y = np.zeros((2, c, 2, eye.shape[1]), dtype=complex)
+        y[0, :, 0] = y[1, :, 1] = eye
+        return _rk4(tables, y.reshape(2, c, -1), cfg.x_min, cfg.x_max, cfg.steps,
+                     breaks=discontinuities(pot))
 
-        h_left = at(p0)
-        for i in range(n):
-            x = p0 + i * h
-            h_mid = at(x + h / 2)
-            h_right = at(x + h)
-            k1 = -1j * (h_left @ u)
-            k2 = -1j * (h_mid @ (u + (h / 2) * k1))
-            k3 = -1j * (h_mid @ (u + (h / 2) * k2))
-            k4 = -1j * (h_right @ (u + h * k3))
-            u = u + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-            h_left = h_right
-    return u
-
-
-def _evolve_uniform_channels(pot, grid, cfg: EvolutionConfig) -> np.ndarray:
-    """Per-channel 2x2 evolution of the y-independent part: the (2, 2, S + 1) mult."""
-    omegas = channel_omegas(grid)
-    eye = np.broadcast_to(np.eye(2, dtype=complex), (omegas.size, 2, 2)).copy()
-    channels = _rk4(lambda x: _channel_generator(uniform_part(pot, x, grid.k), omegas, x),
-                    eye, cfg.x_min, cfg.x_max, cfg.steps, breaks=discontinuities(pot))
-    return np.moveaxis(channels, 0, -1)
-
-
-def _evolve_raw(pot, generator, size: int, cfg: EvolutionConfig) -> np.ndarray:
-    """RK4 of the (size x size) state from the identity under generator (x -> H(x))."""
-    u0 = np.eye(size, dtype=complex)
-    return _rk4(generator, u0, cfg.x_min, cfg.x_max, cfg.steps, breaks=discontinuities(pot))
+    return evolve
 
 
 def _checked(evolve, cfg: EvolutionConfig) -> np.ndarray:
@@ -296,19 +293,18 @@ def evolve_transfer(pot, grid: MomentumGrid, cfg: EvolutionConfig) -> TransferOp
     if is_x_singular(pot):
         raise UnsupportedEvaluationError(
             f"{type(pot).__name__} is singular in x; use its closed-form operator")
-    if not smooth_members(pot):
-        mult = _checked(lambda c: _evolve_uniform_channels(pot, grid, c), cfg)
+    members = smooth_members(pot)
+    channels = _evolution(pot, grid, [])
+    if not members:
+        mult = _checked(channels, cfg).transpose(0, 2, 1)
         return TransferOperator(grid=grid, mult=mult, kernel=None)
 
     n = grid.size
-    generator = _factored_generator(pot, grid)
-    u = _checked(lambda c: _evolve_raw(pot, generator, 2 * n + 2, c), cfg)
-    mult = _evolve_uniform_channels(pot, grid, cfg) if has_uniform_part(pot) else unit_mult(grid)
+    y = _checked(_evolution(pot, grid, members), cfg)
+    mult = channels(cfg).transpose(0, 2, 1) if has_uniform_part(pot) else unit_mult(grid)
 
-    # state columns (grid+, grid-, beam+, beam-) to kernel columns (a, b, j, l);
-    # take keeps rows contiguous, so the solve's products round as on a row-major kernel
-    cols = np.r_[0:n, 2 * n, n:2 * n, 2 * n + 1]
-    kernel = u[:2 * n].take(cols, axis=1).reshape(2, n, 2, n + 1).transpose(0, 2, 1, 3)
+    # grid rows of both halves; columns (plus, minus) x (grid channels, beam)
+    kernel = y[:, :n].reshape(2, n, 2, n + 1).transpose(0, 2, 1, 3)
     idx = np.arange(n)
     kernel[:, :, idx, idx] -= mult[:, :, :n]
     return TransferOperator(grid=grid, mult=mult, kernel=kernel if kernel.any() else None)

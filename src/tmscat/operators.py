@@ -257,10 +257,13 @@ def _unit_phases(x: np.ndarray) -> np.ndarray:
     return np.where(nonzero, x / np.where(nonzero, mag, 1.0), 1.0)
 
 
-def _norm1_estimate(apply, adjoint, n: int) -> float:
+def _norm1_estimate(apply, adjoint, n: int, column: np.ndarray) -> float:
     """Hager-Higham estimate of the 1-norm of an n x n matrix A, never above
     the exact value: the algorithm of LAPACK xLACN2 (the one gecon runs on
-    the LU factors), driven by apply(x) = A x and adjoint(x) = A^H x."""
+    the LU factors), driven by apply(x) = A x and adjoint(x) = A^H x, and at
+    least the 1-norm of the given column of A, the one with the largest
+    triangle-inequality bound: where A x cancels against the start vector,
+    the sign vector carries nothing and only that column finds the norm."""
     x = apply(np.full(n, 1.0 / n))
     est = float(np.sum(np.abs(x)))
     if n == 1:
@@ -277,7 +280,8 @@ def _norm1_estimate(apply, adjoint, n: int) -> float:
             break
     # the alternating vector 1, -(1 + 1/(n-1)), ..., of 1-norm 3n/2
     alternating = (1.0 + np.arange(n) / (n - 1)) * (-1.0) ** np.arange(n)
-    return max(est, 2.0 * float(np.sum(np.abs(apply(alternating)))) / (3 * n))
+    return max(est, 2.0 * float(np.sum(np.abs(apply(alternating)))) / (3 * n),
+               float(np.sum(np.abs(column))))
 
 
 def _capacitance_solve(d: np.ndarray, u: np.ndarray, vt: np.ndarray, rhs: np.ndarray,
@@ -295,7 +299,8 @@ def _capacitance_solve(d: np.ndarray, u: np.ndarray, vt: np.ndarray, rhs: np.nda
     SMW_CANCEL_ABOVE, bounded a priori over every right-hand side and a
     posteriori for this one); the caller then runs the dense LU.
     """
-    if not np.all(np.abs(d) > tol):
+    ad = np.abs(d)
+    if not np.all(ad > tol):
         return None
     with np.errstate(all="ignore"):
         p = u / d[:, None]
@@ -304,14 +309,18 @@ def _capacitance_solve(d: np.ndarray, u: np.ndarray, vt: np.ndarray, rhs: np.nda
             q = np.linalg.solve(cap, vt / d)
         except np.linalg.LinAlgError:
             return None
-        dh, ph, qh = d.conj(), p.conj().T, q.conj().T
-        inverse_norm = _norm1_estimate(lambda x: x / d - p @ (q @ x),
-                                       lambda x: x / dh - qh @ (ph @ x), d.size)
         # column j of the inverse is e_j / d_j minus the rank-r part: their
         # magnitudes against the inverse's norm bound the cancellation, and
         # the condition of C the error of the small solve
+        ap, aq = np.abs(p), np.abs(q)
+        terms = 1.0 / ad + np.sum(ap, axis=0) @ aq
+        j = int(np.argmax(terms))
+        column = -np.dot(p, q[:, j])
+        column[j] += 1.0 / d[j]
+        dh, ph, qh = d.conj(), p.conj().T, q.conj().T
+        inverse_norm = _norm1_estimate(lambda x: x / d - p @ (q @ x),
+                                       lambda x: x / dh - qh @ (ph @ x), d.size, column)
         cap_condition = float(np.linalg.cond(cap, 1))
-        terms = np.abs(1.0 / d) + np.sum(np.abs(p), axis=0) @ np.abs(q)
         if not cap_condition * float(np.max(terms)) / inverse_norm <= SMW_CANCEL_ABOVE:
             return None
         b = rhs[:, None]
@@ -319,12 +328,18 @@ def _capacitance_solve(d: np.ndarray, u: np.ndarray, vt: np.ndarray, rhs: np.nda
         # the same bound on this rhs's terms against phi itself; a zero rhs
         # gives phi = 0 exactly, a non-finite one a singular flag
         if np.all(np.isfinite(rhs)) and np.any(rhs):
-            rhs_terms = np.abs(rhs / d) + np.abs(p) @ (np.abs(q) @ np.abs(rhs))
+            rhs_terms = np.abs(rhs) / ad + ap @ (aq @ np.abs(rhs))
             if not cap_condition * np.max(rhs_terms) / np.max(np.abs(phi)) <= SMW_CANCEL_ABOVE:
                 return None
+        # and the column of A with the largest triangle-inequality bound,
+        # |d_j| + sum_i |u_i| |vt_j| with |u_i| = |d_i| |p_i|
+        j = int(np.argmax(ad + np.dot(np.dot(ad, ap), np.abs(vt))))
+        column = np.dot(u, vt[:, j])
+        column[j] += d[j]
         uh, vh = u.conj().T, vt.conj().T
         condition = _norm1_estimate(lambda x: d * x + u @ (vt @ x),
-                                    lambda x: dh * x + vh @ (uh @ x), d.size) * inverse_norm
+                                    lambda x: dh * x + vh @ (uh @ x), d.size,
+                                    column) * inverse_norm
     if not (np.isfinite(condition) and condition > 0):
         return phi, 0.0, None
     return phi, 1.0 / condition, float(condition)

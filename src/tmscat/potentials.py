@@ -74,10 +74,11 @@ class GaussianBump:
         if not (sx > 0 and sy > 0):
             raise ValueError("gaussian widths must be positive")
 
-    def profile(self, x: float) -> float:
-        """x-factor of the transverse transform: exp(-(x - x0)^2 / 2 sx^2)."""
+    def profile(self, x):
+        """x-factor of the transverse transform, exp(-(x - x0)^2 / 2 sx^2), at x
+        or at each of an array of positions."""
         sx = self.widths[0]
-        return math.exp(-((x - self.center[0]) ** 2) / (2 * sx * sx))
+        return np.exp(-((x - self.center[0]) ** 2) / (2 * sx * sx))
 
     def transform_y(self, q) -> np.ndarray:
         """q-factor of the transverse transform, so vt(x, q) = profile(x) transform_y(q)."""
@@ -183,13 +184,15 @@ def fourier_y(pot, x: float, q) -> complex | np.ndarray:
     raise TypeError(f"no transverse transform for {type(pot).__name__}")
 
 
-def uniform_part(pot, x: float, k: float) -> complex:
-    """Value of the y-independent component at x (zero when there is none)."""
+def uniform_part(pot, x, k: float):
+    """Value of the y-independent component at x (zero when there is none), or
+    the array of its values at an array of positions."""
     if isinstance(pot, Slab):
-        return k * k * (1 - pot.epsilon) if 0.0 <= x <= pot.thickness else 0.0j
+        inside = (0.0 <= x) & (x <= pot.thickness)
+        return np.where(inside, k * k * (1 - pot.epsilon), 0.0j)[()]
     if isinstance(pot, SumPotential):
         return sum(uniform_part(m, x, k) for m in pot.members)
-    return 0.0j
+    return np.zeros(np.shape(x), dtype=complex)[()]
 
 
 def has_uniform_part(pot) -> bool:

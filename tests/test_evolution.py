@@ -5,7 +5,7 @@ from scipy.integrate import quad
 from tmscat import (AccuracyWarning, Delta2D, EvolutionConfig, GaussianBump,
                     Slab, SlabParams, SumPotential, UnsupportedEvaluationError,
                     auto_config, build_grid, compose, effective_hamiltonian,
-                    evolve_transfer, potential_kernel, slab_operator)
+                    evolve_transfer, identity_operator, potential_kernel, slab_operator)
 
 
 def centered_bump(amp=1.0, widths=(0.7, 0.9)):
@@ -91,6 +91,15 @@ def test_zero_potential_evolves_to_exact_identity():
     op = evolve_transfer(centered_bump(amp=0.0), g, EvolutionConfig(-2.0, 2.0, 37))
     assert op.kernel is None and op.kernel_at_zero is None
     assert np.array_equal(op.mult_at_zero(), np.eye(2))
+
+
+def test_zero_potential_with_breakpoints_evolves_to_exact_identity():
+    # the bump makes the sum take the dense path; the slab's edges split it
+    g = build_grid(1.3, 5)
+    pot = SumPotential((Slab(1.0, 1.0), GaussianBump(0.0, (4.0, 0.0), (0.3, 0.7))))
+    op = evolve_transfer(pot, g, auto_config(pot, 40))
+    assert op.kernel is None
+    assert np.array_equal(op.mult, identity_operator(g).mult)
 
 
 def test_slab_evolution_matches_closed_form():
@@ -254,6 +263,14 @@ def test_config_validation():
     for tol in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError):
             auto_config(centered_bump(amp=0.5), 4, check_tolerance=tol)
+
+
+def test_config_rejects_non_finite_bounds():
+    inf, nan = float("inf"), float("nan")
+    for name, bounds in (("x_min", (-inf, 1.0)), ("x_max", (0.0, inf)),
+                         ("x_min", (nan, 1.0)), ("x_max", (0.0, nan))):
+        with pytest.raises(ValueError, match=name):
+            EvolutionConfig(*bounds, 10)
 
 
 def test_config_rejects_fractional_steps():

@@ -1,6 +1,6 @@
 """Property tests of the operator algebra on small 2D and 3D grids (dense and
 factored kernels, composed and extracted against their dense forms), and of
-the factored evolution generator against the dense one."""
+the factored evolution generator and its RK4 against the dense ones."""
 
 from unittest import mock
 
@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from tmscat import (GaussianBump, LowRank, Slab, SumPotential, TransferOperator,
-                    build_disc_grid, build_grid, compose,
+                    auto_config, build_disc_grid, build_grid, compose,
                     EvolutionConfig, evolve_transfer, evolve_transfer_3d,
                     fourier_y, identity_operator, potential_kernel, solve_outgoing,
                     uniform_part, x_support)
 import tmscat.operators as ops
-from tmscat.evolution import _assemble_blocks, _channel_generator, _factored_generator
+from tmscat.evolution import _assemble_blocks, _stage_tables
 from tmscat.potentials import discontinuities, smooth_members
 
 GRIDS = [pytest.param(build_grid(1.3, 3), id="2d"),
@@ -168,9 +168,27 @@ def test_factored_condition_is_bounded_by_exact(grid, data):
     assert flag.condition <= exact * (1 + 1e-12)
     # two estimates that never exceed the exact value agree on the kind where
     # it is below the near-singular threshold; above it either may fall short
-    # (exact 1.9e9: this estimate 8.4e8, gecon's 1.9e9)
     if exact * (1 + 1e-12) < 1 / ops.RCOND_NEAR_SINGULAR:
         assert flag.kind == solve_outgoing(densified(op))[2].kind
+
+
+def test_factored_condition_finds_a_cancelling_column():
+    # rows 0, 1 and 3 of A^-1 cancel against the all-ones start vector, so
+    # xLACN2 alone read 8.4e8 (kind none); the column with the largest
+    # triangle-inequality bound holds the norm of A^-1, 942809041.99
+    grid = build_disc_grid(1.3, 2, 2)
+    s = grid.size
+    mult = np.full((2, 2, s + 1), 1e-9 * (1 + 1j))
+    mult[1, 1, 2] = 1
+    right = np.zeros((1, 2, s + 1), dtype=complex)
+    right[:, :, :s] = 0.5j
+    op = TransferOperator(grid=grid, mult=mult, kernel=LowRank(np.full((2, s, 1), 1j), right))
+    with mock.patch.object(ops, "_lu_solve", wraps=ops._lu_solve) as lu:
+        flag = solve_outgoing(op)[2]
+    assert not lu.called
+    exact = exact_condition(op)
+    assert exact * (1 - 1e-12) <= flag.condition <= exact * (1 + 1e-12)
+    assert flag.kind == "near-singular" == solve_outgoing(densified(op))[2].kind
 
 
 WINDOWS, STEPS = 8, 400
@@ -234,7 +252,8 @@ def dense_generator(pot, x, grid):
     h[:n, 2 * n + 1] = col * dp.conj() / ek
     h[n:2 * n, 2 * n] = -col * dp * ek
     h[n:2 * n, 2 * n + 1] = -col * dp / ek
-    h[2 * n:, 2 * n:] = _channel_generator(uniform_part(pot, x, k), np.array([k]), x)[0]
+    pref, e2 = uniform_part(pot, x, k) / (2 * k), np.exp(2j * k * x)
+    h[2 * n:, 2 * n:] = [[pref, pref / e2], [-pref * e2, -pref]]
     return h
 
 
@@ -255,6 +274,56 @@ def test_factored_generator_matches_dense(pot, n, data):
     x = data.draw(positions(pot))
     u = data.draw(entries((2 * n + 2, 2 * n + 2)))
     want = dense_generator(pot, x, grid) @ u
-    got = _factored_generator(pot, grid)(x) @ u
+    # per point: plus rows T (P A + B), minus rows -P times them
+    t_at, phases, apply = _stage_tables(pot, grid, smooth_members(pot))(np.array([x]),
+                                                                         np.ones(1))
+    plus, minus = np.r_[0:n, 2 * n], np.r_[n:2 * n, 2 * n + 1]
+    p = phases[0][:, None]
+    got = np.empty_like(u)
+    got[plus] = apply(t_at(0), p * u[plus] + u[minus])
+    got[minus] = -p * got[plus]
     # far out in a Gaussian tail the profile is subnormal, with no relative precision
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)) + np.finfo(float).tiny
+
+
+def plain_rk4(pot, grid, cfg):
+    """Classical RK4 of dU/dx = -i H U on the (2N+2)-row state under
+    dense_generator, with the engine's pieces and clamped stage points."""
+    x_min, x_max = cfg.x_min, cfg.x_max
+    edges = ([x_min] + sorted(b for b in set(discontinuities(pot)) if x_min < b < x_max)
+             + [x_max])
+    u = np.eye(2 * grid.size + 2, dtype=complex)
+    for p0, p1 in zip(edges, edges[1:]):
+        steps = max(1, round(cfg.steps * (p1 - p0) / (x_max - x_min)))
+        h = (p1 - p0) / steps
+        lo, hi = p0 + (p1 - p0) * 1e-9, p1 - (p1 - p0) * 1e-9
+
+        def f(x, v):
+            return -1j * (dense_generator(pot, min(max(x, lo), hi), grid) @ v)
+
+        for i in range(steps):
+            x = p0 + i * h
+            k1 = f(x, u)
+            k2 = f(x + h / 2, u + (h / 2) * k1)
+            k3 = f(x + h / 2, u + (h / 2) * k2)
+            k4 = f(x + h, u + h * k3)
+            u = u + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return u
+
+
+@pytest.mark.parametrize("pot", GENERATOR_POTENTIALS)
+def test_evolution_matches_plain_rk4_on_dense_generator(pot):
+    n = 5
+    grid = build_grid(1.3, n)
+    cfg = auto_config(pot, 60)
+    op = evolve_transfer(pot, grid, cfg)
+    u = plain_rk4(pot, grid, cfg)
+    # grid rows; columns (plus, minus) x (grid channels, beam)
+    cols = np.r_[0:n, 2 * n, n:2 * n, 2 * n + 1]
+    want = u[:2 * n].take(cols, axis=1).reshape(2, n, 2, n + 1).transpose(0, 2, 1, 3)
+    got = dense(op.kernel, want.shape).copy()
+    idx = np.arange(n)
+    got[:, :, idx, idx] += op.mult[:, :, :n]
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    beam = u[2 * n:, 2 * n:]
+    assert np.max(np.abs(op.mult_at_zero() - beam)) <= 1e-12 * np.max(np.abs(beam))
