@@ -365,13 +365,12 @@ def slab_defect_amplitudes(sp: SlabParams, strength: complex, p,
         raise ValueError("channel momenta must satisfy |p| < k")
     omega = np.sqrt((sp.k - p) * (sp.k + p)).astype(complex)
 
+    # slab_xyz raises where m22(k) vanishes: a slab spectral singularity
     x_k, _ = slab_xyz(sp, sp.k)
     y_k = slab_y(sp, strength, quad_points)
     if abs(y_k) <= 1e-12 * (2.0 + abs(strength)):
         raise SpectralSingularityError("Y(k) vanishes: defect-induced spectral singularity")
     m_k = slab_entries(sp, np.array([sp.k], dtype=complex))[:, :, 0]
-    if abs(m_k[1, 1]) <= 1e-13:
-        raise SpectralSingularityError("m22(k) vanishes: slab spectral singularity")
     m22_w = slab_entries(sp, omega)[1, 1]
     if np.any(np.abs(m22_w) <= 1e-13):
         raise SpectralSingularityError("m22(omega) vanishes at a requested channel")

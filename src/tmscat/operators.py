@@ -19,15 +19,16 @@ dense, as a (2, 2, S, S + 1) array, or factored, as a LowRank pair of
 composition of factored kernels stays factored with the ranks added.  mult
 is tabulated once, when the operator is built.
 
-Extraction solves one S x S system, diag(mult_22) + K_22.  For a factored
-kernel that is a capacitance (Sherman-Morrison-Woodbury) solve in
-O(S r^2), with the condition number estimated from the factors in O(S r).
-Every case the formula does not cover (a dense kernel, mult_22 vanishing
-on a channel, a singular capacitance matrix, or a formula that may cancel)
-goes through one fallback: the kernel is densified and the system is
-solved by LU, with a gecon estimate of the condition number.  Both
-estimates run the same Hager-Higham algorithm and never exceed the exact
-value.
+Extraction solves one S x S system, diag(mult_22) + K_22.  With no kernel
+the system is diagonal and is solved in O(S), with its exact condition
+number.  For a factored kernel it is a capacitance (Sherman-Morrison-
+Woodbury) solve in O(S r^2), with the condition number estimated from the
+factors in O(S r) by the Hager-Higham algorithm, never above the exact
+value.  Every case the formula does not cover (a dense kernel, mult_22
+vanishing on a channel, a singular capacitance matrix, or a formula that
+may cancel) goes through one fallback: the kernel is densified and the
+system is solved by LU, with the exact 1-norm condition number from its
+inverse.
 
 One operator type, composition and extraction serve both the 2D
 MomentumGrid and the 3D DiscGrid; only the grid differs.
@@ -35,7 +36,6 @@ MomentumGrid and the 3D DiscGrid; only the grid differs.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
@@ -63,10 +63,10 @@ class SingularityFlag:
     """Diagnostic attached to an extraction: none, near-singular or singular.
 
     condition is the 1-norm condition number of the smooth-channel system
-    (None when it could not be computed): a Hager-Higham 1-norm estimate,
-    never above the exact value, on both extraction paths (from the
-    factors where the capacitance formula solves it, LAPACK's gecon where
-    the dense LU does).
+    (None when it could not be computed): exact where the system is
+    diagonal or the dense LU solves it, and a Hager-Higham estimate from the
+    factors, never above the exact value, where the capacitance formula
+    does.
     """
 
     kind: str
@@ -284,6 +284,14 @@ def _norm1_estimate(apply, adjoint, n: int, column: np.ndarray) -> float:
                float(np.sum(np.abs(column))))
 
 
+def _solved(phi: np.ndarray, condition: float):
+    """(phi, rcond, condition), with rcond 0 and condition None where the
+    condition number is not a finite positive number."""
+    if not (np.isfinite(condition) and condition > 0):
+        return phi, 0.0, None
+    return phi, 1.0 / condition, float(condition)
+
+
 def _capacitance_solve(d: np.ndarray, u: np.ndarray, vt: np.ndarray, rhs: np.ndarray,
                        tol: float):
     """Solve (diag(d) + u @ vt) phi = rhs by its r x r capacitance matrix.
@@ -340,30 +348,28 @@ def _capacitance_solve(d: np.ndarray, u: np.ndarray, vt: np.ndarray, rhs: np.nda
         condition = _norm1_estimate(lambda x: d * x + u @ (vt @ x),
                                     lambda x: dh * x + vh @ (uh @ x), d.size,
                                     column) * inverse_norm
-    if not (np.isfinite(condition) and condition > 0):
-        return phi, 0.0, None
-    return phi, 1.0 / condition, float(condition)
+    return _solved(phi, condition)
+
+
+def _diagonal_solve(d: np.ndarray, rhs: np.ndarray):
+    """Solve diag(d) phi = rhs in O(S), the capacitance formula at rank 0,
+    with the exact 1-norm condition number max|d| max|1/d|."""
+    with np.errstate(all="ignore"):
+        ad = np.abs(d)
+        return _solved(rhs / d, np.max(ad) / np.min(ad))
 
 
 def _lu_solve(a22: np.ndarray, rhs: np.ndarray):
-    """Solve a22 phi = rhs by LU; returns (phi, rcond, condition) with gecon's rcond."""
-    # imported here: scipy.linalg costs more than the rest of `import tmscat`
-    import scipy.linalg
-
-    condition = None
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        anorm = np.linalg.norm(a22, 1)
-        lu, piv = scipy.linalg.lu_factor(a22, check_finite=False)
-        gecon = scipy.linalg.get_lapack_funcs("gecon", (a22,))
-        rcond, info = gecon(lu, anorm)
-        if info != 0:
-            rcond = 0.0
-        if rcond > 0:
-            condition = float(1.0 / rcond)
-        with np.errstate(all="ignore"):
-            phi = scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
-    return phi, rcond, condition
+    """Solve a22 phi = rhs by LU (LAPACK gesv); returns (phi, rcond,
+    condition) with the exact 1-norm condition number from one inverse.  An
+    exactly singular a22 gives a NaN phi and no condition."""
+    with np.errstate(all="ignore"):
+        try:
+            phi = np.linalg.solve(a22, rhs)
+            condition = np.linalg.norm(a22, 1) * np.linalg.norm(np.linalg.inv(a22), 1)
+        except np.linalg.LinAlgError:
+            return np.full_like(rhs, np.nan), 0.0, None
+    return _solved(phi, condition)
 
 
 def solve_outgoing(op: TransferOperator, incident: complex = 1.0):
@@ -375,8 +381,9 @@ def solve_outgoing(op: TransferOperator, incident: complex = 1.0):
     into a delta coefficient and smooth node samples.  When the
     reflected-channel system is (near-)singular the flag reports it and
     values may be non-finite; such a point is a spectral singularity of the
-    potential.  A factored kernel is solved by its capacitance matrix where
-    _capacitance_solve accepts it; every other case goes through a dense LU.
+    potential.  With no kernel the system is diagonal; a factored kernel is
+    solved by its capacitance matrix where _capacitance_solve accepts it;
+    every other case goes through a dense LU.
     """
     m0, mult_grid = op.mult_at_zero(), op.mult_on_grid()
     kernel, k0 = op.kernel, op.kernel_at_zero
@@ -395,15 +402,15 @@ def solve_outgoing(op: TransferOperator, incident: complex = 1.0):
         rhs = -(k0[1, 0] * incident + b0 * k0[1, 1])
     m22 = mult_grid[1, 1]
     factored = isinstance(kernel, LowRank)
-    solved = (_capacitance_solve(m22, kernel.left[1], kernel.right[:, 1, :-1], rhs, tol)
-              if factored else None)
+    if kernel is None:
+        solved = _diagonal_solve(m22, rhs)
+    elif factored:
+        solved = _capacitance_solve(m22, kernel.left[1], kernel.right[:, 1, :-1], rhs, tol)
+    else:
+        solved = None
     if solved is None:
-        a22 = np.diag(m22)
-        if factored:
-            a22 = a22 + kernel.left[1] @ kernel.right[:, 1, :-1]
-        elif kernel is not None:
-            a22 = a22 + kernel[1, 1, :, :-1]
-        solved = _lu_solve(a22, rhs)
+        k22 = kernel.left[1] @ kernel.right[:, 1, :-1] if factored else kernel[1, 1, :, :-1]
+        solved = _lu_solve(np.diag(m22) + k22, rhs)
     phi, rcond, condition = solved
 
     if rcond <= RCOND_SINGULAR or not np.all(np.isfinite(phi)):

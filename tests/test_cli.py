@@ -326,21 +326,64 @@ def test_thread_cap_env(tmp_path, monkeypatch):
                  "--output", str(tmp_path / "g.csv")]) == 2
 
 
-def test_import_leaves_scipy_unloaded():
-    # scipy is loaded by the first dense extraction, not by the package
-    # import, and not by a point defect, whose factored kernel needs no LU
+def test_import_leaves_scipy_unloaded(tmp_path):
+    # no run loads scipy: not the package import, not a point defect (factored
+    # kernel), a slab (no kernel), nor a scatter run, whose kernel is dense
     import tmscat
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(tmscat.__file__))
     env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
-    code = ("import sys, tmscat\n"
+    inp = write_doc(tmp_path / "in.json", {"potential": BUMP, "k": "1.5"})
+    out = str(tmp_path / "amp.csv")
+    code = ("import sys, tmscat, tmscat.cli\n"
+            "def check(label):\n"
+            "    print(label, 'scipy' in sys.modules)\n"
+            "check('import')\n"
             "tmscat.solve_outgoing(tmscat.delta2d_operator(1.0, tmscat.build_grid(2.0, 16)))\n"
             "tmscat.solve_outgoing(tmscat.delta3d_operator(1.0, tmscat.build_disc_grid(2.0, 4, 4)))\n"
-            "print('scipy' in sys.modules)\n")
+            "check('factored')\n"
+            "grid = tmscat.build_grid(2.0, 16)\n"
+            "tmscat.solve_outgoing(tmscat.slab_operator(tmscat.SlabParams(2.0, 1.0, 2.0), grid))\n"
+            "check('no-kernel')\n"
+            f"code = tmscat.cli.main(['scatter', '--input', {inp!r}, '--output', {out!r},\n"
+            "                         '--grid-size', '8', '--steps', '50'])\n"
+            "check('scatter')\n"
+            "print('exit', code)\n")
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split()[-1] == "False"
+    lines = run.stdout.splitlines()
+    assert lines == ["import False", "factored False", "no-kernel False", "scatter False",
+                     "exit 0"]
+    meta = json.loads(open(out + ".meta.json").read())
+    assert meta["singularity_flag"] == "none" and float(meta["condition"]) >= 1.0
+
+
+def test_writer_refuses_a_singular_extraction(tmp_path):
+    # the flag turns singular inside scattering_result; no file may appear
+    from tmscat import build_grid, delta2d_operator, scattering_result
+    from tmscat.cli import _write_scattering
+    from tmscat.errors import SpectralSingularityError
+
+    thetas_deg = np.array([10.0, 40.0])
+    res = scattering_result(delta2d_operator(4.0j, build_grid(1.0, 12)), np.radians(thetas_deg))
+    assert res.singularity_flag.is_singular
+    out = tmp_path / "amp.csv"
+    with pytest.raises(SpectralSingularityError):
+        _write_scattering(str(out), thetas_deg, res)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_delta3d_singular_coupling_exits_3(tmp_path, capsys):
+    # z = 4 pi i / k zeroes the denominator 4 pi + i k z of f
+    k = 1.3
+    inp = write_doc(tmp_path / "in.json", {"strength": cplx(4j * np.pi / k), "k": repr(k)})
+    out = tmp_path / "report.json"
+    assert main(["delta3d", "--input", inp, "--output", str(out)]) == 3
+    assert not out.exists()
+    diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert diag == {"error": "SpectralSingularityError",
+                    "detail": "extraction hit a spectral singularity"}
 
 
 @pytest.mark.slow

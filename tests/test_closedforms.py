@@ -114,6 +114,16 @@ def test_derived_slab_parameters():
     assert sp.gain == -2 * sp.k * sp.kappa
 
 
+@pytest.mark.parametrize("field, value", [
+    ("epsilon", complex(np.nan, 0.01)), ("epsilon", complex(2.0, np.inf)),
+    ("thickness", np.inf), ("thickness", np.nan), ("k", np.inf), ("k", np.nan),
+])
+def test_slab_params_reject_non_finite_fields(field, value):
+    params = {"epsilon": 2 + 0.01j, "thickness": 1.0, "k": 2.0, field: value}
+    with pytest.raises(ValueError, match="finite"):
+        SlabParams(**params)
+
+
 def test_slab_operator_checks_wavenumber():
     with pytest.raises(ValueError):
         slab_operator(SlabParams(2.0, 1.0, 1.0), build_grid(2.0, 8))
@@ -255,6 +265,30 @@ def test_defect_amplitudes_propagate_near_resonance():
     sp = SlabParams(epsilon=eps, thickness=length, k=k)
     with pytest.raises(NearResonanceError):
         slab_defect_amplitudes(sp, 1.0, np.array([0.2]))
+
+
+def test_defect_amplitudes_raise_where_y_vanishes():
+    # Y(k) = 2 + z I is linear in the strength: its root z = -2 / I is the
+    # defect-induced lasing threshold
+    sp = SlabParams(epsilon=2 + 0.01j, thickness=1.0, k=2.0)
+    strength = -2.0 / (slab_y(sp, 1.0) - 2.0)
+    assert abs(slab_y(sp, strength)) <= 1e-12 * (2.0 + abs(strength))
+    with pytest.raises(SpectralSingularityError, match="Y"):
+        slab_defect_amplitudes(sp, strength, np.array([0.3, -1.1]))
+
+
+def test_defect_amplitudes_raise_where_m22_vanishes_at_k():
+    # a real root of the normal-incidence condition, found by
+    # spectral_singularity in k, taken as the wavenumber of the slab
+    eta, length, m = 1.5, 10.0, 5
+    omega_star, n0 = _self_consistent_interior_root(eta, length, m)
+    res = spectral_singularity(SlabParams(n0 ** 2, length, omega_star), "k",
+                               guess=complex(omega_star))
+    assert abs(res.root.imag) < 1e-12 and res.m22_abs <= 1e-13
+    sp = SlabParams(epsilon=n0 ** 2, thickness=length, k=res.root.real)
+    assert abs(slab_entries(sp, np.array([sp.k], dtype=complex))[1, 1, 0]) <= 1e-13
+    with pytest.raises(SpectralSingularityError, match="m22"):
+        slab_defect_amplitudes(sp, 1.0, np.array([0.3]))
 
 
 # ---------------------------------------------------------------------------

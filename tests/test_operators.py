@@ -2,6 +2,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import tmscat.operators as ops
 from tmscat import (DivergenceError, LowRank, SlabParams, TransferOperator, amplitude,
@@ -88,7 +91,12 @@ def test_slab_is_purely_multiplicative(grid):
     sp = SlabParams(epsilon=2 + 0.01j, thickness=1.0, k=grid.k)
     op = slab_operator(sp, grid)
     assert op.kernel is None and op.kernel_at_zero is None
-    t_plus, t_minus, flag = solve_outgoing(op)
+    with mock.patch.object(ops, "_lu_solve", wraps=ops._lu_solve) as lu:
+        t_plus, t_minus, flag = solve_outgoing(op)
+    assert not lu.called    # a diagonal system, with its exact condition
+    m22 = op.mult_on_grid()[1, 1]
+    exact = np.linalg.cond(np.diag(m22), 1)
+    assert abs(flag.condition - exact) <= 1e-12 * exact
     assert not t_plus.smooth.any() and not t_minus.smooth.any()
     # delta coefficients match the 1D reflection/transmission of the barrier
     zt = grid.k ** 2 * (1 - sp.epsilon)
@@ -149,7 +157,8 @@ def exact_condition(op):
 
 def assert_same_solution(op):
     """The factored solve of op against the LU of its densified copy; the
-    condition number is an estimate, never above the exact value, on both."""
+    condition number is never above the exact value on either (an estimate
+    on the first, exact up to rounding on the second)."""
     got, want = solve_outgoing(op), solve_outgoing(densified(op))
     assert got[2].kind == want[2].kind == "none"
     for a, b in zip(got[:2], want[:2]):
@@ -240,6 +249,79 @@ def test_factored_solve_hands_a_small_diagonal_to_the_lu():
     lu.assert_called_once()
     flag, flag_dense = assert_same_solution(op)
     assert flag.condition == flag_dense.condition
+
+
+def dense_system(a22, beam=None):
+    """An operator with a dense kernel whose reflected-channel system is a22
+    (the identity mult) and whose beam column is beam (zero if None)."""
+    s = a22.shape[0]
+    kernel = np.zeros((2, 2, s, s + 1), dtype=complex)
+    kernel[1, 1, :, :-1] = a22 - np.eye(s)
+    if beam is not None:
+        kernel[..., -1] = beam
+    return TransferOperator(grid=build_grid(1.3, s), mult=np.ones((2, 2, s + 1)), kernel=kernel)
+
+
+def test_exactly_singular_dense_system_is_flagged():
+    # all ones: the LU meets an exact zero pivot, and LAPACK reports it
+    a22 = np.ones((4, 4), dtype=complex)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(a22, np.ones(4))
+    with mock.patch.object(ops, "_lu_solve", wraps=ops._lu_solve) as lu:
+        _, t_minus, flag = solve_outgoing(dense_system(a22))
+    lu.assert_called_once()
+    assert flag.is_singular and flag.condition is None
+    assert np.all(np.isnan(t_minus.smooth))
+
+
+def test_non_finite_right_hand_side_is_flagged():
+    # a well-conditioned system whose beam column, and so rhs, holds an inf
+    beam = np.zeros((2, 2, 4), dtype=complex)
+    beam[1, 0, 2] = np.inf
+    _, t_minus, flag = solve_outgoing(dense_system(np.eye(4, dtype=complex), beam))
+    assert flag.is_singular
+    assert not np.all(np.isfinite(t_minus.smooth))
+
+
+def test_kernel_free_system_is_solved_on_its_diagonal():
+    rng = np.random.default_rng(7)
+    d = rng.normal(size=9) + 1j * rng.normal(size=9)
+    rhs = rng.normal(size=9) + 1j * rng.normal(size=9)
+    phi, rcond, condition = ops._diagonal_solve(d, rhs)
+    assert np.array_equal(phi, rhs / d)
+    exact = np.linalg.cond(np.diag(d), 1)
+    assert abs(condition - exact) <= 1e-12 * exact and rcond == 1 / condition
+
+
+def test_kernel_free_zero_on_the_diagonal_is_flagged(grid):
+    op = slab_operator(SlabParams(1.6 + 0.05j, 0.5, grid.k), grid)
+    mult = op.mult.copy()
+    mult[1, 1, 5] = 0.0
+    _, _, flag = solve_outgoing(TransferOperator(grid=grid, mult=mult, kernel=None))
+    assert flag.is_singular and flag.condition is None
+
+
+ENTRIES = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_lu_solve_is_numpy_solve_with_the_exact_condition(data):
+    n = data.draw(st.integers(1, 6))
+    a22 = data.draw(hnp.arrays(complex, (n, n), elements=ENTRIES))
+    rhs = data.draw(hnp.arrays(complex, (n,), elements=ENTRIES))
+    phi, rcond, condition = ops._lu_solve(a22, rhs)
+    try:
+        want = np.linalg.solve(a22, rhs)
+    except np.linalg.LinAlgError:
+        assert np.all(np.isnan(phi)) and rcond == 0 and condition is None
+        return
+    assert np.array_equal(phi, want, equal_nan=True)
+    exact = np.linalg.cond(a22, 1)
+    if np.isfinite(exact) and exact > 0:
+        assert abs(condition - exact) <= 1e-10 * exact and rcond == 1 / condition
+    else:
+        assert rcond == 0 and condition is None
 
 
 def test_point_kernel_is_stored_factored():

@@ -140,7 +140,7 @@ def test_factored_solve_matches_dense(grid, data):
     for got, want in ((tp, tp_d), (tm, tm_d)):
         assert_close(got.smooth, want.smooth, (s,))
         assert_close(got.delta_coeff, want.delta_coeff, ())
-    # an estimate on both paths: gecon's on the LU, the factors' otherwise
+    # exact on the LU, an estimate from the factors otherwise: never above it
     assert flag.condition <= cond * (1 + 1e-10)
 
 
