@@ -15,7 +15,7 @@ strength, k = 1.7, 1.3
 disc = tm.build_disc_grid(k, 16, 8)
 print(f"disc grid: {disc.n_radial} radial x {disc.n_azimuthal} azimuthal channels")
 print(f"integral of 1/omega over the disc: "
-      f"{tm.disc_quadrature(disc, 1 / disc.omegas) * 4 * np.pi**2:.12f} "
+      f"{tm.quadrature(disc, 1 / disc.omegas) * 4 * np.pi**2:.12f} "
       f"(exact: {2 * np.pi * k:.12f})")
 
 op = tm.delta3d_operator(strength, disc)

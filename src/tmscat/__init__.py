@@ -37,7 +37,7 @@ from .errors import (AccuracyWarning, ConsistencyError, DivergenceError,
                      SpectralSingularityError, TmscatError,
                      UnsupportedEvaluationError)
 from .grid import (MomentumGrid, SpectralAmplitude, barycentric_interpolate,
-                   build_grid, chebyshev_barycentric_weights, quadrature)
+                   build_grid, quadrature)
 from .potentials import (Delta2D, Delta3D, GaussianBump, Slab, SlabWithDefect,
                          SumPotential, fourier_y, is_x_singular,
                          is_y_independent, potential_from_document,
@@ -54,8 +54,8 @@ from .closedforms import (DefectAmplitudes, DefectParams, SingularitySearch,
                           slab_operator, slab_xyz, slab_y, spectral_singularity,
                           threshold_gain, threshold_gain_curve, wire_modes)
 from .threed import (DiscGrid, amplitude3d, build_disc_grid, compose_3d,
-                     delta3d_amplitude, delta3d_operator, disc_quadrature,
-                     evolve_transfer_3d, scattering_length, solve_outgoing_3d)
+                     delta3d_amplitude, delta3d_operator, evolve_transfer_3d,
+                     scattering_length, solve_outgoing_3d)
 from .oracle import (ConvergenceReport, Transfer1D, born1_transfer,
                      convergence_report, transfer_1d)
 

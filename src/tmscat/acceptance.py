@@ -248,9 +248,9 @@ def criterion_10() -> CriterionResult:
     """Quadrature identities: channel average of 1/omega and the disc integral."""
     t0 = time.perf_counter()
     grid = build_grid(3.0, 16)
-    err_half = abs(quadrature(grid, np.ones(grid.size)) - 0.5)
+    err_half = abs(quadrature(grid, 1.0 / grid.omegas) - 0.5)
     disc = threed.build_disc_grid(1.7, 12, 8)
-    err_disc = abs(threed.disc_quadrature(disc, 1.0 / disc.omegas) * (4 * np.pi ** 2)
+    err_disc = abs(quadrature(disc, 1.0 / disc.omegas) * (4 * np.pi ** 2)
                    - 2 * np.pi * disc.k)
     ok = err_half < 1e-14 and err_disc < 1e-12
     return CriterionResult(10, "quadrature identities", ok,

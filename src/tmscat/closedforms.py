@@ -36,19 +36,20 @@ from .operators import LowRank, TransferOperator, identity_operator, unit_mult
 CHANNEL_FACTOR = np.array([[1.0, 1.0], [-1.0, -1.0]], dtype=complex)
 
 
-def point_operator(strength: complex, grid, row: np.ndarray) -> TransferOperator:
+def point_operator(strength: complex, grid) -> TransferOperator:
     """Identity plus the rank-one kernel -(i z / 2 omega_j) C[a, b] row_l of a point potential.
 
-    C = CHANNEL_FACTOR = (1, -1)^T (1, 1), so the factors are left
-    (col, -col) with col_j = -i z / 2 omega_j, and right the row for either
-    column channel b, with 1 appended: a unit coherent beam enters the
-    channel average with weight one.
+    The row is the channel average, grid.measure, on either grid, so this is
+    delta2d_operator and threed.delta3d_operator.  C = CHANNEL_FACTOR =
+    (1, -1)^T (1, 1), so the factors are left (col, -col) with col_j =
+    -i z / 2 omega_j, and right the row for either column channel b, with 1
+    appended: a unit coherent beam enters the channel average with weight one.
     """
     strength = complex(strength)
     if strength == 0:
         return identity_operator(grid)
     col = -(0.5j * strength) / grid.omegas
-    row = np.append(row, 1.0)
+    row = np.append(grid.measure, 1.0)
     return TransferOperator(grid=grid, mult=unit_mult(grid), kernel=LowRank(
         left=np.stack([col, -col])[:, :, None], right=np.stack([row, row])[None]))
 
@@ -83,13 +84,7 @@ def born2d_amplitude(strength: complex) -> complex:
     return -complex(strength) / (2.0 * np.sqrt(2.0 * np.pi))
 
 
-def delta2d_operator(strength: complex, grid: MomentumGrid) -> TransferOperator:
-    """Transfer operator of the 2D point potential on a channel grid.
-
-    A point_operator whose row is w_l omega_l / 2 pi: the channel average
-    discretized with the plain-measure weights.
-    """
-    return point_operator(strength, grid, grid.weights * grid.omegas / (2 * np.pi))
+delta2d_operator = point_operator
 
 
 def wire_modes(zeta: float, mode: str) -> float:

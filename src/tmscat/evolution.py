@@ -89,7 +89,7 @@ def auto_config(pot, steps: int, check_tolerance: float | None = None) -> Evolut
 def potential_kernel(pot, x: float, grid: MomentumGrid) -> np.ndarray:
     """Nystrom matrix of the transverse-transform operator at position x.
 
-    Entry (j, l) is (1/2pi) w_l omega_l vt(x, p_j - p_l); y-independent
+    Entry (j, l) is vt(x, p_j - p_l) grid.measure[l]; y-independent
     potentials contribute their value times the identity.  Point potentials
     (delta in x) are not representable here and raise; their operators have
     closed forms.
@@ -105,7 +105,7 @@ def potential_kernel(pot, x: float, grid: MomentumGrid) -> np.ndarray:
     for member in smooth_members(pot):
         q = grid.nodes[:, None] - grid.nodes[None, :]
         vt = fourier_y(member, x, q)
-        out = out + vt * (grid.weights * grid.omegas / (2 * np.pi))[None, :]
+        out = out + vt * grid.measure[None, :]
     return out
 
 
@@ -142,7 +142,7 @@ def _stage_tables(pot, grid, members):
             diag(e^{-i omega x}),
 
     times scale.  S_m is the member's transverse transform at p_j - p_l with
-    the quadrature weights w_l omega_l / 2 pi folded into its columns, and at
+    grid.measure (w_l omega_l / 2 pi) folded into its columns, and at
     p_j (the beam source) in its last column; its beam row is zero, since
     nothing maps smooth channels back into the beam.  The S_m are built once
     here.  With no members T is diagonal: t_at(i) is its column, applied by
@@ -156,7 +156,7 @@ def _stage_tables(pot, grid, members):
         sources = np.zeros((len(members) + uniform, c, c), dtype=complex)
         q = grid.nodes[:, None] - grid.nodes[None, :]
         for source, member in zip(sources, members):
-            source[:n, :n] = member.transform_y(q) * (grid.weights * grid.omegas / (2 * np.pi))
+            source[:n, :n] = member.transform_y(q) * grid.measure
             source[:n, n] = member.transform_y(grid.nodes)
         if uniform:
             sources[-1] = np.eye(c)     # u(x) I, weighted like a member's profile

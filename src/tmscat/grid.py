@@ -3,20 +3,26 @@
 Propagating channels of a wave with wavenumber k carry a transverse momentum
 p in (-k, k) and a longitudinal frequency omega(p) = sqrt(k^2 - p^2).
 Integrals over the channel interval generically carry a 1/omega factor, so
-the natural quadrature is the Chebyshev-Gauss rule
+the nodes are those of the Chebyshev-Gauss rule
 
     sum_j w_j g(p_j)  ~  int_{-k}^{k} g(p) / sqrt(k^2 - p^2) dp,
 
 with p_j = k cos((2j-1) pi / 2N) and w_j = pi / N, exact for g a polynomial
 of degree < 2N.  Endpoints +-k (omega = 0, grazing channels) are excluded;
-channels with |p| > k (evanescent) are not represented at all.
+channels with |p| > k (evanescent) are not represented at all.  A grid, this
+one or the 3D DiscGrid, stores its measure (the plain measure over (2 pi)^d)
+and the barycentric weights bary of its interpolation nodes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .threed import DiscGrid
 
 
 @dataclass(frozen=True)
@@ -24,14 +30,16 @@ class MomentumGrid:
     """Quadrature nodes, weights and channel frequencies on (-k, k).
 
     nodes are in decreasing order and symmetric about 0; omegas[j] =
-    sqrt(k^2 - nodes[j]^2) > 0 for all j.  Instances are immutable and safe
-    to share between concurrent computations.
+    sqrt(k^2 - nodes[j]^2) > 0 for all j; measure[j] = w_j omega_j / 2 pi.
+    Instances are immutable and safe to share between concurrent computations.
     """
 
     k: float
     nodes: np.ndarray
     weights: np.ndarray
     omegas: np.ndarray
+    measure: np.ndarray
+    bary: np.ndarray
 
     @property
     def size(self) -> int:
@@ -53,28 +61,26 @@ def build_grid(k: float, n: int) -> MomentumGrid:
     nodes = k * np.cos(theta)
     weights = np.full(n, np.pi / n)
     omegas = k * np.sin(theta)
-    for a in (nodes, weights, omegas):
+    measure = weights * omegas / (2 * np.pi)
+    bary = (-1.0) ** (j - 1) * np.sin(theta)    # up to a constant
+    for a in (nodes, weights, omegas, measure, bary):
         a.setflags(write=False)
-    return MomentumGrid(k=float(k), nodes=nodes, weights=weights, omegas=omegas)
+    return MomentumGrid(k=float(k), nodes=nodes, weights=weights, omegas=omegas,
+                        measure=measure, bary=bary)
 
 
-def quadrature(grid: MomentumGrid, samples: np.ndarray, weighted: bool = False) -> complex:
-    """Channel average of sampled data.
+def quadrature(grid: MomentumGrid | DiscGrid, samples: np.ndarray) -> complex:
+    """Channel average sum_j measure_j f_j of sampled data.
 
-    weighted=False: (1/2pi) sum_j w_j f_j, approximating
-        (1/2pi) int f(p) / sqrt(k^2 - p^2) dp
-    (for integrands that carry an explicit 1/omega factor; exact for
-    polynomial f of degree < 2N).
-
-    weighted=True: (1/2pi) sum_j w_j omega_j f_j, approximating the plain
-    average (1/2pi) int f(p) dp.
+    It approximates the plain average (2 pi)^-d int f(p) dp over the channel
+    interval (d = 1) or disc (d = 2).  An integrand with an explicit 1/omega
+    factor is passed as f / omega; on a MomentumGrid that is the Gauss rule,
+    exact for polynomial f of degree < 2N.
     """
     samples = np.asarray(samples)
     if samples.shape != (grid.size,):
         raise ValueError(f"expected {grid.size} samples, got shape {samples.shape}")
-    if weighted:
-        return complex(np.sum(grid.weights * grid.omegas * samples) / (2 * np.pi))
-    return complex(np.sum(grid.weights * samples) / (2 * np.pi))
+    return complex(np.sum(grid.measure * samples))
 
 
 @dataclass(frozen=True)
@@ -87,7 +93,7 @@ class SpectralAmplitude:
     is never sampled numerically.
     """
 
-    grid: MomentumGrid
+    grid: MomentumGrid | DiscGrid
     delta_coeff: complex
     smooth: np.ndarray
 
@@ -96,29 +102,23 @@ class SpectralAmplitude:
             raise ValueError("smooth sample count does not match the grid")
 
     @classmethod
-    def zero(cls, grid: MomentumGrid) -> "SpectralAmplitude":
+    def zero(cls, grid: MomentumGrid | DiscGrid) -> "SpectralAmplitude":
         return cls(grid=grid, delta_coeff=0.0 + 0.0j, smooth=np.zeros(grid.size, dtype=complex))
-
-
-def chebyshev_barycentric_weights(n: int) -> np.ndarray:
-    """Barycentric weights for first-kind Chebyshev nodes (up to a constant)."""
-    j = np.arange(1, n + 1)
-    theta = (2 * j - 1) * np.pi / (2 * n)
-    return (-1.0) ** (j - 1) * np.sin(theta)
 
 
 def barycentric_interpolate(nodes: np.ndarray, bary_weights: np.ndarray,
                             values: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Evaluate the barycentric interpolant of (nodes, values) at points x.
 
-    Exact node hits return the stored value; otherwise the standard second
-    barycentric formula is used.
+    values holds a sample, or a row of samples, per node.  Exact node hits
+    return the stored value; otherwise the second barycentric formula is used.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     diff = x[:, None] - nodes[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         kernel = bary_weights / diff
-        out = (kernel @ values / kernel.sum(axis=1)).astype(complex, copy=False)
+        total = kernel.sum(axis=1).reshape((-1,) + (1,) * (values.ndim - 1))
+        out = (kernel @ values / total).astype(complex, copy=False)
     hit_rows, hit_cols = np.nonzero(diff == 0.0)
     out[hit_rows] = values[hit_cols]
     return out

@@ -42,8 +42,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DivergenceError
-from .grid import (MomentumGrid, SpectralAmplitude, barycentric_interpolate,
-                   chebyshev_barycentric_weights)
+from .grid import MomentumGrid, SpectralAmplitude, barycentric_interpolate
 
 if TYPE_CHECKING:
     from .threed import DiscGrid
@@ -465,16 +464,15 @@ def amplitude(t_plus: SpectralAmplitude, t_minus: SpectralAmplitude,
     if np.any(np.abs(cos_t) < COS_EXCLUSION):
         raise ValueError("f(theta) is undefined at cos(theta) = 0")
 
-    bary = chebyshev_barycentric_weights(grid.size)
     u_plus = grid.omegas * t_plus.smooth
     u_minus = grid.omegas * t_minus.smooth
     p_eval = k * np.sin(thetas)
     f = np.empty(thetas.size, dtype=complex)
     fwd = cos_t > 0
     if np.any(fwd):
-        f[fwd] = barycentric_interpolate(grid.nodes, bary, u_plus, p_eval[fwd])
+        f[fwd] = barycentric_interpolate(grid.nodes, grid.bary, u_plus, p_eval[fwd])
     if np.any(~fwd):
-        f[~fwd] = barycentric_interpolate(grid.nodes, bary, u_minus, p_eval[~fwd])
+        f[~fwd] = barycentric_interpolate(grid.nodes, grid.bary, u_minus, p_eval[~fwd])
     f *= -1j / np.sqrt(2 * np.pi)
     return [(float(t), complex(v)) for t, v in zip(thetas, f)]
 

@@ -117,49 +117,40 @@ class SumPotential:
 PotentialSpec = Delta2D | Slab | SlabWithDefect | GaussianBump | Delta3D | SumPotential
 
 
+def _leaves(pot) -> tuple:
+    """A sum's members, or the potential itself: sums do not nest."""
+    return pot.members if isinstance(pot, SumPotential) else (pot,)
+
+
 def x_support(pot) -> tuple[float, float]:
     """Numeric x-support interval of a potential (Gaussian tails truncated)."""
-    if isinstance(pot, Delta2D):
-        return (0.0, 0.0)
-    if isinstance(pot, (Slab, SlabWithDefect)):
-        return (0.0, pot.thickness)
-    if isinstance(pot, GaussianBump):
-        x0 = pot.center[0]
-        half = GAUSSIAN_SUPPORT_SIGMAS * pot.widths[0]
-        return (x0 - half, x0 + half)
-    if isinstance(pot, SumPotential):
-        spans = [x_support(m) for m in pot.members]
-        return (min(a for a, _ in spans), max(b for _, b in spans))
-    raise TypeError(f"no x-support for {type(pot).__name__}")
+    spans = []
+    for m in _leaves(pot):
+        if isinstance(m, Delta2D):
+            spans.append((0.0, 0.0))
+        elif isinstance(m, (Slab, SlabWithDefect)):
+            spans.append((0.0, m.thickness))
+        elif isinstance(m, GaussianBump):
+            half = GAUSSIAN_SUPPORT_SIGMAS * m.widths[0]
+            spans.append((m.center[0] - half, m.center[0] + half))
+        else:
+            raise TypeError(f"no x-support for {type(m).__name__}")
+    return (min(a for a, _ in spans), max(b for _, b in spans))
 
 
 def is_x_singular(pot) -> bool:
     """True if the potential carries a delta(x) (or delta(z)) factor."""
-    if isinstance(pot, (Delta2D, Delta3D, SlabWithDefect)):
-        return True
-    if isinstance(pot, SumPotential):
-        return any(is_x_singular(m) for m in pot.members)
-    return False
+    return any(isinstance(m, (Delta2D, Delta3D, SlabWithDefect)) for m in _leaves(pot))
 
 
 def is_y_independent(pot) -> bool:
-    if isinstance(pot, Slab):
-        return True
-    if isinstance(pot, SumPotential):
-        return all(is_y_independent(m) for m in pot.members)
-    return False
+    return all(isinstance(m, Slab) for m in _leaves(pot))
 
 
 def discontinuities(pot) -> tuple[float, ...]:
     """x locations where the potential jumps (layer edges)."""
-    if isinstance(pot, Slab):
-        return (0.0, pot.thickness)
-    if isinstance(pot, SumPotential):
-        out: list[float] = []
-        for m in pot.members:
-            out.extend(discontinuities(m))
-        return tuple(sorted(set(out)))
-    return ()
+    return tuple(sorted({x for m in _leaves(pot) if isinstance(m, Slab)
+                         for x in (0.0, m.thickness)}))
 
 
 def fourier_y(pot, x: float, q) -> complex | np.ndarray:
@@ -187,20 +178,15 @@ def fourier_y(pot, x: float, q) -> complex | np.ndarray:
 def uniform_part(pot, x, k: float):
     """Value of the y-independent component at x (zero when there is none), or
     the array of its values at an array of positions."""
-    if isinstance(pot, Slab):
-        inside = (0.0 <= x) & (x <= pot.thickness)
-        return np.where(inside, k * k * (1 - pot.epsilon), 0.0j)[()]
-    if isinstance(pot, SumPotential):
-        return sum(uniform_part(m, x, k) for m in pot.members)
-    return np.zeros(np.shape(x), dtype=complex)[()]
+    out = np.zeros(np.shape(x), dtype=complex)[()]
+    for m in _leaves(pot):
+        if isinstance(m, Slab):
+            out = out + np.where((0.0 <= x) & (x <= m.thickness), k * k * (1 - m.epsilon), 0.0j)
+    return out
 
 
 def has_uniform_part(pot) -> bool:
-    if isinstance(pot, Slab):
-        return True
-    if isinstance(pot, SumPotential):
-        return any(has_uniform_part(m) for m in pot.members)
-    return False
+    return any(isinstance(m, Slab) for m in _leaves(pot))
 
 
 def smooth_members(pot) -> list:
@@ -208,14 +194,7 @@ def smooth_members(pot) -> list:
 
     Each is separable, vt(x, q) = member.profile(x) * member.transform_y(q).
     """
-    if isinstance(pot, GaussianBump):
-        return [pot]
-    if isinstance(pot, SumPotential):
-        out = []
-        for m in pot.members:
-            out.extend(smooth_members(m))
-        return out
-    return []
+    return [m for m in _leaves(pot) if isinstance(m, GaussianBump)]
 
 
 # ---------------------------------------------------------------------------

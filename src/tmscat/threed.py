@@ -23,8 +23,9 @@ import numpy as np
 from .errors import ResourceLimitError, UnsupportedEvaluationError
 from .closedforms import point_operator
 from .evolution import EvolutionConfig, evolve_transfer
-from .grid import SpectralAmplitude
-from .operators import TransferOperator, _checked_grid, compose, solve_outgoing
+from .grid import SpectralAmplitude, barycentric_interpolate
+from .operators import (COS_EXCLUSION, TransferOperator, _checked_grid, compose,
+                        solve_outgoing)
 from .potentials import is_x_singular, is_y_independent
 
 # 3D evolution is bounded to desk scale; the physics of interest (point
@@ -38,8 +39,9 @@ class DiscGrid:
 
     omega_radial / radial_weights are Gauss-Legendre nodes and weights in
     the omega variable on (0, k); phis are uniform azimuth angles.  The
-    flattened per-point arrays (px, py, omegas, point_weights) run radial-
-    major; point_weights approximate the plain disc measure d2p.
+    flattened per-point arrays (px, py, omegas, measure) run radial-major;
+    measure is the plain disc measure d2p / 4 pi^2, and bary holds the
+    barycentric weights of omega_radial, the radial interpolation nodes.
     """
 
     k: float
@@ -49,7 +51,8 @@ class DiscGrid:
     px: np.ndarray
     py: np.ndarray
     omegas: np.ndarray
-    point_weights: np.ndarray
+    measure: np.ndarray
+    bary: np.ndarray
 
     @property
     def size(self) -> int:
@@ -82,28 +85,18 @@ def build_disc_grid(k: float, n_radial: int, n_azimuthal: int) -> DiscGrid:
     py = (rho[:, None] * np.sin(phis)[None, :]).ravel()
     omegas = np.repeat(omega_r, n_azimuthal)
     # rho drho = omega domega, so the plain measure folds omega into w_r
-    point_weights = np.repeat(w_r * omega_r * w_phi, n_azimuthal)
-    for a in (omega_r, w_r, phis, px, py, omegas, point_weights):
+    measure = np.repeat(w_r * omega_r * w_phi, n_azimuthal) / (4 * np.pi ** 2)
+    diff = omega_r[:, None] - omega_r[None, :]
+    np.fill_diagonal(diff, 1.0)
+    bary = 1.0 / np.prod(diff, axis=1)
+    bary /= np.max(np.abs(bary))
+    for a in (omega_r, w_r, phis, px, py, omegas, measure, bary):
         a.setflags(write=False)
     return DiscGrid(k=float(k), omega_radial=omega_r, radial_weights=w_r,
-                    phis=phis, px=px, py=py, omegas=omegas,
-                    point_weights=point_weights)
+                    phis=phis, px=px, py=py, omegas=omegas, measure=measure, bary=bary)
 
 
-def disc_quadrature(grid: DiscGrid, samples: np.ndarray) -> complex:
-    """(1 / 4 pi^2) int_disc d2p f(pvec) from point samples."""
-    samples = np.asarray(samples)
-    if samples.shape != (grid.size,):
-        raise ValueError(f"expected {grid.size} samples, got shape {samples.shape}")
-    return complex(np.sum(grid.point_weights * samples) / (4 * np.pi ** 2))
-
-
-def delta3d_operator(strength: complex, grid: DiscGrid) -> TransferOperator:
-    """Transfer operator of the 3D point potential strength * delta3(r).
-
-    A point_operator whose row is the disc average W_l / (4 pi^2).
-    """
-    return point_operator(strength, grid, grid.point_weights / (4 * np.pi ** 2))
+delta3d_operator = point_operator
 
 
 def delta3d_amplitude(strength: complex, k: float) -> complex:
@@ -126,26 +119,13 @@ solve_outgoing_3d = solve_outgoing
 # interpolation and the angular amplitude
 # ---------------------------------------------------------------------------
 
-def _barycentric_weights(nodes: np.ndarray) -> np.ndarray:
-    diff = nodes[:, None] - nodes[None, :]
-    np.fill_diagonal(diff, 1.0)
-    w = 1.0 / np.prod(diff, axis=1)
-    return w / np.max(np.abs(w))
-
-
 def _trig_interpolate(values: np.ndarray, phi: float) -> complex:
-    """Trigonometric interpolation of samples on a uniform circle grid."""
+    """Trigonometric interpolation of samples on a uniform circle grid; the
+    Nyquist mode of an even count is a cosine, to keep the interpolant balanced."""
     m = values.size
-    coeff = np.fft.fft(values) / m
-    modes = np.fft.fftfreq(m, d=1.0 / m)
-    if m % 2 == 0:
-        # split the Nyquist mode symmetrically to keep the interpolant balanced
-        ny = m // 2
-        total = coeff[ny]
-        val = coeff @ np.exp(1j * modes * phi) - total * np.exp(-1j * ny * phi)
-        val += total * np.cos(ny * phi)
-        return complex(val)
-    return complex(coeff @ np.exp(1j * modes * phi))
+    basis = np.exp(1j * np.fft.fftfreq(m, d=1.0 / m) * phi)
+    basis[np.arange(m) == m / 2] = np.cos(m / 2 * phi)
+    return complex(np.fft.fft(values) / m @ basis)
 
 
 def amplitude3d(t_plus: SpectralAmplitude, t_minus: SpectralAmplitude,
@@ -154,27 +134,17 @@ def amplitude3d(t_plus: SpectralAmplitude, t_minus: SpectralAmplitude,
 
     T_plus is used for cos theta > 0, T_minus for cos theta < 0; theta =
     pi/2 (omega = 0) is excluded.  As in 2D, the omega-premultiplied samples
-    are interpolated: polynomial in the radial omega variable, trigonometric
-    in azimuth.  ValueError if the amplitudes live on different grids or k
-    is not the grid's wavenumber.
+    are interpolated: barycentric in the radial omega variable, ring by
+    ring, then trigonometric in azimuth.  ValueError if the amplitudes live
+    on different grids or k is not the grid's wavenumber.
     """
     grid = _checked_grid(t_plus, t_minus, k)
     cos_t = float(np.cos(theta))
-    if abs(cos_t) < 1e-12:
+    if abs(cos_t) < COS_EXCLUSION:
         raise ValueError("f(theta, phi) is undefined at cos(theta) = 0")
     amp = t_plus if cos_t > 0 else t_minus
-    omega_eval = k * abs(cos_t)
-
-    nr, na = grid.n_radial, grid.n_azimuthal
-    u = (grid.omegas * amp.smooth).reshape(nr, na)
-    bary = _barycentric_weights(grid.omega_radial)
-    diff = omega_eval - grid.omega_radial
-    hit = np.nonzero(diff == 0.0)[0]
-    if hit.size:
-        ring = u[hit[0]]
-    else:
-        kernel = bary / diff
-        ring = (kernel @ u) / kernel.sum()
+    u = (grid.omegas * amp.smooth).reshape(grid.n_radial, grid.n_azimuthal)
+    ring = barycentric_interpolate(grid.omega_radial, grid.bary, u, k * abs(cos_t))[0]
     return complex(-1j / (2 * np.pi) * _trig_interpolate(ring, float(phi)))
 
 

@@ -1,0 +1,102 @@
+"""The package names the benchmark reads must exist.
+
+The benchmark's scripts under bench/ call tmscat by module attribute, some
+of them only in traced runs, which the test suite never starts.  This test
+parses those scripts (it runs and modifies none of them) and resolves every
+module-level name they read from tmscat and its submodules, so that a
+deletion or rename in the package that would break a benchmark run fails
+here.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _is_submodule(module: str, name: str) -> bool:
+    """True if module.name imports as a module; a failing import inside the
+    package raises, so a broken package cannot pass for a short surface."""
+    try:
+        importlib.import_module(f"{module}.{name}")
+    except ModuleNotFoundError as exc:
+        if exc.name != f"{module}.{name}":
+            raise
+        return False
+    return True
+
+
+def _module_aliases(tree: ast.Module) -> dict[str, str]:
+    """Local name -> tmscat module it is bound to, from the import statements."""
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "tmscat":
+                    # `import tmscat.cli` binds tmscat; `import tmscat as tm` binds tm
+                    aliases[a.asname or "tmscat"] = a.name if a.asname else "tmscat"
+        elif isinstance(node, ast.ImportFrom) and node.module == "tmscat":
+            for a in node.names:
+                if _is_submodule("tmscat", a.name):
+                    aliases[a.asname or a.name] = f"tmscat.{a.name}"
+    return aliases
+
+
+def _dotted(node: ast.Attribute) -> list[str] | None:
+    """['tm', 'cli', 'main'] for tm.cli.main; None unless rooted at a name."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    return [node.id] + parts[::-1]
+
+
+def bench_reads() -> set[tuple[str, str]]:
+    """(module, name) for every module-level tmscat name a bench script reads."""
+    reads = set()
+    for path in sorted(BENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        aliases = _module_aliases(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "tmscat":
+                reads.update((node.module, a.name) for a in node.names
+                             if not _is_submodule(node.module, a.name))
+            if not isinstance(node, ast.Attribute):
+                continue
+            chain = _dotted(node)
+            if chain is None or chain[0] not in aliases:
+                continue
+            module = aliases[chain[0]]
+            # descend through submodules to the first module-level name
+            for attr in chain[1:]:
+                if not _is_submodule(module, attr):
+                    reads.add((module, attr))
+                    break
+                module = f"{module}.{attr}"
+    return reads
+
+
+@pytest.fixture(scope="module")
+def reads():
+    return bench_reads()
+
+
+def test_every_name_the_bench_reads_resolves(reads):
+    missing = sorted(f"{module}.{name}" for module, name in reads
+                     if not hasattr(importlib.import_module(module), name))
+    assert missing == []
+
+
+def test_surface_includes_traced_only_and_alias_names(reads):
+    # names reached only by a traced run or kept only as aliases for the bench
+    assert {("tmscat", "effective_hamiltonian"),
+            ("tmscat.closedforms", "delta2d_operator"),
+            ("tmscat.threed", "compose_3d"),
+            ("tmscat.threed", "solve_outgoing_3d"),
+            ("tmscat.threed", "amplitude3d"),
+            ("tmscat.cli", "main")} <= reads

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tmscat import (barycentric_interpolate, build_grid,
-                    chebyshev_barycentric_weights, quadrature)
+from tmscat import barycentric_interpolate, build_grid, quadrature
 from tmscat.grid import SpectralAmplitude
 
 
@@ -37,18 +36,18 @@ def test_channel_average_of_inverse_omega_is_half():
     # (1/2pi) int dp / sqrt(k^2 - p^2) = 1/2, exactly reproduced at any N
     for n in (2, 5, 33):
         g = build_grid(1.7, n)
-        assert abs(quadrature(g, np.ones(n)) - 0.5) < 1e-15
+        assert abs(quadrature(g, 1 / g.omegas) - 0.5) < 1e-15
 
 
 def test_odd_integrand_vanishes():
     g = build_grid(1.0, 16)
+    assert abs(quadrature(g, g.nodes / g.omegas)) < 1e-16
     assert abs(quadrature(g, g.nodes)) < 1e-16
-    assert abs(quadrature(g, g.nodes, weighted=True)) < 1e-16
 
 
 def test_plain_average_converges_to_analytic_value():
     # (1/2pi) int_{-1}^{1} dp = 1/pi; the plain-measure rule is second order
-    err = [abs(quadrature(build_grid(1.0, n), np.ones(n), weighted=True) - 1 / np.pi)
+    err = [abs(quadrature(build_grid(1.0, n), np.ones(n)) - 1 / np.pi)
            for n in (128, 256)]
     assert err[0] < 1e-4
     assert err[1] < err[0] / 3.5  # ~4x reduction per doubling
@@ -56,10 +55,10 @@ def test_plain_average_converges_to_analytic_value():
 
 @pytest.mark.parametrize("m", range(0, 13))
 def test_monomial_exactness(m):
-    # weighted=False quadrature is a Gauss rule: exact for p^m, m < 2N - 1
+    # quadrature of f / omega is a Gauss rule: exact for p^m, m < 2N - 1
     k, n = 1.3, 8
     g = build_grid(k, n)
-    got = quadrature(g, g.nodes.astype(complex) ** m)
+    got = quadrature(g, g.nodes.astype(complex) ** m / g.omegas)
     if m % 2 == 1:
         want = 0.0
     else:
@@ -91,19 +90,17 @@ def test_zero_amplitude():
 
 def test_barycentric_reproduces_polynomials():
     g = build_grid(1.0, 12)
-    w = chebyshev_barycentric_weights(12)
     coeffs = np.array([0.3, -1.2, 0.7, 2.1, -0.4])
     vals = np.polyval(coeffs, g.nodes).astype(complex)
     x = np.linspace(-0.95, 0.95, 40)
-    got = barycentric_interpolate(g.nodes, w, vals, x)
+    got = barycentric_interpolate(g.nodes, g.bary, vals, x)
     assert np.allclose(got, np.polyval(coeffs, x), atol=1e-13)
 
 
 def test_barycentric_exact_at_nodes():
     g = build_grid(2.0, 7)
-    w = chebyshev_barycentric_weights(7)
     vals = np.exp(1j * g.nodes)
-    got = barycentric_interpolate(g.nodes, w, vals, g.nodes[3])
+    got = barycentric_interpolate(g.nodes, g.bary, vals, g.nodes[3])
     assert got[0] == vals[3]
 
 
@@ -111,9 +108,24 @@ def test_barycentric_node_hit_among_other_points():
     # the hit row returns the stored value, without a divide warning, and
     # leaves the other rows as they are without it
     g = build_grid(2.0, 9)
-    w = chebyshev_barycentric_weights(9)
     vals = np.exp(1j * g.nodes) / (1.0 + g.nodes ** 2)
     x = np.array([-1.7, g.nodes[4], 0.3, g.nodes[0]])
-    got = barycentric_interpolate(g.nodes, w, vals, x)
+    got = barycentric_interpolate(g.nodes, g.bary, vals, x)
     assert got[1] == vals[4] and got[3] == vals[0]
-    assert np.array_equal(got[[0, 2]], barycentric_interpolate(g.nodes, w, vals, x[[0, 2]]))
+    assert np.array_equal(got[[0, 2]], barycentric_interpolate(g.nodes, g.bary, vals, x[[0, 2]]))
+
+
+def test_barycentric_matrix_values_match_columns():
+    # a row of samples per node interpolates column by column; a node hit
+    # returns the stored row exactly
+    g = build_grid(2.0, 9)
+    rng = np.random.default_rng(5)
+    vals = rng.standard_normal((9, 3)) + 1j * rng.standard_normal((9, 3))
+    x = np.array([-1.7, g.nodes[4], 0.3, 1.1, g.nodes[0]])
+    got = barycentric_interpolate(g.nodes, g.bary, vals, x)
+    cols = np.stack([barycentric_interpolate(g.nodes, g.bary, vals[:, c], x)
+                     for c in range(3)], axis=1)
+    assert got.shape == (5, 3)
+    assert np.array_equal(got[[1, 4]], vals[[4, 0]])
+    assert np.array_equal(got[[1, 4]], cols[[1, 4]])
+    assert np.allclose(got, cols, rtol=1e-14, atol=0.0)

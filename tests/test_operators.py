@@ -26,6 +26,19 @@ def test_identity_extraction_is_zero(grid):
     assert flag.kind == "none"
 
 
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: delta2d_operator(0.7 - 0.2j, build_grid(2.0, 24)), id="2d"),
+    pytest.param(lambda: delta3d_operator(0.7 - 0.2j, build_disc_grid(1.7, 6, 5)), id="3d"),
+])
+def test_point_operator_row_is_the_grid_measure(make):
+    # both column channels carry the channel average, then a unit beam weight
+    op = make()
+    right = op.kernel.right
+    assert np.array_equal(right[0, 0, :-1], op.grid.measure)
+    assert np.array_equal(right[0, 1, :-1], op.grid.measure)
+    assert np.array_equal(right[0, :, -1], [1.0, 1.0])
+
+
 def test_identity_laws(grid):
     m = delta2d_operator(0.7 - 0.2j, grid)
     ident = identity_operator(grid)

@@ -1,11 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from tmscat import (GaussianBump, ResourceLimitError, Slab, SlabParams,
                     SpectralAmplitude, UnsupportedEvaluationError, amplitude3d,
                     build_disc_grid, build_grid, compose_3d, delta3d_amplitude,
-                    delta3d_operator, disc_quadrature, evolve_transfer_3d,
-                    identity_operator, scattering_length, slab_entries, solve_outgoing_3d)
+                    delta3d_operator, evolve_transfer_3d, identity_operator,
+                    quadrature, scattering_length, slab_entries, solve_outgoing_3d)
+from tmscat.threed import _trig_interpolate
 
 
 @pytest.fixture
@@ -22,25 +25,25 @@ def test_grid_nodes_inside_disc(disc):
 
 def test_disc_integral_identities(disc):
     # int_disc d2p / omega = 2 pi k and area = pi k^2, both to machine precision
-    total = disc_quadrature(disc, 1.0 / disc.omegas) * 4 * np.pi ** 2
+    total = quadrature(disc, 1.0 / disc.omegas) * 4 * np.pi ** 2
     assert abs(total - 2 * np.pi * disc.k) < 1e-12
-    area = disc_quadrature(disc, np.ones(disc.size)) * 4 * np.pi ** 2
+    area = quadrature(disc, np.ones(disc.size)) * 4 * np.pi ** 2
     assert abs(area - np.pi * disc.k ** 2) < 1e-12
 
 
 def test_constant_average(disc):
     # f == 1 -> k^2 / (4 pi)
-    assert abs(disc_quadrature(disc, np.ones(disc.size)) - disc.k ** 2 / (4 * np.pi)) < 1e-14
+    assert abs(quadrature(disc, np.ones(disc.size)) - disc.k ** 2 / (4 * np.pi)) < 1e-14
 
 
 def test_odd_integrand_vanishes(disc):
-    assert abs(disc_quadrature(disc, disc.px)) < 1e-14
-    assert abs(disc_quadrature(disc, disc.px / disc.omegas)) < 1e-14
+    assert abs(quadrature(disc, disc.px)) < 1e-14
+    assert abs(quadrature(disc, disc.px / disc.omegas)) < 1e-14
 
 
 def test_disc_quadrature_validates_length(disc):
     with pytest.raises(ValueError):
-        disc_quadrature(disc, np.ones(3))
+        quadrature(disc, np.ones(3))
 
 
 def test_grid_validation():
@@ -121,6 +124,47 @@ def test_amplitude_interpolation_exact_on_band_limited_data(disc):
         got = amplitude3d(amp, amp, disc.k, theta, phi)
         want = -1j / (2 * np.pi) * (a + b * np.exp(1j * phi) + c * np.exp(-2j * phi))
         assert abs(got - want) < 1e-13
+
+
+def test_amplitude_interpolation_exact_on_odd_azimuthal_grid():
+    # an odd azimuth count has no Nyquist mode: the highest modes +-3 of a
+    # 7-point ring are resolved like the others
+    disc = build_disc_grid(1.7, 8, 7)
+    a, b, c, d = 0.7 - 0.2j, 0.3 + 0.1j, -0.15j, 0.2 - 0.05j
+    phi_pts = np.arctan2(disc.py, disc.px)
+    smooth = (a + b * np.exp(1j * phi_pts) + c * np.exp(-2j * phi_pts)
+              + d * np.exp(3j * phi_pts)) / disc.omegas
+    amp = SpectralAmplitude(grid=disc, delta_coeff=0.0, smooth=smooth)
+    for theta, phi in [(0.4, 0.9), (1.1, 2.2), (2.5, 5.0)]:
+        got = amplitude3d(amp, amp, disc.k, theta, phi)
+        want = -1j / (2 * np.pi) * (a + b * np.exp(1j * phi) + c * np.exp(-2j * phi)
+                                    + d * np.exp(3j * phi))
+        assert abs(got - want) < 1e-13
+
+
+def _theta_on_radial_node(disc):
+    """(theta, j) with k |cos theta| equal to the radial node omega_j exactly."""
+    for j, w in enumerate(disc.omega_radial):
+        for toward in (np.inf, -np.inf):
+            theta = np.arccos(w / disc.k)
+            for _ in range(64):
+                if disc.k * abs(np.cos(theta)) == w:
+                    return float(theta), j
+                theta = np.nextafter(theta, toward)
+    raise AssertionError("no angle hits a radial node exactly")
+
+
+def test_amplitude_on_a_radial_node_is_the_ring_interpolant(disc):
+    theta, j = _theta_on_radial_node(disc)
+    rng = np.random.default_rng(7)
+    smooth = (rng.standard_normal(disc.size) + 1j * rng.standard_normal(disc.size)) / disc.omegas
+    amp = SpectralAmplitude(grid=disc, delta_coeff=0.0, smooth=smooth)
+    ring = (disc.omegas * smooth).reshape(disc.n_radial, disc.n_azimuthal)[j]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for phi in (0.0, 1.3, 4.1):
+            got = amplitude3d(amp, amp, disc.k, theta, phi)
+            assert got == -1j / (2 * np.pi) * _trig_interpolate(ring, phi)
 
 
 def test_point_amplitude_matches_closed_form(disc):
