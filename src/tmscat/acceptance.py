@@ -80,7 +80,7 @@ def criterion_3() -> CriterionResult:
     grid = build_grid(1.5, 24)
     _, _, flag = solve_outgoing(cf.delta2d_operator(4.0j, grid))
     k = cf.wire_modes(-1.0, "lasing")
-    strength = -1j * (-1.0) * k * k
+    strength = cf.DefectParams.from_wire(-1.0, k).strength
     exact_roundtrip = (k == 2.0) and (strength == 4.0j)
     k_cpa = cf.wire_modes(4.0, "CPA")
     raises_at_k = False

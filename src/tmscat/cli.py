@@ -247,12 +247,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Transfer-operator scattering pipelines (2D and 3D)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, helptext, **extra):
+    def add(name, fn, helptext):
         p = sub.add_parser(name, help=helptext)
         p.set_defaults(fn=fn)
-        if extra.get("io", True):
-            p.add_argument("--input", required=True, help="JSON parameter document")
-            p.add_argument("--output", required=True, help="output file path")
+        p.add_argument("--input", required=True, help="JSON parameter document")
+        p.add_argument("--output", required=True, help="output file path")
         return p
 
     p = add("delta2d", _cmd_delta2d, "2D point potential: f(theta) and T+- tables")
@@ -283,8 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-radial", type=int, default=16)
     p.add_argument("--n-azimuthal", type=int, default=8)
 
-    sub.add_parser("selftest", help="run the acceptance criteria").set_defaults(
-        fn=_cmd_selftest, io=False)
+    sub.add_parser("selftest", help="run the acceptance criteria").set_defaults(fn=_cmd_selftest)
     return parser
 
 

@@ -16,6 +16,11 @@ and the channel transfer matrix is
 The entries depend only on n^2 and (nLw)^2, so they are insensitive to the
 branch of the square root; the implementation uses that even form, which is
 also regular at n -> 0.
+
+One Z = e^{-2inLw} - ((n-1)/(n+1))^2 and its roundoff floor serve both
+singularity searches: in w at fixed k, n = n(w), and in k at normal
+incidence, n = sqrt(epsilon).  One channel frequency w(p) = sqrt(k^2 - p^2)
+serves the slab operator and the defect amplitudes alike.
 """
 
 from __future__ import annotations
@@ -148,11 +153,6 @@ class SlabParams:
         return complex(np.sqrt(complex(self.epsilon)))
 
     @property
-    def eta(self) -> float:
-        """Real part of the refractive index."""
-        return self.sqrt_epsilon.real
-
-    @property
     def kappa(self) -> float:
         """Imaginary part of the refractive index."""
         return self.sqrt_epsilon.imag
@@ -205,6 +205,11 @@ def slab_entries(sp: SlabParams, omega) -> np.ndarray:
     return out
 
 
+def _channel_omega(k: float, p) -> np.ndarray:
+    """Channel frequency omega(p) = sqrt((k - p)(k + p)), as a complex array."""
+    return np.sqrt((k - p) * (k + p)).astype(complex)
+
+
 def slab_operator(sp: SlabParams, grid: MomentumGrid, x0: float = 0.0) -> TransferOperator:
     """Purely multiplicative transfer operator of a slab on [x0, x0 + L].
 
@@ -213,10 +218,7 @@ def slab_operator(sp: SlabParams, grid: MomentumGrid, x0: float = 0.0) -> Transf
     """
     if not np.isclose(grid.k, sp.k, rtol=1e-12, atol=0.0):
         raise ValueError("slab parameters and grid carry different wavenumbers")
-    # omega from the nodes (then p = 0) as slab_defect_amplitudes forms it, so
-    # the composed pipeline and that closed form see the same frequencies
-    p = np.append(grid.nodes, 0.0)
-    omega = np.sqrt((sp.k - p) * (sp.k + p)).astype(complex)
+    omega = _channel_omega(sp.k, np.append(grid.nodes, 0.0))
     mult = slab_entries(sp, omega)
     if x0 != 0.0:
         shift = np.exp(2j * omega * x0)
@@ -242,11 +244,11 @@ def slab_xyz(sp: SlabParams, omega: complex) -> SlabXZ:
     """
     omega = complex(omega)
     m = slab_entries(sp, omega)[:, :, 0]
-    z = _z_of(sp, omega)
+    z = _z_of(*_at_omega(sp, omega))
     if abs(m[1, 1]) <= 1e-13 or abs(z) <= 1e-13:
         raise SpectralSingularityError(
             f"m22 or Z vanishes at omega = {omega}: spectral singularity")
-    x = 1 - m[1, 0] / m[1, 1]
+    x = _x_of(m)
     n = complex(sp.refraction(omega))
     x_closed = 2 * (np.exp(-2j * n * sp.thickness * omega) + (n - 1) / (n + 1)) / ((n + 1) * z)
     if abs(x - x_closed) > 1e-10 * max(1.0, abs(x)):
@@ -255,28 +257,32 @@ def slab_xyz(sp: SlabParams, omega: complex) -> SlabXZ:
     return SlabXZ(x=complex(x), z=complex(z))
 
 
-def _z_parts(sp: SlabParams, omega):
-    """The two competing terms of Z: the round-trip phase and the reflection factor."""
-    omega = np.asarray(omega, dtype=complex)
-    n = sp.refraction(omega)
+def _z_parts(n, length: float, omega):
+    """The two competing terms of Z at channel index n: round-trip phase and reflection factor."""
     r = (n - 1) / (n + 1)
-    return np.exp(-2j * n * sp.thickness * omega), r * r
+    return np.exp(-2j * n * length * omega), r * r
 
 
-def _z_of(sp: SlabParams, omega) -> np.ndarray | complex:
-    e, r2 = _z_parts(sp, omega)
+def _at_omega(sp: SlabParams, omega):
+    """Arguments (n, L, omega) of the Z helpers in the channel frequency at fixed potential."""
+    omega = np.asarray(omega, dtype=complex)
+    return sp.refraction(omega), sp.thickness, omega
+
+
+def _z_of(n, length: float, omega) -> np.ndarray | complex:
+    e, r2 = _z_parts(n, length, omega)
     val = e - r2
-    return complex(val) if val.ndim == 0 else val
+    return complex(val) if np.ndim(val) == 0 else val
 
 
-def _z_floor(sp: SlabParams, omega) -> float:
+def _z_floor(n, length: float, omega) -> float:
     """Roundoff floor of |Z(omega)|: below this, Z is zero to machine precision."""
-    e, r2 = _z_parts(sp, omega)
+    e, r2 = _z_parts(n, length, omega)
     return 1e-14 * float(np.abs(e) + np.abs(r2))
 
 
-def _x_of(sp: SlabParams, omega) -> np.ndarray:
-    m = slab_entries(sp, omega)
+def _x_of(m: np.ndarray) -> np.ndarray:
+    """X = 1 - m21 / m22 from an array of slab_entries."""
     return 1 - m[1, 0] / m[1, 1]
 
 
@@ -298,20 +304,20 @@ def slab_y(sp: SlabParams, strength: complex, quad_points: int = 200) -> complex
         raise ValueError("quad_points must be at least 2")
     _check_no_interior_pole(sp)
     u, w = _gauss_legendre_quarter(quad_points)
-    x_vals = _x_of(sp, sp.k * np.sin(u))
+    x_vals = _x_of(slab_entries(sp, sp.k * np.sin(u)))
     return complex(2.0 + (1j * strength / np.pi) * np.sum(w * x_vals))
 
 
-def _check_no_interior_pole(sp: SlabParams, scan_points: int = 1024) -> None:
-    omega = sp.k * np.sin(np.linspace(1e-3, np.pi / 2 - 1e-3, scan_points))
-    zvals = np.abs(_z_of(sp, omega))
+def _check_no_interior_pole(sp: SlabParams) -> None:
+    omega = sp.k * np.sin(np.linspace(1e-3, np.pi / 2 - 1e-3, 1024))
+    zvals = np.abs(_z_of(*_at_omega(sp, omega)))
     i = int(np.argmin(zvals))
     if zvals[i] > 1e-3 * np.max(zvals):
         return
     # suspicious dip: polish and raise only if a genuine real root is found
     try:
-        res = _secant(lambda w: _z_of(sp, w), complex(omega[i]), max_iter=50,
-                      floor=lambda w: _z_floor(sp, w))
+        res = _secant(lambda w: _z_of(*_at_omega(sp, w)), complex(omega[i]), max_iter=50,
+                      floor=lambda w: _z_floor(*_at_omega(sp, w)))
     except NoRootError:
         return
     root = res[0]
@@ -336,7 +342,7 @@ def defect_identity_residual(sp: SlabParams, strength: complex, x_k: complex,
     substitution and a doubled quadrature (2 quad_points nodes).
     """
     u, w = _gauss_legendre_quarter(2 * quad_points)
-    x_int = np.sum(w * _x_of(sp, sp.k * np.cos(u)))
+    x_int = np.sum(w * _x_of(slab_entries(sp, sp.k * np.cos(u))))
     b_avg = (x_k - 1.0) - (1j * strength * x_k / (np.pi * y_k)) * x_int
     return float(abs(b_avg + 1.0 - 2.0 * x_k / y_k))
 
@@ -358,7 +364,7 @@ def slab_defect_amplitudes(sp: SlabParams, strength: complex, p,
     p = np.atleast_1d(np.asarray(p, dtype=float))
     if np.any(np.abs(p) >= sp.k):
         raise ValueError("channel momenta must satisfy |p| < k")
-    omega = np.sqrt((sp.k - p) * (sp.k + p)).astype(complex)
+    omega = _channel_omega(sp.k, p)
 
     # slab_xyz raises where m22(k) vanishes: a slab spectral singularity
     x_k, _ = slab_xyz(sp, sp.k)
@@ -366,13 +372,12 @@ def slab_defect_amplitudes(sp: SlabParams, strength: complex, p,
     if abs(y_k) <= 1e-12 * (2.0 + abs(strength)):
         raise SpectralSingularityError("Y(k) vanishes: defect-induced spectral singularity")
     m_k = slab_entries(sp, np.array([sp.k], dtype=complex))[:, :, 0]
-    m22_w = slab_entries(sp, omega)[1, 1]
-    if np.any(np.abs(m22_w) <= 1e-13):
+    m_w = slab_entries(sp, omega)
+    if np.any(np.abs(m_w[1, 1]) <= 1e-13):
         raise SpectralSingularityError("m22(omega) vanishes at a requested channel")
 
-    x_w = _x_of(sp, omega)
-    smooth_minus = -1j * strength * x_k * x_w / (y_k * omega)
-    smooth_plus = -1j * strength * x_k / (y_k * m22_w * omega)
+    smooth_minus = -1j * strength * x_k * _x_of(m_w) / (y_k * omega)
+    smooth_plus = -1j * strength * x_k / (y_k * m_w[1, 1] * omega)
     delta_minus = x_k - 1.0
     delta_plus = 1.0 / m_k[1, 1] - 1.0
 
@@ -413,29 +418,15 @@ def threshold_gain(eta: float, theta, thickness: float) -> np.ndarray | float:
     return g if g.ndim else float(g)
 
 
-def _sin_cos_degrees(theta_deg: np.ndarray):
-    """sin/cos of angles given in degrees, exact at quadrant multiples."""
-    theta_deg = np.asarray(theta_deg, dtype=float)
-    rad = np.radians(theta_deg)
-    s, c = np.sin(rad), np.cos(rad)
-    rem = np.mod(theta_deg, 360.0)
-    s = np.where(rem == 0.0, 0.0, s)
-    s = np.where(rem == 180.0, 0.0, s)
-    s = np.where(rem == 90.0, 1.0, s)
-    s = np.where(rem == 270.0, -1.0, s)
-    c = np.where(rem == 90.0, 0.0, c)
-    c = np.where(rem == 270.0, 0.0, c)
-    c = np.where(rem == 0.0, 1.0, c)
-    c = np.where(rem == 180.0, -1.0, c)
-    return s, c
-
-
 def threshold_gain_curve(eta: float, thickness: float, theta_deg) -> np.ndarray:
     """threshold_gain sampled at angles in degrees, exact at the quadrants.
 
-    At exactly 90 and 270 degrees the returned gain is exactly zero.
+    cos is exactly 0 at 90 + 180 m degrees, so the gain there is exactly zero.
     """
-    return _threshold_gain(eta, thickness, *_sin_cos_degrees(theta_deg))
+    theta_deg = np.asarray(theta_deg, dtype=float)
+    rad = np.radians(theta_deg)
+    cos_t = np.where(np.mod(theta_deg, 180.0) == 90.0, 0.0, np.cos(rad))
+    return _threshold_gain(eta, thickness, np.sin(rad), cos_t)
 
 
 @dataclass(frozen=True)
@@ -497,26 +488,19 @@ def spectral_singularity(sp: SlabParams, unknown: str, guess: complex) -> Singul
     the root.  Raises NoRootError after 200 iterations (Z of a passive slab,
     e.g. epsilon = 1, has no finite root).
     """
+    if unknown not in ("omega", "k"):
+        raise ValueError(f"unknown must be 'omega' or 'k', got {unknown!r}")
+    # at normal incidence the channel index is sqrt(epsilon) for any k
+    args = ((lambda w: _at_omega(sp, w)) if unknown == "omega"
+            else (lambda kk: (sp.sqrt_epsilon, sp.thickness, kk)))
+    root, res, it = _secant(lambda x: _z_of(*args(x)), guess,
+                            floor=lambda x: _z_floor(*args(x)))
     if unknown == "omega":
-        root, res, it = _secant(lambda w: _z_of(sp, w), guess,
-                                floor=lambda w: _z_floor(sp, w))
         m22 = abs(complex(slab_entries(sp, np.array([root]))[1, 1, 0]))
-    elif unknown == "k":
+    else:
         n = sp.sqrt_epsilon
-        r2 = ((n - 1) / (n + 1)) ** 2
-
-        def f(kk):
-            return np.exp(-2j * n * sp.thickness * kk) - r2
-
-        def floor(kk):
-            return 1e-14 * float(abs(np.exp(-2j * n * sp.thickness * kk)) + abs(r2))
-
-        root, res, it = _secant(f, guess, floor=floor)
-        # at normal incidence the channel index is sqrt(epsilon) for any k
         beta = n * sp.thickness * root
         m22 = abs((np.cos(beta) - 0.5j * (n + 1 / n) * np.sin(beta))
                   * np.exp(1j * root * sp.thickness))
-    else:
-        raise ValueError(f"unknown must be 'omega' or 'k', got {unknown!r}")
     return SingularitySearch(root=complex(root), z_abs=float(res),
                              m22_abs=float(m22), iterations=it)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,9 +112,6 @@ class SumPotential:
             if b0 < a1 - 1e-12 * max(1.0, abs(a1)):
                 raise ValueError(
                     f"member x-supports overlap: [{a0}, {a1}] and [{b0}, {b1}]")
-
-
-PotentialSpec = Delta2D | Slab | SlabWithDefect | GaussianBump | Delta3D | SumPotential
 
 
 def _leaves(pot) -> tuple:

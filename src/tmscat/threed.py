@@ -26,7 +26,7 @@ from .evolution import EvolutionConfig, evolve_transfer
 from .grid import SpectralAmplitude, barycentric_interpolate
 from .operators import (COS_EXCLUSION, TransferOperator, _checked_grid, compose,
                         solve_outgoing)
-from .potentials import is_x_singular, is_y_independent
+from .potentials import is_y_independent
 
 # 3D evolution is bounded to desk scale; the physics of interest (point
 # defect, stacked layers) never needs more channels
@@ -37,8 +37,8 @@ MAX_CHANNELS_3D = 128
 class DiscGrid:
     """Polar quadrature grid strictly inside the momentum disc of radius k.
 
-    omega_radial / radial_weights are Gauss-Legendre nodes and weights in
-    the omega variable on (0, k); phis are uniform azimuth angles.  The
+    omega_radial are Gauss-Legendre nodes in the omega variable on (0, k),
+    whose weights are folded into measure; phis are uniform azimuth angles.  The
     flattened per-point arrays (px, py, omegas, measure) run radial-major;
     measure is the plain disc measure d2p / 4 pi^2, and bary holds the
     barycentric weights of omega_radial, the radial interpolation nodes.
@@ -46,7 +46,6 @@ class DiscGrid:
 
     k: float
     omega_radial: np.ndarray
-    radial_weights: np.ndarray
     phis: np.ndarray
     px: np.ndarray
     py: np.ndarray
@@ -90,10 +89,10 @@ def build_disc_grid(k: float, n_radial: int, n_azimuthal: int) -> DiscGrid:
     np.fill_diagonal(diff, 1.0)
     bary = 1.0 / np.prod(diff, axis=1)
     bary /= np.max(np.abs(bary))
-    for a in (omega_r, w_r, phis, px, py, omegas, measure, bary):
+    for a in (omega_r, phis, px, py, omegas, measure, bary):
         a.setflags(write=False)
-    return DiscGrid(k=float(k), omega_radial=omega_r, radial_weights=w_r,
-                    phis=phis, px=px, py=py, omegas=omegas, measure=measure, bary=bary)
+    return DiscGrid(k=float(k), omega_radial=omega_r, phis=phis, px=px, py=py,
+                    omegas=omegas, measure=measure, bary=bary)
 
 
 delta3d_operator = point_operator
@@ -159,15 +158,10 @@ def evolve_transfer_3d(pot, grid: DiscGrid, z_min: float, z_max: float,
     The generator is diagonal per channel, so the operator is purely
     multiplicative: the 2D per-channel evolution at the disc's frequencies.
     """
-    if is_x_singular(pot):
-        raise UnsupportedEvaluationError(
-            f"{type(pot).__name__} is singular along the axis; use its closed form")
     if not is_y_independent(pot):
         raise UnsupportedEvaluationError(
             "3D numeric evolution supports transverse-uniform layered potentials only")
     if grid.size > MAX_CHANNELS_3D:
         raise ResourceLimitError(
             f"grid has {grid.size} channels; 3D evolution is capped at {MAX_CHANNELS_3D}")
-    if not z_min < z_max:
-        raise ValueError("z_min must be below z_max")
     return evolve_transfer(pot, grid, EvolutionConfig(z_min, z_max, steps))

@@ -7,6 +7,7 @@ from tmscat import (ConsistencyError, NearResonanceError, NoRootError,
                     slab_entries, slab_operator, slab_xyz, slab_y,
                     spectral_singularity, threshold_gain, threshold_gain_curve,
                     wire_modes)
+from tmscat import closedforms as cf
 from tmscat.closedforms import DefectParams
 
 
@@ -146,6 +147,14 @@ def test_x_cross_check_runs():
     assert np.isfinite(x) and np.isfinite(z)
 
 
+def test_x_cross_check_raises_on_mismatch(monkeypatch):
+    # a quotient X off by 1e-8 relative no longer matches the closed form
+    x_of = cf._x_of
+    monkeypatch.setattr(cf, "_x_of", lambda m: x_of(m) * (1 + 1e-8))
+    with pytest.raises(ConsistencyError, match="X factor"):
+        slab_xyz(SlabParams(2.0 + 0.1j, 1.0, 2.0), 1.3)
+
+
 def test_y_without_coupling_is_two():
     sp = SlabParams(epsilon=2.0 + 0.05j, thickness=1.0, k=2.0)
     assert slab_y(sp, 0.0) == 2.0
@@ -161,6 +170,11 @@ def test_y_for_empty_slab():
 def test_y_quadrature_converged():
     sp = SlabParams(epsilon=2 + 0.01j, thickness=1.0, k=2.0)
     assert abs(slab_y(sp, 1.0, 200) - slab_y(sp, 1.0, 400)) < 1e-10
+
+
+def test_y_rejects_single_quadrature_point():
+    with pytest.raises(ValueError, match="quad_points"):
+        slab_y(SlabParams(epsilon=2 + 0.01j, thickness=1.0, k=2.0), 1.0, quad_points=1)
 
 
 def _self_consistent_interior_root(eta, length, m):
@@ -191,6 +205,21 @@ def test_y_detects_interior_pole():
     assert 0 < res.root.real < k
     with pytest.raises(NearResonanceError):
         slab_y(sp, 1.0)
+
+
+def test_y_pole_scan_ignores_a_dip_it_cannot_polish(monkeypatch):
+    # the scan raises only for a root the secant polish finds; a polish that
+    # does not converge leaves slab_y to integrate
+    eta, length, m = 1.5, 10.0, 5
+    omega_star, n0 = _self_consistent_interior_root(eta, length, m)
+    k = 1.6 * omega_star
+    sp = SlabParams(epsilon=1 - (1 - n0 ** 2) * omega_star ** 2 / k ** 2, thickness=length, k=k)
+
+    def no_root(*args, **kwargs):
+        raise NoRootError("no convergence", residual=1.0)
+
+    monkeypatch.setattr(cf, "_secant", no_root)
+    assert np.isfinite(slab_y(sp, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +320,32 @@ def test_defect_amplitudes_raise_where_m22_vanishes_at_k():
         slab_defect_amplitudes(sp, 1.0, np.array([0.3]))
 
 
+def test_defect_amplitudes_raise_where_m22_vanishes_at_a_channel():
+    # a real root of Z midway between two frequencies of slab_y's pole scan,
+    # whose dip test then does not fire: the requested channel at the root
+    # meets the m22(omega) guard
+    scan = np.sin(np.linspace(1e-3, np.pi / 2 - 1e-3, 1024))
+    j = np.searchsorted(scan, 0.6)
+    eta, length, m = 1.5, 60.0, 20
+    omega_star, n0 = _self_consistent_interior_root(eta, length, m)
+    k = omega_star / (0.5 * (scan[j] + scan[j + 1]))
+    sp = SlabParams(epsilon=1 - (1 - n0 ** 2) * omega_star ** 2 / k ** 2, thickness=length, k=k)
+    root = spectral_singularity(sp, "omega", guess=complex(omega_star)).root
+    assert abs(root.imag) < 1e-12
+    p = np.sqrt(k * k - root.real ** 2)
+    with pytest.raises(SpectralSingularityError, match=r"m22\(omega\)"):
+        slab_defect_amplitudes(sp, 1.0, np.array([0.3 * k, p]))
+
+
+def test_defect_amplitudes_raise_on_identity_mismatch(monkeypatch):
+    # Y(k) off by 1e-6 relative breaks the independently recomputed identity
+    y = cf.slab_y
+    monkeypatch.setattr(cf, "slab_y", lambda *args: y(*args) * (1 + 1e-6))
+    with pytest.raises(ConsistencyError, match="identity"):
+        slab_defect_amplitudes(SlabParams(epsilon=2 + 0.01j, thickness=1.0, k=2.0), 1.0,
+                               np.array([0.3, -1.1]))
+
+
 # ---------------------------------------------------------------------------
 # threshold gain
 # ---------------------------------------------------------------------------
@@ -304,6 +359,17 @@ def test_threshold_gain_normal_direction():
 def test_threshold_gain_zero_at_grazing():
     g = threshold_gain_curve(1.8, 1.0, np.array([90.0, 270.0]))
     assert g[0] == 0.0 and g[1] == 0.0
+
+
+@pytest.mark.parametrize("eta", [1.2, 1.5, 3.0])
+def test_threshold_gain_curve_exact_beyond_one_turn(eta):
+    # grazing in every turn, and the normal-direction closed form exactly
+    # (L = 2 makes eta L exact, so 4 eta / (eta L) is 4 / L)
+    length = 2.0
+    grazing = threshold_gain_curve(eta, length, 90.0 + 180.0 * np.arange(-4, 5))
+    assert np.all(grazing == 0.0)
+    want = (4 / length) * np.log((eta + 1) / np.sqrt(eta ** 2 - 1))
+    assert np.all(threshold_gain_curve(eta, length, np.array([0.0, 180.0, 360.0])) == want)
 
 
 def test_threshold_gain_symmetries():
@@ -328,6 +394,11 @@ def test_threshold_gain_rejects_eta_below_one():
         threshold_gain(1.0, 0.3, 1.0)
     with pytest.raises(ValueError):
         threshold_gain_curve(0.9, 1.0, np.array([10.0]))
+
+
+def test_threshold_gain_rejects_zero_thickness():
+    with pytest.raises(ValueError, match="thickness"):
+        threshold_gain_curve(1.5, 0.0, np.array([10.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +450,14 @@ def test_singularity_seeded_by_threshold_gain():
     assert res.z_abs < 1e-6  # converged residual, far below the gate
     assert abs(res.root - k0) / k0 < 0.02
     assert abs(res.root.imag) / abs(res.root) < 0.02
+
+
+def test_singularity_stops_where_z_is_flat():
+    # far down the imaginary axis the round-trip phase underflows, so Z is
+    # the constant -r^2 to the last bit: the secant stops instead of dividing
+    # by a zero difference
+    with pytest.raises(NoRootError):
+        spectral_singularity(SlabParams((1.5 - 0.05j) ** 2, 1.0, 1.0), "k", guess=1.0 - 1000j)
 
 
 def test_singularity_rejects_bad_unknown():

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from tmscat import (GaussianBump, ResourceLimitError, Slab, SlabParams,
+from tmscat import (Delta3D, GaussianBump, ResourceLimitError, Slab, SlabParams,
                     SpectralAmplitude, UnsupportedEvaluationError, amplitude3d,
                     build_disc_grid, build_grid, compose_3d, delta3d_amplitude,
                     delta3d_operator, evolve_transfer_3d, identity_operator,
@@ -225,6 +225,11 @@ def test_resource_limit_and_unsupported():
     with pytest.raises(ResourceLimitError):
         evolve_transfer_3d(Slab(epsilon=2.0, thickness=1.0), big, 0.0, 1.0, 10)
     small = build_disc_grid(1.0, 4, 4)
-    with pytest.raises(UnsupportedEvaluationError):
-        evolve_transfer_3d(GaussianBump(amplitude=1.0, center=(0, 0), widths=(1, 1)),
-                           small, 0.0, 1.0, 10)
+    # neither is transverse-uniform; the axis-singular point defect is
+    # rejected by the same guard as the bump
+    for pot in (GaussianBump(amplitude=1.0, center=(0, 0), widths=(1, 1)),
+                Delta3D(strength=1.7 + 0.2j)):
+        with pytest.raises(UnsupportedEvaluationError, match="transverse-uniform"):
+            evolve_transfer_3d(pot, small, 0.0, 1.0, 10)
+    with pytest.raises(ValueError, match="below"):
+        evolve_transfer_3d(Slab(epsilon=2.0, thickness=1.0), small, 1.0, 0.0, 10)
