@@ -36,26 +36,25 @@ from .errors import (AccuracyWarning, ConsistencyError, DivergenceError,
                      NearResonanceError, NoRootError, ResourceLimitError,
                      SpectralSingularityError, TmscatError,
                      UnsupportedEvaluationError)
-from .grid import (MomentumGrid, SpectralAmplitude, barycentric_interpolate,
-                   build_grid, quadrature)
+from .grid import (DiscGrid, MomentumGrid, SpectralAmplitude, barycentric_interpolate,
+                   build_disc_grid, build_grid, quadrature)
 from .potentials import (Delta2D, Delta3D, GaussianBump, Slab, SlabWithDefect,
                          SumPotential, fourier_y, is_x_singular,
                          is_y_independent, potential_from_document,
                          potential_from_json, potential_to_document,
                          potential_to_json, uniform_part, x_support)
 from .operators import (LowRank, ScatteringResult, SingularityFlag, TransferOperator,
-                        amplitude, compose, identity_operator, scattering_result,
-                        solve_outgoing)
+                        amplitude, amplitude3d, compose, identity_operator,
+                        scattering_result, solve_outgoing)
 from .evolution import (EvolutionConfig, auto_config, effective_hamiltonian,
-                        evolve_transfer, potential_kernel)
+                        evolve_transfer, evolve_transfer_3d, potential_kernel)
 from .closedforms import (DefectAmplitudes, DefectParams, SingularitySearch,
                           SlabParams, born2d_amplitude, delta2d_amplitude,
-                          delta2d_operator, slab_defect_amplitudes, slab_entries,
+                          delta2d_operator, delta3d_amplitude, delta3d_operator,
+                          scattering_length, slab_defect_amplitudes, slab_entries,
                           slab_operator, slab_xyz, slab_y, spectral_singularity,
                           threshold_gain, threshold_gain_curve, wire_modes)
-from .threed import (DiscGrid, amplitude3d, build_disc_grid, compose_3d,
-                     delta3d_amplitude, delta3d_operator, evolve_transfer_3d,
-                     scattering_length, solve_outgoing_3d)
+from .threed import compose_3d, solve_outgoing_3d
 from .oracle import (ConvergenceReport, Transfer1D, born1_transfer,
                      convergence_report, transfer_1d)
 

@@ -12,11 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import closedforms as cf
-from . import oracle, threed
+from . import oracle
 from .errors import SpectralSingularityError
-from .evolution import EvolutionConfig, auto_config, evolve_transfer
-from .grid import build_grid, quadrature
-from .operators import amplitude, compose, identity_operator, solve_outgoing
+from .evolution import EvolutionConfig, auto_config, evolve_transfer, evolve_transfer_3d
+from .grid import build_disc_grid, build_grid, quadrature
+from .operators import amplitude, amplitude3d, compose, identity_operator, solve_outgoing
 from .potentials import GaussianBump, Slab
 
 
@@ -118,8 +118,6 @@ def criterion_5() -> CriterionResult:
     worst = 0.0
     for _ in range(10):
         eps = complex(rng.uniform(-3, 3), rng.uniform(-1, 1))
-        if abs(eps) > 5:
-            eps *= 4.9 / abs(eps)
         length = float(rng.uniform(0.3, 1.2))
         k = float(rng.uniform(0.8, 2.0))
         sp = cf.SlabParams(epsilon=eps, thickness=length, k=k)
@@ -151,11 +149,11 @@ def criterion_6() -> CriterionResult:
         evolve_transfer(pot, grid, EvolutionConfig(0.0, length / 2, 800)))
     err_num = float(np.max(np.abs(num_halves.entries_on_grid() - num_full.entries_on_grid())))
 
-    disc = threed.build_disc_grid(k, 10, 6)
-    full3 = threed.evolve_transfer_3d(pot, disc, 0.0, length, 800).mult_on_grid()
+    disc = build_disc_grid(k, 10, 6)
+    full3 = evolve_transfer_3d(pot, disc, 0.0, length, 800).mult_on_grid()
     halves3 = compose(
-        threed.evolve_transfer_3d(pot, disc, length / 2, length, 400),
-        threed.evolve_transfer_3d(pot, disc, 0.0, length / 2, 400)).mult_on_grid()
+        evolve_transfer_3d(pot, disc, length / 2, length, 400),
+        evolve_transfer_3d(pot, disc, 0.0, length / 2, 400)).mult_on_grid()
     err_3d = float(np.max(np.abs(halves3 - full3)))
 
     ok = err_closed < 1e-12 and err_num < 1e-6 and err_3d < 1e-6
@@ -214,27 +212,27 @@ def criterion_9() -> CriterionResult:
     t0 = time.perf_counter()
     strength = 1.7
     k = 1.3
-    disc = threed.build_disc_grid(k, 16, 8)
-    t_plus, t_minus, _ = solve_outgoing(threed.delta3d_operator(strength, disc))
-    exact = threed.delta3d_amplitude(strength, k)
+    disc = build_disc_grid(k, 16, 8)
+    t_plus, t_minus, _ = solve_outgoing(cf.delta3d_operator(strength, disc))
+    exact = cf.delta3d_amplitude(strength, k)
     thetas = np.concatenate([np.linspace(0.25, 1.35, 4), np.linspace(1.85, 2.9, 4)])
     phis = np.linspace(0.0, 2 * np.pi, 4, endpoint=False)
-    samples = [threed.amplitude3d(t_plus, t_minus, k, th, ph)
+    samples = [amplitude3d(t_plus, t_minus, k, th, ph)
                for th in thetas for ph in phis]
     err = max(abs(f - exact) for f in samples)
     iso = max(abs(f - samples[0]) for f in samples)
 
     def pipeline_f(kk: float) -> complex:
-        d = threed.build_disc_grid(kk, 12, 6)
-        tp, tm, _ = solve_outgoing(threed.delta3d_operator(strength, d))
-        return threed.amplitude3d(tp, tm, kk, 0.7, 0.3)
+        d = build_disc_grid(kk, 12, 6)
+        tp, tm, _ = solve_outgoing(cf.delta3d_operator(strength, d))
+        return amplitude3d(tp, tm, kk, 0.7, 0.3)
 
     f1, f2 = pipeline_f(1e-4), pipeline_f(5e-5)
     xi = -(2 * f2 - f1)
-    xi_err = abs(xi - threed.scattering_length(strength))
+    xi_err = abs(xi - cf.scattering_length(strength))
 
     mu = 4 * np.pi / abs(strength)
-    vals = [abs(threed.delta3d_amplitude(strength, kk)) ** 2 * (kk * kk + mu * mu)
+    vals = [abs(cf.delta3d_amplitude(strength, kk)) ** 2 * (kk * kk + mu * mu)
             for kk in (0.5, 1.0, 2.0, 4.0)]
     const_err = max(abs(v - 1.0) for v in vals)
     ok = err < 1e-10 and iso < 1e-10 and xi_err < 1e-10 and const_err < 1e-10
@@ -249,7 +247,7 @@ def criterion_10() -> CriterionResult:
     t0 = time.perf_counter()
     grid = build_grid(3.0, 16)
     err_half = abs(quadrature(grid, 1.0 / grid.omegas) - 0.5)
-    disc = threed.build_disc_grid(1.7, 12, 8)
+    disc = build_disc_grid(1.7, 12, 8)
     err_disc = abs(quadrature(disc, 1.0 / disc.omegas) * (4 * np.pi ** 2)
                    - 2 * np.pi * disc.k)
     ok = err_half < 1e-14 and err_disc < 1e-12

@@ -21,12 +21,13 @@ import warnings
 
 import numpy as np
 
-from . import _apply_thread_cap, threed
+from . import _apply_thread_cap
 from . import closedforms as cf
 from .errors import AccuracyWarning, SpectralSingularityError, TmscatError
 from .evolution import EvolutionConfig, auto_config, evolve_transfer
-from .grid import SpectralAmplitude, build_grid
-from .operators import ScatteringResult, SingularityFlag, scattering_result, solve_outgoing
+from .grid import SpectralAmplitude, build_disc_grid, build_grid
+from .operators import (ScatteringResult, SingularityFlag, amplitude3d, scattering_result,
+                        solve_outgoing)
 from .potentials import _dec_complex, _dec_real, potential_from_document
 
 TPM_HEADER = ["p", "re_t_plus", "im_t_plus", "re_t_minus", "im_t_minus"]
@@ -212,18 +213,18 @@ def _cmd_delta3d(args) -> int:
     doc = _load_doc(args.input)
     strength = _field(doc, "strength", _dec_complex)
     k = _field(doc, "k")
-    disc = threed.build_disc_grid(k, args.n_radial, args.n_azimuthal)
-    t_plus, t_minus, flag = solve_outgoing(threed.delta3d_operator(strength, disc))
+    disc = build_disc_grid(k, args.n_radial, args.n_azimuthal)
+    t_plus, t_minus, flag = solve_outgoing(cf.delta3d_operator(strength, disc))
     if flag.is_singular:
         raise SpectralSingularityError("extraction hit a spectral singularity")
-    f = threed.amplitude3d(t_plus, t_minus, k, 0.7, 0.4)
-    xi = threed.scattering_length(strength)
+    f = amplitude3d(t_plus, t_minus, k, 0.7, 0.4)
+    xi = cf.scattering_length(strength)
     _write_json(args.output, {
         "k": k,
         "f_re": f.real,
         "f_im": f.imag,
         "abs_f_sq": abs(f) ** 2,
-        "f_closed_form": threed.delta3d_amplitude(strength, k),
+        "f_closed_form": cf.delta3d_amplitude(strength, k),
         "xi_re": xi.real,
         "xi_im": xi.imag,
         "mu": 4 * np.pi / abs(strength) if strength != 0 else None,

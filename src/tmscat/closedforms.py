@@ -45,7 +45,7 @@ def point_operator(strength: complex, grid) -> TransferOperator:
     """Identity plus the rank-one kernel -(i z / 2 omega_j) C[a, b] row_l of a point potential.
 
     The row is the channel average, grid.measure, on either grid, so this is
-    delta2d_operator and threed.delta3d_operator.  C = CHANNEL_FACTOR =
+    delta2d_operator and delta3d_operator.  C = CHANNEL_FACTOR =
     (1, -1)^T (1, 1), so the factors are left (col, -col) with col_j =
     -i z / 2 omega_j, and right the row for either column channel b, with 1
     appended: a unit coherent beam enters the channel average with weight one.
@@ -66,7 +66,7 @@ _SINGULAR_BAND = 1e-12
 
 
 # ---------------------------------------------------------------------------
-# 2D point scatterer (thin wire)
+# point scatterers: the 2D thin wire and the 3D point
 # ---------------------------------------------------------------------------
 
 def delta2d_amplitude(strength: complex) -> complex:
@@ -90,6 +90,18 @@ def born2d_amplitude(strength: complex) -> complex:
 
 
 delta2d_operator = point_operator
+delta3d_operator = point_operator
+
+
+def delta3d_amplitude(strength: complex, k: float) -> complex:
+    """Exact isotropic amplitude of the 3D point potential: -z / (4 pi + i k z)."""
+    strength = complex(strength)
+    return -strength / (4 * np.pi + 1j * k * strength)
+
+
+def scattering_length(strength: complex) -> complex:
+    """Low-energy limit -f(k -> 0) of the 3D point potential: z / 4 pi."""
+    return complex(strength) / (4 * np.pi)
 
 
 def wire_modes(zeta: float, mode: str) -> float:
@@ -297,8 +309,9 @@ def slab_y(sp: SlabParams, strength: complex, quad_points: int = 200) -> complex
 
     The substitution w = k sin u removes the endpoint singularity exactly,
     leaving (i z / pi) int_0^{pi/2} X(k sin u) du, integrated by
-    Gauss-Legendre.  A magnitude scan of Z over (0, k), sharpened by a local
-    secant polish, guards against a pole of X inside the interval.
+    Gauss-Legendre.  A scan of Z over (0, k), sharpened by a local secant
+    polish, guards against a pole of X inside the interval, also one between
+    two scan samples.
     """
     if quad_points < 2:
         raise ValueError("quad_points must be at least 2")
@@ -310,20 +323,26 @@ def slab_y(sp: SlabParams, strength: complex, quad_points: int = 200) -> complex
 
 def _check_no_interior_pole(sp: SlabParams) -> None:
     omega = sp.k * np.sin(np.linspace(1e-3, np.pi / 2 - 1e-3, 1024))
-    zvals = np.abs(_z_of(*_at_omega(sp, omega)))
+    z = _z_of(*_at_omega(sp, omega))
+    zvals = np.abs(z)
     i = int(np.argmin(zvals))
-    if zvals[i] > 1e-3 * np.max(zvals):
-        return
-    # suspicious dip: polish and raise only if a genuine real root is found
-    try:
-        res = _secant(lambda w: _z_of(*_at_omega(sp, w)), complex(omega[i]), max_iter=50,
-                      floor=lambda w: _z_floor(*_at_omega(sp, w)))
-    except NoRootError:
-        return
-    root = res[0]
-    if abs(root.imag) < 1e-6 * sp.k and 0 < root.real < sp.k:
-        raise NearResonanceError(
-            f"Z has a root at omega = {root:.6g} inside (0, k)", pole_estimate=root)
+    # polish from a suspicious dip and from every segment whose linear
+    # interpolant passes within its step |dZ| of zero (a root between two
+    # samples); raise only if a genuine real root is found
+    guesses = [] if zvals[i] > 1e-3 * np.max(zvals) else [omega[i]]
+    dz = np.diff(z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.clip(-np.real(dz.conj() * z[:-1]) / np.abs(dz) ** 2, 0.0, 1.0)
+    near = np.abs(z[:-1] + t * dz) <= np.abs(dz)
+    for guess in guesses + list((omega[:-1] + t * np.diff(omega))[near]):
+        try:
+            root = _secant(lambda w: _z_of(*_at_omega(sp, w)), complex(guess), max_iter=50,
+                           floor=lambda w: _z_floor(*_at_omega(sp, w)))[0]
+        except NoRootError:
+            continue
+        if abs(root.imag) < 1e-6 * sp.k and 0 < root.real < sp.k:
+            raise NearResonanceError(
+                f"Z has a root at omega = {root:.6g} inside (0, k)", pole_estimate=root)
 
 
 class DefectAmplitudes(NamedTuple):

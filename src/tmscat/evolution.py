@@ -21,7 +21,9 @@ per-channel 2x2 evolution that becomes the operator's multiplication part,
 tabulated on the grid channels and at p = 0.
 A potential with no y-dependent member has a generator that is diagonal
 per channel, so only that 2x2 evolution runs and the operator carries no
-kernel.
+kernel.  On a 3D DiscGrid (x is then the layer axis z) only such layered
+potentials evolve, on at most MAX_CHANNELS_3D channels; evolve_transfer
+itself refuses any other input.
 
 The RK4 never forms H.  The minus rows of H U are -e^{2i omega x} times
 its plus rows, and the beam enters like one more channel, at frequency k.
@@ -44,11 +46,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyWarning, DivergenceError, UnsupportedEvaluationError
-from .grid import MomentumGrid
+from .errors import (AccuracyWarning, DivergenceError, ResourceLimitError,
+                     UnsupportedEvaluationError)
+from .grid import DiscGrid, MomentumGrid
 from .operators import TransferOperator, channel_omegas, unit_mult
-from .potentials import (discontinuities, fourier_y, has_uniform_part,
-                         is_x_singular, smooth_members, uniform_part, x_support)
+from .potentials import (discontinuities, fourier_y, has_uniform_part, is_x_singular,
+                         is_y_independent, smooth_members, uniform_part, x_support)
+
+# 3D evolution is bounded to desk scale; stacked layers never need more channels
+MAX_CHANNELS_3D = 128
 
 
 @dataclass(frozen=True)
@@ -277,7 +283,7 @@ def _checked(evolve, cfg: EvolutionConfig) -> np.ndarray:
     return u
 
 
-def evolve_transfer(pot, grid: MomentumGrid, cfg: EvolutionConfig) -> TransferOperator:
+def evolve_transfer(pot, grid: MomentumGrid | DiscGrid, cfg: EvolutionConfig) -> TransferOperator:
     """Transfer operator of the potential truncated to the config window.
 
     The full transfer operator requires the window to cover the potential's
@@ -285,11 +291,19 @@ def evolve_transfer(pot, grid: MomentumGrid, cfg: EvolutionConfig) -> TransferOp
     operator of the restriction, suitable for composition.
 
     Zero potential gives exactly the identity, and a y-independent one a
-    purely multiplicative operator (kernel None), which is also how
-    evolve_transfer_3d evolves layers on a DiscGrid.  Non-finite values
-    raise DivergenceError; with check_tolerance set, a step-halving
-    comparison emits AccuracyWarning when the result is not converged.
+    purely multiplicative operator (kernel None).  On a DiscGrid any other
+    potential raises UnsupportedEvaluationError, and more than
+    MAX_CHANNELS_3D channels ResourceLimitError.  Non-finite values raise
+    DivergenceError; with check_tolerance set, a step-halving comparison
+    emits AccuracyWarning when the result is not converged.
     """
+    if isinstance(grid, DiscGrid):
+        if not is_y_independent(pot):
+            raise UnsupportedEvaluationError(
+                "3D numeric evolution supports transverse-uniform layered potentials only")
+        if grid.size > MAX_CHANNELS_3D:
+            raise ResourceLimitError(
+                f"grid has {grid.size} channels; 3D evolution is capped at {MAX_CHANNELS_3D}")
     if is_x_singular(pot):
         raise UnsupportedEvaluationError(
             f"{type(pot).__name__} is singular in x; use its closed-form operator")
@@ -308,3 +322,9 @@ def evolve_transfer(pot, grid: MomentumGrid, cfg: EvolutionConfig) -> TransferOp
     idx = np.arange(n)
     kernel[:, :, idx, idx] -= mult[:, :, :n]
     return TransferOperator(grid=grid, mult=mult, kernel=kernel if kernel.any() else None)
+
+
+def evolve_transfer_3d(pot, grid: DiscGrid, z_min: float, z_max: float,
+                       steps: int) -> TransferOperator:
+    """evolve_transfer of a layered potential over [z_min, z_max] on a DiscGrid."""
+    return evolve_transfer(pot, grid, EvolutionConfig(z_min, z_max, steps))

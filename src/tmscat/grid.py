@@ -9,20 +9,20 @@ the nodes are those of the Chebyshev-Gauss rule
 
 with p_j = k cos((2j-1) pi / 2N) and w_j = pi / N, exact for g a polynomial
 of degree < 2N.  Endpoints +-k (omega = 0, grazing channels) are excluded;
-channels with |p| > k (evanescent) are not represented at all.  A grid, this
-one or the 3D DiscGrid, stores its measure (the plain measure over (2 pi)^d)
-and the barycentric weights bary of its interpolation nodes.
+channels with |p| > k (evanescent) are not represented at all.  In 3D the
+DiscGrid fills the disc |pvec| < k: since int_disc d2p f / omega =
+int_0^{2pi} dphi int_0^k f domega, Gauss-Legendre nodes in omega integrate
+the 1/omega factor with plain weights, and a uniform azimuthal rule is exact
+for trigonometric polynomials.  A grid, either kind, stores its measure (the
+plain measure over (2 pi)^d) and the barycentric weights bary of its
+interpolation nodes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .threed import DiscGrid
 
 
 @dataclass(frozen=True)
@@ -67,6 +67,68 @@ def build_grid(k: float, n: int) -> MomentumGrid:
         a.setflags(write=False)
     return MomentumGrid(k=float(k), nodes=nodes, weights=weights, omegas=omegas,
                         measure=measure, bary=bary)
+
+
+@dataclass(frozen=True)
+class DiscGrid:
+    """Polar quadrature grid strictly inside the momentum disc of radius k.
+
+    omega_radial are Gauss-Legendre nodes in the omega variable on (0, k),
+    whose weights are folded into measure; phis are uniform azimuth angles.  The
+    flattened per-point arrays (px, py, omegas, measure) run radial-major;
+    measure is the plain disc measure d2p / 4 pi^2, and bary holds the
+    barycentric weights of omega_radial, the radial interpolation nodes.
+    """
+
+    k: float
+    omega_radial: np.ndarray
+    phis: np.ndarray
+    px: np.ndarray
+    py: np.ndarray
+    omegas: np.ndarray
+    measure: np.ndarray
+    bary: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return self.px.size
+
+    @property
+    def n_radial(self) -> int:
+        return self.omega_radial.size
+
+    @property
+    def n_azimuthal(self) -> int:
+        return self.phis.size
+
+
+def build_disc_grid(k: float, n_radial: int, n_azimuthal: int) -> DiscGrid:
+    if not np.isfinite(k) or k <= 0:
+        raise ValueError(f"wavenumber must be positive and finite, got {k}")
+    if (int(n_radial) != n_radial or int(n_azimuthal) != n_azimuthal
+            or n_radial < 2 or n_azimuthal < 2):
+        raise ValueError("need integer sizes of at least 2 radial and 2 azimuthal points, "
+                         f"got {n_radial} and {n_azimuthal}")
+    n_radial, n_azimuthal = int(n_radial), int(n_azimuthal)
+    x, w = np.polynomial.legendre.leggauss(n_radial)
+    omega_r = 0.5 * k * (x + 1.0)
+    w_r = 0.5 * k * w
+    rho = np.sqrt((k - omega_r) * (k + omega_r))
+    phis = 2.0 * np.pi * np.arange(n_azimuthal) / n_azimuthal
+    w_phi = 2.0 * np.pi / n_azimuthal
+    px = (rho[:, None] * np.cos(phis)[None, :]).ravel()
+    py = (rho[:, None] * np.sin(phis)[None, :]).ravel()
+    omegas = np.repeat(omega_r, n_azimuthal)
+    # rho drho = omega domega, so the plain measure folds omega into w_r
+    measure = np.repeat(w_r * omega_r * w_phi, n_azimuthal) / (4 * np.pi ** 2)
+    diff = omega_r[:, None] - omega_r[None, :]
+    np.fill_diagonal(diff, 1.0)
+    bary = 1.0 / np.prod(diff, axis=1)
+    bary /= np.max(np.abs(bary))
+    for a in (omega_r, phis, px, py, omegas, measure, bary):
+        a.setflags(write=False)
+    return DiscGrid(k=float(k), omega_radial=omega_r, phis=phis, px=px, py=py,
+                    omegas=omegas, measure=measure, bary=bary)
 
 
 def quadrature(grid: MomentumGrid | DiscGrid, samples: np.ndarray) -> complex:

@@ -31,21 +31,19 @@ system is solved by LU, with the exact 1-norm condition number from its
 inverse.
 
 One operator type, composition and extraction serve both the 2D
-MomentumGrid and the 3D DiscGrid; only the grid differs.
+MomentumGrid and the 3D DiscGrid; only the grid differs.  amplitude3d
+reads f(theta, phi) on a DiscGrid as amplitude reads f(theta) on a
+MomentumGrid, and each refuses the other grid's amplitudes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DivergenceError
-from .grid import MomentumGrid, SpectralAmplitude, barycentric_interpolate
-
-if TYPE_CHECKING:
-    from .threed import DiscGrid
+from .grid import DiscGrid, MomentumGrid, SpectralAmplitude, barycentric_interpolate
 
 # rcond thresholds for the smooth-channel solve diagnostics
 RCOND_SINGULAR = 1e-14
@@ -265,8 +263,6 @@ def _norm1_estimate(apply, adjoint, n: int, column: np.ndarray) -> float:
     the sign vector carries nothing and only that column finds the norm."""
     x = apply(np.full(n, 1.0 / n))
     est = float(np.sum(np.abs(x)))
-    if n == 1:
-        return est
     j = int(np.argmax(np.abs(adjoint(_unit_phases(x)))))
     for _ in range(4):
         x = apply(np.eye(1, n, j)[0])
@@ -437,9 +433,11 @@ def solve_outgoing(op: TransferOperator, incident: complex = 1.0):
 COS_EXCLUSION = 1e-12
 
 
-def _checked_grid(t_plus: SpectralAmplitude, t_minus: SpectralAmplitude, k: float):
-    """The grid both amplitudes live on; ValueError if they differ or k is not its wavenumber."""
+def _checked_grid(t_plus: SpectralAmplitude, t_minus: SpectralAmplitude, k: float, kind):
+    """The one grid of both amplitudes, a kind of wavenumber k; ValueError otherwise."""
     grid = t_plus.grid
+    if not isinstance(grid, kind):
+        raise ValueError(f"amplitudes live on a {type(grid).__name__}, not a {kind.__name__}")
     if not _same_grid(grid, t_minus.grid):
         raise ValueError("amplitudes live on different grids")
     if not np.isclose(k, grid.k, rtol=1e-12, atol=0.0):
@@ -458,7 +456,7 @@ def amplitude(t_plus: SpectralAmplitude, t_minus: SpectralAmplitude,
     pi/2 and 3 pi/2 (omega = 0) are excluded; delta coefficients are not
     folded in (they modify the coherent beam, not the diffuse wave).
     """
-    grid = _checked_grid(t_plus, t_minus, k)
+    grid = _checked_grid(t_plus, t_minus, k, MomentumGrid)
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float)) % (2 * np.pi)
     cos_t = np.cos(thetas)
     if np.any(np.abs(cos_t) < COS_EXCLUSION):
@@ -475,6 +473,35 @@ def amplitude(t_plus: SpectralAmplitude, t_minus: SpectralAmplitude,
         f[~fwd] = barycentric_interpolate(grid.nodes, grid.bary, u_minus, p_eval[~fwd])
     f *= -1j / np.sqrt(2 * np.pi)
     return [(float(t), complex(v)) for t, v in zip(thetas, f)]
+
+
+def _trig_interpolate(values: np.ndarray, phi: float) -> complex:
+    """Trigonometric interpolation of samples on a uniform circle grid; the
+    Nyquist mode of an even count is a cosine, to keep the interpolant balanced."""
+    m = values.size
+    basis = np.exp(1j * np.fft.fftfreq(m, d=1.0 / m) * phi)
+    basis[np.arange(m) == m / 2] = np.cos(m / 2 * phi)
+    return complex(np.fft.fft(values) / m @ basis)
+
+
+def amplitude3d(t_plus: SpectralAmplitude, t_minus: SpectralAmplitude,
+                k: float, theta: float, phi: float) -> complex:
+    """Angular amplitude f(theta, phi) = -(i / 2 pi) [omega T](k sin th cos ph, k sin th sin ph).
+
+    T_plus is used for cos theta > 0, T_minus for cos theta < 0; theta =
+    pi/2 (omega = 0) is excluded.  As in 2D, the omega-premultiplied samples
+    are interpolated: barycentric in the radial omega variable, ring by
+    ring, then trigonometric in azimuth.  ValueError if the amplitudes do
+    not live on one DiscGrid or k is not the grid's wavenumber.
+    """
+    grid = _checked_grid(t_plus, t_minus, k, DiscGrid)
+    cos_t = float(np.cos(theta))
+    if abs(cos_t) < COS_EXCLUSION:
+        raise ValueError("f(theta, phi) is undefined at cos(theta) = 0")
+    amp = t_plus if cos_t > 0 else t_minus
+    u = (grid.omegas * amp.smooth).reshape(grid.n_radial, grid.n_azimuthal)
+    ring = barycentric_interpolate(grid.omega_radial, grid.bary, u, k * abs(cos_t))[0]
+    return complex(-1j / (2 * np.pi) * _trig_interpolate(ring, float(phi)))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
 
 
 def _is_submodule(module: str, name: str) -> bool:
@@ -100,3 +101,27 @@ def test_surface_includes_traced_only_and_alias_names(reads):
             ("tmscat.threed", "solve_outgoing_3d"),
             ("tmscat.threed", "amplitude3d"),
             ("tmscat.cli", "main")} <= reads
+
+
+def test_threed_defines_nothing_and_re_exports_the_layer_modules():
+    # tmscat.threed keeps the import path the bench reads; a definition
+    # there would be a second copy of a layer module's 3D code
+    tree = ast.parse((ROOT / "src" / "tmscat" / "threed.py").read_text())
+    definitions = [type(node).__name__ for node in ast.walk(tree) if isinstance(
+        node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef,
+               ast.Assign, ast.AnnAssign, ast.AugAssign))]
+    assert definitions == []
+    from tmscat import closedforms, evolution, grid, operators, threed
+    layers = {"DiscGrid": grid.DiscGrid, "build_disc_grid": grid.build_disc_grid,
+              "delta3d_operator": closedforms.point_operator,
+              "delta3d_amplitude": closedforms.delta3d_amplitude,
+              "scattering_length": closedforms.scattering_length,
+              "evolve_transfer_3d": evolution.evolve_transfer_3d,
+              "MAX_CHANNELS_3D": evolution.MAX_CHANNELS_3D,
+              "amplitude3d": operators.amplitude3d,
+              "compose_3d": operators.compose,
+              "solve_outgoing_3d": operators.solve_outgoing}
+    for name, obj in layers.items():
+        assert getattr(threed, name) is obj, name
+    # and nothing else, private names included
+    assert {n for n in vars(threed) if not n.startswith("__")} == set(layers)

@@ -194,6 +194,20 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command, doc, message", [
+    ("delta2d", [{"strength": cplx(1.0), "k": "2.0"}], "not a key-value tree"),
+    ("scatter", {"k": "1.3"}, "needs a 'potential' entry"),
+    ("singularity", {"epsilon": cplx(2.0), "thickness": "1.0", "k": "2.0",
+                     "unknown": "x", "guess": cplx(1.0)}, "needs unknown"),
+])
+def test_malformed_documents_exit_2(tmp_path, capsys, command, doc, message):
+    inp = write_doc(tmp_path / "in.json", doc)
+    out = tmp_path / "out"
+    assert main([command, "--input", inp, "--output", str(out)]) == 2
+    assert not out.exists()
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field, value", [("epsilon", {"re": "nan", "im": "0.01"}),
                                           ("thickness", "inf")])
 def test_slab_non_finite_input_exits_2(tmp_path, capsys, field, value):

@@ -320,10 +320,9 @@ def test_defect_amplitudes_raise_where_m22_vanishes_at_k():
         slab_defect_amplitudes(sp, 1.0, np.array([0.3]))
 
 
-def test_defect_amplitudes_raise_where_m22_vanishes_at_a_channel():
-    # a real root of Z midway between two frequencies of slab_y's pole scan,
-    # whose dip test then does not fire: the requested channel at the root
-    # meets the m22(omega) guard
+def _root_between_scan_samples():
+    """(slab, root) with a real root of Z midway between two frequencies of
+    slab_y's pole scan, where |Z| dips only to 2.3e-3 of its largest value."""
     scan = np.sin(np.linspace(1e-3, np.pi / 2 - 1e-3, 1024))
     j = np.searchsorted(scan, 0.6)
     eta, length, m = 1.5, 60.0, 20
@@ -331,10 +330,26 @@ def test_defect_amplitudes_raise_where_m22_vanishes_at_a_channel():
     k = omega_star / (0.5 * (scan[j] + scan[j + 1]))
     sp = SlabParams(epsilon=1 - (1 - n0 ** 2) * omega_star ** 2 / k ** 2, thickness=length, k=k)
     root = spectral_singularity(sp, "omega", guess=complex(omega_star)).root
-    assert abs(root.imag) < 1e-12
-    p = np.sqrt(k * k - root.real ** 2)
+    assert abs(root.imag) < 1e-12 and 0 < root.real < k
+    return sp, root
+
+
+def test_y_detects_a_pole_between_scan_samples():
+    # the dip test alone misses this root; the segment test polishes it
+    sp, root = _root_between_scan_samples()
+    with pytest.raises(NearResonanceError) as info:
+        slab_y(sp, 1.0)
+    assert abs(info.value.pole_estimate - root) < 1e-9
+
+
+def test_defect_amplitudes_raise_where_m22_vanishes_at_a_channel(monkeypatch):
+    # with the pole scan disabled, the requested channel at the root meets
+    # the m22(omega) guard, the second line of defence
+    sp, root = _root_between_scan_samples()
+    monkeypatch.setattr(cf, "_check_no_interior_pole", lambda sp: None)
+    p = np.sqrt(sp.k ** 2 - root.real ** 2)
     with pytest.raises(SpectralSingularityError, match=r"m22\(omega\)"):
-        slab_defect_amplitudes(sp, 1.0, np.array([0.3 * k, p]))
+        slab_defect_amplitudes(sp, 1.0, np.array([0.3 * sp.k, p]))
 
 
 def test_defect_amplitudes_raise_on_identity_mismatch(monkeypatch):

@@ -254,6 +254,11 @@ def test_auto_config_windows():
     assert cfg.x_min == 0.5 - 2.4 and cfg.x_max == 0.5 + 2.4
 
 
+def test_auto_config_refuses_a_zero_width_support():
+    with pytest.raises(UnsupportedEvaluationError, match="x-support"):
+        auto_config(Delta2D(strength=1.0), 10)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         EvolutionConfig(1.0, 0.0, 10)

@@ -351,3 +351,34 @@ def test_non_finite_factor_is_a_divergence(grid, bad):
     with pytest.raises(DivergenceError):
         TransferOperator(grid=grid, mult=identity_operator(grid).mult,
                          kernel=LowRank(left, kernel.right))
+
+
+def test_low_rank_rejects_mismatched_factors():
+    with pytest.raises(ValueError, match="factor shapes"):
+        LowRank(np.ones((2, 4, 1)), np.ones((1, 2, 4)))     # needs S + 1 = 5 columns
+    with pytest.raises(ValueError, match="factor shapes"):
+        LowRank(np.ones((3, 4, 1)), np.ones((1, 2, 5)))
+
+
+def test_low_rank_densifies_only_with_a_copy(grid):
+    kernel = delta2d_operator(1.0, grid).kernel
+    with pytest.raises(ValueError, match="copy"):
+        np.asarray(kernel, copy=False)
+    assert np.asarray(kernel).shape == kernel.shape
+
+
+def test_operator_rejects_mult_and_kernel_of_another_grid(grid):
+    small = build_grid(grid.k, grid.size - 2)
+    with pytest.raises(ValueError, match="mult shape"):
+        TransferOperator(grid=grid, mult=identity_operator(small).mult, kernel=None)
+    for kernel in (delta2d_operator(1.0, small).kernel,
+                   np.asarray(delta2d_operator(1.0, small).kernel)):
+        with pytest.raises(ValueError, match="kernel shape"):
+            TransferOperator(grid=grid, mult=identity_operator(grid).mult, kernel=kernel)
+
+
+def test_amplitude_refuses_disc_grid_amplitudes():
+    disc = build_disc_grid(1.3, 4, 4)
+    t_plus, t_minus, _ = solve_outgoing(delta3d_operator(1.0, disc))
+    with pytest.raises(ValueError, match="MomentumGrid"):
+        amplitude(t_plus, t_minus, disc.k, [0.3])

@@ -3,12 +3,13 @@ import warnings
 import numpy as np
 import pytest
 
-from tmscat import (Delta3D, GaussianBump, ResourceLimitError, Slab, SlabParams,
-                    SpectralAmplitude, UnsupportedEvaluationError, amplitude3d,
-                    build_disc_grid, build_grid, compose_3d, delta3d_amplitude,
-                    delta3d_operator, evolve_transfer_3d, identity_operator,
-                    quadrature, scattering_length, slab_entries, solve_outgoing_3d)
-from tmscat.threed import _trig_interpolate
+from tmscat import (Delta3D, EvolutionConfig, GaussianBump, ResourceLimitError, Slab,
+                    SlabParams, SpectralAmplitude, UnsupportedEvaluationError, amplitude3d,
+                    build_disc_grid, build_grid, compose_3d, delta2d_operator,
+                    delta3d_amplitude, delta3d_operator, evolve_transfer, evolve_transfer_3d,
+                    identity_operator, quadrature, scattering_length, slab_entries,
+                    solve_outgoing_3d)
+from tmscat.operators import _trig_interpolate
 
 
 @pytest.fixture
@@ -186,6 +187,13 @@ def test_amplitude_checks_wavenumber_and_grid(disc):
         amplitude3d(tp, other, disc.k, 0.7, 0.4)
 
 
+def test_amplitude3d_refuses_momentum_grid_amplitudes():
+    grid = build_grid(1.7, 12)
+    t_plus, t_minus, _ = solve_outgoing_3d(delta2d_operator(1.0, grid))
+    with pytest.raises(ValueError, match="DiscGrid"):
+        amplitude3d(t_plus, t_minus, grid.k, 0.7, 0.4)
+
+
 def test_scattering_length_and_cross_section_scale():
     strength = 2.4
     assert abs(scattering_length(strength) - strength / (4 * np.pi)) < 1e-16
@@ -233,3 +241,14 @@ def test_resource_limit_and_unsupported():
             evolve_transfer_3d(pot, small, 0.0, 1.0, 10)
     with pytest.raises(ValueError, match="below"):
         evolve_transfer_3d(Slab(epsilon=2.0, thickness=1.0), small, 1.0, 0.0, 10)
+
+
+def test_evolve_transfer_applies_the_disc_grid_rules():
+    # the engine itself refuses what a disc grid cannot evolve, not only
+    # the evolve_transfer_3d entry point
+    cfg = EvolutionConfig(-4.0, 4.0, 10)
+    bump = GaussianBump(amplitude=1.0, center=(0, 0), widths=(1, 1))
+    with pytest.raises(UnsupportedEvaluationError, match="transverse-uniform"):
+        evolve_transfer(bump, build_disc_grid(1.3, 4, 4), cfg)
+    with pytest.raises(ResourceLimitError):
+        evolve_transfer(Slab(epsilon=2.0, thickness=1.0), build_disc_grid(1.0, 20, 10), cfg)
