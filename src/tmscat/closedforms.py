@@ -20,7 +20,8 @@ also regular at n -> 0.
 One Z = e^{-2inLw} - ((n-1)/(n+1))^2 and its roundoff floor serve both
 singularity searches: in w at fixed k, n = n(w), and in k at normal
 incidence, n = sqrt(epsilon).  One channel frequency w(p) = sqrt(k^2 - p^2)
-serves the slab operator and the defect amplitudes alike.
+serves the 2D slab operator and the defect amplitudes alike; a disc grid's
+nodes are frequencies already, and its slab operator takes them as they are.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ import numpy as np
 
 from .errors import (ConsistencyError, NearResonanceError, NoRootError,
                      SpectralSingularityError)
-from .grid import MomentumGrid
-from .operators import LowRank, TransferOperator, identity_operator, unit_mult
+from .grid import DiscGrid, MomentumGrid
+from .operators import LowRank, TransferOperator, channel_omegas, identity_operator, unit_mult
 
 # The single off-diagonal channel factor of every effective Hamiltonian:
 # rank one and nilpotent, which is what terminates the evolution series for
@@ -222,15 +223,21 @@ def _channel_omega(k: float, p) -> np.ndarray:
     return np.sqrt((k - p) * (k + p)).astype(complex)
 
 
-def slab_operator(sp: SlabParams, grid: MomentumGrid, x0: float = 0.0) -> TransferOperator:
+def slab_operator(sp: SlabParams, grid: MomentumGrid | DiscGrid,
+                  x0: float = 0.0) -> TransferOperator:
     """Purely multiplicative transfer operator of a slab on [x0, x0 + L].
 
     The canonical formula places the slab on [0, L]; a translation by x0
-    conjugates the off-diagonal entries with e^{-+ 2 i omega x0}.
+    conjugates the off-diagonal entries with e^{-+ 2 i omega x0}.  On a
+    DiscGrid (z the layer axis) the channels are the grid's frequencies, as
+    in its evolution; on a MomentumGrid they are omega(p) at the nodes.
     """
     if not np.isclose(grid.k, sp.k, rtol=1e-12, atol=0.0):
         raise ValueError("slab parameters and grid carry different wavenumbers")
-    omega = _channel_omega(sp.k, np.append(grid.nodes, 0.0))
+    if isinstance(grid, DiscGrid):
+        omega = channel_omegas(grid)
+    else:
+        omega = _channel_omega(sp.k, np.append(grid.nodes, 0.0))
     mult = slab_entries(sp, omega)
     if x0 != 0.0:
         shift = np.exp(2j * omega * x0)

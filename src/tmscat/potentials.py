@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -97,7 +98,11 @@ class Delta3D:
 
 @dataclass(frozen=True)
 class SumPotential:
-    """Sum of potentials whose x-supports overlap at most at endpoints."""
+    """Sum of potentials whose x-supports overlap at most at endpoints.
+
+    Slabs are exempt among themselves: layers add where they overlap, so a
+    sum of slabs is a layered stack.
+    """
 
     members: tuple
 
@@ -107,9 +112,9 @@ class SumPotential:
         for m in self.members:
             if isinstance(m, (SumPotential, Delta3D)):
                 raise ValueError(f"sum members of type {type(m).__name__} are not supported")
-        spans = sorted(x_support(m) for m in self.members)
-        for (a0, a1), (b0, b1) in zip(spans, spans[1:]):
-            if b0 < a1 - 1e-12 * max(1.0, abs(a1)):
+        spans = sorted((x_support(m), isinstance(m, Slab)) for m in self.members)
+        for ((a0, a1), a_slab), ((b0, b1), b_slab) in combinations(spans, 2):
+            if not (a_slab and b_slab) and b0 < a1 - 1e-12 * max(1.0, abs(a1)):
                 raise ValueError(
                     f"member x-supports overlap: [{a0}, {a1}] and [{b0}, {b1}]")
 

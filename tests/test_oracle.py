@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from tmscat import (GaussianBump, Slab, SlabParams, auto_config, born1_transfer,
+from tmscat import (GaussianBump, Slab, SlabParams, SumPotential, auto_config,
+                    born1_transfer,
                     build_grid, convergence_report, evolve_transfer,
                     slab_entries, solve_outgoing, transfer_1d)
 
@@ -112,6 +113,16 @@ def test_born_validated_against_evolution():
     e1, e2 = defect(1e-3), defect(5e-4)
     assert e1 / (1e-3) ** 2 < 10.0   # defect is a second-order remainder
     assert 3.0 < e1 / e2 < 5.0       # and scales as c^2
+
+
+def test_born_of_a_sum_is_the_sum_over_its_members():
+    members = (Slab(epsilon=2.0 + 0.1j, thickness=1.0),
+               Slab(epsilon=1.5, thickness=1.6),
+               GaussianBump(amplitude=0.3 - 0.1j, center=(4.0, 0.2), widths=(0.3, 0.7)))
+    for p in (0.0, 0.4, -0.9):
+        want = np.sum([born1_transfer(m, 1.3, p) for m in members], axis=0)
+        got = born1_transfer(SumPotential(members), 1.3, p)
+        assert np.allclose(got, want, rtol=1e-14, atol=0.0)
 
 
 def test_born_rejects_point_potentials():

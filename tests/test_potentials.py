@@ -87,6 +87,17 @@ def test_sum_rejects_overlapping_supports():
         SumPotential(members=(a, b))
 
 
+def test_sum_of_slabs_is_a_layer_stack():
+    # layers add where they overlap; a slab and a bump still may not overlap
+    s = SumPotential(members=(Slab(epsilon=2.0, thickness=1.0), Slab(epsilon=1.5, thickness=2.0)))
+    assert x_support(s) == (0.0, 2.0)
+    assert uniform_part(s, 0.5, 2.0) == 4.0 * (1 - 2.0) + 4.0 * (1 - 1.5)
+    assert uniform_part(s, 1.5, 2.0) == 4.0 * (1 - 1.5)
+    with pytest.raises(ValueError, match="overlap"):
+        SumPotential(members=(Slab(epsilon=2.0, thickness=1.0),
+                              gaussian(center=(0.5, 0.0), widths=(0.1, 1.0))))
+
+
 def test_sum_accepts_endpoint_touch():
     # defect at x = 0 touching a slab on [0, L]
     s = SumPotential(members=(Delta2D(0.5j), Slab(epsilon=2.0, thickness=1.0)))
@@ -104,6 +115,9 @@ def test_classifiers_and_uniform_part():
 def test_validation_errors():
     with pytest.raises(ValueError):
         Slab(epsilon=2.0, thickness=0.0)
+    for thickness in (0.0, -1.0):
+        with pytest.raises(ValueError, match="thickness"):
+            SlabWithDefect(epsilon=2.0, thickness=thickness, strength=1.0)
     with pytest.raises(ValueError):
         GaussianBump(amplitude=1.0, widths=(0.0, 1.0))
     with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Property tests of the operator algebra on small 2D and 3D grids (dense and
-factored kernels, composed and extracted against their dense forms), and of
-the factored evolution generator and its RK4 against the dense ones."""
+factored kernels, composed and extracted against their dense forms), of
+the factored evolution generator and its RK4 against the dense ones, and of
+the layered path's blocks of steps against a per-channel RK4."""
 
 from unittest import mock
 
@@ -17,7 +18,7 @@ from tmscat import (GaussianBump, LowRank, Slab, SumPotential, TransferOperator,
                     fourier_y, identity_operator, potential_kernel, solve_outgoing,
                     uniform_part, x_support)
 import tmscat.operators as ops
-from tmscat.evolution import _assemble_blocks, _stage_tables
+from tmscat.evolution import BLOCK, _assemble_blocks, _stage_tables
 from tmscat.potentials import discontinuities, smooth_members
 
 GRIDS = [pytest.param(build_grid(1.3, 3), id="2d"),
@@ -275,12 +276,11 @@ def test_factored_generator_matches_dense(pot, n, data):
     u = data.draw(entries((2 * n + 2, 2 * n + 2)))
     want = dense_generator(pot, x, grid) @ u
     # per point: plus rows T (P A + B), minus rows -P times them
-    t_at, phases, apply = _stage_tables(pot, grid, smooth_members(pot))(np.array([x]),
-                                                                         np.ones(1))
+    t_at, phases = _stage_tables(pot, grid, smooth_members(pot))(np.array([x]), np.ones(1))
     plus, minus = np.r_[0:n, 2 * n], np.r_[n:2 * n, 2 * n + 1]
     p = phases[0][:, None]
     got = np.empty_like(u)
-    got[plus] = apply(t_at(0), p * u[plus] + u[minus])
+    got[plus] = t_at(0) @ (p * u[plus] + u[minus])
     got[minus] = -p * got[plus]
     # far out in a Gaussian tail the profile is subnormal, with no relative precision
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)) + np.finfo(float).tiny
@@ -327,3 +327,90 @@ def test_evolution_matches_plain_rk4_on_dense_generator(pot):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     beam = u[2 * n:, 2 * n:]
     assert np.max(np.abs(op.mult_at_zero() - beam)) <= 1e-12 * np.max(np.abs(beam))
+
+
+# ---------------------------------------------------------------------------
+# layered evolution by blocks of steps
+# ---------------------------------------------------------------------------
+
+# one step, either side of a block edge, and two blocks with a partial third
+BLOCK_STEPS = st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+PERMITTIVITY = st.builds(complex, st.floats(-1.0, 4.0), st.floats(-0.2, 0.2))
+
+
+@st.composite
+def layered(draw):
+    """A slab, or a sum of two slabs (a stack of two layers on [0, L1] and
+    [L1, L2], with permittivity eps1 + eps2 - 1 on the first)."""
+    thickness = draw(st.floats(0.3, 1.5))
+    slab = Slab(draw(PERMITTIVITY), thickness)
+    if draw(st.booleans()):
+        return slab
+    return SumPotential((slab, Slab(draw(PERMITTIVITY), thickness + draw(st.floats(0.2, 1.0)))))
+
+
+@st.composite
+def layer_windows(draw, pot):
+    """A window that cuts through a layer edge, or one inside the first layer."""
+    edges = discontinuities(pot)
+    if draw(st.booleans()):
+        edge = draw(st.sampled_from(edges))
+        return edge - draw(st.floats(0.05, 1.0)), edge + draw(st.floats(0.05, 1.0))
+    inner = min(b - a for a, b in zip(edges, edges[1:]))
+    return draw(st.floats(0.0, 0.4)) * inner, draw(st.floats(0.6, 1.0)) * inner
+
+
+def channel_rk4(pot, grid, cfg):
+    """Classical RK4, one step after another, of each channel's 2x2 generator
+    (u(x) / 2 w) [[1, e^{-2iwx}], [-e^{2iwx}, -1]] on the grid channels and
+    the beam, with the engine's pieces and clamped stage points; laid out
+    (2, 2, C) like mult."""
+    w = np.append(grid.omegas, grid.k)
+    x_min, x_max = cfg.x_min, cfg.x_max
+    edges = [x_min] + [b for b in discontinuities(pot) if x_min < b < x_max] + [x_max]
+    u = np.tile(np.eye(2, dtype=complex), (w.size, 1, 1))
+    for p0, p1 in zip(edges, edges[1:]):
+        steps = max(1, round(cfg.steps * (p1 - p0) / (x_max - x_min)))
+        h = (p1 - p0) / steps
+        lo, hi = p0 + (p1 - p0) * 1e-9, p1 - (p1 - p0) * 1e-9
+
+        def f(x, v):
+            x = min(max(x, lo), hi)
+            e = np.exp(2j * w * x)
+            gen = np.empty((w.size, 2, 2), dtype=complex)
+            gen[:, 0, 0], gen[:, 0, 1], gen[:, 1, 0], gen[:, 1, 1] = 1, 1 / e, -e, -1
+            gen *= (uniform_part(pot, x, grid.k) / (2 * w))[:, None, None]
+            return -1j * (gen @ v)
+
+        for i in range(steps):
+            x = p0 + i * h
+            k1 = f(x, u)
+            k2 = f(x + h / 2, u + (h / 2) * k1)
+            k3 = f(x + h / 2, u + (h / 2) * k2)
+            k4 = f(x + h, u + h * k3)
+            u = u + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return u.transpose(1, 2, 0)
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_layered_blocks_match_a_per_channel_rk4(grid, data):
+    pot = data.draw(layered())
+    x_min, x_max = data.draw(layer_windows(pot))
+    cfg = EvolutionConfig(x_min, x_max, data.draw(BLOCK_STEPS))
+    op = evolve_transfer(pot, grid, cfg)
+    want = channel_rk4(pot, grid, cfg)
+    assert op.kernel is None
+    assert np.max(np.abs(op.mult - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+@pytest.mark.parametrize("pot", [Slab(1.0, 1.0), SumPotential((Slab(1.0, 0.4), Slab(1.0, 1.0)))],
+                         ids=["slab", "two-slabs"])
+def test_zero_contrast_layers_evolve_to_the_exact_identity(grid, pot):
+    # T vanishes at every stage point, so every step's map and every
+    # product of maps is exactly the identity, across several blocks
+    op = evolve_transfer(pot, grid, EvolutionConfig(-0.5, 1.5, 3 * BLOCK + 5))
+    assert op.kernel is None
+    assert np.array_equal(op.mult, np.broadcast_to(np.eye(2)[:, :, None], op.mult.shape))

@@ -7,8 +7,8 @@ from tmscat import (Delta3D, EvolutionConfig, GaussianBump, ResourceLimitError, 
                     SlabParams, SpectralAmplitude, UnsupportedEvaluationError, amplitude3d,
                     build_disc_grid, build_grid, compose_3d, delta2d_operator,
                     delta3d_amplitude, delta3d_operator, evolve_transfer, evolve_transfer_3d,
-                    identity_operator, quadrature, scattering_length, slab_entries,
-                    solve_outgoing_3d)
+                    compose, identity_operator, potential_kernel, quadrature,
+                    scattering_length, slab_entries, slab_operator, solve_outgoing_3d)
 from tmscat.operators import _trig_interpolate
 
 
@@ -226,6 +226,30 @@ def test_stacked_layers_compose(disc):
     lower = evolve_transfer_3d(pot, disc, 0.0, 0.5, 400)
     got = compose_3d(upper, lower).mult_on_grid()
     assert np.max(np.abs(got - full.mult_on_grid())) < 1e-6
+
+
+def test_windowed_layer_evolution_matches_slab_operator_on_the_disc(disc):
+    sp = SlabParams(epsilon=2.2 + 0.03j, thickness=0.9, k=disc.k)
+    pot = Slab(epsilon=sp.epsilon, thickness=sp.thickness)
+    edges = np.linspace(-0.3, 1.2, 6)
+    op = identity_operator(disc)
+    for a, b in zip(edges, edges[1:]):
+        op = compose(evolve_transfer(pot, disc, EvolutionConfig(a, b, 120)), op)
+    want = slab_operator(sp, disc)
+    assert want.kernel is None and op.kernel is None
+    assert np.max(np.abs(op.mult - want.mult)) < 1e-8
+    # two translated halves glue to the whole slab on the disc's channels
+    half = SlabParams(epsilon=sp.epsilon, thickness=sp.thickness / 2, k=disc.k)
+    glued = compose(slab_operator(half, disc, x0=sp.thickness / 2), slab_operator(half, disc))
+    assert np.max(np.abs(glued.mult - want.mult)) < 1e-12
+
+
+def test_potential_kernel_on_the_disc_takes_layers_only(disc):
+    with pytest.raises(UnsupportedEvaluationError, match="transverse-uniform"):
+        potential_kernel(GaussianBump(amplitude=1.0, center=(0, 0), widths=(1, 1)), 0.0, disc)
+    zt = disc.k ** 2 * (1 - 2.0)
+    assert np.array_equal(potential_kernel(Slab(epsilon=2.0, thickness=1.0), 0.5, disc),
+                          zt * np.eye(disc.size))
 
 
 def test_resource_limit_and_unsupported():
