@@ -10,40 +10,22 @@ transform:
 with V the Nystrom matrix of the transverse transform (plain-measure
 quadrature weights folded into the columns).  Integrating dU/dx = -i H U
 across the potential's support with U = identity on the left yields the
-transfer operator; the evolution is exactly the identity wherever the
-potential vanishes, since H is exactly zero there.
+transfer operator.  H is exactly zero wherever the potential vanishes, and
+the evolution there is exactly the identity.
 
-The coherent beam at p = 0 is evolved alongside the grid: the two extra
-columns carry the response of the smooth channels to a unit beam in either
-component, which becomes the kernel's last column, and the y-independent
-part of the potential (which maps beams to beams) drives a separate
-per-channel 2x2 evolution that becomes the operator's multiplication part,
-tabulated on the grid channels and at p = 0.
-A potential with no y-dependent member has a generator that is diagonal
-per channel, so only that 2x2 evolution runs and the operator carries no
-kernel.  On a 3D DiscGrid (x is then the layer axis z) only such layered
-potentials evolve, on at most MAX_CHANNELS_3D channels; evolve_transfer
-itself refuses any other input.
+The coherent beam at p = 0 is evolved alongside the grid as one more
+channel: its response becomes the kernel's last column, and the
+y-independent part of the potential drives a per-channel 2x2 evolution
+that becomes the operator's multiplication part.  A potential with no
+y-dependent member runs only that evolution and carries no kernel.  On a
+3D DiscGrid (x is then the layer axis z) only such potentials evolve, on
+at most MAX_CHANNELS_3D channels.
 
-The RK4 never forms H.  The minus rows of H U are -e^{2i omega x} times
-its plus rows, and the beam enters like one more channel, at frequency k.
-So the state is kept as its plus rows A and minus rows B on the N + 1
-channels, and each stage applies H as one product, T (P A + B) with
-P = e^{2i omega x} (_stage_tables); the second and third stages share one
-product (_rk4_step).  Every smooth member is separable, vt(x, q) =
-profile(x) transform_y(q), so its transverse matrices (the Nystrom matrix
-and the beam-source column) are built once per evolution and scaled by the
-profiles and the phases at each stage point.  With the y-independent part
-alone T is diagonal: every channel is then a 1D problem whose 2x2
-transfer matrix is the product of its steps' matrices.  So a layered piece
-advances by blocks of at most BLOCK steps: one batched RK4 step on
-elementwise products evolves the identity through every step of a block at
-once, and the block's per-channel 2x2 maps are multiplied pairwise and
-applied to the state.  The dense path stays one step after another,
-since its stage products are flop-bound and batching them measured no
-faster (figures in _rk4).  Both paths run the one RK4 step of
-_rk4_step.  effective_hamiltonian and potential_kernel assemble the dense
-generator as the reference the factored form is tested against.
+The RK4 (_rk4) never forms H: _stage_tables factors it, _rk4_step is the
+one step of both paths, _advance_by_steps runs a piece with a dense
+generator and _advance_by_blocks a layered one.  effective_hamiltonian and
+potential_kernel assemble the dense generator as the reference the
+factored form is tested against.
 """
 
 from __future__ import annotations
@@ -64,6 +46,8 @@ from .potentials import (discontinuities, fourier_y, has_uniform_part, is_x_sing
 MAX_CHANNELS_3D = 128
 # most steps a layered piece advances per batched call (_advance_by_blocks)
 BLOCK = 64
+# most bytes of stage matrices a dense piece builds per call (_advance_by_steps)
+BLOCK_BYTES = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -167,13 +151,17 @@ def _stage_tables(pot, grid, members):
         T = diag(e^{-i omega x} / 2 omega) (sum_m profile_m(x) S_m + u(x) I)
             diag(e^{-i omega x}),
 
-    times scale.  S_m is the member's transverse transform at p_j - p_l with
-    grid.measure (w_l omega_l / 2 pi) folded into its columns, and at
-    p_j (the beam source) in its last column; its beam row is zero, since
-    nothing maps smooth channels back into the beam.  The S_m are built once
-    here.  With no members T is diagonal, and t is the array of its columns,
-    one (C, 1) column per point, applied by np.multiply; otherwise t(i)
-    builds the matrix at xs[i], applied by np.matmul.
+    times scale.  Every smooth member is separable, vt(x, q) =
+    profile(x) transform_y(q), so S_m, its transverse transform at
+    p_j - p_l with grid.measure (w_l omega_l / 2 pi) folded into its
+    columns and at p_j (the beam source) in its last column, is built once
+    here; its beam row is zero, since nothing maps smooth channels back
+    into the beam.  With no members T is diagonal, and t is the array of
+    its diagonals, one (1, C) row per point, applied by np.multiply.
+    Otherwise t(lo, hi, out=None) builds the matrices at xs[lo:hi] as one
+    (hi - lo, C, C) stack, applied by np.matmul: the profile-weighted sum
+    of the sources in one matrix product, scaled by the left and by the
+    right factors.
     """
     omegas = channel_omegas(grid)
     c, k = omegas.size, grid.k
@@ -187,7 +175,6 @@ def _stage_tables(pot, grid, members):
             source[:n, n] = member.transform_y(grid.nodes)
         if uniform:
             sources[-1] = np.eye(c)     # u(x) I, weighted like a member's profile
-        sources = sources.reshape(len(sources), -1)
 
     def tables(xs, scale):
         phase = np.exp(1j * np.multiply.outer(xs, omegas))
@@ -195,12 +182,15 @@ def _stage_tables(pot, grid, members):
         rows = (scale[:, None] * (0.5 / omegas)) * minus
         u = uniform_part(pot, xs, k)
         if not members:
-            return (u[:, None] * rows * minus)[..., None], phase * phase
+            return (u[:, None] * rows * minus)[:, None, :], phase * phase
         weights = np.stack([m.profile(xs) for m in members] + ([u] if uniform else []), axis=1)
+        flat = sources.reshape(len(sources), -1)
 
-        def t_at(i):
-            t = np.dot(weights[i], sources).reshape(c, c)
-            t *= np.multiply.outer(rows[i], minus[i])
+        def t_at(lo, hi, out=None):
+            t = np.empty((hi - lo, c, c), dtype=complex) if out is None else out
+            np.matmul(weights[lo:hi], flat, out=t.reshape(hi - lo, -1))
+            t *= rows[lo:hi, :, None]
+            t *= minus[lo:hi, None, :]
             return t
 
         return t_at, phase * phase
@@ -218,14 +208,13 @@ def _rk4(tables, y: np.ndarray, x_min: float, x_max: float, steps: int,
     piecewise-smooth generators.  A piece whose T is diagonal (a layered
     potential) advances by blocks of at most BLOCK steps
     (_advance_by_blocks), any other one step after another
-    (_advance_by_steps); both run the one step of _rk4_step.  The dense
-    path stays sequential because its stage products are flop-bound:
-    batching 2-8 of its steps measured neutral at N = 24 and 10-20 % slower
-    at N = 32, and a shared loop over a size-1 batch axis cost a dense
-    bump evolution 6 %.  Updates y in place.
+    (_advance_by_steps), its stage matrices built by blocks of steps
+    (BLOCK_BYTES).  The dense stage products stay one step at a time:
+    batching those of 2-8 steps measured neutral at N = 24 and 10-20 %
+    slower at N = 32, and a shared loop over a size-1 batch axis cost a
+    dense bump evolution 6 %.  Updates y in place.
     """
     edges = [x_min] + sorted(b for b in set(breaks) if x_min < b < x_max) + [x_max]
-    a, b = y
     # overflow is tolerated here: callers check finiteness and raise
     with np.errstate(over="ignore", invalid="ignore"):
         for p0, p1 in zip(edges, edges[1:]):
@@ -238,78 +227,100 @@ def _rk4(tables, y: np.ndarray, x_min: float, x_max: float, steps: int,
             scale = np.full(2 * n + 1, -1j * h / 6)
             scale[1::2] *= 2
             t, p = tables(np.clip(xs, p0 + nudge, p1 - nudge), scale)
-            p = p[:, :, None]
-            d = 3 * (p[1::2] - p[:-1:2]), 3 * (p[2::2] - p[1::2])
-            advance = _advance_by_steps if callable(t) else _advance_by_blocks
-            advance(t, p, d, a, b)
+            if callable(t):     # dense: A's rows are its channels
+                advance, p = _advance_by_steps, p[:, :, None]
+            else:               # layered: A's last axis is its channels
+                advance, p = _advance_by_blocks, p[:, None, :]
+            pw = _by_step(p)
+            advance(t, (pw, _by_step(-p), 3 * (pw[1:] - pw[:-1])), y)
     return y
 
 
+def _by_step(a):
+    """Read-only view v of a contiguous array of 2n + 1 stage points with
+    v[s, i] = a[2 i + s]: step i's left, mid and right points on a leading
+    slot axis.  (np.ndarray builds it in a third of as_strided's time.)"""
+    s = a.strides[0]
+    v = np.ndarray((3, len(a) // 2) + a.shape[1:], a.dtype, a, 0, (s, 2 * s) + a.strides[1:])
+    v.flags.writeable = False
+    return v
+
+
 def _work(shape) -> tuple:
-    """Scratch arrays of _rk4_step on a state of the given shape: z (z1, then
-    z4), k1, k4, s, w, the pairs [z2 | z3] and [k2 | k3], and views of
-    z2, z3, k2 and k3."""
-    m = shape[-1]
-    z, k1, k4, s, w = (np.empty(shape, dtype=complex) for _ in range(5))
-    z23, k23 = (np.empty(shape[:-1] + (2 * m,), dtype=complex) for _ in range(2))
-    return z, k1, k4, s, w, z23, k23, z23[..., :m], z23[..., m:], k23[..., :m], k23[..., m:]
+    """Scratch views of _rk4_step on a state of the given shape, in one
+    stack of eight contiguous slots:
+
+        (z1 | w, z3 | b1, z4 | bs, z2 | b4, k3, k1, k2 | s, k4),
+
+    a slot after its bar reused once its first use is over.  So the z
+    slots P A + B are the first three, z2, z3 and k2, k3 are every other
+    slot, and each increment of A sits four slots after its increment of
+    B."""
+    st = np.empty((8,) + shape, dtype=complex)
+    return (st[:3], st[0], st[3:0:-2], st[3], st[1], st[2], st[5], st[6:3:-2], st[4],
+            st[6], st[7], st[5:], st[1:4], st[0], st[5:0:-4], st[6:1:-4], st[7:2:-4])
 
 
-def _rk4_step(apply, a, b, p, d, t, work) -> None:
-    """One RK4 step of the half state (a, b), in place.
+def _rk4_step(apply, y, pw, pn, d, t, work) -> None:
+    """One RK4 step of the half state y = (A, B), in place.
 
-    p and t are P and T at the step's left, mid and right points, d is
-    (3 (P_m - P_l), 3 (P_r - P_m)), apply(T, z, out=) is T z, and work
-    is _work of the state's shape.  Every array may carry leading axes,
-    over which the step is batched.
+    pw is (P_l, P_m, P_r), pn is -pw, d is (3 (P_m - P_l), 3 (P_r - P_m))
+    and t is (T_l, T_m, T_r), at the step's left, mid and right points,
+    each broadcast against A; apply(T, z, out=) is T z, and work is _work
+    of A's shape.  A may carry leading axes, over which the step is
+    batched.
 
     T carries -i h / 6 (-i h / 3 at midpoints), so a stage's product k = T z
     is its A increment over 6 (both of the midpoint's over 3), and its B
-    increment is -P k.  The input of the third stage has z = P_m A + B
-    exactly and that of the second differs from it by 3 (P_m - P_l) k1, so
-    the two run as one product on [z2 | z3].  Where T vanishes A and B stay
+    increment is -P k.  The z slots start as P A + B at the three points,
+    in one product.  z3 is then complete and z2 differs from it by
+    3 (P_m - P_l) k1, so the two run as one product.  With s = k2 + k3 the
+    increments of (A, B) are (k1, s, k4) and pn times them, added to A
+    and B together in the order k1, s, k4.  Where T vanishes A and B stay
     exactly as they are.
     """
-    (pl, pm, pr), (dm, dr), (tl, tm, tr) = p, d, t
-    z, k1, k4, s, w, z23, k23, z2, z3, k2, k3 = work
-    np.multiply(pl, a, out=z)
-    z += b
-    apply(tl, z, out=k1)
-    np.multiply(pm, a, out=z3)
-    z3 += b
+    zb, z1, z23, z2, z3, z4, k1, k23, k3, s, k4, ks, bs, w, *inc = work
+    (dm, dr), (tl, tm, tr) = d, t
+    np.multiply(pw, y[0], out=zb)
+    zb += y[1]
+    apply(tl, z1, out=k1)
     np.multiply(dm, k1, out=z2)
     z2 += z3
     apply(tm, z23, out=k23)
-    np.multiply(pr, a, out=z)
-    z += b
     np.multiply(dr, k3, out=w)
-    z += w
-    apply(tr, z, out=k4)
-    np.add(k2, k3, out=s)
-    a += k1
-    a += s
-    a += k4
-    np.multiply(pl, k1, out=w)
-    b -= w
-    np.multiply(pm, s, out=w)
-    b -= w
-    np.multiply(pr, k4, out=w)
-    b -= w
+    z4 += w
+    apply(tr, z4, out=k4)
+    s += k3
+    np.multiply(pn, ks, out=bs)
+    for i in inc:
+        y += i
 
 
-def _advance_by_steps(t_at, p, d, a, b) -> None:
-    """Advance (a, b) through a piece one step after another, T a matrix."""
-    (dm, dr), work = d, _work(a.shape)
-    t_right = t_at(0)
-    for i in range(len(dm)):
-        t_left, t_right = t_right, t_at(2 * i + 2)
-        _rk4_step(np.matmul, a, b, p[2 * i:2 * i + 3], (dm[i], dr[i]),
-                  (t_left, t_at(2 * i + 1), t_right), work)
+def _advance_by_steps(t_at, phases, y) -> None:
+    """Advance y through a piece one step after another, T a matrix.
+
+    The stage matrices are built by blocks of as many steps as fit in
+    BLOCK_BYTES (at least one), each block in one t_at call into the one
+    buffer ts; a block's first point is the last of the block before,
+    carried over in ts[0], so every point is built once.
+    """
+    n, c = phases[0].shape[1], y.shape[1]
+    # a block's 2 per + 1 stage matrices of 16 c^2 bytes each fit in BLOCK_BYTES
+    per = max(1, (BLOCK_BYTES // (16 * c * c) - 1) // 2)
+    work, ts = _work(y.shape[1:]), np.empty((2 * per + 1, c, c), dtype=complex)
+    t_at(0, 1, out=ts[:1])
+    for i in range(0, n, per):
+        m = 2 * (min(i + per, n) - i)
+        t_at(2 * i + 1, 2 * i + m + 1, out=ts[1:m + 1])
+        block = [a[:, i:i + m // 2] for a in phases] + [_by_step(ts[:m + 1])]
+        for step in zip(*(a.swapaxes(0, 1) for a in block)):
+            _rk4_step(np.matmul, y, *step, work)
+        ts[0] = ts[m]
 
 
-def _advance_by_blocks(t, p, d, a, b) -> None:
-    """Advance (a, b) through a piece by blocks of at most BLOCK steps, T
-    diagonal (given as columns).
+def _advance_by_blocks(t, phases, y) -> None:
+    """Advance y through a piece by blocks of at most BLOCK steps, T
+    diagonal (given as rows of its diagonal).
 
     Each channel then evolves on its own, and a step is a 2x2 map per
     channel.  One _rk4_step batched over a block's steps evolves the
@@ -317,18 +328,15 @@ def _advance_by_blocks(t, p, d, a, b) -> None:
     pairwise, later x earlier (_map_product), and the block's product is
     applied to the carried state.  The extra memory is O(BLOCK C).
     """
-    dm, dr = d
-    n = len(dm)
-    maps = np.empty((2, min(n, BLOCK)) + a.shape[:-1] + (2,), dtype=complex)
-    work = _work(maps.shape[1:])
+    n, by_step = phases[0].shape[1], (*phases, _by_step(t))
     for i in range(0, n, BLOCK):
         j = min(i + BLOCK, n)
-        ma, mb = maps[:, :j - i]
-        ma[...], mb[...] = (1, 0), (0, 1)
-        ps, ts = p[2 * i:2 * j + 1], t[2 * i:2 * j + 1]
-        _rk4_step(np.multiply, ma, mb, (ps[:-1:2], ps[1::2], ps[2::2]), (dm[i:j], dr[i:j]),
-                  (ts[:-1:2], ts[1::2], ts[2::2]), [w[:j - i] for w in work])
-        a[...], b[...] = _times(*_map_product(ma, mb), a, b)
+        if i == 0 or j - i < BLOCK:
+            maps = np.empty((2, j - i) + y.shape[1:], dtype=complex)
+            work = _work(maps.shape[1:])
+        maps[0], maps[1] = [[1], [0]], [[0], [1]]
+        _rk4_step(np.multiply, maps, *(a[:, i:j] for a in by_step), work)
+        y[0], y[1] = _times(*_map_product(*maps), *y)
 
 
 def _map_product(ma, mb):
@@ -345,22 +353,24 @@ def _map_product(ma, mb):
 def _times(la, lb, ea, eb):
     """Rows of L E, for L with rows (la, lb) and E with rows (ea, eb), per
     channel as explicit elementwise products (einsum measured 3-4x slower)."""
-    return la[..., :1] * ea + la[..., 1:] * eb, lb[..., :1] * ea + lb[..., 1:] * eb
+    return (la[..., :1, :] * ea + la[..., 1:, :] * eb,
+            lb[..., :1, :] * ea + lb[..., 1:, :] * eb)
 
 
 def _evolution(pot, grid, members):
-    """cfg -> the half state evolved from the identity: plus and minus rows of
-    the C channels, columns (plus, minus) x (C channels, or one per channel
-    without members, whose generator is diagonal)."""
+    """cfg -> the half state evolved from the identity: plus and minus rows
+    of the C channels, columns (plus, minus) x C channels.  Without members
+    the generator is diagonal, and the state is laid out like mult:
+    (plus, minus) rows x (plus, minus) columns x C channels."""
     tables = _stage_tables(pot, grid, members)
     c = grid.size + 1
-    eye = np.eye(c) if members else np.ones((c, 1))
+    eye, shape = (np.eye(c), (2, c, 2, c)) if members else (np.ones(c), (2, 2, c))
 
     def evolve(cfg: EvolutionConfig) -> np.ndarray:
-        y = np.zeros((2, c, 2, eye.shape[1]), dtype=complex)
-        y[0, :, 0] = y[1, :, 1] = eye
-        return _rk4(tables, y.reshape(2, c, -1), cfg.x_min, cfg.x_max, cfg.steps,
-                     breaks=discontinuities(pot))
+        y = np.zeros(shape, dtype=complex)
+        y[0, ..., 0, :] = y[1, ..., 1, :] = eye
+        return _rk4(tables, y.reshape(2, shape[1], -1), cfg.x_min, cfg.x_max, cfg.steps,
+                    breaks=discontinuities(pot))
 
     return evolve
 
@@ -401,12 +411,12 @@ def evolve_transfer(pot, grid: MomentumGrid | DiscGrid, cfg: EvolutionConfig) ->
     members = smooth_members(pot)
     channels = _evolution(pot, grid, [])
     if not members:
-        mult = _checked(channels, cfg).transpose(0, 2, 1)
+        mult = _checked(channels, cfg)
         return TransferOperator(grid=grid, mult=mult, kernel=None)
 
     n = grid.size
     y = _checked(_evolution(pot, grid, members), cfg)
-    mult = channels(cfg).transpose(0, 2, 1) if has_uniform_part(pot) else unit_mult(grid)
+    mult = channels(cfg) if has_uniform_part(pot) else unit_mult(grid)
 
     # grid rows of both halves; columns (plus, minus) x (grid channels, beam)
     kernel = y[:, :n].reshape(2, n, 2, n + 1).transpose(0, 2, 1, 3)

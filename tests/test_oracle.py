@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from tmscat import (GaussianBump, Slab, SlabParams, SumPotential, auto_config,
-                    born1_transfer,
+from tmscat import (DivergenceError, GaussianBump, Slab, SlabParams, SumPotential,
+                    auto_config, born1_transfer,
                     build_grid, convergence_report, evolve_transfer,
                     slab_entries, solve_outgoing, transfer_1d)
 
@@ -22,6 +22,13 @@ def test_rectangular_barrier_matches_channel_formula():
     got = transfer_1d(lambda x: zt, (0.0, length), k, steps=4000).matrix
     want = slab_entries(SlabParams(eps, length, k), np.array([k], dtype=complex))[:, :, 0]
     assert np.max(np.abs(got - want)) < 1e-8
+
+
+def test_divergent_evolution_raises():
+    # v = 1e300 overflows the first stages to non-finite entries
+    with (pytest.warns(RuntimeWarning, match="overflow|invalid value"),
+          pytest.raises(DivergenceError)):
+        transfer_1d(lambda x: 1e300, (0.0, 1.0), 1.5, steps=10)
 
 
 def test_two_disjoint_barriers_compose():

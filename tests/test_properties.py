@@ -1,7 +1,8 @@
 """Property tests of the operator algebra on small 2D and 3D grids (dense and
 factored kernels, composed and extracted against their dense forms), of
-the factored evolution generator and its RK4 against the dense ones, and of
-the layered path's blocks of steps against a per-channel RK4."""
+the factored evolution generator and its RK4, stage matrices built by
+blocks of steps included, against the dense ones, and of the layered
+path's blocks of steps against a per-channel RK4."""
 
 from unittest import mock
 
@@ -17,6 +18,7 @@ from tmscat import (GaussianBump, LowRank, Slab, SumPotential, TransferOperator,
                     EvolutionConfig, evolve_transfer, evolve_transfer_3d,
                     fourier_y, identity_operator, potential_kernel, solve_outgoing,
                     uniform_part, x_support)
+import tmscat.evolution as evolution
 import tmscat.operators as ops
 from tmscat.evolution import BLOCK, _assemble_blocks, _stage_tables
 from tmscat.potentials import discontinuities, smooth_members
@@ -280,7 +282,7 @@ def test_factored_generator_matches_dense(pot, n, data):
     plus, minus = np.r_[0:n, 2 * n], np.r_[n:2 * n, 2 * n + 1]
     p = phases[0][:, None]
     got = np.empty_like(u)
-    got[plus] = t_at(0) @ (p * u[plus] + u[minus])
+    got[plus] = t_at(0, 1)[0] @ (p * u[plus] + u[minus])
     got[minus] = -p * got[plus]
     # far out in a Gaussian tail the profile is subnormal, with no relative precision
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)) + np.finfo(float).tiny
@@ -311,9 +313,7 @@ def plain_rk4(pot, grid, cfg):
     return u
 
 
-@pytest.mark.parametrize("pot", GENERATOR_POTENTIALS)
-def test_evolution_matches_plain_rk4_on_dense_generator(pot):
-    n = 5
+def assert_matches_plain_rk4(pot, n):
     grid = build_grid(1.3, n)
     cfg = auto_config(pot, 60)
     op = evolve_transfer(pot, grid, cfg)
@@ -327,6 +327,21 @@ def test_evolution_matches_plain_rk4_on_dense_generator(pot):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     beam = u[2 * n:, 2 * n:]
     assert np.max(np.abs(op.mult_at_zero() - beam)) <= 1e-12 * np.max(np.abs(beam))
+
+
+@pytest.mark.parametrize("pot", GENERATOR_POTENTIALS)
+def test_evolution_matches_plain_rk4_on_dense_generator(pot):
+    assert_matches_plain_rk4(pot, 5)
+
+
+@pytest.mark.parametrize("pot", GENERATOR_POTENTIALS[1:])
+def test_stage_matrix_blocks_match_plain_rk4(pot, monkeypatch):
+    # a cap of 15 stage matrices on C = 6 channels makes blocks of 7 steps,
+    # so each piece (60 steps; 9 and 51 either side of the slab edge) spans
+    # one or more full blocks and a partial last one
+    n = 5
+    monkeypatch.setattr(evolution, "BLOCK_BYTES", 15 * 16 * (n + 1) ** 2)
+    assert_matches_plain_rk4(pot, n)
 
 
 # ---------------------------------------------------------------------------
