@@ -19,7 +19,11 @@ y-independent part of the potential drives a per-channel 2x2 evolution
 that becomes the operator's multiplication part.  A potential with no
 y-dependent member runs only that evolution and carries no kernel.  On a
 3D DiscGrid (x is then the layer axis z) only such potentials evolve, on
-at most MAX_CHANNELS_3D channels.
+at most MAX_CHANNELS_3D channels.  A channel's 2x2 evolution depends on
+it only through omega, so a layered piece costs one 2x2 evolution per
+distinct frequency: n_radial + 1 on a DiscGrid (61 channels of a 10 x 6
+disc evolve as 11), at most S + 1 on a MomentumGrid, whose +-p frequencies
+agree only where k sin(theta) rounds alike.
 
 The RK4 (_rk4) never forms H: _stage_tables factors it, _rk4_step is the
 one step of both paths, _advance_by_steps runs a piece with a dense
@@ -139,12 +143,14 @@ def effective_hamiltonian(pot, x: float, grid: MomentumGrid) -> np.ndarray:
     return _assemble_blocks(potential_kernel(pot, x, grid), x, grid.omegas)
 
 
-def _stage_tables(pot, grid, members):
+def _stage_tables(pot, grid, members, omegas):
     """(xs, scale) -> (t, P): the generator at the points xs, and one row of
     P per point.
 
-    On the C = S + 1 channels (the grid's, then the beam's at frequency k),
-    with P = e^{2i omega x}, the plus rows of H U are T (P A + B) and the
+    On the C channels at frequencies omegas (with members the S + 1 of
+    channel_omegas, the grid's and then the beam's at frequency k; without,
+    any frequencies, since each channel then evolves on its own), with
+    P = e^{2i omega x}, the plus rows of H U are T (P A + B) and the
     minus rows -P times those, where A and B are the plus and minus rows of
     U and
 
@@ -163,7 +169,6 @@ def _stage_tables(pot, grid, members):
     of the sources in one matrix product, scaled by the left and by the
     right factors.
     """
-    omegas = channel_omegas(grid)
     c, k = omegas.size, grid.k
     uniform = has_uniform_part(pot)
     if members:
@@ -326,7 +331,8 @@ def _advance_by_blocks(t, phases, y) -> None:
     channel.  One _rk4_step batched over a block's steps evolves the
     identity, giving every step's maps at once; they are multiplied
     pairwise, later x earlier (_map_product), and the block's product is
-    applied to the carried state.  The extra memory is O(BLOCK C).
+    applied to the carried state.  The extra memory is O(BLOCK C); C is the
+    number of distinct frequencies (_evolution), not of grid channels.
     """
     n, by_step = phases[0].shape[1], (*phases, _by_step(t))
     for i in range(0, n, BLOCK):
@@ -361,16 +367,24 @@ def _evolution(pot, grid, members):
     """cfg -> the half state evolved from the identity: plus and minus rows
     of the C channels, columns (plus, minus) x C channels.  Without members
     the generator is diagonal, and the state is laid out like mult:
-    (plus, minus) rows x (plus, minus) columns x C channels."""
-    tables = _stage_tables(pot, grid, members)
-    c = grid.size + 1
+    (plus, minus) rows x (plus, minus) columns x C channels.  Each channel
+    then evolves on its own and depends on it only through omega, so the
+    evolution runs once per distinct frequency (np.unique; n_radial + 1 on
+    a DiscGrid) and its inverse index gathers the result back to the
+    channels.  Every operation of that path is elementwise per channel, so
+    the result is bitwise that of evolving every channel."""
+    omegas, where = channel_omegas(grid), slice(None)
+    if not members:
+        omegas, where = np.unique(omegas, return_inverse=True)
+    tables, c = _stage_tables(pot, grid, members, omegas), omegas.size
     eye, shape = (np.eye(c), (2, c, 2, c)) if members else (np.ones(c), (2, 2, c))
 
     def evolve(cfg: EvolutionConfig) -> np.ndarray:
         y = np.zeros(shape, dtype=complex)
         y[0, ..., 0, :] = y[1, ..., 1, :] = eye
-        return _rk4(tables, y.reshape(2, shape[1], -1), cfg.x_min, cfg.x_max, cfg.steps,
-                    breaks=discontinuities(pot))
+        y = _rk4(tables, y.reshape(2, shape[1], -1), cfg.x_min, cfg.x_max, cfg.steps,
+                 breaks=discontinuities(pot))
+        return y[..., where]
 
     return evolve
 
@@ -409,14 +423,13 @@ def evolve_transfer(pot, grid: MomentumGrid | DiscGrid, cfg: EvolutionConfig) ->
         raise ResourceLimitError(
             f"grid has {grid.size} channels; 3D evolution is capped at {MAX_CHANNELS_3D}")
     members = smooth_members(pot)
-    channels = _evolution(pot, grid, [])
     if not members:
-        mult = _checked(channels, cfg)
+        mult = _checked(_evolution(pot, grid, []), cfg)
         return TransferOperator(grid=grid, mult=mult, kernel=None)
 
     n = grid.size
     y = _checked(_evolution(pot, grid, members), cfg)
-    mult = channels(cfg) if has_uniform_part(pot) else unit_mult(grid)
+    mult = _evolution(pot, grid, [])(cfg) if has_uniform_part(pot) else unit_mult(grid)
 
     # grid rows of both halves; columns (plus, minus) x (grid channels, beam)
     kernel = y[:, :n].reshape(2, n, 2, n + 1).transpose(0, 2, 1, 3)

@@ -2,10 +2,15 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from tmscat import (AccuracyWarning, Delta2D, EvolutionConfig, GaussianBump,
+import tmscat.evolution as evolution
+from tmscat import (AccuracyWarning, Delta2D, DiscGrid, EvolutionConfig, GaussianBump,
                     Slab, SlabParams, SumPotential, UnsupportedEvaluationError,
-                    auto_config, build_grid, compose, effective_hamiltonian,
-                    evolve_transfer, identity_operator, potential_kernel, slab_operator)
+                    auto_config, build_disc_grid, build_grid, compose,
+                    effective_hamiltonian, evolve_transfer, identity_operator,
+                    potential_kernel, slab_operator)
+from tmscat.evolution import _rk4, _stage_tables
+from tmscat.operators import channel_omegas
+from tmscat.potentials import discontinuities
 
 
 def centered_bump(amp=1.0, widths=(0.7, 0.9)):
@@ -237,6 +242,65 @@ def test_numeric_slab_mult_matches_closed_form_on_other_grids():
         got = evolve_transfer(pot, other, cfg).mult_on_grid()
         want = slab_operator(sp, other).mult_on_grid()
         assert np.max(np.abs(got - want)) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# layered evolution once per distinct channel frequency
+# ---------------------------------------------------------------------------
+
+def every_channel_mult(pot, grid, cfg):
+    """The layered mult evolved on every channel in grid order, through the
+    engine's own stage tables and RK4."""
+    omegas = channel_omegas(grid)
+    y = np.zeros((2, 2, omegas.size), dtype=complex)
+    y[0, 0] = y[1, 1] = 1
+    return _rk4(_stage_tables(pot, grid, [], omegas), y, cfg.x_min, cfg.x_max, cfg.steps,
+                breaks=discontinuities(pot))
+
+
+def advanced_channels(monkeypatch):
+    """The channel counts of every _advance_by_blocks call from here on."""
+    seen, advance = [], evolution._advance_by_blocks
+
+    def spy(t, phases, y):
+        seen.append(y.shape[-1])
+        advance(t, phases, y)
+
+    monkeypatch.setattr(evolution, "_advance_by_blocks", spy)
+    return seen
+
+
+TWO_SLABS = SumPotential((Slab(1.5, 0.4), Slab(2.2 + 0.05j, 1.1)))
+
+
+@pytest.mark.parametrize("grid", [build_disc_grid(1.8, 10, 6), build_disc_grid(1.3, 8, 7),
+                                  build_grid(1.8, 16)], ids=["disc-10x6", "disc-8x7", "2d-16"])
+@pytest.mark.parametrize("pot", [Slab(2.0 + 0.1j, 1.0), TWO_SLABS], ids=["slab", "two-slabs"])
+def test_layered_window_evolves_once_per_distinct_frequency(grid, pot, monkeypatch):
+    # a window across the layer edges, of three blocks with a partial last
+    cfg = EvolutionConfig(-0.2, 1.3, 150)
+    want = every_channel_mult(pot, grid, cfg)
+    seen = advanced_channels(monkeypatch)
+    op = evolve_transfer(pot, grid, cfg)
+    distinct = np.unique(channel_omegas(grid)).size
+    if isinstance(grid, DiscGrid):
+        # a disc's points share its radial frequencies: 61 channels evolve as 11
+        assert distinct == grid.n_radial + 1
+    assert seen and set(seen) == {distinct}
+    # each channel's map is that of its frequency, bit for bit, in grid order
+    assert np.array_equal(op.mult, want)
+
+
+def test_uniform_part_of_a_mixed_sum_evolves_once_per_frequency(monkeypatch):
+    grid = build_grid(1.5, 8)
+    pot = SumPotential((GaussianBump(0.4, (-6.0, 0.0), (0.5, 0.8)), Slab(1.7, 1.0)))
+    cfg = EvolutionConfig(-10.0, 1.0, 300)
+    want = every_channel_mult(pot, grid, cfg)
+    seen = advanced_channels(monkeypatch)
+    op = evolve_transfer(pot, grid, cfg)
+    assert op.kernel is not None and seen
+    assert set(seen) == {np.unique(channel_omegas(grid)).size}
+    assert np.array_equal(op.mult, want)
 
 
 def test_divergent_evolution_raises():

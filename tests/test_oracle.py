@@ -154,6 +154,16 @@ def test_report_synthetic_fourth_order():
     assert abs(rep.estimated_order - 4.0) < 0.3
 
 
+def test_report_text_with_a_defined_order():
+    # deltas 1/8, 1/32, 1/128: each halves the size and quarters the delta
+    rep = convergence_report(lambda n: 1.0 / n ** 2, [2, 4, 8, 16])
+    lines = str(rep).splitlines()
+    assert len(lines) == 6 and lines[-1] == "estimated order: 2.00"
+    assert lines[1].split() == ["2", "0.25"]
+    assert lines[2].split() == ["4", "0.0625", "1.8750e-01"]
+    assert lines[3].split() == ["8", "0.015625", "4.6875e-02", "2.00"]
+
+
 def test_report_measures_evolution_order():
     g = build_grid(2.0, 4)
     pot = Slab(epsilon=2 + 0.01j, thickness=1.0)

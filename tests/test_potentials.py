@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from tmscat import (Delta2D, Delta3D, GaussianBump, Slab, SlabWithDefect,
@@ -80,6 +84,18 @@ def test_x_support():
     assert lo == 1.0 - 8 * 0.5 and hi == 1.0 + 8 * 0.5
 
 
+class Unknown:
+    """A potential type the module does not know."""
+
+
+@pytest.mark.parametrize("call", [x_support, lambda pot: fourier_y(pot, 0.0, 0.5),
+                                  potential_to_document],
+                         ids=["x_support", "fourier_y", "potential_to_document"])
+def test_unknown_potential_types_raise_type_error(call):
+    with pytest.raises(TypeError, match="Unknown"):
+        call(Unknown())
+
+
 def test_sum_rejects_overlapping_supports():
     a = gaussian(center=(0.0, 0.0), widths=(1.0, 1.0))
     b = gaussian(center=(1.0, 0.0), widths=(1.0, 1.0))
@@ -140,6 +156,88 @@ def test_document_round_trip(pot):
     assert doc["kind"]
     assert potential_from_document(doc) == pot
     assert potential_from_json(potential_to_json(pot)) == pot
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+COMPLEX = st.complex_numbers(allow_nan=False, allow_infinity=False)
+# bounded so that a sum's support spans stay finite and its bumps apart
+SPAN = st.floats(1e-3, 10.0)
+SIGMA = st.floats(1e-3, 5.0)
+
+
+def slabs(thickness=POSITIVE):
+    return st.builds(Slab, COMPLEX, thickness)
+
+
+def bumps(x0=FINITE, sx=POSITIVE):
+    return st.builds(GaussianBump, COMPLEX, st.tuples(x0, FINITE), st.tuples(sx, POSITIVE))
+
+
+LEAVES = st.one_of(st.builds(Delta2D, COMPLEX), st.builds(Delta3D, COMPLEX), slabs(),
+                   st.builds(SlabWithDefect, COMPLEX, POSITIVE, COMPLEX), bumps())
+
+
+@st.composite
+def sums(draw):
+    """A sum whose members meet at most at endpoints: a layer stack of slabs
+    or one slab with a defect on [0, L], a wire at x = 0, and bumps whose
+    supports (at most 2 x 8 sigma = 80 wide) sit in disjoint bins of width
+    100 clear of [0, L]."""
+    layers = draw(st.lists(slabs(SPAN), max_size=3)
+                  | st.builds(SlabWithDefect, COMPLEX, SPAN, COMPLEX).map(lambda m: [m]))
+    wire = draw(st.lists(st.builds(Delta2D, COMPLEX), max_size=1))
+    bins = draw(st.lists(st.integers(-5, 5).filter(bool), unique=True, max_size=3))
+    placed = [draw(bumps(st.just(100.0 * b), SIGMA)) for b in bins]
+    members = draw(st.permutations(layers + wire + placed))
+    assume(members)
+    return SumPotential(tuple(members))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pot=LEAVES | sums())
+def test_random_documents_round_trip(pot):
+    doc = potential_to_document(pot)
+    assert potential_from_document(doc) == pot
+    assert potential_from_json(potential_to_json(pot)) == pot
+
+
+def fields(doc, path=()):
+    """(path, value) of every field of a document tree, members of a sum included."""
+    items = enumerate(doc) if isinstance(doc, list) else doc.items()
+    for key, value in items:
+        yield path + (key,), value
+        if isinstance(value, (dict, list)):
+            yield from fields(value, path + (key,))
+
+
+def replaced(doc, path, value):
+    """A copy of doc with the field at path set to value, or removed if value is None."""
+    doc = json.loads(json.dumps(doc))
+    *head, last = path
+    parent = doc
+    for key in head:
+        parent = parent[key]
+    if value is None:
+        del parent[last]
+    else:
+        parent[last] = value
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(pot=LEAVES | sums(), data=st.data())
+def test_documents_with_a_non_finite_or_missing_field_raise(pot, data):
+    doc = potential_to_document(pot)
+    found = list(fields(doc))
+    # every key is required (a sum's member list may shrink, so its items are not keys)
+    keys = [path for path, _ in found if isinstance(path[-1], str)]
+    numbers = [path for path, value in found if isinstance(value, str) and path[-1] != "kind"]
+    with pytest.raises(ValueError):
+        potential_from_document(replaced(doc, data.draw(st.sampled_from(keys)), None))
+    bad = data.draw(st.sampled_from(["nan", "-nan", "inf", "-inf", "Infinity"]))
+    with pytest.raises(ValueError, match="not finite"):
+        potential_from_document(replaced(doc, data.draw(st.sampled_from(numbers)), bad))
 
 
 def test_documents_use_decimal_strings():

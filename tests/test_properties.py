@@ -278,7 +278,8 @@ def test_factored_generator_matches_dense(pot, n, data):
     u = data.draw(entries((2 * n + 2, 2 * n + 2)))
     want = dense_generator(pot, x, grid) @ u
     # per point: plus rows T (P A + B), minus rows -P times them
-    t_at, phases = _stage_tables(pot, grid, smooth_members(pot))(np.array([x]), np.ones(1))
+    t_at, phases = _stage_tables(pot, grid, smooth_members(pot),
+                                 ops.channel_omegas(grid))(np.array([x]), np.ones(1))
     plus, minus = np.r_[0:n, 2 * n], np.r_[n:2 * n, 2 * n + 1]
     p = phases[0][:, None]
     got = np.empty_like(u)
