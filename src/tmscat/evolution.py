@@ -23,11 +23,12 @@ at most MAX_CHANNELS_3D channels.  A channel's 2x2 evolution depends on
 it only through omega, so a layered piece costs one 2x2 evolution per
 distinct frequency: n_radial + 1 on a DiscGrid (61 channels of a 10 x 6
 disc evolve as 11), at most S + 1 on a MomentumGrid, whose +-p frequencies
-agree only where k sin(theta) rounds alike.
+agree only where k sin(theta) rounds alike.  Between layer edges its steps
+differ by a phase conjugation, so a piece runs three and O(log n) products.
 
 The RK4 (_rk4) never forms H: _stage_tables factors it, _rk4_step is the
 one step of both paths, _advance_by_steps runs a piece with a dense
-generator and _advance_by_blocks a layered one.  effective_hamiltonian and
+generator and _advance_by_power a layered one.  effective_hamiltonian and
 potential_kernel assemble the dense generator as the reference the
 factored form is tested against.
 """
@@ -48,8 +49,6 @@ from .potentials import (discontinuities, fourier_y, has_uniform_part, is_x_sing
 
 # 3D evolution is bounded to desk scale; stacked layers never need more channels
 MAX_CHANNELS_3D = 128
-# most steps a layered piece advances per batched call (_advance_by_blocks)
-BLOCK = 64
 # most bytes of stage matrices a dense piece builds per call (_advance_by_steps)
 BLOCK_BYTES = 2 ** 18
 
@@ -163,7 +162,8 @@ def _stage_tables(pot, grid, members, omegas):
     columns and at p_j (the beam source) in its last column, is built once
     here; its beam row is zero, since nothing maps smooth channels back
     into the beam.  With no members T is diagonal, and t is the array of
-    its diagonals, one (1, C) row per point, applied by np.multiply.
+    its diagonals, one (1, C) row per point (xs may then have any shape),
+    applied by np.multiply.
     Otherwise t(lo, hi, out=None) builds the matrices at xs[lo:hi] as one
     (hi - lo, C, C) stack, applied by np.matmul: the profile-weighted sum
     of the sources in one matrix product, scaled by the left and by the
@@ -184,10 +184,10 @@ def _stage_tables(pot, grid, members, omegas):
     def tables(xs, scale):
         phase = np.exp(1j * np.multiply.outer(xs, omegas))
         minus = phase.conj()
-        rows = (scale[:, None] * (0.5 / omegas)) * minus
+        rows = (scale[..., None] * (0.5 / omegas)) * minus
         u = uniform_part(pot, xs, k)
         if not members:
-            return (u[:, None] * rows * minus)[:, None, :], phase * phase
+            return (u[..., None] * rows * minus)[..., None, :], phase * phase
         weights = np.stack([m.profile(xs) for m in members] + ([u] if uniform else []), axis=1)
         flat = sources.reshape(len(sources), -1)
 
@@ -204,20 +204,19 @@ def _stage_tables(pot, grid, members, omegas):
 
 
 def _rk4(tables, y: np.ndarray, x_min: float, x_max: float, steps: int,
-         breaks=()) -> np.ndarray:
+         breaks=(), layered=False) -> np.ndarray:
     """Classical fixed-step RK4 for dU/dx = -i H(x) U on the half state y = (A, B).
 
     The window is split at the interior breakpoints (known discontinuities of
     H); stage evaluations are clamped a hair inside each piece, so pointwise
     sampling never straddles a jump and the scheme keeps its fourth order for
-    piecewise-smooth generators.  A piece whose T is diagonal (a layered
-    potential) advances by blocks of at most BLOCK steps
-    (_advance_by_blocks), any other one step after another
-    (_advance_by_steps), its stage matrices built by blocks of steps
-    (BLOCK_BYTES).  The dense stage products stay one step at a time:
-    batching those of 2-8 steps measured neutral at N = 24 and 10-20 %
-    slower at N = 32, and a shared loop over a size-1 batch axis cost a
-    dense bump evolution 6 %.  Updates y in place.
+    piecewise-smooth generators.  A dense piece advances one step after
+    another (_advance_by_steps), its stage matrices built by blocks of steps
+    (BLOCK_BYTES).  layered says tables has no members: T is diagonal, A's
+    last axis is its channels, and u (a stack of slabs) is constant between
+    breaks, so each step's map is the previous one's conjugated by a phase.
+    A layered piece then tabulates only its first, second and last steps,
+    as (slot, step) tables, for _advance_by_power.  Updates y in place.
     """
     edges = [x_min] + sorted(b for b in set(breaks) if x_min < b < x_max) + [x_max]
     # overflow is tolerated here: callers check finiteness and raise
@@ -226,18 +225,21 @@ def _rk4(tables, y: np.ndarray, x_min: float, x_max: float, steps: int,
             n = max(1, round(steps * (p1 - p0) / (x_max - x_min)))
             h = (p1 - p0) / n
             nudge = (p1 - p0) * 1e-9
+            if layered:
+                left = p0 + np.array([0, 1, n - 1][:n]) * h
+                t, p = tables(np.clip(np.add.outer([0, h / 2, h], left), p0 + nudge, p1 - nudge),
+                              np.array([[1], [2], [1]]) * (-1j * h / 6))
+                pw = p[..., None, :]
+                _advance_by_power(t, (pw, -pw, 3 * (pw[1:] - pw[:-1])), y, n)
+                continue
             left = p0 + np.arange(n) * h
             xs = np.empty(2 * n + 1)
             xs[0], xs[1::2], xs[2::2] = p0, left + h / 2, left + h
             scale = np.full(2 * n + 1, -1j * h / 6)
             scale[1::2] *= 2
-            t, p = tables(np.clip(xs, p0 + nudge, p1 - nudge), scale)
-            if callable(t):     # dense: A's rows are its channels
-                advance, p = _advance_by_steps, p[:, :, None]
-            else:               # layered: A's last axis is its channels
-                advance, p = _advance_by_blocks, p[:, None, :]
-            pw = _by_step(p)
-            advance(t, (pw, _by_step(-p), 3 * (pw[1:] - pw[:-1])), y)
+            t_at, p = tables(np.clip(xs, p0 + nudge, p1 - nudge), scale)
+            pw = _by_step(p[:, :, None])
+            _advance_by_steps(t_at, (pw, _by_step(-p[:, :, None]), 3 * (pw[1:] - pw[:-1])), y)
     return y
 
 
@@ -323,44 +325,45 @@ def _advance_by_steps(t_at, phases, y) -> None:
         ts[0] = ts[m]
 
 
-def _advance_by_blocks(t, phases, y) -> None:
-    """Advance y through a piece by blocks of at most BLOCK steps, T
-    diagonal (given as rows of its diagonal).
+def _advance_by_power(t, phases, y, n) -> None:
+    """Advance y through a layered piece of n steps, T diagonal (rows of its
+    diagonal) and tabulated at the first, second and last steps only.
 
-    Each channel then evolves on its own, and a step is a 2x2 map per
-    channel.  One _rk4_step batched over a block's steps evolves the
-    identity, giving every step's maps at once; they are multiplied
-    pairwise, later x earlier (_map_product), and the block's product is
-    applied to the carried state.  The extra memory is O(BLOCK C); C is the
-    number of distinct frequencies (_evolution), not of grid channels.
+    Each channel evolves on its own, a step being a 2x2 map per channel, and
+    one _rk4_step batched over those (at most three) steps evolves the
+    identity to their maps M_0, M_1 and M_{n-1}.  With D(a) = diag(1,
+    e^{2i omega a}), read off the phase table P, step i's map is
+    D((i - 1) h) M_1 D(-(i - 1) h), so steps 1 ... n - 2 multiply to
+    D((n - 2) h) (D(-h) M_1)^(n - 2), applied by squaring.  The first and
+    last steps, whose outer points are clamped, apply as they are.  Where
+    T vanishes y stays exactly as it is.  Extra memory O(C).
     """
-    n, by_step = phases[0].shape[1], (*phases, _by_step(t))
-    for i in range(0, n, BLOCK):
-        j = min(i + BLOCK, n)
-        if i == 0 or j - i < BLOCK:
-            maps = np.empty((2, j - i) + y.shape[1:], dtype=complex)
-            work = _work(maps.shape[1:])
-        maps[0], maps[1] = [[1], [0]], [[0], [1]]
-        _rk4_step(np.multiply, maps, *(a[:, i:j] for a in by_step), work)
-        y[0], y[1] = _times(*_map_product(*maps), *y)
+    if not t.any():
+        return
+    maps = np.empty((2, t.shape[1]) + y.shape[1:], dtype=complex)
+    maps[0], maps[1] = [[1], [0]], [[0], [1]]
+    _rk4_step(np.multiply, maps, *phases, t, _work(maps.shape[1:]))
+    pw = phases[0]
+    _times(maps[:, 0], y, out=y)
+    if n > 2:
+        maps[1, 1] *= pw[0, 1] / pw[2, 1]
+        power, e = maps[:, 1], n - 2
+        while e:
+            if e & 1:
+                _times(power, y, out=y)
+            e >>= 1
+            if e:
+                power = _times(power, power)
+        y[1] *= pw[0, 2] / pw[0, 1]
+    if n > 1:
+        _times(maps[:, -1], y, out=y)
 
 
-def _map_product(ma, mb):
-    """Rows of M[-1] ... M[1] M[0] for per-channel 2x2 maps M with rows
-    (ma, mb), stacked on the leading axis: each round multiplies neighbours,
-    later x earlier, and carries an odd last map to the next round."""
-    while len(ma) > 1:
-        h = len(ma) // 2 * 2
-        pa, pb = _times(ma[1:h:2], mb[1:h:2], ma[:h:2], mb[:h:2])
-        ma, mb = np.concatenate([pa, ma[h:]]), np.concatenate([pb, mb[h:]])
-    return ma[0], mb[0]
-
-
-def _times(la, lb, ea, eb):
-    """Rows of L E, for L with rows (la, lb) and E with rows (ea, eb), per
-    channel as explicit elementwise products (einsum measured 3-4x slower)."""
-    return (la[..., :1, :] * ea + la[..., 1:, :] * eb,
-            lb[..., :1, :] * ea + lb[..., 1:, :] * eb)
+def _times(lhs, rhs, out=None):
+    """lhs rhs per channel, for 2x2 maps laid out (row, column, channel): one
+    broadcast product and one sum (einsum measured 3-4x slower)."""
+    p = lhs[:, :, None] * rhs
+    return np.add(p[:, 0], p[:, 1], out=out)
 
 
 def _evolution(pot, grid, members):
@@ -383,7 +386,7 @@ def _evolution(pot, grid, members):
         y = np.zeros(shape, dtype=complex)
         y[0, ..., 0, :] = y[1, ..., 1, :] = eye
         y = _rk4(tables, y.reshape(2, shape[1], -1), cfg.x_min, cfg.x_max, cfg.steps,
-                 breaks=discontinuities(pot))
+                 breaks=discontinuities(pot), layered=not members)
         return y[..., where]
 
     return evolve

@@ -128,7 +128,7 @@ def x_support(pot) -> tuple[float, float]:
     """Numeric x-support interval of a potential (Gaussian tails truncated)."""
     spans = []
     for m in _leaves(pot):
-        if isinstance(m, Delta2D):
+        if isinstance(m, (Delta2D, Delta3D)):
             spans.append((0.0, 0.0))
         elif isinstance(m, (Slab, SlabWithDefect)):
             spans.append((0.0, m.thickness))

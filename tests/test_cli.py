@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tmscat.cli import main
 
@@ -240,6 +246,84 @@ def test_scatter_non_finite_potential_exits_2(tmp_path, capsys, pot):
                  "--steps", "50"]) == 2
     assert not out.exists()
     assert pot["kind"] in capsys.readouterr().err
+
+
+POINT = {"kind": "delta2d", "strength": cplx(1.0)}
+
+
+@pytest.mark.parametrize("pot", [
+    POINT,
+    {"kind": "delta3d", "strength": cplx(0.5 - 0.1j)},
+    {**SLAB, "kind": "slab_with_defect", "strength": cplx(1.0)},
+    {"kind": "sum", "members": [POINT, SLAB]},
+], ids=["delta2d", "delta3d", "slab_with_defect", "sum"])
+def test_scatter_on_a_point_potential_exits_3(tmp_path, capsys, pot):
+    # no numeric evolution holds a delta in x: a JSON diagnostic and no files
+    inp = write_doc(tmp_path / "in.json", {"potential": pot, "k": "1.5"})
+    out = tmp_path / "amp.csv"
+    assert main(["scatter", "--input", inp, "--output", str(out), "--grid-size", "8",
+                 "--steps", "50"]) == 3
+    assert list(tmp_path.iterdir()) == [tmp_path / "in.json"]
+    diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert diag["error"] == "UnsupportedEvaluationError"
+
+
+def reals(lo, hi):
+    return st.floats(lo, hi).map(repr)
+
+
+def complexes(bound):
+    return st.builds(lambda re, im: {"re": re, "im": im}, reals(-bound, bound),
+                     reals(-bound, bound))
+
+
+@st.composite
+def potential_documents(draw):
+    """A document of every kind the parser accepts; a sum holds a delta2d,
+    and maybe a slab on [0, L] and a bump to the left of both."""
+    slab = {"epsilon": complexes(3.0), "thickness": reals(0.1, 2.0)}
+    fields = {
+        "delta2d": {"strength": complexes(2.0)},
+        "delta3d": {"strength": complexes(2.0)},
+        "slab": slab,
+        "slab_with_defect": {**slab, "strength": complexes(2.0)},
+        "gaussian_bump": {"amplitude": complexes(1.0),
+                          "center": st.fixed_dictionaries({"x": reals(-2.0, 2.0),
+                                                           "y": reals(-1.0, 1.0)}),
+                          "widths": st.fixed_dictionaries({"x": reals(0.3, 1.0),
+                                                           "y": reals(0.3, 1.0)})},
+    }
+
+    def document(kind):
+        return {"kind": kind, **draw(st.fixed_dictionaries(fields[kind]))}
+
+    kind = draw(st.sampled_from(sorted(fields) + ["sum"]))
+    if kind != "sum":
+        return document(kind)
+    members = [document("delta2d")]
+    if draw(st.booleans()):
+        members.append(document("slab"))
+    if draw(st.booleans()):
+        bump = document("gaussian_bump")
+        # 8 widths either side of the centre, ending 0.5 left of x = 0
+        bump["center"]["x"] = repr(-8 * float(bump["widths"]["x"]) - 0.5)
+        members.append(bump)
+    return {"kind": "sum", "members": draw(st.permutations(members))}
+
+
+@settings(max_examples=100, deadline=None)
+@given(pot=potential_documents(), k=reals(0.5, 3.0))
+def test_scatter_exits_0_or_3_on_every_document_kind(pot, k):
+    with tempfile.TemporaryDirectory() as tmp:
+        inp, out = write_doc(Path(tmp) / "in.json", {"potential": pot, "k": k}), Path(tmp) / "f.csv"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["scatter", "--input", inp, "--output", str(out), "--grid-size", "6",
+                         "--steps", "40", "--theta-samples", "12"])
+        assert code in (0, 3)
+        assert out.exists() == (code == 0)
+        if code == 3:
+            assert "error" in json.loads(err.getvalue().strip().splitlines()[-1])
 
 
 def test_scatter_fractional_steps_exits_2(tmp_path, capsys):

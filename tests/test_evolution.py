@@ -255,18 +255,18 @@ def every_channel_mult(pot, grid, cfg):
     y = np.zeros((2, 2, omegas.size), dtype=complex)
     y[0, 0] = y[1, 1] = 1
     return _rk4(_stage_tables(pot, grid, [], omegas), y, cfg.x_min, cfg.x_max, cfg.steps,
-                breaks=discontinuities(pot))
+                breaks=discontinuities(pot), layered=True)
 
 
 def advanced_channels(monkeypatch):
-    """The channel counts of every _advance_by_blocks call from here on."""
-    seen, advance = [], evolution._advance_by_blocks
+    """The channel counts of every _advance_by_power call from here on."""
+    seen, advance = [], evolution._advance_by_power
 
-    def spy(t, phases, y):
+    def spy(t, phases, y, n):
         seen.append(y.shape[-1])
-        advance(t, phases, y)
+        advance(t, phases, y, n)
 
-    monkeypatch.setattr(evolution, "_advance_by_blocks", spy)
+    monkeypatch.setattr(evolution, "_advance_by_power", spy)
     return seen
 
 
@@ -277,7 +277,7 @@ TWO_SLABS = SumPotential((Slab(1.5, 0.4), Slab(2.2 + 0.05j, 1.1)))
                                   build_grid(1.8, 16)], ids=["disc-10x6", "disc-8x7", "2d-16"])
 @pytest.mark.parametrize("pot", [Slab(2.0 + 0.1j, 1.0), TWO_SLABS], ids=["slab", "two-slabs"])
 def test_layered_window_evolves_once_per_distinct_frequency(grid, pot, monkeypatch):
-    # a window across the layer edges, of three blocks with a partial last
+    # a window across the layer edges: pieces of 20 to 100 steps, in and out of the layers
     cfg = EvolutionConfig(-0.2, 1.3, 150)
     want = every_channel_mult(pot, grid, cfg)
     seen = advanced_channels(monkeypatch)

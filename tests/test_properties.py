@@ -2,7 +2,7 @@
 factored kernels, composed and extracted against their dense forms), of
 the factored evolution generator and its RK4, stage matrices built by
 blocks of steps included, against the dense ones, and of the layered
-path's blocks of steps against a per-channel RK4."""
+path's powered step maps against a per-channel RK4."""
 
 from unittest import mock
 
@@ -16,11 +16,11 @@ from hypothesis.extra import numpy as hnp
 from tmscat import (GaussianBump, LowRank, Slab, SumPotential, TransferOperator,
                     auto_config, build_disc_grid, build_grid, compose,
                     EvolutionConfig, evolve_transfer, evolve_transfer_3d,
-                    fourier_y, identity_operator, potential_kernel, solve_outgoing,
-                    uniform_part, x_support)
+                    fourier_y, identity_operator, is_y_independent, potential_kernel,
+                    solve_outgoing, uniform_part, x_support)
 import tmscat.evolution as evolution
 import tmscat.operators as ops
-from tmscat.evolution import BLOCK, _assemble_blocks, _stage_tables
+from tmscat.evolution import _assemble_blocks, _stage_tables
 from tmscat.potentials import discontinuities, smooth_members
 
 GRIDS = [pytest.param(build_grid(1.3, 3), id="2d"),
@@ -346,11 +346,13 @@ def test_stage_matrix_blocks_match_plain_rk4(pot, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# layered evolution by blocks of steps
+# layered evolution: three step maps per piece, the interior one powered
 # ---------------------------------------------------------------------------
 
-# one step, either side of a block edge, and two blocks with a partial third
-BLOCK_STEPS = st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+# pieces of one and two steps (no interior step), the first powers, and
+# exponents n - 2 with many set bits (63 = 0b111111 at 65 steps); a window
+# inside one layer is one piece of exactly the drawn count
+STEP_COUNTS = st.sampled_from([1, 2, 3, 4, 63, 64, 65, 131, 1000])
 PERMITTIVITY = st.builds(complex, st.floats(-1.0, 4.0), st.floats(-0.2, 0.2))
 
 
@@ -411,10 +413,10 @@ def channel_rk4(pot, grid, cfg):
 @pytest.mark.parametrize("grid", GRIDS)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_layered_blocks_match_a_per_channel_rk4(grid, data):
+def test_layered_pieces_match_a_per_channel_rk4(grid, data):
     pot = data.draw(layered())
     x_min, x_max = data.draw(layer_windows(pot))
-    cfg = EvolutionConfig(x_min, x_max, data.draw(BLOCK_STEPS))
+    cfg = EvolutionConfig(x_min, x_max, data.draw(STEP_COUNTS))
     op = evolve_transfer(pot, grid, cfg)
     want = channel_rk4(pot, grid, cfg)
     assert op.kernel is None
@@ -425,8 +427,34 @@ def test_layered_blocks_match_a_per_channel_rk4(grid, data):
 @pytest.mark.parametrize("pot", [Slab(1.0, 1.0), SumPotential((Slab(1.0, 0.4), Slab(1.0, 1.0)))],
                          ids=["slab", "two-slabs"])
 def test_zero_contrast_layers_evolve_to_the_exact_identity(grid, pot):
-    # T vanishes at every stage point, so every step's map and every
-    # product of maps is exactly the identity, across several blocks
-    op = evolve_transfer(pot, grid, EvolutionConfig(-0.5, 1.5, 3 * BLOCK + 5))
+    # T vanishes at every stage point, so each piece leaves the state
+    # exactly as it is, whatever its step count
+    op = evolve_transfer(pot, grid, EvolutionConfig(-0.5, 1.5, 197))
     assert op.kernel is None
     assert np.array_equal(op.mult, np.broadcast_to(np.eye(2)[:, :, None], op.mult.shape))
+
+
+@settings(max_examples=40, deadline=None)
+@given(pot=layered(), data=st.data())
+def test_layered_potentials_are_constant_between_their_discontinuities(pot, data):
+    # the layered RK4 relies on it: within a piece each step's map is the
+    # one before it conjugated by a phase only while u does not move
+    assert is_y_independent(pot)
+    edges = discontinuities(pot)
+    for a, b in zip((edges[0] - 10.0,) + edges, edges + (edges[-1] + 10.0,)):
+        inside = st.floats(a, b, exclude_min=True, exclude_max=True)
+        x1, x2 = data.draw(inside), data.draw(inside)
+        assert uniform_part(pot, x1, 1.3) == uniform_part(pot, x2, 1.3)
+
+
+def test_bench_slab_windows_match_a_per_channel_rk4():
+    # the 3D stack of the layer_stack bench: 8 windows of 50 steps on a
+    # 10 x 6 disc, whose outermost radial channel grazes (omega ~ 0.024)
+    grid = build_disc_grid(1.8, 10, 6)
+    pot = Slab(2.5 + 0.02j, 0.6)
+    edges = np.linspace(0.0, 0.6, 9)
+    for x_min, x_max in zip(edges, edges[1:]):
+        cfg = EvolutionConfig(x_min, x_max, 50)
+        want = channel_rk4(pot, grid, cfg)
+        got = evolve_transfer(pot, grid, cfg).mult
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
