@@ -34,7 +34,7 @@ import numpy as np
 from .errors import (ConsistencyError, NearResonanceError, NoRootError,
                      SpectralSingularityError)
 from .grid import DiscGrid, MomentumGrid
-from .operators import LowRank, TransferOperator, channel_omegas, identity_operator, unit_mult
+from .operators import LowRank, TransferOperator, identity_operator, unit_mult
 
 # The single off-diagonal channel factor of every effective Hamiltonian:
 # rank one and nilpotent, which is what terminates the evolution series for
@@ -235,7 +235,7 @@ def slab_operator(sp: SlabParams, grid: MomentumGrid | DiscGrid,
     if not np.isclose(grid.k, sp.k, rtol=1e-12, atol=0.0):
         raise ValueError("slab parameters and grid carry different wavenumbers")
     if isinstance(grid, DiscGrid):
-        omega = channel_omegas(grid)
+        omega = grid.channel_omegas
     else:
         omega = _channel_omega(sp.k, np.append(grid.nodes, 0.0))
     mult = slab_entries(sp, omega)

@@ -21,10 +21,14 @@ y-dependent member runs only that evolution and carries no kernel.  On a
 3D DiscGrid (x is then the layer axis z) only such potentials evolve, on
 at most MAX_CHANNELS_3D channels.  A channel's 2x2 evolution depends on
 it only through omega, so a layered piece costs one 2x2 evolution per
-distinct frequency: n_radial + 1 on a DiscGrid (61 channels of a 10 x 6
-disc evolve as 11), at most S + 1 on a MomentumGrid, whose +-p frequencies
+distinct frequency, on the grid's distinct_omegas (found once, when the
+grid is built): n_radial + 1 on a DiscGrid (61 channels of a 10 x 6 disc
+evolve as 11), at most S + 1 on a MomentumGrid, whose +-p frequencies
 agree only where k sin(theta) rounds alike.  Between layer edges its steps
-differ by a phase conjugation, so a piece runs three and O(log n) products.
+differ by a phase conjugation, so a piece runs three and O(log n) products,
+each the per-channel 2x2 product operators._times that compose also uses.
+Its mult is scanned for finiteness once and becomes the operator's
+without a copy.
 
 The RK4 (_rk4) never forms H: _stage_tables factors it, _rk4_step is the
 one step of both paths, _advance_by_steps runs a piece with a dense
@@ -43,7 +47,7 @@ import numpy as np
 from .errors import (AccuracyWarning, DivergenceError, ResourceLimitError,
                      UnsupportedEvaluationError)
 from .grid import DiscGrid, MomentumGrid
-from .operators import TransferOperator, channel_omegas, unit_mult
+from .operators import TransferOperator, _times, unit_mult
 from .potentials import (discontinuities, fourier_y, has_uniform_part, is_x_singular,
                          is_y_independent, smooth_members, uniform_part, x_support)
 
@@ -51,6 +55,12 @@ from .potentials import (discontinuities, fourier_y, has_uniform_part, is_x_sing
 MAX_CHANNELS_3D = 128
 # most bytes of stage matrices a dense piece builds per call (_advance_by_steps)
 BLOCK_BYTES = 2 ** 18
+# RK4 weights of a step's left, mid and right points, and the identity as
+# (plus, minus) rows x steps x (plus, minus) columns x channels, for a layered piece
+_RK4_WEIGHTS = np.array([[1], [2], [1]])
+_EYE_MAPS = np.eye(2).reshape(2, 1, 2, 1)
+for _a in (_RK4_WEIGHTS, _EYE_MAPS):
+    _a.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -59,7 +69,8 @@ class EvolutionConfig:
 
     check_tolerance, when set, re-runs the evolution at half the steps and
     emits an AccuracyWarning if any operator entry moves by more than it; a
-    non-finite bound or tolerance raises ValueError.
+    non-finite bound, or a negative or non-finite tolerance, raises
+    ValueError.
     """
 
     x_min: float
@@ -76,8 +87,9 @@ class EvolutionConfig:
         if not float(self.steps).is_integer() or self.steps < 1:
             raise ValueError(f"steps must be an integer >= 1, got {self.steps}")
         object.__setattr__(self, "steps", int(self.steps))
-        if self.check_tolerance is not None and not np.isfinite(self.check_tolerance):
-            raise ValueError(f"check_tolerance must be finite, got {self.check_tolerance}")
+        tol = self.check_tolerance
+        if tol is not None and not (np.isfinite(tol) and tol >= 0):
+            raise ValueError(f"check_tolerance must be finite and >= 0, got {tol}")
 
 
 def auto_config(pot, steps: int, check_tolerance: float | None = None) -> EvolutionConfig:
@@ -147,7 +159,7 @@ def _stage_tables(pot, grid, members, omegas):
     P per point.
 
     On the C channels at frequencies omegas (with members the S + 1 of
-    channel_omegas, the grid's and then the beam's at frequency k; without,
+    grid.channel_omegas, the grid's and then the beam's at k; without,
     any frequencies, since each channel then evolves on its own), with
     P = e^{2i omega x}, the plus rows of H U are T (P A + B) and the
     minus rows -P times those, where A and B are the plus and minus rows of
@@ -169,7 +181,7 @@ def _stage_tables(pot, grid, members, omegas):
     of the sources in one matrix product, scaled by the left and by the
     right factors.
     """
-    c, k = omegas.size, grid.k
+    c, k, inv_2w = omegas.size, grid.k, 0.5 / omegas
     uniform = has_uniform_part(pot)
     if members:
         n = grid.size
@@ -184,7 +196,7 @@ def _stage_tables(pot, grid, members, omegas):
     def tables(xs, scale):
         phase = np.exp(1j * np.multiply.outer(xs, omegas))
         minus = phase.conj()
-        rows = (scale[..., None] * (0.5 / omegas)) * minus
+        rows = (scale[..., None] * inv_2w) * minus
         u = uniform_part(pot, xs, k)
         if not members:
             return (u[..., None] * rows * minus)[..., None, :], phase * phase
@@ -226,9 +238,10 @@ def _rk4(tables, y: np.ndarray, x_min: float, x_max: float, steps: int,
             h = (p1 - p0) / n
             nudge = (p1 - p0) * 1e-9
             if layered:
-                left = p0 + np.array([0, 1, n - 1][:n]) * h
-                t, p = tables(np.clip(np.add.outer([0, h / 2, h], left), p0 + nudge, p1 - nudge),
-                              np.array([[1], [2], [1]]) * (-1j * h / 6))
+                lo, hi = p0 + nudge, p1 - nudge
+                left = [p0 + i * h for i in (0, 1, n - 1)[:n]]
+                xs = np.array([[min(max(s + x, lo), hi) for x in left] for s in (0.0, h / 2, h)])
+                t, p = tables(xs, _RK4_WEIGHTS * (-1j * h / 6))
                 pw = p[..., None, :]
                 _advance_by_power(t, (pw, -pw, 3 * (pw[1:] - pw[:-1])), y, n)
                 continue
@@ -341,7 +354,7 @@ def _advance_by_power(t, phases, y, n) -> None:
     if not t.any():
         return
     maps = np.empty((2, t.shape[1]) + y.shape[1:], dtype=complex)
-    maps[0], maps[1] = [[1], [0]], [[0], [1]]
+    maps[...] = _EYE_MAPS
     _rk4_step(np.multiply, maps, *phases, t, _work(maps.shape[1:]))
     pw = phases[0]
     _times(maps[:, 0], y, out=y)
@@ -359,35 +372,27 @@ def _advance_by_power(t, phases, y, n) -> None:
         _times(maps[:, -1], y, out=y)
 
 
-def _times(lhs, rhs, out=None):
-    """lhs rhs per channel, for 2x2 maps laid out (row, column, channel): one
-    broadcast product and one sum (einsum measured 3-4x slower)."""
-    p = lhs[:, :, None] * rhs
-    return np.add(p[:, 0], p[:, 1], out=out)
-
-
 def _evolution(pot, grid, members):
     """cfg -> the half state evolved from the identity: plus and minus rows
     of the C channels, columns (plus, minus) x C channels.  Without members
     the generator is diagonal, and the state is laid out like mult:
     (plus, minus) rows x (plus, minus) columns x C channels.  Each channel
     then evolves on its own and depends on it only through omega, so the
-    evolution runs once per distinct frequency (np.unique; n_radial + 1 on
-    a DiscGrid) and its inverse index gathers the result back to the
-    channels.  Every operation of that path is elementwise per channel, so
-    the result is bitwise that of evolving every channel."""
-    omegas, where = channel_omegas(grid), slice(None)
-    if not members:
-        omegas, where = np.unique(omegas, return_inverse=True)
+    evolution runs once per distinct frequency (grid.distinct_omegas;
+    n_radial + 1 on a DiscGrid) and grid.distinct_index gathers the result
+    back to the channels, as a fresh array.  Every operation of that path
+    is elementwise per channel, so the result is bitwise that of evolving
+    every channel."""
+    omegas = grid.channel_omegas if members else grid.distinct_omegas
     tables, c = _stage_tables(pot, grid, members, omegas), omegas.size
-    eye, shape = (np.eye(c), (2, c, 2, c)) if members else (np.ones(c), (2, 2, c))
+    eye, shape = (np.eye(c), (2, c, 2, c)) if members else (1.0, (2, 2, c))
 
     def evolve(cfg: EvolutionConfig) -> np.ndarray:
         y = np.zeros(shape, dtype=complex)
         y[0, ..., 0, :] = y[1, ..., 1, :] = eye
         y = _rk4(tables, y.reshape(2, shape[1], -1), cfg.x_min, cfg.x_max, cfg.steps,
                  breaks=discontinuities(pot), layered=not members)
-        return y[..., where]
+        return y if members else y.take(grid.distinct_index, axis=-1)
 
     return evolve
 
@@ -396,7 +401,7 @@ def _checked(evolve, cfg: EvolutionConfig) -> np.ndarray:
     """evolve(cfg), refused when non-finite and, with check_tolerance set,
     compared with evolve at half the steps."""
     u = evolve(cfg)
-    if not np.all(np.isfinite(u)):
+    if not np.isfinite(u).all():
         raise DivergenceError("evolution produced non-finite values")
     if cfg.check_tolerance is not None and cfg.steps >= 2:
         half = EvolutionConfig(cfg.x_min, cfg.x_max, cfg.steps // 2)
@@ -427,8 +432,7 @@ def evolve_transfer(pot, grid: MomentumGrid | DiscGrid, cfg: EvolutionConfig) ->
             f"grid has {grid.size} channels; 3D evolution is capped at {MAX_CHANNELS_3D}")
     members = smooth_members(pot)
     if not members:
-        mult = _checked(_evolution(pot, grid, []), cfg)
-        return TransferOperator(grid=grid, mult=mult, kernel=None)
+        return TransferOperator._of_checked_mult(grid, _checked(_evolution(pot, grid, []), cfg))
 
     n = grid.size
     y = _checked(_evolution(pot, grid, members), cfg)

@@ -14,8 +14,11 @@ DiscGrid fills the disc |pvec| < k: since int_disc d2p f / omega =
 int_0^{2pi} dphi int_0^k f domega, Gauss-Legendre nodes in omega integrate
 the 1/omega factor with plain weights, and a uniform azimuthal rule is exact
 for trigonometric polynomials.  A grid, either kind, stores its measure (the
-plain measure over (2 pi)^d) and the barycentric weights bary of its
-interpolation nodes.
+plain measure over (2 pi)^d), the barycentric weights bary of its
+interpolation nodes, and its channel frequencies, found once per grid:
+channel_omegas, the S grid frequencies and then k (the coherent beam at
+p = 0), their sorted distinct values distinct_omegas, and distinct_index,
+with distinct_omegas[distinct_index] == channel_omegas.
 """
 
 from __future__ import annotations
@@ -40,6 +43,9 @@ class MomentumGrid:
     omegas: np.ndarray
     measure: np.ndarray
     bary: np.ndarray
+    channel_omegas: np.ndarray
+    distinct_omegas: np.ndarray
+    distinct_index: np.ndarray
 
     @property
     def size(self) -> int:
@@ -66,7 +72,7 @@ def build_grid(k: float, n: int) -> MomentumGrid:
     for a in (nodes, weights, omegas, measure, bary):
         a.setflags(write=False)
     return MomentumGrid(k=float(k), nodes=nodes, weights=weights, omegas=omegas,
-                        measure=measure, bary=bary)
+                        measure=measure, bary=bary, **_channel_frequencies(omegas, k))
 
 
 @dataclass(frozen=True)
@@ -78,6 +84,8 @@ class DiscGrid:
     flattened per-point arrays (px, py, omegas, measure) run radial-major;
     measure is the plain disc measure d2p / 4 pi^2, and bary holds the
     barycentric weights of omega_radial, the radial interpolation nodes.
+    The channel frequencies are those of the module docstring; the points of
+    a ring share its frequency, so distinct_omegas has n_radial + 1 values.
     """
 
     k: float
@@ -88,6 +96,9 @@ class DiscGrid:
     omegas: np.ndarray
     measure: np.ndarray
     bary: np.ndarray
+    channel_omegas: np.ndarray
+    distinct_omegas: np.ndarray
+    distinct_index: np.ndarray
 
     @property
     def size(self) -> int:
@@ -128,7 +139,23 @@ def build_disc_grid(k: float, n_radial: int, n_azimuthal: int) -> DiscGrid:
     for a in (omega_r, phis, px, py, omegas, measure, bary):
         a.setflags(write=False)
     return DiscGrid(k=float(k), omega_radial=omega_r, phis=phis, px=px, py=py,
-                    omegas=omegas, measure=measure, bary=bary)
+                    omegas=omegas, measure=measure, bary=bary,
+                    **_channel_frequencies(omegas, k))
+
+
+def _channel_frequencies(omegas: np.ndarray, k: float) -> dict:
+    """The read-only channel_omegas, distinct_omegas and distinct_index fields
+    of a grid with the given frequencies.  The distinct values are sorted in
+    Python, not by np.unique, whose first call in a process adds ~0.4 MB to
+    its resident memory."""
+    channel = np.append(omegas, float(k))
+    values = sorted(set(channel.tolist()))
+    position = {w: i for i, w in enumerate(values)}
+    fields = {"channel_omegas": channel, "distinct_omegas": np.array(values),
+              "distinct_index": np.array([position[w] for w in channel.tolist()])}
+    for a in fields.values():
+        a.setflags(write=False)
+    return fields
 
 
 def quadrature(grid: MomentumGrid | DiscGrid, samples: np.ndarray) -> complex:

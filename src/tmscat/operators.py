@@ -78,9 +78,12 @@ class SingularityFlag:
         return cls(kind="none")
 
 
-def channel_omegas(grid: MomentumGrid | DiscGrid) -> np.ndarray:
-    """Frequencies at which mult is tabulated: the grid's omegas, then k (p = 0)."""
-    return np.append(grid.omegas, grid.k)
+def _times(lhs, rhs, out=None):
+    """lhs rhs per channel, for 2x2 maps laid out (row, column, channel): one
+    broadcast product and one sum, the product of compose's mult and of the
+    layered evolution's step maps (einsum measured 3-4x slower)."""
+    p = lhs[:, :, None] * rhs
+    return np.add(p[:, 0], p[:, 1], out=out)
 
 
 def unit_mult(grid: MomentumGrid | DiscGrid) -> np.ndarray:
@@ -146,7 +149,7 @@ class TransferOperator:
         mult = np.array(self.mult, dtype=complex)
         if mult.shape != (2, 2, n + 1):
             raise ValueError(f"mult shape {mult.shape} does not match the grid")
-        if not np.all(np.isfinite(mult)):
+        if not np.isfinite(mult).all():
             raise DivergenceError("multiplication part has non-finite entries")
         mult.setflags(write=False)
         object.__setattr__(self, "mult", mult)
@@ -155,6 +158,18 @@ class TransferOperator:
         if isinstance(self.kernel, LowRank) and not (np.all(np.isfinite(self.kernel.left))
                                                      and np.all(np.isfinite(self.kernel.right))):
             raise DivergenceError("kernel factors have non-finite entries")
+
+    @classmethod
+    def _of_checked_mult(cls, grid, mult: np.ndarray) -> "TransferOperator":
+        """The kernel-free operator of mult, a finite complex (2, 2, S + 1)
+        array that its caller has just computed and scanned and holds no
+        other reference to: frozen in place, neither copied nor scanned
+        again."""
+        mult.setflags(write=False)
+        op = object.__new__(cls)
+        for name, value in (("grid", grid), ("mult", mult), ("kernel", None)):
+            object.__setattr__(op, name, value)
+        return op
 
     @property
     def kernel_at_zero(self) -> np.ndarray | None:
@@ -236,7 +251,7 @@ def compose(second: TransferOperator, first: TransferOperator) -> TransferOperat
     """
     if not _same_grid(second.grid, first.grid):
         raise ValueError("operands live on different grids")
-    mult = np.einsum("acm,cbm->abm", second.mult, first.mult)
+    mult = _times(second.mult, first.mult)
     m2g, m1 = second.mult_on_grid(), first.mult
     k2, k1 = second.kernel, first.kernel
     if all(k is None or isinstance(k, LowRank) for k in (k1, k2)):

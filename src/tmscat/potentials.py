@@ -180,11 +180,12 @@ def fourier_y(pot, x: float, q) -> complex | np.ndarray:
 def uniform_part(pot, x, k: float):
     """Value of the y-independent component at x (zero when there is none), or
     the array of its values at an array of positions."""
-    out = np.zeros(np.shape(x), dtype=complex)[()]
+    x = np.asarray(x)
+    out = np.zeros(x.shape, dtype=complex)
     for m in _leaves(pot):
         if isinstance(m, Slab):
-            out = out + np.where((0.0 <= x) & (x <= m.thickness), k * k * (1 - m.epsilon), 0.0j)
-    return out
+            np.add(out, k * k * (1 - m.epsilon), out=out, where=(0.0 <= x) & (x <= m.thickness))
+    return out[()]
 
 
 def has_uniform_part(pot) -> bool:

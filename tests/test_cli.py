@@ -326,6 +326,94 @@ def test_scatter_exits_0_or_3_on_every_document_kind(pot, k):
             assert "error" in json.loads(err.getvalue().strip().splitlines()[-1])
 
 
+# one valid document per file-based subcommand, and its keys that may go
+VALID_DOCUMENTS = {
+    "delta2d": {"strength": cplx(1.0 - 0.5j), "k": "2.0"},
+    "slab": {"epsilon": cplx(2 + 0.01j), "thickness": "1.0", "k": "2.0"},
+    "slab-defect": {"epsilon": cplx(2 + 0.01j), "thickness": "1.0",
+                    "strength": cplx(1.0), "k": "2.0"},
+    "threshold-gain": {"eta": "1.5", "thickness": "1.0"},
+    "scatter": {"potential": {"kind": "sum", "members": [
+                    {**BUMP, "center": {"x": "-8.0", "y": "0.0"},
+                     "widths": {"x": "0.5", "y": "0.8"}}, SLAB]},
+                "k": "1.4", "evolution": {"x_min": "-12.0", "x_max": "1.0", "steps": "40"}},
+    "singularity": {"epsilon": cplx(2.2475 - 0.15j), "thickness": "10.0", "k": "1.0",
+                    "unknown": "k", "guess": cplx(3.15 - 0.002j)},
+    "delta3d": {"strength": cplx(1.7), "k": "1.3"},
+}
+OPTIONAL_KEYS = {("scatter", ("evolution",))}
+SMALL_KNOBS = {"delta2d": ["--grid-size", "8", "--theta-samples", "12"],
+               "slab": ["--grid-size", "8"],
+               "slab-defect": ["--grid-size", "8", "--theta-samples", "12",
+                               "--quad-points", "40"],
+               "threshold-gain": ["--theta-samples", "12"],
+               "scatter": ["--grid-size", "6", "--theta-samples", "12"],
+               "singularity": [],
+               "delta3d": ["--n-radial", "4", "--n-azimuthal", "4"]}
+
+
+def document_paths(node, prefix=()):
+    """(path, value) of every key and list item below node."""
+    for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+        yield prefix + (key,), value
+        if isinstance(value, (dict, list)):
+            yield from document_paths(value, prefix + (key,))
+
+
+def is_number(value) -> bool:
+    try:
+        float(value)
+    except (TypeError, ValueError):
+        return False
+    return True
+
+
+def run_document(command, doc):
+    """main on doc in a fresh directory: (exit code, files it left besides the input)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        inp = write_doc(Path(tmp) / "in.json", doc)
+        with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
+            code = main([command, "--input", inp, "--output", str(Path(tmp) / "out"),
+                         *SMALL_KNOBS[command]])
+        return code, sorted(p.name for p in Path(tmp).iterdir() if p.name != "in.json")
+
+
+@pytest.mark.parametrize("command", sorted(VALID_DOCUMENTS))
+def test_valid_documents_run(command):
+    code, written = run_document(command, VALID_DOCUMENTS[command])
+    assert code == 0 and "out" in written
+
+
+@st.composite
+def malformed_documents(draw):
+    """A valid document with one required key dropped, or one number
+    replaced by "nan", "inf" or a list: every draw must be refused."""
+    command = draw(st.sampled_from(sorted(VALID_DOCUMENTS)))
+    doc = json.loads(json.dumps(VALID_DOCUMENTS[command]))
+    paths = list(document_paths(doc))
+    how = draw(st.sampled_from(["drop", "nan", "inf", "list"]))
+    if how == "drop":
+        path = draw(st.sampled_from([p for p, _ in paths if isinstance(p[-1], str)
+                                     and (command, p) not in OPTIONAL_KEYS]))
+    else:
+        path = draw(st.sampled_from([p for p, v in paths if is_number(v)]))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if how == "drop":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = [parent[path[-1]]] if how == "list" else how
+    return command, doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=malformed_documents())
+def test_malformed_documents_of_every_subcommand_exit_2(case):
+    command, doc = case
+    assert run_document(command, doc) == (2, [])
+
+
 def test_scatter_fractional_steps_exits_2(tmp_path, capsys):
     doc = {"potential": BUMP, "k": "1.5",
            "evolution": {"x_min": "-3.0", "x_max": "3.0", "steps": "2.5"}}

@@ -9,7 +9,6 @@ from tmscat import (AccuracyWarning, Delta2D, DiscGrid, EvolutionConfig, Gaussia
                     effective_hamiltonian, evolve_transfer, identity_operator,
                     potential_kernel, slab_operator)
 from tmscat.evolution import _rk4, _stage_tables
-from tmscat.operators import channel_omegas
 from tmscat.potentials import discontinuities
 
 
@@ -251,7 +250,7 @@ def test_numeric_slab_mult_matches_closed_form_on_other_grids():
 def every_channel_mult(pot, grid, cfg):
     """The layered mult evolved on every channel in grid order, through the
     engine's own stage tables and RK4."""
-    omegas = channel_omegas(grid)
+    omegas = grid.channel_omegas
     y = np.zeros((2, 2, omegas.size), dtype=complex)
     y[0, 0] = y[1, 1] = 1
     return _rk4(_stage_tables(pot, grid, [], omegas), y, cfg.x_min, cfg.x_max, cfg.steps,
@@ -282,7 +281,7 @@ def test_layered_window_evolves_once_per_distinct_frequency(grid, pot, monkeypat
     want = every_channel_mult(pot, grid, cfg)
     seen = advanced_channels(monkeypatch)
     op = evolve_transfer(pot, grid, cfg)
-    distinct = np.unique(channel_omegas(grid)).size
+    distinct = grid.distinct_omegas.size
     if isinstance(grid, DiscGrid):
         # a disc's points share its radial frequencies: 61 channels evolve as 11
         assert distinct == grid.n_radial + 1
@@ -299,7 +298,7 @@ def test_uniform_part_of_a_mixed_sum_evolves_once_per_frequency(monkeypatch):
     seen = advanced_channels(monkeypatch)
     op = evolve_transfer(pot, grid, cfg)
     assert op.kernel is not None and seen
-    assert set(seen) == {np.unique(channel_omegas(grid)).size}
+    assert set(seen) == {grid.distinct_omegas.size}
     assert np.array_equal(op.mult, want)
 
 
@@ -309,6 +308,22 @@ def test_divergent_evolution_raises():
     pot = GaussianBump(amplitude=1e200, center=(0.0, 0.0), widths=(0.5, 0.5))
     with pytest.raises(DivergenceError):
         evolve_transfer(pot, g, EvolutionConfig(-4.0, 4.0, 2))
+
+
+def test_divergent_layered_evolution_raises():
+    from tmscat import DivergenceError
+    for grid in (build_grid(1.0, 4), build_disc_grid(1.0, 3, 4)):
+        with pytest.raises(DivergenceError):
+            evolve_transfer(Slab(-1e300, 1.0), grid, EvolutionConfig(0.0, 1.0, 8))
+
+
+def test_layered_operator_is_immutable():
+    for grid in (build_grid(1.8, 9), build_disc_grid(1.8, 4, 3)):
+        op = evolve_transfer(TWO_SLABS, grid, EvolutionConfig(-0.2, 1.3, 60))
+        assert op.kernel is None and op.mult.shape == (2, 2, grid.size + 1)
+        assert not op.mult.flags.writeable
+        with pytest.raises(ValueError):
+            op.mult[0, 0, 0] = 0.0
 
 
 def test_auto_config_windows():
@@ -348,3 +363,12 @@ def test_config_rejects_fractional_steps():
             EvolutionConfig(0.0, 1.0, steps)
     cfg = EvolutionConfig(0.0, 1.0, 300.0)
     assert cfg.steps == 300 and isinstance(cfg.steps, int)
+
+
+def test_config_rejects_a_negative_check_tolerance():
+    # a negative tolerance would warn on every checked evolution
+    with pytest.raises(ValueError, match="check_tolerance"):
+        EvolutionConfig(-5.6, 5.6, 40, check_tolerance=-1.0)
+    with pytest.raises(ValueError, match="check_tolerance"):
+        auto_config(centered_bump(amp=0.5), 40, check_tolerance=-1e-300)
+    assert EvolutionConfig(-5.6, 5.6, 40, check_tolerance=0.0).check_tolerance == 0.0

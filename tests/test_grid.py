@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from tmscat import barycentric_interpolate, build_grid, quadrature
+from tmscat import (EvolutionConfig, Slab, SumPotential, barycentric_interpolate,
+                    build_disc_grid, build_grid, evolve_transfer, evolve_transfer_3d,
+                    quadrature)
 from tmscat.grid import SpectralAmplitude
 
 
@@ -129,3 +131,47 @@ def test_barycentric_matrix_values_match_columns():
     assert np.array_equal(got[[1, 4]], vals[[4, 0]])
     assert np.array_equal(got[[1, 4]], cols[[1, 4]])
     assert np.allclose(got, cols, rtol=1e-14, atol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# channel frequencies held on the grid
+# ---------------------------------------------------------------------------
+
+FREQUENCY_GRIDS = [pytest.param(lambda: build_grid(1.8, 9), id="2d-9"),
+                   pytest.param(lambda: build_grid(1.8, 16), id="2d-16"),
+                   pytest.param(lambda: build_grid(1.6, 24), id="2d-24"),
+                   pytest.param(lambda: build_disc_grid(1.8, 10, 6), id="disc-10x6"),
+                   pytest.param(lambda: build_disc_grid(1.3, 8, 7), id="disc-8x7"),
+                   pytest.param(lambda: build_disc_grid(1.1, 3, 4), id="disc-3x4")]
+
+
+@pytest.mark.parametrize("make", FREQUENCY_GRIDS)
+def test_grid_holds_its_channel_frequencies(make):
+    grid = make()
+    channel = np.append(grid.omegas, grid.k)
+    assert np.array_equal(grid.channel_omegas, channel)
+    assert np.array_equal(grid.distinct_omegas[grid.distinct_index], channel)
+    assert np.array_equal(grid.distinct_omegas, np.unique(channel))
+    for a in (grid.channel_omegas, grid.distinct_omegas, grid.distinct_index):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = a[1]
+    if hasattr(grid, "n_radial"):
+        # the points of a ring share its frequency, and the beam adds k
+        assert grid.distinct_omegas.size == grid.n_radial + 1
+
+
+@pytest.mark.parametrize("make", FREQUENCY_GRIDS)
+def test_layered_evolution_runs_no_unique(make, monkeypatch):
+    grid = make()
+    pot = SumPotential((Slab(1.5, 0.4), Slab(2.2 + 0.05j, 1.1)))
+    cfg = EvolutionConfig(-0.2, 1.3, 60)
+    want = evolve_transfer(pot, grid, cfg).mult
+
+    def unique(*args, **kwargs):
+        raise AssertionError("np.unique ran during a layered evolution")
+
+    monkeypatch.setattr(np, "unique", unique)
+    assert np.array_equal(evolve_transfer(pot, grid, cfg).mult, want)
+    if hasattr(grid, "n_radial"):
+        assert np.array_equal(evolve_transfer_3d(pot, grid, -0.2, 1.3, 60).mult, want)

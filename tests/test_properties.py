@@ -1,8 +1,9 @@
 """Property tests of the operator algebra on small 2D and 3D grids (dense and
-factored kernels, composed and extracted against their dense forms), of
-the factored evolution generator and its RK4, stage matrices built by
-blocks of steps included, against the dense ones, and of the layered
-path's powered step maps against a per-channel RK4."""
+factored kernels, composed and extracted against their dense forms; compose's
+mult against a per-channel matrix product, and its kernel affine in each
+operand's kernel), of the factored evolution generator and its RK4, stage
+matrices built by blocks of steps included, against the dense ones, and of
+the layered path's powered step maps against a per-channel RK4."""
 
 from unittest import mock
 
@@ -123,6 +124,74 @@ def test_mixed_compose_matches_dense(grid, data):
     # independent of compose: the product of the two block matrices
     product = block_matrix(second) @ block_matrix(first)
     assert_close(block_matrix(got), product, product.shape)
+
+
+def assert_mult_is_the_channel_product(op, second, first):
+    """op.mult against np.matmul of the operands' 2x2 mults channel by
+    channel, to 1e-14 of the summed magnitudes of each entry's terms."""
+    a, b = (m.transpose(2, 0, 1) for m in (second.mult, first.mult))
+    want = np.matmul(a, b).transpose(1, 2, 0)
+    terms = np.matmul(np.abs(a), np.abs(b)).transpose(1, 2, 0)
+    assert np.all(np.abs(op.mult - want) <= 1e-14 * terms)
+
+
+def kernels(s, kind):
+    return low_rank(s) if kind == "factored" else entries((2, 2, s, s + 1))
+
+
+def mixed(alpha, a, b):
+    """alpha a + (1 - alpha) b, factored if both kernels are."""
+    if isinstance(a, LowRank):
+        return LowRank(np.concatenate([alpha * a.left, (1 - alpha) * b.left], axis=2),
+                       np.concatenate([a.right, b.right]))
+    return alpha * a + (1 - alpha) * b
+
+
+KERNEL_KINDS = ["factored", "dense"]
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+@pytest.mark.parametrize("grid", GRIDS)
+@settings(deadline=None)
+@given(data=st.data())
+def test_compose_mult_is_the_per_channel_product(grid, kind, data):
+    s = grid.size
+    second, first = (TransferOperator(grid, data.draw(entries((2, 2, s + 1))),
+                                      data.draw(kernels(s, kind))) for _ in range(2))
+    assert_mult_is_the_channel_product(compose(second, first), second, first)
+
+
+def test_compose_with_swapped_mult_operands_fails_the_product_check(monkeypatch):
+    grid = build_grid(1.3, 3)
+    rng = np.random.default_rng(7)
+    second, first = (TransferOperator(grid, rng.normal(size=(2, 2, 4))
+                                      + 1j * rng.normal(size=(2, 2, 4)), None) for _ in range(2))
+    assert_mult_is_the_channel_product(compose(second, first), second, first)
+    times = ops._times
+    monkeypatch.setattr(ops, "_times", lambda lhs, rhs, out=None: times(rhs, lhs, out=out))
+    with pytest.raises(AssertionError):
+        assert_mult_is_the_channel_product(compose(second, first), second, first)
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+@pytest.mark.parametrize("grid", GRIDS)
+@settings(deadline=None)
+@given(data=st.data(), alpha=st.floats(-2.0, 2.0))
+def test_compose_kernel_is_affine_in_each_operand(grid, kind, data, alpha):
+    s = grid.size
+    m2, m1 = (data.draw(entries((2, 2, s + 1))) for _ in range(2))
+    k2, k1, other = (data.draw(kernels(s, kind)) for _ in range(3))
+
+    def kernel(second, first):
+        return np.asarray(compose(TransferOperator(grid, m2, second),
+                                  TransferOperator(grid, m1, first)).kernel)
+
+    shape = (2, 2, s, s + 1)
+    # K = M2 K1 + K2 M1 + K2 K1: the constant term's weights alpha and 1 - alpha sum to one
+    assert_close(kernel(k2, mixed(alpha, k1, other)),
+                 alpha * kernel(k2, k1) + (1 - alpha) * kernel(k2, other), shape)
+    assert_close(kernel(mixed(alpha, k2, other), k1),
+                 alpha * kernel(k2, k1) + (1 - alpha) * kernel(other, k1), shape)
 
 
 @pytest.mark.parametrize("grid", GRIDS)
@@ -279,7 +348,7 @@ def test_factored_generator_matches_dense(pot, n, data):
     want = dense_generator(pot, x, grid) @ u
     # per point: plus rows T (P A + B), minus rows -P times them
     t_at, phases = _stage_tables(pot, grid, smooth_members(pot),
-                                 ops.channel_omegas(grid))(np.array([x]), np.ones(1))
+                                 grid.channel_omegas)(np.array([x]), np.ones(1))
     plus, minus = np.r_[0:n, 2 * n], np.r_[n:2 * n, 2 * n + 1]
     p = phases[0][:, None]
     got = np.empty_like(u)
