@@ -230,8 +230,11 @@ def slab_operator(sp: SlabParams, grid: MomentumGrid | DiscGrid,
     The canonical formula places the slab on [0, L]; a translation by x0
     conjugates the off-diagonal entries with e^{-+ 2 i omega x0}.  On a
     DiscGrid (z the layer axis) the channels are the grid's frequencies, as
-    in its evolution; on a MomentumGrid they are omega(p) at the nodes.
+    in its evolution; on a MomentumGrid they are omega(p) at the nodes.  A
+    non-finite x0 raises ValueError.
     """
+    if not np.isfinite(x0):
+        raise ValueError(f"x0 must be finite, got {x0}")
     if not np.isclose(grid.k, sp.k, rtol=1e-12, atol=0.0):
         raise ValueError("slab parameters and grid carry different wavenumbers")
     if isinstance(grid, DiscGrid):

@@ -30,11 +30,12 @@ each the per-channel 2x2 product operators._times that compose also uses.
 Its mult is scanned for finiteness once and becomes the operator's
 without a copy.
 
-The RK4 (_rk4) never forms H: _stage_tables factors it, _rk4_step is the
-one step of both paths, _advance_by_steps runs a piece with a dense
-generator and _advance_by_power a layered one.  effective_hamiltonian and
-potential_kernel assemble the dense generator as the reference the
-factored form is tested against.
+evolve_transfer chooses the path once: _layered_mult evolves mult and
+_dense_state the dense half state, each over the pieces of _pieces, with
+_advance_by_power and _advance_by_steps; _rk4_step is the one step of both.
+The RK4 never forms H: _sources and _phases factor it.
+effective_hamiltonian and potential_kernel assemble the dense generator as
+the reference the factored form is tested against.
 """
 
 from __future__ import annotations
@@ -154,106 +155,44 @@ def effective_hamiltonian(pot, x: float, grid: MomentumGrid) -> np.ndarray:
     return _assemble_blocks(potential_kernel(pot, x, grid), x, grid.omegas)
 
 
-def _stage_tables(pot, grid, members, omegas):
-    """(xs, scale) -> (t, P): the generator at the points xs, and one row of
-    P per point.
-
-    On the C channels at frequencies omegas (with members the S + 1 of
-    grid.channel_omegas, the grid's and then the beam's at k; without,
-    any frequencies, since each channel then evolves on its own), with
-    P = e^{2i omega x}, the plus rows of H U are T (P A + B) and the
-    minus rows -P times those, where A and B are the plus and minus rows of
-    U and
-
-        T = diag(e^{-i omega x} / 2 omega) (sum_m profile_m(x) S_m + u(x) I)
-            diag(e^{-i omega x}),
-
-    times scale.  Every smooth member is separable, vt(x, q) =
-    profile(x) transform_y(q), so S_m, its transverse transform at
-    p_j - p_l with grid.measure (w_l omega_l / 2 pi) folded into its
-    columns and at p_j (the beam source) in its last column, is built once
-    here; its beam row is zero, since nothing maps smooth channels back
-    into the beam.  With no members T is diagonal, and t is the array of
-    its diagonals, one (1, C) row per point (xs may then have any shape),
-    applied by np.multiply.
-    Otherwise t(lo, hi, out=None) builds the matrices at xs[lo:hi] as one
-    (hi - lo, C, C) stack, applied by np.matmul: the profile-weighted sum
-    of the sources in one matrix product, scaled by the left and by the
-    right factors.
-    """
-    c, k, inv_2w = omegas.size, grid.k, 0.5 / omegas
-    uniform = has_uniform_part(pot)
-    if members:
-        n = grid.size
-        sources = np.zeros((len(members) + uniform, c, c), dtype=complex)
-        q = grid.nodes[:, None] - grid.nodes[None, :]
-        for source, member in zip(sources, members):
-            source[:n, :n] = member.transform_y(q) * grid.measure
-            source[:n, n] = member.transform_y(grid.nodes)
-        if uniform:
-            sources[-1] = np.eye(c)     # u(x) I, weighted like a member's profile
-
-    def tables(xs, scale):
-        phase = np.exp(1j * np.multiply.outer(xs, omegas))
-        minus = phase.conj()
-        rows = (scale[..., None] * inv_2w) * minus
-        u = uniform_part(pot, xs, k)
-        if not members:
-            return (u[..., None] * rows * minus)[..., None, :], phase * phase
-        weights = np.stack([m.profile(xs) for m in members] + ([u] if uniform else []), axis=1)
-        flat = sources.reshape(len(sources), -1)
-
-        def t_at(lo, hi, out=None):
-            t = np.empty((hi - lo, c, c), dtype=complex) if out is None else out
-            np.matmul(weights[lo:hi], flat, out=t.reshape(hi - lo, -1))
-            t *= rows[lo:hi, :, None]
-            t *= minus[lo:hi, None, :]
-            return t
-
-        return t_at, phase * phase
-
-    return tables
+def _pieces(pot, cfg: EvolutionConfig):
+    """The window split at the potential's interior discontinuities (the
+    jumps of H), as (p0, n, h, lo, hi) per piece of length L: start,
+    max(1, round(steps L / (x_max - x_min))) steps of size h, and the bounds,
+    1e-9 L inside, that stage points are clamped to, so sampling never
+    straddles a jump and RK4 keeps its order for piecewise-smooth H."""
+    x_min, x_max = cfg.x_min, cfg.x_max
+    edges = [x_min] + sorted(b for b in set(discontinuities(pot)) if x_min < b < x_max) + [x_max]
+    for p0, p1 in zip(edges, edges[1:]):
+        n = max(1, round(cfg.steps * (p1 - p0) / (x_max - x_min)))
+        nudge = (p1 - p0) * 1e-9
+        yield p0, n, (p1 - p0) / n, p0 + nudge, p1 - nudge
 
 
-def _rk4(tables, y: np.ndarray, x_min: float, x_max: float, steps: int,
-         breaks=(), layered=False) -> np.ndarray:
-    """Classical fixed-step RK4 for dU/dx = -i H(x) U on the half state y = (A, B).
+def _phases(omegas: np.ndarray, xs: np.ndarray, scale: np.ndarray) -> tuple:
+    """(rows, minus, P) at the points xs (any shape) on channels at omegas:
+    minus = e^{-i omega x}, rows = scale e^{-i omega x} / 2 omega, the left
+    factor of T, and P = e^{2i omega x}."""
+    phase = np.exp(1j * np.multiply.outer(xs, omegas))
+    minus = phase.conj()
+    return (scale[..., None] * (0.5 / omegas)) * minus, minus, phase * phase
 
-    The window is split at the interior breakpoints (known discontinuities of
-    H); stage evaluations are clamped a hair inside each piece, so pointwise
-    sampling never straddles a jump and the scheme keeps its fourth order for
-    piecewise-smooth generators.  A dense piece advances one step after
-    another (_advance_by_steps), its stage matrices built by blocks of steps
-    (BLOCK_BYTES).  layered says tables has no members: T is diagonal, A's
-    last axis is its channels, and u (a stack of slabs) is constant between
-    breaks, so each step's map is the previous one's conjugated by a phase.
-    A layered piece then tabulates only its first, second and last steps,
-    as (slot, step) tables, for _advance_by_power.  Updates y in place.
-    """
-    edges = [x_min] + sorted(b for b in set(breaks) if x_min < b < x_max) + [x_max]
-    # overflow is tolerated here: callers check finiteness and raise
-    with np.errstate(over="ignore", invalid="ignore"):
-        for p0, p1 in zip(edges, edges[1:]):
-            n = max(1, round(steps * (p1 - p0) / (x_max - x_min)))
-            h = (p1 - p0) / n
-            nudge = (p1 - p0) * 1e-9
-            if layered:
-                lo, hi = p0 + nudge, p1 - nudge
-                left = [p0 + i * h for i in (0, 1, n - 1)[:n]]
-                xs = np.array([[min(max(s + x, lo), hi) for x in left] for s in (0.0, h / 2, h)])
-                t, p = tables(xs, _RK4_WEIGHTS * (-1j * h / 6))
-                pw = p[..., None, :]
-                _advance_by_power(t, (pw, -pw, 3 * (pw[1:] - pw[:-1])), y, n)
-                continue
-            left = p0 + np.arange(n) * h
-            xs = np.empty(2 * n + 1)
-            xs[0], xs[1::2], xs[2::2] = p0, left + h / 2, left + h
-            scale = np.full(2 * n + 1, -1j * h / 6)
-            scale[1::2] *= 2
-            t_at, p = tables(np.clip(xs, p0 + nudge, p1 - nudge), scale)
-            pw = _by_step(p[:, :, None])
-            _advance_by_steps(t_at, (pw, _by_step(-p[:, :, None]), 3 * (pw[1:] - pw[:-1])), y)
-    return y
+
+def _sources(pot, grid, members) -> np.ndarray:
+    """The S_m of the smooth members on the S + 1 channels, then the
+    identity (weighted by u(x) as S_m by profile_m(x)) if pot has a uniform
+    part.  S_m is transform_y at p_j - p_l with grid.measure (w_l omega_l /
+    2 pi) in its columns and at p_j (the beam source) in its last column;
+    its beam row is zero: nothing maps smooth channels into the beam."""
+    n, uniform = grid.size, has_uniform_part(pot)
+    sources = np.zeros((len(members) + uniform, n + 1, n + 1), dtype=complex)
+    q = grid.nodes[:, None] - grid.nodes[None, :]
+    for source, member in zip(sources, members):
+        source[:n, :n] = member.transform_y(q) * grid.measure
+        source[:n, n] = member.transform_y(grid.nodes)
+    if uniform:
+        sources[-1] = np.eye(n + 1)
+    return sources
 
 
 def _by_step(a):
@@ -316,22 +255,28 @@ def _rk4_step(apply, y, pw, pn, d, t, work) -> None:
         y += i
 
 
-def _advance_by_steps(t_at, phases, y) -> None:
+def _advance_by_steps(stage, phases, y) -> None:
     """Advance y through a piece one step after another, T a matrix.
 
-    The stage matrices are built by blocks of as many steps as fit in
-    BLOCK_BYTES (at least one), each block in one t_at call into the one
-    buffer ts; a block's first point is the last of the block before,
+    stage is (profiles, flat sources, rows, minus) at the piece's stage
+    points (_dense_state).  The stage matrices are built by blocks of as
+    many steps as fit in BLOCK_BYTES (at least one) into the one buffer ts,
+    each block by one product of its profiles with the sources and two
+    scalings; a block's first point is the last of the block before,
     carried over in ts[0], so every point is built once.
     """
+    profiles, flat, rows, minus = stage
     n, c = phases[0].shape[1], y.shape[1]
     # a block's 2 per + 1 stage matrices of 16 c^2 bytes each fit in BLOCK_BYTES
     per = max(1, (BLOCK_BYTES // (16 * c * c) - 1) // 2)
     work, ts = _work(y.shape[1:]), np.empty((2 * per + 1, c, c), dtype=complex)
-    t_at(0, 1, out=ts[:1])
     for i in range(0, n, per):
         m = 2 * (min(i + per, n) - i)
-        t_at(2 * i + 1, 2 * i + m + 1, out=ts[1:m + 1])
+        lo, hi = 2 * i + (i > 0), 2 * i + m + 1     # the first block builds point 0 too
+        t = ts[lo - 2 * i:m + 1]
+        np.matmul(profiles[lo:hi], flat, out=t.reshape(hi - lo, -1))
+        t *= rows[lo:hi, :, None]
+        t *= minus[lo:hi, None, :]
         block = [a[:, i:i + m // 2] for a in phases] + [_by_step(ts[:m + 1])]
         for step in zip(*(a.swapaxes(0, 1) for a in block)):
             _rk4_step(np.matmul, y, *step, work)
@@ -372,40 +317,83 @@ def _advance_by_power(t, phases, y, n) -> None:
         _times(maps[:, -1], y, out=y)
 
 
-def _evolution(pot, grid, members):
-    """cfg -> the half state evolved from the identity: plus and minus rows
-    of the C channels, columns (plus, minus) x C channels.  Without members
-    the generator is diagonal, and the state is laid out like mult:
-    (plus, minus) rows x (plus, minus) columns x C channels.  Each channel
-    then evolves on its own and depends on it only through omega, so the
-    evolution runs once per distinct frequency (grid.distinct_omegas;
-    n_radial + 1 on a DiscGrid) and grid.distinct_index gathers the result
-    back to the channels, as a fresh array.  Every operation of that path
-    is elementwise per channel, so the result is bitwise that of evolving
-    every channel."""
-    omegas = grid.channel_omegas if members else grid.distinct_omegas
-    tables, c = _stage_tables(pot, grid, members, omegas), omegas.size
-    eye, shape = (np.eye(c), (2, c, 2, c)) if members else (1.0, (2, 2, c))
+def _dense_state(pot, grid, members, cfg: EvolutionConfig) -> np.ndarray:
+    """The half state evolved from the identity: plus and minus rows of the
+    S + 1 channels, columns (plus, minus) x channels.
 
-    def evolve(cfg: EvolutionConfig) -> np.ndarray:
-        y = np.zeros(shape, dtype=complex)
-        y[0, ..., 0, :] = y[1, ..., 1, :] = eye
-        y = _rk4(tables, y.reshape(2, shape[1], -1), cfg.x_min, cfg.x_max, cfg.steps,
-                 breaks=discontinuities(pot), layered=not members)
-        return y if members else y.take(grid.distinct_index, axis=-1)
+    With P = e^{2i omega x}, the plus rows of H U are T (P A + B) and the
+    minus rows -P times those, where A and B are the plus and minus rows of
+    U and
 
-    return evolve
+        T = diag(e^{-i omega x} / 2 omega) (sum_m profile_m(x) S_m + u(x) I)
+            diag(e^{-i omega x}),
+
+    times -i h / 6 (-i h / 3 at midpoints).  Every smooth member is
+    separable, vt(x, q) = profile(x) transform_y(q), so the S_m (_sources)
+    are built once, and _advance_by_steps builds T from a piece's profiles,
+    u and phases at its 2n + 1 stage points.
+    """
+    c, omegas, uniform = grid.size + 1, grid.channel_omegas, has_uniform_part(pot)
+    sources = _sources(pot, grid, members)
+    flat = sources.reshape(len(sources), -1)
+    y = np.zeros((2, c, 2, c), dtype=complex)
+    y[0, :, 0] = y[1, :, 1] = np.eye(c)
+    y = y.reshape(2, c, 2 * c)
+    # overflow is tolerated here: callers check finiteness and raise
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p0, n, h, lo, hi in _pieces(pot, cfg):
+            left = p0 + np.arange(n) * h
+            xs = np.empty(2 * n + 1)
+            xs[0], xs[1::2], xs[2::2] = p0, left + h / 2, left + h
+            xs = np.clip(xs, lo, hi)
+            scale = np.full(2 * n + 1, -1j * h / 6)
+            scale[1::2] *= 2
+            rows, minus, p = _phases(omegas, xs, scale)
+            u = [uniform_part(pot, xs, grid.k)] if uniform else []
+            profiles = np.stack([m.profile(xs) for m in members] + u, axis=1)
+            pw = _by_step(p[:, :, None])
+            _advance_by_steps((profiles, flat, rows, minus),
+                              (pw, _by_step(-p[:, :, None]), 3 * (pw[1:] - pw[:-1])), y)
+    return y
 
 
-def _checked(evolve, cfg: EvolutionConfig) -> np.ndarray:
-    """evolve(cfg), refused when non-finite and, with check_tolerance set,
-    compared with evolve at half the steps."""
-    u = evolve(cfg)
+def _layered_mult(pot, grid, cfg: EvolutionConfig) -> np.ndarray:
+    """The uniform part's mult evolved from the identity, as a fresh array:
+    (plus, minus) rows x (plus, minus) columns x the S + 1 channels.
+
+    T is diagonal, so a channel evolves on its own and only through omega:
+    once per grid.distinct_omegas (n_radial + 1 on a DiscGrid), gathered by
+    grid.distinct_index, and bitwise as if per channel, every operation
+    being elementwise.  u (a stack of slabs) is constant between
+    discontinuities, so a step's map is the previous one's conjugated by a
+    phase; a piece is tabulated only at its first, second and last steps,
+    as (slot, step) rows, for _advance_by_power.
+    """
+    omegas = grid.distinct_omegas
+    y = np.zeros((2, 2, omegas.size), dtype=complex)
+    y[0, 0] = y[1, 1] = 1
+    # overflow is tolerated here: callers check finiteness and raise
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p0, n, h, lo, hi in _pieces(pot, cfg):
+            left = [p0 + i * h for i in (0, 1, n - 1)[:n]]
+            xs = np.array([[min(max(s + x, lo), hi) for x in left] for s in (0.0, h / 2, h)])
+            rows, minus, p = _phases(omegas, xs, _RK4_WEIGHTS * (-1j * h / 6))
+            t = (uniform_part(pot, xs, grid.k)[..., None] * rows * minus)[..., None, :]
+            pw = p[..., None, :]
+            _advance_by_power(t, (pw, -pw, 3 * (pw[1:] - pw[:-1])), y, n)
+    return y.take(grid.distinct_index, axis=-1)
+
+
+def _checked(path, *args) -> np.ndarray:
+    """path(*args), refused when non-finite and, with check_tolerance set on
+    the config (the last argument), compared with path at half the steps."""
+    *head, cfg = args
+    u = path(*args)
     if not np.isfinite(u).all():
         raise DivergenceError("evolution produced non-finite values")
     if cfg.check_tolerance is not None and cfg.steps >= 2:
         half = EvolutionConfig(cfg.x_min, cfg.x_max, cfg.steps // 2)
-        delta = float(np.max(np.abs(u - evolve(half))))
+        delta = float(np.max(np.abs(u - path(*head, half))))
         if delta > cfg.check_tolerance:
             warnings.warn(AccuracyWarning(op="evolve_transfer", steps=cfg.steps,
                                           delta=delta), stacklevel=3)
@@ -432,11 +420,11 @@ def evolve_transfer(pot, grid: MomentumGrid | DiscGrid, cfg: EvolutionConfig) ->
             f"grid has {grid.size} channels; 3D evolution is capped at {MAX_CHANNELS_3D}")
     members = smooth_members(pot)
     if not members:
-        return TransferOperator._of_checked_mult(grid, _checked(_evolution(pot, grid, []), cfg))
+        return TransferOperator._of_checked_mult(grid, _checked(_layered_mult, pot, grid, cfg))
 
     n = grid.size
-    y = _checked(_evolution(pot, grid, members), cfg)
-    mult = _evolution(pot, grid, [])(cfg) if has_uniform_part(pot) else unit_mult(grid)
+    y = _checked(_dense_state, pot, grid, members, cfg)
+    mult = _layered_mult(pot, grid, cfg) if has_uniform_part(pot) else unit_mult(grid)
 
     # grid rows of both halves; columns (plus, minus) x (grid channels, beam)
     kernel = y[:, :n].reshape(2, n, 2, n + 1).transpose(0, 2, 1, 3)

@@ -393,8 +393,11 @@ def solve_outgoing(op: TransferOperator, incident: complex = 1.0):
     values may be non-finite; such a point is a spectral singularity of the
     potential.  With no kernel the system is diagonal; a factored kernel is
     solved by its capacitance matrix where _capacitance_solve accepts it;
-    every other case goes through a dense LU.
+    every other case goes through a dense LU.  A non-finite incident raises
+    ValueError.
     """
+    if not np.isfinite(incident):
+        raise ValueError(f"incident must be finite, got {incident}")
     m0, mult_grid = op.mult_at_zero(), op.mult_on_grid()
     kernel, k0 = op.kernel, op.kernel_at_zero
     if k0 is None:
@@ -469,10 +472,14 @@ def amplitude(t_plus: SpectralAmplitude, t_minus: SpectralAmplitude,
     is interpolated (barycentric, spectrally accurate on these nodes) rather
     than T itself, since T generically carries a 1/omega factor.  theta =
     pi/2 and 3 pi/2 (omega = 0) are excluded; delta coefficients are not
-    folded in (they modify the coherent beam, not the diffuse wave).
+    folded in (they modify the coherent beam, not the diffuse wave).  A
+    non-finite angle raises ValueError.
     """
     grid = _checked_grid(t_plus, t_minus, k, MomentumGrid)
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float)) % (2 * np.pi)
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    if not np.isfinite(thetas).all():
+        raise ValueError(f"theta must be finite, got {thetas[~np.isfinite(thetas)][0]}")
+    thetas = thetas % (2 * np.pi)
     cos_t = np.cos(thetas)
     if np.any(np.abs(cos_t) < COS_EXCLUSION):
         raise ValueError("f(theta) is undefined at cos(theta) = 0")
@@ -507,9 +514,12 @@ def amplitude3d(t_plus: SpectralAmplitude, t_minus: SpectralAmplitude,
     pi/2 (omega = 0) is excluded.  As in 2D, the omega-premultiplied samples
     are interpolated: barycentric in the radial omega variable, ring by
     ring, then trigonometric in azimuth.  ValueError if the amplitudes do
-    not live on one DiscGrid or k is not the grid's wavenumber.
+    not live on one DiscGrid, k is not the grid's wavenumber or an angle is
+    not finite.
     """
     grid = _checked_grid(t_plus, t_minus, k, DiscGrid)
+    if not (np.isfinite(theta) and np.isfinite(phi)):
+        raise ValueError(f"angles must be finite, got theta = {theta}, phi = {phi}")
     cos_t = float(np.cos(theta))
     if abs(cos_t) < COS_EXCLUSION:
         raise ValueError("f(theta, phi) is undefined at cos(theta) = 0")

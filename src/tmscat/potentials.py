@@ -26,11 +26,23 @@ from .errors import UnsupportedEvaluationError
 GAUSSIAN_SUPPORT_SIGMAS = 8.0
 
 
+def _require_finite(leaf, *names) -> None:
+    """Raise ValueError naming the first field (a number or a tuple of
+    numbers) of leaf that is not finite."""
+    for name in names:
+        value = getattr(leaf, name)
+        if not np.isfinite(value).all():
+            raise ValueError(f"{type(leaf).__name__} {name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Delta2D:
     """Point potential strength * delta(x) delta(y) (a thin wire along z)."""
 
     strength: complex
+
+    def __post_init__(self):
+        _require_finite(self, "strength")
 
 
 @dataclass(frozen=True)
@@ -45,6 +57,7 @@ class Slab:
     thickness: float
 
     def __post_init__(self):
+        _require_finite(self, "epsilon", "thickness")
         if not self.thickness > 0:
             raise ValueError("slab thickness must be positive")
 
@@ -58,6 +71,7 @@ class SlabWithDefect:
     strength: complex
 
     def __post_init__(self):
+        _require_finite(self, "epsilon", "thickness", "strength")
         if not self.thickness > 0:
             raise ValueError("slab thickness must be positive")
 
@@ -71,6 +85,7 @@ class GaussianBump:
     widths: tuple[float, float] = (1.0, 1.0)
 
     def __post_init__(self):
+        _require_finite(self, "amplitude", "center", "widths")
         sx, sy = self.widths
         if not (sx > 0 and sy > 0):
             raise ValueError("gaussian widths must be positive")
@@ -94,6 +109,9 @@ class Delta3D:
     """Point potential strength * delta(x) delta(y) delta(z)."""
 
     strength: complex
+
+    def __post_init__(self):
+        _require_finite(self, "strength")
 
 
 @dataclass(frozen=True)

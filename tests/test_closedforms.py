@@ -130,6 +130,12 @@ def test_slab_operator_checks_wavenumber():
         slab_operator(SlabParams(2.0, 1.0, 1.0), build_grid(2.0, 8))
 
 
+@pytest.mark.parametrize("x0", [np.nan, np.inf, -np.inf])
+def test_slab_operator_rejects_a_non_finite_offset(x0):
+    with pytest.raises(ValueError, match="x0 must be finite"):
+        slab_operator(SlabParams(2.0, 1.0, 1.3), build_grid(1.3, 8), x0)
+
+
 # ---------------------------------------------------------------------------
 # X, Y, Z surface factors
 # ---------------------------------------------------------------------------

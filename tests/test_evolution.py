@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -8,7 +10,7 @@ from tmscat import (AccuracyWarning, Delta2D, DiscGrid, EvolutionConfig, Gaussia
                     auto_config, build_disc_grid, build_grid, compose,
                     effective_hamiltonian, evolve_transfer, identity_operator,
                     potential_kernel, slab_operator)
-from tmscat.evolution import _rk4, _stage_tables
+from tmscat.evolution import _layered_mult, _pieces
 from tmscat.potentials import discontinuities
 
 
@@ -249,12 +251,10 @@ def test_numeric_slab_mult_matches_closed_form_on_other_grids():
 
 def every_channel_mult(pot, grid, cfg):
     """The layered mult evolved on every channel in grid order, through the
-    engine's own stage tables and RK4."""
-    omegas = grid.channel_omegas
-    y = np.zeros((2, 2, omegas.size), dtype=complex)
-    y[0, 0] = y[1, 1] = 1
-    return _rk4(_stage_tables(pot, grid, [], omegas), y, cfg.x_min, cfg.x_max, cfg.steps,
-                breaks=discontinuities(pot), layered=True)
+    engine's own layered path on a grid whose every channel is distinct."""
+    every = dataclasses.replace(grid, distinct_omegas=grid.channel_omegas,
+                                distinct_index=np.arange(grid.size + 1))
+    return _layered_mult(pot, every, cfg)
 
 
 def advanced_channels(monkeypatch):
@@ -372,3 +372,55 @@ def test_config_rejects_a_negative_check_tolerance():
     with pytest.raises(ValueError, match="check_tolerance"):
         auto_config(centered_bump(amp=0.5), 40, check_tolerance=-1e-300)
     assert EvolutionConfig(-5.6, 5.6, 40, check_tolerance=0.0).check_tolerance == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the stepping schedule and the one path choice
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("pot, window, steps, counts", [
+    # layer edges 0, 0.4 and 1.1 inside the window: pieces of 0.2, 0.4, 0.7 and 0.2
+    (TWO_SLABS, (-0.2, 1.3), 150, [20, 40, 70, 20]),
+    # edges at the window's ends do not split it
+    (TWO_SLABS, (0.0, 1.1), 33, [12, 21]),
+    # a piece too short for its share of one step still takes one
+    (TWO_SLABS, (-0.2, 1.3), 1, [1, 1, 1, 1]),
+    (Slab(2.0, 1.0), (0.25, 0.375), 50, [50]),
+    (centered_bump(), (-5.0, 5.0), 7, [7]),
+], ids=["two-slabs-across", "two-slabs-edge-to-edge", "one-step", "inside-a-slab", "bump"])
+def test_pieces_tile_the_window_and_split_at_interior_breaks(pot, window, steps, counts):
+    cfg = EvolutionConfig(*window, steps)
+    pieces = list(_pieces(pot, cfg))
+    interior = [b for b in discontinuities(pot) if cfg.x_min < b < cfg.x_max]
+    starts, ends = [cfg.x_min] + interior, interior + [cfg.x_max]
+    assert [p0 for p0, *_ in pieces] == starts
+    assert [n for _, n, *_ in pieces] == counts
+    for (p0, n, h, lo, hi), p1 in zip(pieces, ends):
+        assert h == (p1 - p0) / n
+        # stage points are clamped 1e-9 of the piece inside it
+        assert (lo, hi) == (p0 + (p1 - p0) * 1e-9, p1 - (p1 - p0) * 1e-9)
+        assert p0 < lo < hi < p1
+
+
+SLAB_AND_BUMP = SumPotential((GaussianBump(0.4, (-6.0, 0.0), (0.5, 0.8)), Slab(1.7, 1.0)))
+
+
+@pytest.mark.parametrize("pot, tol, runs", [
+    (SLAB_AND_BUMP, None, {"_dense_state": 1, "_layered_mult": 1}),
+    (SLAB_AND_BUMP, 1.0, {"_dense_state": 2, "_layered_mult": 1}),
+    (Slab(1.7, 1.0), None, {"_layered_mult": 1}),
+    (Slab(1.7, 1.0), 1.0, {"_layered_mult": 2}),
+    (GaussianBump(0.4, (-6.0, 0.0), (0.5, 0.8)), 1.0, {"_dense_state": 2}),
+], ids=["sum", "sum-checked", "slab", "slab-checked", "bump-checked"])
+def test_evolve_transfer_runs_each_path_as_chosen(pot, tol, runs, monkeypatch):
+    # the step-halving check re-runs only the checked path, at half the steps
+    seen = []
+    for name in ("_dense_state", "_layered_mult"):
+        def spy(*args, path=getattr(evolution, name), name=name):
+            seen.append((name, args[-1].steps))
+            return path(*args)
+        monkeypatch.setattr(evolution, name, spy)
+    evolve_transfer(pot, build_grid(1.5, 8), EvolutionConfig(-10.0, 1.0, 60, check_tolerance=tol))
+    assert {name: [n for m, n in seen if m == name] for name in runs} == {
+        name: [60, 30][:count] for name, count in runs.items()}
+    assert len(seen) == sum(runs.values())

@@ -92,6 +92,20 @@ def test_amplitude_excludes_grazing_angles(grid):
             amplitude(t_plus, t_minus, grid.k, [bad])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_amplitude_rejects_non_finite_angles(grid, bad):
+    t_plus, t_minus, _ = solve_outgoing(delta2d_operator(1.0j - 0.5, grid))
+    with pytest.raises(ValueError, match="theta must be finite"):
+        amplitude(t_plus, t_minus, grid.k, [0.3, bad])
+
+
+@pytest.mark.parametrize("incident", [np.nan, np.inf, complex(1.0, np.nan)])
+def test_solve_outgoing_rejects_a_non_finite_incident(grid, incident):
+    # not a spectral singularity: the input is at fault
+    with pytest.raises(ValueError, match="incident must be finite"):
+        solve_outgoing(delta2d_operator(1.0j - 0.5, grid), incident)
+
+
 def test_point_potential_amplitude_is_isotropic(grid):
     strength = 1.0j - 0.5
     t_plus, t_minus, _ = solve_outgoing(delta2d_operator(strength, grid))

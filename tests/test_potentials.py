@@ -142,6 +142,29 @@ def test_validation_errors():
         SumPotential(members=(Delta3D(1.0),))
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: Delta2D(complex(1.0, NAN)), "strength"),
+    (lambda: Delta3D(INF), "strength"),
+    (lambda: Slab(NAN, 1.0), "epsilon"),
+    (lambda: Slab(2.0, INF), "thickness"),
+    (lambda: SlabWithDefect(2.0, 1.0, complex(NAN, 0.0)), "strength"),
+    (lambda: SlabWithDefect(2.0, -INF, 1.0), "thickness"),
+    (lambda: GaussianBump(1.0, (NAN, 0.0)), "center"),
+    (lambda: GaussianBump(1.0, (0.0, 0.0), (1.0, INF)), "widths"),
+    (lambda: GaussianBump(complex(INF, 0.0)), "amplitude"),
+], ids=["delta2d", "delta3d", "slab-epsilon", "slab-thickness", "slab_with_defect-strength",
+        "slab_with_defect-thickness", "gaussian_bump-center", "gaussian_bump-widths",
+        "gaussian_bump-amplitude"])
+def test_leaf_constructors_reject_non_finite_fields(make, field):
+    # a nan slab would otherwise evolve to a DivergenceError, and a nan
+    # centre would read as a potential with no x-support
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        make()
+
+
 @pytest.mark.parametrize("pot", [
     Delta2D(strength=1.25 - 0.5j),
     Delta3D(strength=0.3j),

@@ -21,7 +21,7 @@ from tmscat import (GaussianBump, LowRank, Slab, SumPotential, TransferOperator,
                     solve_outgoing, uniform_part, x_support)
 import tmscat.evolution as evolution
 import tmscat.operators as ops
-from tmscat.evolution import _assemble_blocks, _stage_tables
+from tmscat.evolution import _assemble_blocks, _phases, _sources
 from tmscat.potentials import discontinuities, smooth_members
 
 GRIDS = [pytest.param(build_grid(1.3, 3), id="2d"),
@@ -347,12 +347,16 @@ def test_factored_generator_matches_dense(pot, n, data):
     u = data.draw(entries((2 * n + 2, 2 * n + 2)))
     want = dense_generator(pot, x, grid) @ u
     # per point: plus rows T (P A + B), minus rows -P times them
-    t_at, phases = _stage_tables(pot, grid, smooth_members(pot),
-                                 grid.channel_omegas)(np.array([x]), np.ones(1))
+    members = smooth_members(pot)
+    rows, right, phases = _phases(grid.channel_omegas, np.array([x]), np.ones(1))
+    # the sources are weighted by the profiles, then by u if pot has a uniform part
+    weights = [m.profile(x) for m in members] + [uniform_part(pot, x, grid.k)]
+    t = sum(w * s for w, s in zip(weights, _sources(pot, grid, members)))
+    t = rows[0][:, None] * t * right[0][None, :]
     plus, minus = np.r_[0:n, 2 * n], np.r_[n:2 * n, 2 * n + 1]
     p = phases[0][:, None]
     got = np.empty_like(u)
-    got[plus] = t_at(0, 1)[0] @ (p * u[plus] + u[minus])
+    got[plus] = t @ (p * u[plus] + u[minus])
     got[minus] = -p * got[plus]
     # far out in a Gaussian tail the profile is subnormal, with no relative precision
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)) + np.finfo(float).tiny

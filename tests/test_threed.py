@@ -114,6 +114,14 @@ def test_amplitude_zero_and_exclusion(disc):
         amplitude3d(tp, tm, disc.k, np.pi / 2, 0.0)
 
 
+@pytest.mark.parametrize("theta, phi", [(np.nan, 0.0), (0.5, np.nan), (np.inf, 0.0),
+                                        (0.5, -np.inf)])
+def test_amplitude_rejects_non_finite_angles(disc, theta, phi):
+    tp, tm, _ = solve_outgoing_3d(delta3d_operator(1.0 + 0.5j, disc))
+    with pytest.raises(ValueError, match="angles must be finite"):
+        amplitude3d(tp, tm, disc.k, theta, phi)
+
+
 def test_amplitude_interpolation_exact_on_band_limited_data(disc):
     # manufactured smooth part: low azimuthal modes over a polynomial in
     # omega, resolved exactly by the radial x trigonometric interpolant
