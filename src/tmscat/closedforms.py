@@ -42,6 +42,14 @@ from .operators import LowRank, TransferOperator, identity_operator, unit_mult
 CHANNEL_FACTOR = np.array([[1.0, 1.0], [-1.0, -1.0]], dtype=complex)
 
 
+def _finite_strength(strength: complex) -> complex:
+    """strength as a complex number; ValueError naming it if it is not finite."""
+    z = complex(strength)
+    if not np.isfinite(z):
+        raise ValueError(f"strength must be finite, got {strength!r}")
+    return z
+
+
 def point_operator(strength: complex, grid) -> TransferOperator:
     """Identity plus the rank-one kernel -(i z / 2 omega_j) C[a, b] row_l of a point potential.
 
@@ -51,7 +59,7 @@ def point_operator(strength: complex, grid) -> TransferOperator:
     -i z / 2 omega_j, and right the row for either column channel b, with 1
     appended: a unit coherent beam enters the channel average with weight one.
     """
-    strength = complex(strength)
+    strength = _finite_strength(strength)
     if strength == 0:
         return identity_operator(grid)
     col = -(0.5j * strength) / grid.omegas
@@ -77,7 +85,7 @@ def delta2d_amplitude(strength: complex) -> complex:
     zero-width resonance at strength = 4i (within a relative band of 1e-12,
     so results computed from wire parameters in floating point still raise).
     """
-    strength = complex(strength)
+    strength = _finite_strength(strength)
     denom = 4.0 + 1j * strength
     if abs(denom) <= _SINGULAR_BAND * (4.0 + abs(strength)):
         raise SpectralSingularityError(
@@ -96,13 +104,13 @@ delta3d_operator = point_operator
 
 def delta3d_amplitude(strength: complex, k: float) -> complex:
     """Exact isotropic amplitude of the 3D point potential: -z / (4 pi + i k z)."""
-    strength = complex(strength)
+    strength = _finite_strength(strength)
     return -strength / (4 * np.pi + 1j * k * strength)
 
 
 def scattering_length(strength: complex) -> complex:
     """Low-energy limit -f(k -> 0) of the 3D point potential: z / 4 pi."""
-    return complex(strength) / (4 * np.pi)
+    return _finite_strength(strength) / (4 * np.pi)
 
 
 def wire_modes(zeta: float, mode: str) -> float:
@@ -131,6 +139,9 @@ class DefectParams:
     """Line-defect coupling, optionally derived from a wire permittivity parameter."""
 
     strength: complex
+
+    def __post_init__(self):
+        _finite_strength(self.strength)
 
     @classmethod
     def from_wire(cls, zeta: float, k: float) -> "DefectParams":
@@ -323,6 +334,7 @@ def slab_y(sp: SlabParams, strength: complex, quad_points: int = 200) -> complex
     polish, guards against a pole of X inside the interval, also one between
     two scan samples.
     """
+    _finite_strength(strength)
     if quad_points < 2:
         raise ValueError("quad_points must be at least 2")
     _check_no_interior_pole(sp)

@@ -5,16 +5,19 @@ transverse transform is vt(x, q) = int dy e^{-iqy} v(x, y); potentials that
 are independent of y have vt proportional to 2 pi delta(q), which is kept
 symbolic (see uniform_part) and never sampled.
 
-The serialization format is a key-value tree with a `kind` discriminator;
-every numeric field is a decimal string and complex numbers are {re, im}
-pairs, so documents round-trip exactly.
+Each leaf class answers for itself: `kind` is its document tag, `role` is
+"singular" (a delta(x) or delta(z) factor), "layered" (y-independent) or
+"smooth" (separable and samplable), and `span()` is its numeric x-support.
+The module-level questions read them through _leaves, the one place that
+raises TypeError on what is not a potential.  Documents hold `kind`, then
+the fields in order as decimal strings ({re, im}, {x, y}): exact round trips.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations
 
 import numpy as np
@@ -25,70 +28,81 @@ from .errors import UnsupportedEvaluationError
 # numeric x-support window; the neglected tail is below 1e-14 of the peak.
 GAUSSIAN_SUPPORT_SIGMAS = 8.0
 
-
-def _require_finite(leaf, *names) -> None:
-    """Raise ValueError naming the first field (a number or a tuple of
-    numbers) of leaf that is not finite."""
-    for name in names:
-        value = getattr(leaf, name)
-        if not np.isfinite(value).all():
-            raise ValueError(f"{type(leaf).__name__} {name} must be finite, got {value!r}")
+_PAIR = "tuple[float, float]"  # the annotation of a pair field
 
 
-@dataclass(frozen=True)
-class Delta2D:
-    """Point potential strength * delta(x) delta(y) (a thin wire along z)."""
-
-    strength: complex
+class _Leaf:
+    """Base of the leaf potentials, whose classes set `kind` and `role` and
+    define span().  Its one check raises ValueError naming the first field
+    that is not finite, a pair that is not a tuple of two real numbers, or a
+    thickness or widths that is not positive."""
 
     def __post_init__(self):
-        _require_finite(self, "strength")
+        name = type(self).__name__
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == _PAIR and not (type(value) is tuple and np.shape(value) == (2,)
+                                        and np.asarray(value).dtype.kind in "iuf"):
+                raise ValueError(f"{name} {f.name} must be a tuple of two real numbers, "
+                                 f"got {value!r}")
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} {f.name} must be finite, got {value!r}")
+            if f.name in ("thickness", "widths") and not np.all(np.greater(value, 0)):
+                raise ValueError(f"{name} {f.name} must be positive, got {value!r}")
 
 
 @dataclass(frozen=True)
-class Slab:
+class Delta2D(_Leaf):
+    """Point potential strength * delta(x) delta(y) (a thin wire along z)."""
+
+    kind, role = "delta2d", "singular"
+    strength: complex
+
+    def span(self) -> tuple[float, float]:
+        return (0.0, 0.0)
+
+
+@dataclass(frozen=True)
+class Slab(_Leaf):
     """Homogeneous layer of relative permittivity epsilon on 0 <= x <= thickness.
 
     The potential value is k^2 (1 - epsilon), so it depends on the wavenumber
     of the field probing it.  Reused with z as the propagation axis in 3D.
     """
 
+    kind, role = "slab", "layered"
     epsilon: complex
     thickness: float
 
-    def __post_init__(self):
-        _require_finite(self, "epsilon", "thickness")
-        if not self.thickness > 0:
-            raise ValueError("slab thickness must be positive")
+    def span(self) -> tuple[float, float]:
+        return (0.0, self.thickness)
 
 
 @dataclass(frozen=True)
-class SlabWithDefect:
+class SlabWithDefect(_Leaf):
     """Slab on [0, thickness] with a line defect of coupling `strength` at x = y = 0."""
 
+    kind, role = "slab_with_defect", "singular"
     epsilon: complex
     thickness: float
     strength: complex
 
-    def __post_init__(self):
-        _require_finite(self, "epsilon", "thickness", "strength")
-        if not self.thickness > 0:
-            raise ValueError("slab thickness must be positive")
+    def span(self) -> tuple[float, float]:
+        return (0.0, self.thickness)
 
 
 @dataclass(frozen=True)
-class GaussianBump:
+class GaussianBump(_Leaf):
     """Separable Gaussian v(x,y) = amplitude exp(-(x-x0)^2/2sx^2) exp(-(y-y0)^2/2sy^2)."""
 
+    kind, role = "gaussian_bump", "smooth"
     amplitude: complex
     center: tuple[float, float] = (0.0, 0.0)
     widths: tuple[float, float] = (1.0, 1.0)
 
-    def __post_init__(self):
-        _require_finite(self, "amplitude", "center", "widths")
-        sx, sy = self.widths
-        if not (sx > 0 and sy > 0):
-            raise ValueError("gaussian widths must be positive")
+    def span(self) -> tuple[float, float]:
+        half = GAUSSIAN_SUPPORT_SIGMAS * self.widths[0]
+        return (self.center[0] - half, self.center[0] + half)
 
     def profile(self, x):
         """x-factor of the transverse transform, exp(-(x - x0)^2 / 2 sx^2), at x
@@ -105,13 +119,14 @@ class GaussianBump:
 
 
 @dataclass(frozen=True)
-class Delta3D:
+class Delta3D(_Leaf):
     """Point potential strength * delta(x) delta(y) delta(z)."""
 
+    kind, role = "delta3d", "singular"
     strength: complex
 
-    def __post_init__(self):
-        _require_finite(self, "strength")
+    def span(self) -> tuple[float, float]:
+        return (0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -122,55 +137,52 @@ class SumPotential:
     sum of slabs is a layered stack.
     """
 
+    kind = "sum"
     members: tuple
 
     def __post_init__(self):
         if len(self.members) == 0:
             raise ValueError("sum potential needs at least one member")
         for m in self.members:
-            if isinstance(m, (SumPotential, Delta3D)):
+            if getattr(m, "kind", None) in ("sum", "delta3d"):
                 raise ValueError(f"sum members of type {type(m).__name__} are not supported")
-        spans = sorted((x_support(m), isinstance(m, Slab)) for m in self.members)
+        spans = sorted((m.span(), m.role == "layered") for m in _leaves(self))
         for ((a0, a1), a_slab), ((b0, b1), b_slab) in combinations(spans, 2):
             if not (a_slab and b_slab) and b0 < a1 - 1e-12 * max(1.0, abs(a1)):
                 raise ValueError(
                     f"member x-supports overlap: [{a0}, {a1}] and [{b0}, {b1}]")
 
 
-def _leaves(pot) -> tuple:
-    """A sum's members, or the potential itself: sums do not nest."""
-    return pot.members if isinstance(pot, SumPotential) else (pot,)
+def _leaves(pot, role: str | None = None) -> list:
+    """The leaves of pot (a sum's members, or pot itself), only those of the
+    given role if one is named; TypeError on anything that is not a potential."""
+    out = []
+    for m in pot.members if isinstance(pot, SumPotential) else (pot,):
+        if not isinstance(m, _Leaf):
+            raise TypeError(f"{type(m).__name__} is not a potential")
+        if role is None or m.role == role:
+            out.append(m)
+    return out
 
 
 def x_support(pot) -> tuple[float, float]:
     """Numeric x-support interval of a potential (Gaussian tails truncated)."""
-    spans = []
-    for m in _leaves(pot):
-        if isinstance(m, (Delta2D, Delta3D)):
-            spans.append((0.0, 0.0))
-        elif isinstance(m, (Slab, SlabWithDefect)):
-            spans.append((0.0, m.thickness))
-        elif isinstance(m, GaussianBump):
-            half = GAUSSIAN_SUPPORT_SIGMAS * m.widths[0]
-            spans.append((m.center[0] - half, m.center[0] + half))
-        else:
-            raise TypeError(f"no x-support for {type(m).__name__}")
+    spans = [m.span() for m in _leaves(pot)]
     return (min(a for a, _ in spans), max(b for _, b in spans))
 
 
 def is_x_singular(pot) -> bool:
     """True if the potential carries a delta(x) (or delta(z)) factor."""
-    return any(isinstance(m, (Delta2D, Delta3D, SlabWithDefect)) for m in _leaves(pot))
+    return bool(_leaves(pot, "singular"))
 
 
 def is_y_independent(pot) -> bool:
-    return all(isinstance(m, Slab) for m in _leaves(pot))
+    return all(m.role == "layered" for m in _leaves(pot))
 
 
 def discontinuities(pot) -> tuple[float, ...]:
     """x locations where the potential jumps (layer edges)."""
-    return tuple(sorted({x for m in _leaves(pot) if isinstance(m, Slab)
-                         for x in (0.0, m.thickness)}))
+    return tuple(sorted({x for m in _leaves(pot, "layered") for x in m.span()}))
 
 
 def fourier_y(pot, x: float, q) -> complex | np.ndarray:
@@ -181,18 +193,13 @@ def fourier_y(pot, x: float, q) -> complex | np.ndarray:
     and x-singular ones a delta(x) factor, and both raise
     UnsupportedEvaluationError.
     """
-    if isinstance(pot, GaussianBump):
-        vals = pot.profile(x) * pot.transform_y(q)
-        return vals if vals.ndim else complex(vals)
-    if isinstance(pot, SumPotential):
-        return sum(fourier_y(m, x, q) for m in pot.members)
-    if isinstance(pot, Slab):
-        raise UnsupportedEvaluationError(
-            "slab transform is 2 pi delta(q) * k^2 (1 - epsilon); use uniform_part")
-    if isinstance(pot, (Delta2D, Delta3D, SlabWithDefect)):
-        raise UnsupportedEvaluationError(
-            f"{type(pot).__name__} carries a symbolic delta factor and cannot be sampled")
-    raise TypeError(f"no transverse transform for {type(pot).__name__}")
+    leaves = _leaves(pot)
+    for m in leaves:
+        if m.role != "smooth":
+            raise UnsupportedEvaluationError(
+                f"{type(m).__name__} carries a symbolic delta factor and cannot be sampled")
+    vals = sum(m.profile(x) * m.transform_y(q) for m in leaves)
+    return vals if vals.ndim else complex(vals)
 
 
 def uniform_part(pot, x, k: float):
@@ -200,14 +207,14 @@ def uniform_part(pot, x, k: float):
     the array of its values at an array of positions."""
     x = np.asarray(x)
     out = np.zeros(x.shape, dtype=complex)
-    for m in _leaves(pot):
-        if isinstance(m, Slab):
-            np.add(out, k * k * (1 - m.epsilon), out=out, where=(0.0 <= x) & (x <= m.thickness))
+    for m in _leaves(pot, "layered"):
+        a, b = m.span()
+        np.add(out, k * k * (1 - m.epsilon), out=out, where=(a <= x) & (x <= b))
     return out[()]
 
 
 def has_uniform_part(pot) -> bool:
-    return any(isinstance(m, Slab) for m in _leaves(pot))
+    return bool(_leaves(pot, "layered"))
 
 
 def smooth_members(pot) -> list:
@@ -215,7 +222,7 @@ def smooth_members(pot) -> list:
 
     Each is separable, vt(x, q) = member.profile(x) * member.transform_y(q).
     """
-    return [m for m in _leaves(pot) if isinstance(m, GaussianBump)]
+    return _leaves(pot, "smooth")
 
 
 # ---------------------------------------------------------------------------
@@ -242,26 +249,23 @@ def _dec_complex(d) -> complex:
     return complex(_dec_real(d["re"]), _dec_real(d["im"]))
 
 
+# (encoder, decoder) by field annotation; a sum's members are a list of documents
+_CODECS = {
+    "complex": (_enc_complex, _dec_complex),
+    "float": (_enc_real, _dec_real),
+    _PAIR: (lambda p: {"x": _enc_real(p[0]), "y": _enc_real(p[1])},
+            lambda d: (_dec_real(d["x"]), _dec_real(d["y"]))),
+    "tuple": (lambda ms: [potential_to_document(m) for m in ms],
+              lambda ds: tuple(potential_from_document(d) for d in ds)),
+}
+_KINDS = {c.kind: c for c in (Delta2D, Delta3D, Slab, SlabWithDefect, GaussianBump, SumPotential)}
+
+
 def potential_to_document(pot) -> dict:
     """Encode a potential as a key-value tree (all numbers as decimal strings)."""
-    if isinstance(pot, Delta2D):
-        return {"kind": "delta2d", "strength": _enc_complex(pot.strength)}
-    if isinstance(pot, Delta3D):
-        return {"kind": "delta3d", "strength": _enc_complex(pot.strength)}
-    if isinstance(pot, Slab):
-        return {"kind": "slab", "epsilon": _enc_complex(pot.epsilon),
-                "thickness": _enc_real(pot.thickness)}
-    if isinstance(pot, SlabWithDefect):
-        return {"kind": "slab_with_defect", "epsilon": _enc_complex(pot.epsilon),
-                "thickness": _enc_real(pot.thickness),
-                "strength": _enc_complex(pot.strength)}
-    if isinstance(pot, GaussianBump):
-        return {"kind": "gaussian_bump", "amplitude": _enc_complex(pot.amplitude),
-                "center": {"x": _enc_real(pot.center[0]), "y": _enc_real(pot.center[1])},
-                "widths": {"x": _enc_real(pot.widths[0]), "y": _enc_real(pot.widths[1])}}
-    if isinstance(pot, SumPotential):
-        return {"kind": "sum", "members": [potential_to_document(m) for m in pot.members]}
-    raise TypeError(f"cannot serialize {type(pot).__name__}")
+    _leaves(pot)  # TypeError unless pot is a potential
+    return {"kind": pot.kind,
+            **{f.name: _CODECS[f.type][0](getattr(pot, f.name)) for f in fields(pot)}}
 
 
 def potential_from_document(doc: dict):
@@ -274,30 +278,13 @@ def potential_from_document(doc: dict):
         kind = doc["kind"]
     except (TypeError, KeyError):
         raise ValueError("potential document lacks a 'kind' discriminator")
+    if type(kind) is not str or kind not in _KINDS:
+        raise ValueError(f"unknown potential kind {kind!r}")
     try:
-        if kind == "delta2d":
-            return Delta2D(strength=_dec_complex(doc["strength"]))
-        if kind == "delta3d":
-            return Delta3D(strength=_dec_complex(doc["strength"]))
-        if kind == "slab":
-            return Slab(epsilon=_dec_complex(doc["epsilon"]),
-                        thickness=_dec_real(doc["thickness"]))
-        if kind == "slab_with_defect":
-            return SlabWithDefect(epsilon=_dec_complex(doc["epsilon"]),
-                                  thickness=_dec_real(doc["thickness"]),
-                                  strength=_dec_complex(doc["strength"]))
-        if kind == "gaussian_bump":
-            return GaussianBump(amplitude=_dec_complex(doc["amplitude"]),
-                                center=(_dec_real(doc["center"]["x"]),
-                                        _dec_real(doc["center"]["y"])),
-                                widths=(_dec_real(doc["widths"]["x"]),
-                                        _dec_real(doc["widths"]["y"])))
-        if kind == "sum":
-            return SumPotential(members=tuple(potential_from_document(m)
-                                              for m in doc["members"]))
+        return _KINDS[kind](**{f.name: _CODECS[f.type][1](doc[f.name])
+                               for f in fields(_KINDS[kind])})
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed {kind!r} potential document: {exc}") from exc
-    raise ValueError(f"unknown potential kind {kind!r}")
 
 
 def potential_to_json(pot, **kwargs) -> str:

@@ -3,7 +3,7 @@ import pytest
 
 from tmscat import (ConsistencyError, NearResonanceError, NoRootError,
                     SlabParams, SpectralSingularityError, born2d_amplitude,
-                    build_grid, delta2d_amplitude, slab_defect_amplitudes,
+                    build_disc_grid, build_grid, delta2d_amplitude, slab_defect_amplitudes,
                     slab_entries, slab_operator, slab_xyz, slab_y,
                     spectral_singularity, threshold_gain, threshold_gain_curve,
                     wire_modes)
@@ -30,6 +30,28 @@ def test_point_amplitude_weak_coupling_limit():
 def test_point_amplitude_singular():
     with pytest.raises(SpectralSingularityError):
         delta2d_amplitude(4.0j)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("strength", [NAN, complex(0.0, INF), complex(-INF, 1.0)],
+                         ids=["nan", "inf-imag", "inf-real"])
+@pytest.mark.parametrize("call", [
+    lambda z: cf.point_operator(z, build_grid(1.3, 8)),
+    lambda z: cf.point_operator(z, build_disc_grid(1.3, 2, 4)),
+    delta2d_amplitude,
+    lambda z: cf.delta3d_amplitude(z, 1.0),
+    cf.scattering_length,
+    lambda z: slab_y(SlabParams(2.0, 1.0, 1.5), z),
+    lambda z: slab_defect_amplitudes(SlabParams(2.0, 1.0, 1.5), z, [0.0, 0.3]),
+    DefectParams,
+], ids=["point_operator-2d", "point_operator-3d", "delta2d_amplitude", "delta3d_amplitude",
+        "scattering_length", "slab_y", "slab_defect_amplitudes", "DefectParams"])
+def test_couplings_refuse_a_non_finite_strength(call, strength):
+    # an input error, not a numeric failure (DivergenceError) nor a nan result
+    with pytest.raises(ValueError, match="strength must be finite"):
+        call(strength)
 
 
 def test_channel_factor_is_nilpotent():

@@ -10,7 +10,10 @@ from tmscat import (Delta2D, Delta3D, GaussianBump, Slab, SlabWithDefect,
                     SumPotential, UnsupportedEvaluationError, fourier_y,
                     potential_from_document, potential_from_json,
                     potential_to_document, potential_to_json, x_support)
-from tmscat.potentials import is_x_singular, is_y_independent, uniform_part
+from tmscat.evolution import EvolutionConfig, evolve_transfer
+from tmscat.grid import build_grid
+from tmscat.potentials import (discontinuities, has_uniform_part, is_x_singular,
+                               is_y_independent, smooth_members, uniform_part)
 
 
 def gaussian(amp=1.0, center=(0.0, 0.0), widths=(1.0, 1.0)):
@@ -88,10 +91,18 @@ class Unknown:
     """A potential type the module does not know."""
 
 
-@pytest.mark.parametrize("call", [x_support, lambda pot: fourier_y(pot, 0.0, 0.5),
-                                  potential_to_document],
-                         ids=["x_support", "fourier_y", "potential_to_document"])
+@pytest.mark.parametrize("call", [
+    x_support, lambda pot: fourier_y(pot, 0.0, 0.5), potential_to_document,
+    is_x_singular, is_y_independent, discontinuities, lambda pot: uniform_part(pot, 0.5, 1.3),
+    has_uniform_part, smooth_members,
+    lambda pot: evolve_transfer(pot, build_grid(1.3, 8), EvolutionConfig(0.0, 1.0, 10)),
+    lambda pot: SumPotential((Slab(2.0, 1.0), pot)),
+], ids=["x_support", "fourier_y", "potential_to_document", "is_x_singular", "is_y_independent",
+        "discontinuities", "uniform_part", "has_uniform_part", "smooth_members",
+        "evolve_transfer", "sum_member"])
 def test_unknown_potential_types_raise_type_error(call):
+    # one TypeError, whichever question is asked; evolve_transfer must not
+    # return the identity for a potential it cannot read
     with pytest.raises(TypeError, match="Unknown"):
         call(Unknown())
 
@@ -163,6 +174,56 @@ def test_leaf_constructors_reject_non_finite_fields(make, field):
     # centre would read as a potential with no x-support
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         make()
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: GaussianBump(1.0, (0.0, 0.0, 5.0)), "center"),
+    (lambda: GaussianBump(1.0, 0.5), "center"),
+    (lambda: GaussianBump(1.0, (0.0, 1.0j)), "center"),
+    (lambda: GaussianBump(1.0, ("0.0", "0.0")), "center"),
+    (lambda: GaussianBump(1.0, (0.0, 0.0), (1.0,)), "widths"),
+    (lambda: GaussianBump(1.0, (0.0, 0.0), [1.0, 1.0]), "widths"),
+    (lambda: GaussianBump(1.0, (0.0, 0.0), ((1.0, 1.0), (1.0, 1.0))), "widths"),
+], ids=["three-numbers", "scalar", "complex", "strings", "one-number", "list", "nested"])
+def test_gaussian_pairs_must_be_pairs_of_real_numbers(make, field):
+    # a third centre coordinate would be dropped by the document, and a
+    # scalar would fail only when the bump is first evaluated
+    with pytest.raises(ValueError, match=f"{field} must be a tuple of two real numbers"):
+        make()
+
+
+def test_gaussian_pairs_accept_any_real_numbers():
+    # integers and numpy floats are numbers too; the document stores them as floats
+    pot = GaussianBump(1.0, (np.float64(0.5), 0), (1, np.float64(2.0)))
+    assert potential_from_json(potential_to_json(pot)) == pot
+
+
+PINNED_DOCUMENTS = [
+    (Delta2D(1.25 - 0.5j), '{"kind": "delta2d", "strength": {"re": "1.25", "im": "-0.5"}}'),
+    (Delta3D(0.3j), '{"kind": "delta3d", "strength": {"re": "0.0", "im": "0.3"}}'),
+    (Slab(2.0 + 0.01j, 0.7),
+     '{"kind": "slab", "epsilon": {"re": "2.0", "im": "0.01"}, "thickness": "0.7"}'),
+    (SlabWithDefect(1.5, 1.0, 2.0 - 3.0j),
+     '{"kind": "slab_with_defect", "epsilon": {"re": "1.5", "im": "0.0"}, "thickness": "1.0",'
+     ' "strength": {"re": "2.0", "im": "-3.0"}}'),
+    (GaussianBump(0.1 + 0.9j, (0.125, -3.5), (0.25, 1.75)),
+     '{"kind": "gaussian_bump", "amplitude": {"re": "0.1", "im": "0.9"},'
+     ' "center": {"x": "0.125", "y": "-3.5"}, "widths": {"x": "0.25", "y": "1.75"}}'),
+    (SumPotential((Delta2D(0.5j), Slab(2.0, 1.0), GaussianBump(1.0, (5.0, 0.0), (0.5, 1.0)))),
+     '{"kind": "sum", "members": [{"kind": "delta2d", "strength": {"re": "0.0", "im": "0.5"}},'
+     ' {"kind": "slab", "epsilon": {"re": "2.0", "im": "0.0"}, "thickness": "1.0"},'
+     ' {"kind": "gaussian_bump", "amplitude": {"re": "1.0", "im": "0.0"},'
+     ' "center": {"x": "5.0", "y": "0.0"}, "widths": {"x": "0.5", "y": "1.0"}}]}'),
+]
+
+
+@pytest.mark.parametrize("pot, text", PINNED_DOCUMENTS,
+                         ids=[text.split('"')[3] for _, text in PINNED_DOCUMENTS])
+def test_document_bytes_are_pinned(pot, text):
+    # round trips pass whatever the key order or pair layout; saved
+    # documents need both to stay as they are
+    assert potential_to_json(pot) == text
+    assert potential_from_json(text) == pot
 
 
 @pytest.mark.parametrize("pot", [
