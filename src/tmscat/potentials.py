@@ -28,14 +28,19 @@ from .errors import UnsupportedEvaluationError
 # numeric x-support window; the neglected tail is below 1e-14 of the peak.
 GAUSSIAN_SUPPORT_SIGMAS = 8.0
 
-_PAIR = "tuple[float, float]"  # the annotation of a pair field
+# A field's `type` is its annotation as a string (`from __future__ import
+# annotations`): _PAIR and the _CODECS keys must match the annotations as written.
+_PAIR = "tuple[float, float]"
 
 
 class _Leaf:
-    """Base of the leaf potentials, whose classes set `kind` and `role` and
-    define span().  Its one check raises ValueError naming the first field
-    that is not finite, a pair that is not a tuple of two real numbers, or a
-    thickness or widths that is not positive."""
+    """Base of the leaf potentials, whose classes set `kind` and `role`; a leaf
+    with x-extent overrides span(), a point at the origin.  Its one check raises
+    ValueError naming the first field that is not finite, a pair that is not a
+    tuple of two real numbers, or a thickness or widths that is not positive."""
+
+    def span(self) -> tuple[float, float]:
+        return (0.0, 0.0)
 
     def __post_init__(self):
         name = type(self).__name__
@@ -57,9 +62,6 @@ class Delta2D(_Leaf):
 
     kind, role = "delta2d", "singular"
     strength: complex
-
-    def span(self) -> tuple[float, float]:
-        return (0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -125,9 +127,6 @@ class Delta3D(_Leaf):
     kind, role = "delta3d", "singular"
     strength: complex
 
-    def span(self) -> tuple[float, float]:
-        return (0.0, 0.0)
-
 
 @dataclass(frozen=True)
 class SumPotential:
@@ -144,7 +143,7 @@ class SumPotential:
         if len(self.members) == 0:
             raise ValueError("sum potential needs at least one member")
         for m in self.members:
-            if getattr(m, "kind", None) in ("sum", "delta3d"):
+            if isinstance(m, (SumPotential, Delta3D)):
                 raise ValueError(f"sum members of type {type(m).__name__} are not supported")
         spans = sorted((m.span(), m.role == "layered") for m in _leaves(self))
         for ((a0, a1), a_slab), ((b0, b1), b_slab) in combinations(spans, 2):

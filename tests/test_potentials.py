@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -12,8 +13,8 @@ from tmscat import (Delta2D, Delta3D, GaussianBump, Slab, SlabWithDefect,
                     potential_to_document, potential_to_json, x_support)
 from tmscat.evolution import EvolutionConfig, evolve_transfer
 from tmscat.grid import build_grid
-from tmscat.potentials import (discontinuities, has_uniform_part, is_x_singular,
-                               is_y_independent, smooth_members, uniform_part)
+from tmscat.potentials import (_CODECS, _KINDS, _PAIR, discontinuities, has_uniform_part,
+                               is_x_singular, is_y_independent, smooth_members, uniform_part)
 
 
 def gaussian(amp=1.0, center=(0.0, 0.0), widths=(1.0, 1.0)):
@@ -224,6 +225,13 @@ def test_document_bytes_are_pinned(pot, text):
     # documents need both to stay as they are
     assert potential_to_json(pot) == text
     assert potential_from_json(text) == pot
+
+
+def test_every_field_annotation_has_a_codec():
+    # the codec and the pair check read field types as annotation strings;
+    # one written otherwise (say Tuple[float, float]) would match neither
+    assert {f.type for cls in _KINDS.values() for f in dataclasses.fields(cls)} <= set(_CODECS)
+    assert [f.type for f in dataclasses.fields(GaussianBump)[1:]] == [_PAIR, _PAIR]
 
 
 @pytest.mark.parametrize("pot", [

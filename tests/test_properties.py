@@ -128,15 +128,11 @@ def test_mixed_compose_matches_dense(grid, data):
 
 def assert_mult_is_the_channel_product(op, second, first):
     """op.mult against np.matmul of the operands' 2x2 mults channel by
-    channel, to 1e-14 of the summed magnitudes of each entry's terms.  Where
-    those products are subnormal, rounding is absolute: each part of an entry
-    sums four real products, each off by up to half the smallest subnormal
-    eta, so the two computations differ by at most 4 sqrt(2) eta < 8 eta."""
+    channel, to 1e-14 of the summed magnitudes of each entry's terms."""
     a, b = (m.transpose(2, 0, 1) for m in (second.mult, first.mult))
     want = np.matmul(a, b).transpose(1, 2, 0)
     terms = np.matmul(np.abs(a), np.abs(b)).transpose(1, 2, 0)
-    floor = 8 * np.finfo(float).smallest_subnormal
-    assert np.all(np.abs(op.mult - want) <= 1e-14 * terms + floor)
+    assert np.all(np.abs(op.mult - want) <= 1e-14 * terms)
 
 
 def kernels(s, kind):
