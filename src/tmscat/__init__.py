@@ -39,7 +39,7 @@ from .errors import (AccuracyWarning, ConsistencyError, DivergenceError,
 from .grid import (DiscGrid, MomentumGrid, SpectralAmplitude, barycentric_interpolate,
                    build_disc_grid, build_grid, quadrature)
 from .potentials import (Delta2D, Delta3D, GaussianBump, Slab, SlabWithDefect,
-                         SumPotential, fourier_y, is_x_singular,
+                         SumPotential, fourier_y, is_real, is_x_singular,
                          is_y_independent, potential_from_document,
                          potential_from_json, potential_to_document,
                          potential_to_json, uniform_part, x_support)

@@ -28,7 +28,7 @@ from .evolution import EvolutionConfig, auto_config, evolve_transfer
 from .grid import SpectralAmplitude, build_disc_grid, build_grid
 from .operators import (ScatteringResult, SingularityFlag, amplitude3d, scattering_result,
                         solve_outgoing)
-from .potentials import _dec_complex, _dec_real, potential_from_document
+from .potentials import _dec_complex, _field, potential_from_document
 
 TPM_HEADER = ["p", "re_t_plus", "im_t_plus", "re_t_minus", "im_t_minus"]
 AMP_HEADER = ["theta_deg", "re_f", "im_f", "abs_f_sq"]
@@ -89,14 +89,6 @@ def _load_doc(path: str) -> dict:
     if not isinstance(doc, dict):
         raise ValueError(f"parameter document {path} is not a key-value tree")
     return doc
-
-
-def _field(doc: dict, key: str, decode=_dec_real):
-    """doc[key] read by a potential-document decoder; ValueError naming the key."""
-    try:
-        return decode(doc[key])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"missing or malformed field {key!r}: {exc}") from exc
 
 
 def _slab_params(doc: dict) -> cf.SlabParams:

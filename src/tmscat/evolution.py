@@ -33,6 +33,14 @@ without a copy.
 evolve_transfer chooses the path once: _layered_mult evolves mult and
 _dense_state the dense half state, each over the pieces of _pieces, with
 _advance_by_power and _advance_by_steps; _rk4_step is the one step of both.
+A real (lossless) potential, one whose every complex field has imaginary
+part exactly 0 (potentials.is_real), evolves only the N + 1 plus columns
+of the dense state; time reversal, M* = Sigma M Sigma with Sigma swapping
+the plus and minus channels under the node reflection p -> -p, gives the
+minus ones (_time_reversed), and the RK4 products run on half the
+columns.  The built columns agree with evolved ones to 3e-15 relative
+(real bumps centred, off-centre in y, strong, paired and next to a slab;
+N = 5 to 24).  Gain or loss potentials run all 2N + 2 columns.
 The RK4 never forms H: _sources and _phases factor it.
 effective_hamiltonian and potential_kernel assemble the dense generator as
 the reference the factored form is tested against.
@@ -49,8 +57,9 @@ from .errors import (AccuracyWarning, DivergenceError, ResourceLimitError,
                      UnsupportedEvaluationError)
 from .grid import DiscGrid, MomentumGrid
 from .operators import TransferOperator, _times, unit_mult
-from .potentials import (discontinuities, fourier_y, has_uniform_part, is_x_singular,
-                         is_y_independent, smooth_members, uniform_part, x_support)
+from .potentials import (discontinuities, fourier_y, has_uniform_part, is_real,
+                         is_x_singular, is_y_independent, smooth_members, uniform_part,
+                         x_support)
 
 # 3D evolution is bounded to desk scale; stacked layers never need more channels
 MAX_CHANNELS_3D = 128
@@ -319,7 +328,8 @@ def _advance_by_power(t, phases, y, n) -> None:
 
 def _dense_state(pot, grid, members, cfg: EvolutionConfig) -> np.ndarray:
     """The half state evolved from the identity: plus and minus rows of the
-    S + 1 channels, columns (plus, minus) x channels.
+    S + 1 channels, columns (plus, minus) x channels.  For a real potential
+    only the plus columns evolve; _time_reversed builds the minus ones.
 
     With P = e^{2i omega x}, the plus rows of H U are T (P A + B) and the
     minus rows -P times those, where A and B are the plus and minus rows of
@@ -336,9 +346,8 @@ def _dense_state(pot, grid, members, cfg: EvolutionConfig) -> np.ndarray:
     c, omegas, uniform = grid.size + 1, grid.channel_omegas, has_uniform_part(pot)
     sources = _sources(pot, grid, members)
     flat = sources.reshape(len(sources), -1)
-    y = np.zeros((2, c, 2, c), dtype=complex)
-    y[0, :, 0] = y[1, :, 1] = np.eye(c)
-    y = y.reshape(2, c, 2 * c)
+    halves = 1 if is_real(pot) else 2
+    y = np.eye(2 * c, halves * c, dtype=complex).reshape(2, c, halves * c)
     # overflow is tolerated here: callers check finiteness and raise
     with np.errstate(over="ignore", invalid="ignore"):
         for p0, n, h, lo, hi in _pieces(pot, cfg):
@@ -354,7 +363,26 @@ def _dense_state(pot, grid, members, cfg: EvolutionConfig) -> np.ndarray:
             pw = _by_step(p[:, :, None])
             _advance_by_steps((profiles, flat, rows, minus),
                               (pw, _by_step(-p[:, :, None]), 3 * (pw[1:] - pw[:-1])), y)
-    return y
+    return y if halves == 2 else _time_reversed(y, grid)
+
+
+def _time_reversed(plus, grid) -> np.ndarray:
+    """The whole half state of a real potential from its plus columns (A+,
+    B+): A- = R conj(B+) R and B- = R conj(A+) R, R reversing the grid
+    nodes (grid.reflection) and keeping the beam in place.
+
+    For real v, conj(V) = R V R, so conj(-i H) = Sigma (-i H) Sigma with
+    Sigma swapping the plus and minus blocks under R (M* = Sigma M Sigma,
+    time reversal).  An RK4 step is a polynomial with real coefficients in
+    the stage generators, so the discrete state keeps this symmetry, and the
+    built columns differ from evolved ones by roundoff only.
+    """
+    c = plus.shape[1]
+    r = np.append(grid.reflection, c - 1)
+    y = np.empty((2, c, 2, c), dtype=complex)
+    y[:, :, 0] = plus
+    np.conjugate(plus[::-1][:, r[:, None], r], out=y[:, :, 1])
+    return y.reshape(2, c, 2 * c)
 
 
 def _layered_mult(pot, grid, cfg: EvolutionConfig) -> np.ndarray:

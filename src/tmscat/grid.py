@@ -51,6 +51,12 @@ class MomentumGrid:
     def size(self) -> int:
         return self.nodes.size
 
+    @property
+    def reflection(self) -> np.ndarray:
+        """The node index in reverse order, p -> -p: nodes[reflection] is
+        -nodes, and measure and omegas are even under it, to roundoff."""
+        return np.arange(self.size - 1, -1, -1)
+
 
 def build_grid(k: float, n: int) -> MomentumGrid:
     """Build the N-point Chebyshev-Gauss channel grid for wavenumber k.

@@ -179,6 +179,13 @@ def is_y_independent(pot) -> bool:
     return all(m.role == "layered" for m in _leaves(pot))
 
 
+def is_real(pot) -> bool:
+    """True if the potential is real (lossless): every complex field of every
+    leaf has imaginary part exactly 0, however small a nonzero one."""
+    return all(complex(getattr(m, f.name)).imag == 0
+               for m in _leaves(pot) for f in fields(m) if f.type == "complex")
+
+
 def discontinuities(pot) -> tuple[float, ...]:
     """x locations where the potential jumps (layer edges)."""
     return tuple(sorted({x for m in _leaves(pot, "layered") for x in m.span()}))
@@ -248,6 +255,14 @@ def _dec_complex(d) -> complex:
     return complex(_dec_real(d["re"]), _dec_real(d["im"]))
 
 
+def _field(doc: dict, key: str, decode=_dec_real):
+    """doc[key] read by a document decoder; ValueError naming the key."""
+    try:
+        return decode(doc[key])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"missing or malformed field {key!r}: {exc}") from exc
+
+
 # (encoder, decoder) by field annotation; a sum's members are a list of documents
 _CODECS = {
     "complex": (_enc_complex, _dec_complex),
@@ -270,8 +285,8 @@ def potential_to_document(pot) -> dict:
 def potential_from_document(doc: dict):
     """Inverse of potential_to_document.
 
-    Raises ValueError, naming the kind, on malformed input, non-finite
-    numbers included.
+    Raises ValueError, naming the kind and the field, on malformed input,
+    non-finite numbers included.
     """
     try:
         kind = doc["kind"]
@@ -280,9 +295,9 @@ def potential_from_document(doc: dict):
     if type(kind) is not str or kind not in _KINDS:
         raise ValueError(f"unknown potential kind {kind!r}")
     try:
-        return _KINDS[kind](**{f.name: _CODECS[f.type][1](doc[f.name])
+        return _KINDS[kind](**{f.name: _field(doc, f.name, _CODECS[f.type][1])
                                for f in fields(_KINDS[kind])})
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed {kind!r} potential document: {exc}") from exc
 
 

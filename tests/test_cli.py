@@ -230,22 +230,25 @@ BUMP = {"kind": "gaussian_bump", "amplitude": cplx(0.5),
 SLAB = {"kind": "slab", "epsilon": cplx(1.5), "thickness": "1.0"}
 
 
-@pytest.mark.parametrize("pot", [
-    {**BUMP, "amplitude": {"re": "nan", "im": "0.0"}},
-    {**BUMP, "amplitude": {"re": "0.5", "im": "inf"}},
-    {**BUMP, "center": {"x": "0.0", "y": "nan"}},
-    {**BUMP, "widths": {"x": "0.8", "y": "inf"}},
-    {**SLAB, "epsilon": {"re": "1.5", "im": "nan"}},
-    {**SLAB, "thickness": "inf"},
+@pytest.mark.parametrize("pot, field", [
+    ({**BUMP, "amplitude": {"re": "nan", "im": "0.0"}}, "amplitude"),
+    ({**BUMP, "amplitude": {"re": "0.5", "im": "inf"}}, "amplitude"),
+    ({**BUMP, "center": {"x": "0.0", "y": "nan"}}, "center"),
+    ({**BUMP, "widths": {"x": "0.8", "y": "inf"}}, "widths"),
+    ({**SLAB, "epsilon": {"re": "1.5", "im": "nan"}}, "epsilon"),
+    ({**SLAB, "thickness": "inf"}, "thickness"),
+    ({**SLAB, "thickness": "nan"}, "thickness"),
+    ({"kind": "sum", "members": [BUMP, {**SLAB, "thickness": "nan"}]}, "thickness"),
 ], ids=["amplitude-nan", "amplitude-inf", "center-nan", "width-inf", "epsilon-nan",
-        "thickness-inf"])
-def test_scatter_non_finite_potential_exits_2(tmp_path, capsys, pot):
+        "thickness-inf", "thickness-nan", "sum-member-thickness-nan"])
+def test_scatter_non_finite_potential_exits_2(tmp_path, capsys, pot, field):
     inp = write_doc(tmp_path / "in.json", {"potential": pot, "k": "1.5"})
     out = tmp_path / "amp.csv"
     assert main(["scatter", "--input", inp, "--output", str(out), "--grid-size", "8",
                  "--steps", "50"]) == 2
     assert not out.exists()
-    assert pot["kind"] in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert pot["kind"] in err and f"field {field!r}" in err
 
 
 POINT = {"kind": "delta2d", "strength": cplx(1.0)}

@@ -28,6 +28,17 @@ def test_nodes_symmetric_and_consistent():
     assert np.allclose(g.omegas[::-1], g.omegas, rtol=1e-14)
 
 
+@pytest.mark.parametrize("k, n", [(1.0, 2), (1.3, 5), (2.5, 16), (1.6, 33)])
+def test_reflection_reverses_the_nodes(k, n):
+    g = build_grid(k, n)
+    r = g.reflection
+    assert np.array_equal(np.sort(r), np.arange(n))
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(g.nodes[r] + g.nodes)) <= 4 * eps * k
+    for even in (g.omegas, g.measure):
+        assert np.max(np.abs(even[r] - even)) <= 4 * eps * np.max(even)
+
+
 def test_weighted_rule_integrates_constant_to_pi():
     for n in (2, 7, 64):
         g = build_grid(3.0, n)

@@ -14,7 +14,8 @@ from tmscat import (Delta2D, Delta3D, GaussianBump, Slab, SlabWithDefect,
 from tmscat.evolution import EvolutionConfig, evolve_transfer
 from tmscat.grid import build_grid
 from tmscat.potentials import (_CODECS, _KINDS, _PAIR, discontinuities, has_uniform_part,
-                               is_x_singular, is_y_independent, smooth_members, uniform_part)
+                               is_real, is_x_singular, is_y_independent, smooth_members,
+                               uniform_part)
 
 
 def gaussian(amp=1.0, center=(0.0, 0.0), widths=(1.0, 1.0)):
@@ -97,10 +98,10 @@ class Unknown:
     is_x_singular, is_y_independent, discontinuities, lambda pot: uniform_part(pot, 0.5, 1.3),
     has_uniform_part, smooth_members,
     lambda pot: evolve_transfer(pot, build_grid(1.3, 8), EvolutionConfig(0.0, 1.0, 10)),
-    lambda pot: SumPotential((Slab(2.0, 1.0), pot)),
+    lambda pot: SumPotential((Slab(2.0, 1.0), pot)), is_real,
 ], ids=["x_support", "fourier_y", "potential_to_document", "is_x_singular", "is_y_independent",
         "discontinuities", "uniform_part", "has_uniform_part", "smooth_members",
-        "evolve_transfer", "sum_member"])
+        "evolve_transfer", "sum_member", "is_real"])
 def test_unknown_potential_types_raise_type_error(call):
     # one TypeError, whichever question is asked; evolve_transfer must not
     # return the identity for a potential it cannot read
@@ -138,6 +139,35 @@ def test_classifiers_and_uniform_part():
     assert not is_y_independent(gaussian())
     assert uniform_part(Slab(epsilon=2.0, thickness=1.0), 0.5, 2.0) == 4.0 * (1 - 2.0)
     assert uniform_part(Slab(epsilon=2.0, thickness=1.0), 1.5, 2.0) == 0.0
+
+
+@pytest.mark.parametrize("pot, real", [
+    (Delta2D(1.5), True),
+    (Delta2D(1.5 - 0.2j), False),
+    (Delta3D(-0.3), True),
+    (Delta3D(0.3j), False),
+    (Slab(2.0, 1.0), True),
+    (Slab(2.0 + 0.01j, 1.0), False),
+    (SlabWithDefect(1.5, 1.0, 2.0), True),
+    (SlabWithDefect(1.5, 1.0, 2.0 - 3.0j), False),
+    (SlabWithDefect(1.5 - 0.1j, 1.0, 2.0), False),
+    (GaussianBump(0.4, (0.2, 0.5), (0.6, 0.8)), True),
+    (GaussianBump(np.complex128(-0.4 + 0.0j)), True),
+    (GaussianBump(0.4 + 1e-300j, (0.2, 0.5), (0.6, 0.8)), False),
+    (GaussianBump(5e-324j), False),
+    (SumPotential((Slab(2.0, 1.0), GaussianBump(0.3, (4.0, 0.2), (0.3, 0.7)))), True),
+    (SumPotential((Slab(2.0, 1.0), GaussianBump(0.3j, (4.0, 0.2), (0.3, 0.7)))), False),
+    (SumPotential((Slab(2.0 + 1e-300j, 1.0), Slab(1.5, 2.0))), False),
+    (SumPotential((GaussianBump(0.3, (-3.0, 0.0), (0.35, 0.7)),
+                   GaussianBump(0.25, (3.0, -0.4), (0.35, 0.6)))), True),
+    (SumPotential((GaussianBump(0.3, (-3.0, 0.0), (0.35, 0.7)),
+                   GaussianBump(0.25 - 0.05j, (3.0, -0.4), (0.35, 0.6)))), False),
+    (SumPotential((Delta2D(0.5j), Slab(2.0, 1.0))), False),
+], ids=lambda v: repr(v) if isinstance(v, bool) else None)
+def test_is_real_reads_every_complex_field_exactly(pot, real):
+    # the time-reversed half evolution is exact only for real potentials, so
+    # no imaginary part is small enough to ignore
+    assert is_real(pot) is real
 
 
 def test_validation_errors():

@@ -2,7 +2,8 @@
 factored kernels, composed and extracted against their dense forms; compose's
 mult against a per-channel matrix product, and its kernel affine in each
 operand's kernel), of the factored evolution generator and its RK4, stage
-matrices built by blocks of steps included, against the dense ones, and of
+matrices built by blocks of steps and real potentials' time-reversed
+columns included, against the dense ones, and of
 the layered path's powered step maps against a per-channel RK4."""
 
 from unittest import mock
@@ -126,13 +127,23 @@ def test_mixed_compose_matches_dense(grid, data):
     assert_close(block_matrix(got), product, product.shape)
 
 
+# Below the normal range, rounding is absolute: a product that underflows
+# rounds by at most half a subnormal step, and a sum whose result is
+# subnormal is exact.  An entry's real and imaginary parts each take four
+# real products, so one side is off by at most 2 steps in each part, and
+# the two sides (compose's separate products, np.matmul's possibly fused
+# ones) by at most 4 sqrt(2) < 6 steps in modulus.
+SUBNORMAL_FLOOR = 6 * np.finfo(float).smallest_subnormal
+
+
 def assert_mult_is_the_channel_product(op, second, first):
     """op.mult against np.matmul of the operands' 2x2 mults channel by
-    channel, to 1e-14 of the summed magnitudes of each entry's terms."""
+    channel, to 1e-14 of the summed magnitudes of each entry's terms plus
+    SUBNORMAL_FLOOR, where 1e-14 of subnormal terms underflows."""
     a, b = (m.transpose(2, 0, 1) for m in (second.mult, first.mult))
     want = np.matmul(a, b).transpose(1, 2, 0)
     terms = np.matmul(np.abs(a), np.abs(b)).transpose(1, 2, 0)
-    assert np.all(np.abs(op.mult - want) <= 1e-14 * terms)
+    assert np.all(np.abs(op.mult - want) <= 1e-14 * terms + SUBNORMAL_FLOOR)
 
 
 def kernels(s, kind):
@@ -158,6 +169,18 @@ def test_compose_mult_is_the_per_channel_product(grid, kind, data):
     s = grid.size
     second, first = (TransferOperator(grid, data.draw(entries((2, 2, s + 1))),
                                       data.draw(kernels(s, kind))) for _ in range(2))
+    assert_mult_is_the_channel_product(compose(second, first), second, first)
+
+
+def test_compose_mult_with_subnormal_products_passes_the_product_check():
+    # a row and a column whose products underflow: where np.matmul fuses a
+    # multiply-add, it rounds the imaginary part of entry (0, 0) to 1418
+    # steps of the smallest subnormal, and compose's separate products to 1417
+    grid = build_grid(1.3, 3)
+    row = np.array([-1e-320j, 1e-310 - 5e-324j])
+    column = np.array([-0.7 - 1e-155j, -0.5 + 3.3e-313j])
+    second, first = (TransferOperator(grid, np.repeat(m[:, :, None], 4, axis=2), None)
+                     for m in (np.array([row, row[::-1]]), np.array([column, column[::-1]]).T))
     assert_mult_is_the_channel_product(compose(second, first), second, first)
 
 
@@ -306,7 +329,18 @@ GENERATOR_POTENTIALS = [
                  id="two-bumps"),
     pytest.param(SumPotential((Slab(2.0 + 0.1j, 1.0),
                                GaussianBump(0.3, (4.0, 0.2), (0.3, 0.7)))), id="slab+bump"),
+    # real and y-asymmetric: the minus columns are built from the plus ones by
+    # time reversal, whose node reflection a y-even bump would not see
+    pytest.param(GaussianBump(0.4, (0.2, 0.5), (0.6, 0.8)), id="real-bump"),
+    pytest.param(SumPotential((Slab(2.0, 1.0), GaussianBump(0.3, (4.0, 0.2), (0.3, 0.7)))),
+                 id="real-slab+bump"),
+    pytest.param(SumPotential((GaussianBump(0.3, (-3.0, 0.0), (0.35, 0.7)),
+                               GaussianBump(0.25, (3.0, -0.4), (0.35, 0.6)))),
+                 id="real-two-bumps"),
+    # not real, however small its imaginary part: evolves every column
+    pytest.param(GaussianBump(0.4 + 1e-300j, (0.2, 0.5), (0.6, 0.8)), id="tiny-imaginary-bump"),
 ]
+HALVED = ["real-bump", "real-slab+bump", "real-two-bumps"]
 
 
 def dense_generator(pot, x, grid):
@@ -406,6 +440,21 @@ def assert_matches_plain_rk4(pot, n):
 @pytest.mark.parametrize("pot", GENERATOR_POTENTIALS)
 def test_evolution_matches_plain_rk4_on_dense_generator(pot):
     assert_matches_plain_rk4(pot, 5)
+
+
+@pytest.mark.parametrize("pot", GENERATOR_POTENTIALS)
+def test_only_real_potentials_evolve_half_the_columns(pot, request, monkeypatch):
+    n, widths = 5, set()
+    advance = evolution._advance_by_steps
+
+    def spy(stage, phases, y):
+        widths.add(y.shape[-1])
+        advance(stage, phases, y)
+
+    monkeypatch.setattr(evolution, "_advance_by_steps", spy)
+    evolve_transfer(pot, build_grid(1.3, n), auto_config(pot, 20))
+    halved = request.node.callspec.id in HALVED
+    assert widths == {(n + 1) * (1 if halved else 2)}
 
 
 @pytest.mark.parametrize("pot", GENERATOR_POTENTIALS[1:])

@@ -9,7 +9,10 @@ methods that tmscat code calls directly, by name, and their total:
   N = 24 and on a 10 x 6 disc grid;
 - one compose of two multiplicative operators (two such windows);
 - one dense RK4 step (the first _rk4_step of a Gaussian bump's
-  evolve_transfer, N = 24).
+  evolve_transfer, N = 24), and the shape of the state the dense steps
+  evolve for a real and a complex bump: the plus columns alone (N + 1) for
+  the real one, whose minus columns come from time reversal, all 2N + 2 for
+  the complex one.
 
 Each call runs once unmeasured first.  sys.setprofile sees numpy's Python
 functions (a dispatched function's __array_function__ dispatcher is not
@@ -126,6 +129,23 @@ def numpy_calls(run, within=None) -> Counter:
     return counts
 
 
+def evolved_shape(pot, grid, cfg) -> tuple:
+    """The shape of the state that evolve_transfer's dense steps advance."""
+    shapes = []
+    advance = evolution._advance_by_steps
+
+    def recording(stage, phases, y):
+        shapes.append(y.shape)
+        advance(stage, phases, y)
+
+    evolution._advance_by_steps = recording
+    try:
+        tmscat.evolve_transfer(pot, grid, cfg)
+    finally:
+        evolution._advance_by_steps = advance
+    return shapes[0]
+
+
 def report(title: str, counts: Counter) -> None:
     print(f"{title}: {sum(counts.values())} numpy calls")
     for name, n in sorted(counts.items(), key=lambda item: (-item[1], item[0])):
@@ -148,6 +168,11 @@ def main() -> int:
     report("dense RK4 step, Gaussian bump, 2D N = 24",
            numpy_calls(lambda: tmscat.evolve_transfer(bump, grid, tmscat.auto_config(bump, 40)),
                        within=evolution._rk4_step))
+    for kind, pot in (("real", tmscat.GaussianBump(0.3, (0.2, 0.5), (0.6, 0.8))),
+                      ("complex", bump)):
+        shape = evolved_shape(pot, grid, tmscat.auto_config(pot, 40))
+        print(f"dense evolved state, {kind} bump, 2D N = 24: shape {shape}, "
+              f"{shape[-1]} columns")
     return 0
 
 
