@@ -16,7 +16,7 @@ k = 2.0
 
 # closed form vs the full operator pipeline
 grid = tm.build_grid(k, 32)
-op = tm.delta2d_operator(strength, grid)
+op = tm.point_operator(strength, grid)
 t_plus, t_minus, flag = tm.solve_outgoing(op)
 thetas = np.linspace(0.1, 2 * np.pi - 0.1, 24)
 thetas = thetas[np.abs(np.cos(thetas)) > 0.05]

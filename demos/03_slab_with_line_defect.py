@@ -23,7 +23,7 @@ grid = tm.build_grid(k, 64)
 exact = tm.slab_defect_amplitudes(sp, strength, grid.nodes)
 
 # route 2: compose the slab operator with the point operator and solve
-pipeline = tm.compose(tm.slab_operator(sp, grid), tm.delta2d_operator(strength, grid))
+pipeline = tm.compose(tm.slab_operator(sp, grid), tm.point_operator(strength, grid))
 t_plus, t_minus, _ = tm.solve_outgoing(pipeline)
 
 print(f"slab eps = {eps}, L = {length}, k = {k}, defect coupling = {strength}")

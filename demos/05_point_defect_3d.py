@@ -18,7 +18,7 @@ print(f"integral of 1/omega over the disc: "
       f"{tm.quadrature(disc, 1 / disc.omegas) * 4 * np.pi**2:.12f} "
       f"(exact: {2 * np.pi * k:.12f})")
 
-op = tm.delta3d_operator(strength, disc)
+op = tm.point_operator(strength, disc)
 t_plus, t_minus, _ = tm.solve_outgoing(op)
 f_exact = tm.delta3d_amplitude(strength, k)
 print(f"\nclosed-form f = {f_exact:.10f}")
@@ -36,9 +36,9 @@ for kk in (0.3, 1.0, 3.0):
 
 # layered media along z evolve per channel; stacked layers compose
 pot = tm.Slab(epsilon=2 + 0.01j, thickness=1.0)
-full = tm.evolve_transfer_3d(pot, disc, 0.0, 1.0, 600)
-stacked = tm.compose(tm.evolve_transfer_3d(pot, disc, 0.5, 1.0, 300),
-                     tm.evolve_transfer_3d(pot, disc, 0.0, 0.5, 300))
+full = tm.evolve_transfer(pot, disc, tm.EvolutionConfig(0.0, 1.0, 600))
+stacked = tm.compose(tm.evolve_transfer(pot, disc, tm.EvolutionConfig(0.5, 1.0, 300)),
+                     tm.evolve_transfer(pot, disc, tm.EvolutionConfig(0.0, 0.5, 300)))
 err = np.max(np.abs(stacked.mult_on_grid() - full.mult_on_grid()))
 print(f"\nstacked-layer composition error: {err:.2e}")
 

@@ -11,6 +11,7 @@ thread variables once, when it is loaded.
 """
 
 import os as _os
+from types import ModuleType as _ModuleType
 
 
 def _apply_thread_cap() -> None:
@@ -33,31 +34,30 @@ except ValueError:
     pass    # the CLI calls it again and exits 2 with the diagnostic
 
 from .errors import (AccuracyWarning, ConsistencyError, DivergenceError,
-                     NearResonanceError, NoRootError, ResourceLimitError,
-                     SpectralSingularityError, TmscatError,
+                     NearResonanceError, NoRootError, SpectralSingularityError, TmscatError,
                      UnsupportedEvaluationError)
 from .grid import (DiscGrid, MomentumGrid, SpectralAmplitude, barycentric_interpolate,
                    build_disc_grid, build_grid, quadrature)
 from .potentials import (Delta2D, Delta3D, GaussianBump, Slab, SlabWithDefect,
                          SumPotential, fourier_y, is_real, is_x_singular,
                          is_y_independent, potential_from_document,
-                         potential_from_json, potential_to_document,
-                         potential_to_json, uniform_part, x_support)
+                         potential_to_document, uniform_part, x_support)
 from .operators import (LowRank, ScatteringResult, SingularityFlag, TransferOperator,
                         amplitude, amplitude3d, compose, identity_operator,
                         scattering_result, solve_outgoing)
 from .evolution import (EvolutionConfig, auto_config, effective_hamiltonian,
-                        evolve_transfer, evolve_transfer_3d, potential_kernel)
+                        evolve_transfer, potential_kernel)
 from .closedforms import (DefectAmplitudes, DefectParams, SingularitySearch,
                           SlabParams, born2d_amplitude, delta2d_amplitude,
-                          delta2d_operator, delta3d_amplitude, delta3d_operator,
-                          scattering_length, slab_defect_amplitudes, slab_entries,
+                          delta3d_amplitude, point_operator, scattering_length,
+                          slab_defect_amplitudes, slab_entries,
                           slab_operator, slab_xyz, slab_y, spectral_singularity,
                           threshold_gain, threshold_gain_curve, wire_modes)
-from .threed import compose_3d, solve_outgoing_3d
 from .oracle import (ConvergenceReport, Transfer1D, born1_transfer,
                      convergence_report, transfer_1d)
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# each operation under one name; the submodules are reached as attributes
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

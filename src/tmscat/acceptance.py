@@ -14,7 +14,7 @@ import numpy as np
 from . import closedforms as cf
 from . import oracle
 from .errors import SpectralSingularityError
-from .evolution import EvolutionConfig, auto_config, evolve_transfer, evolve_transfer_3d
+from .evolution import EvolutionConfig, auto_config, evolve_transfer
 from .grid import build_disc_grid, build_grid, quadrature
 from .operators import amplitude, amplitude3d, compose, identity_operator, solve_outgoing
 from .potentials import GaussianBump, Slab
@@ -46,7 +46,7 @@ def criterion_1() -> CriterionResult:
     thetas = _angles(60)[:50]
     worst = 0.0
     for strength in (1.0, 1.0j, 2.0 - 3.0j):
-        op = cf.delta2d_operator(strength, grid)
+        op = cf.point_operator(strength, grid)
         t_plus, t_minus, _ = solve_outgoing(op)
         exact = cf.delta2d_amplitude(strength)
         for _, f in amplitude(t_plus, t_minus, grid.k, thetas):
@@ -78,7 +78,7 @@ def criterion_3() -> CriterionResult:
     except SpectralSingularityError:
         closed_raises = True
     grid = build_grid(1.5, 24)
-    _, _, flag = solve_outgoing(cf.delta2d_operator(4.0j, grid))
+    _, _, flag = solve_outgoing(cf.point_operator(4.0j, grid))
     k = cf.wire_modes(-1.0, "lasing")
     strength = cf.DefectParams.from_wire(-1.0, k).strength
     exact_roundtrip = (k == 2.0) and (strength == 4.0j)
@@ -150,10 +150,10 @@ def criterion_6() -> CriterionResult:
     err_num = float(np.max(np.abs(num_halves.entries_on_grid() - num_full.entries_on_grid())))
 
     disc = build_disc_grid(k, 10, 6)
-    full3 = evolve_transfer_3d(pot, disc, 0.0, length, 800).mult_on_grid()
+    full3 = evolve_transfer(pot, disc, EvolutionConfig(0.0, length, 800)).mult_on_grid()
     halves3 = compose(
-        evolve_transfer_3d(pot, disc, length / 2, length, 400),
-        evolve_transfer_3d(pot, disc, 0.0, length / 2, 400)).mult_on_grid()
+        evolve_transfer(pot, disc, EvolutionConfig(length / 2, length, 400)),
+        evolve_transfer(pot, disc, EvolutionConfig(0.0, length / 2, 400))).mult_on_grid()
     err_3d = float(np.max(np.abs(halves3 - full3)))
 
     ok = err_closed < 1e-12 and err_num < 1e-6 and err_3d < 1e-6
@@ -168,7 +168,7 @@ def criterion_7(n: int = 2048) -> CriterionResult:
     sp = cf.SlabParams(epsilon=2 + 0.01j, thickness=1.0, k=2.0)
     strength = 1.0
     grid = build_grid(sp.k, n)
-    op = compose(cf.slab_operator(sp, grid), cf.delta2d_operator(strength, grid))
+    op = compose(cf.slab_operator(sp, grid), cf.point_operator(strength, grid))
     t_plus, t_minus, _ = solve_outgoing(op)
     exact = cf.slab_defect_amplitudes(sp, strength, grid.nodes)
     err = max(float(np.max(np.abs(t_minus.smooth - exact.smooth_minus))),
@@ -213,7 +213,7 @@ def criterion_9() -> CriterionResult:
     strength = 1.7
     k = 1.3
     disc = build_disc_grid(k, 16, 8)
-    t_plus, t_minus, _ = solve_outgoing(cf.delta3d_operator(strength, disc))
+    t_plus, t_minus, _ = solve_outgoing(cf.point_operator(strength, disc))
     exact = cf.delta3d_amplitude(strength, k)
     thetas = np.concatenate([np.linspace(0.25, 1.35, 4), np.linspace(1.85, 2.9, 4)])
     phis = np.linspace(0.0, 2 * np.pi, 4, endpoint=False)
@@ -224,7 +224,7 @@ def criterion_9() -> CriterionResult:
 
     def pipeline_f(kk: float) -> complex:
         d = build_disc_grid(kk, 12, 6)
-        tp, tm, _ = solve_outgoing(cf.delta3d_operator(strength, d))
+        tp, tm, _ = solve_outgoing(cf.point_operator(strength, d))
         return amplitude3d(tp, tm, kk, 0.7, 0.3)
 
     f1, f2 = pipeline_f(1e-4), pipeline_f(5e-5)
@@ -271,14 +271,14 @@ def criterion_11() -> CriterionResult:
     # associativity of composition
     sp = cf.SlabParams(epsilon=1.4 + 0.1j, thickness=0.7, k=1.5)
     a = cf.slab_operator(sp, grid, x0=1.0)
-    b = cf.delta2d_operator(0.8 - 0.2j, grid)
+    b = cf.point_operator(0.8 - 0.2j, grid)
     c = cf.slab_operator(cf.SlabParams(1.8, 0.4, 1.5), grid, x0=-1.0)
     left = compose(a, compose(b, c)).entries_on_grid()
     right = compose(compose(a, b), c).entries_on_grid()
     assoc = float(np.max(np.abs(left - right)))
 
     # extraction linearity in the incident coefficient
-    op = compose(cf.slab_operator(sp, grid, x0=1.0), cf.delta2d_operator(0.5j, grid))
+    op = compose(cf.slab_operator(sp, grid, x0=1.0), cf.point_operator(0.5j, grid))
     tp1, tm1, _ = solve_outgoing(op)
     tpc, tmc, _ = solve_outgoing(op, incident=2.0 - 1.0j)
     scale = 2.0 - 1.0j

@@ -107,7 +107,7 @@ def _cmd_delta2d(args) -> int:
     strength = _field(doc, "strength", _dec_complex)
     grid = build_grid(_field(doc, "k"), args.grid_size)
     thetas_deg = _theta_grid_deg(args.theta_samples)
-    res = scattering_result(cf.delta2d_operator(strength, grid), np.radians(thetas_deg))
+    res = scattering_result(cf.point_operator(strength, grid), np.radians(thetas_deg))
     _write_scattering(args.output, thetas_deg, res,
                       f_closed_form=cf.delta2d_amplitude(strength))
     return 0
@@ -206,7 +206,7 @@ def _cmd_delta3d(args) -> int:
     strength = _field(doc, "strength", _dec_complex)
     k = _field(doc, "k")
     disc = build_disc_grid(k, args.n_radial, args.n_azimuthal)
-    t_plus, t_minus, flag = solve_outgoing(cf.delta3d_operator(strength, disc))
+    t_plus, t_minus, flag = solve_outgoing(cf.point_operator(strength, disc))
     if flag.is_singular:
         raise SpectralSingularityError("extraction hit a spectral singularity")
     f = amplitude3d(t_plus, t_minus, k, 0.7, 0.4)

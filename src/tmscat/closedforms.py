@@ -36,14 +36,17 @@ from .errors import (ConsistencyError, NearResonanceError, NoRootError,
 from .grid import DiscGrid, MomentumGrid
 from .operators import LowRank, TransferOperator, identity_operator, unit_mult
 
-# The single off-diagonal channel factor of every effective Hamiltonian:
-# rank one and nilpotent, which is what terminates the evolution series for
-# point scatterers after the first order.
-CHANNEL_FACTOR = np.array([[1.0, 1.0], [-1.0, -1.0]], dtype=complex)
+def _finite(name: str, value) -> np.ndarray:
+    """value as a float array; ValueError naming it if an entry is not finite."""
+    arr = np.asarray(value, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return arr
 
 
 def _finite_strength(strength: complex) -> complex:
-    """strength as a complex number; ValueError naming it if it is not finite."""
+    """strength as a complex number; ValueError naming it if it is not finite.
+    Scalar, unlike _finite, as every point operator and defect amplitude runs it."""
     z = complex(strength)
     if not np.isfinite(z):
         raise ValueError(f"strength must be finite, got {strength!r}")
@@ -53,11 +56,14 @@ def _finite_strength(strength: complex) -> complex:
 def point_operator(strength: complex, grid) -> TransferOperator:
     """Identity plus the rank-one kernel -(i z / 2 omega_j) C[a, b] row_l of a point potential.
 
-    The row is the channel average, grid.measure, on either grid, so this is
-    delta2d_operator and delta3d_operator.  C = CHANNEL_FACTOR =
-    (1, -1)^T (1, 1), so the factors are left (col, -col) with col_j =
-    -i z / 2 omega_j, and right the row for either column channel b, with 1
-    appended: a unit coherent beam enters the channel average with weight one.
+    The row is the channel average, grid.measure, so one function serves the
+    2D point on a MomentumGrid and the 3D point on a DiscGrid.  The channel
+    factor C = [[1, 1], [-1, -1]] = (1, -1)^T (1, 1) squares to zero, so the
+    evolution series stops at first order and two points at one x compose to
+    one of the summed strength.  The factors are left (col, -col) with col_j
+    = -i z / 2 omega_j, and right the row for either column channel b, with
+    1 appended: a unit coherent beam enters the channel average with weight
+    one.
     """
     strength = _finite_strength(strength)
     if strength == 0:
@@ -98,8 +104,8 @@ def born2d_amplitude(strength: complex) -> complex:
     return -complex(strength) / (2.0 * np.sqrt(2.0 * np.pi))
 
 
+# read only by the benchmark's scripts; every other caller names point_operator
 delta2d_operator = point_operator
-delta3d_operator = point_operator
 
 
 def delta3d_amplitude(strength: complex, k: float) -> complex:
@@ -120,9 +126,10 @@ def wire_modes(zeta: float, mode: str) -> float:
     mode="CPA" requires zeta > 0 (loss) and returns k = 2 / sqrt(zeta).  At
     the lasing wavenumber the coupling -i zeta k^2 equals 4i and
     delta2d_amplitude raises; the CPA point is its time reverse (the
-    conjugate coupling hits the same singularity).
+    conjugate coupling hits the same singularity).  A non-finite zeta raises
+    ValueError.
     """
-    zeta = float(zeta)
+    zeta = float(_finite("zeta", zeta))
     if mode == "lasing":
         if not zeta < 0:
             raise ValueError("lasing requires zeta < 0 (gain material)")
@@ -145,6 +152,8 @@ class DefectParams:
 
     @classmethod
     def from_wire(cls, zeta: float, k: float) -> "DefectParams":
+        _finite("zeta", zeta)
+        _finite("k", k)
         return cls(strength=-1j * zeta * k * k)
 
 
@@ -332,11 +341,11 @@ def slab_y(sp: SlabParams, strength: complex, quad_points: int = 200) -> complex
     leaving (i z / pi) int_0^{pi/2} X(k sin u) du, integrated by
     Gauss-Legendre.  A scan of Z over (0, k), sharpened by a local secant
     polish, guards against a pole of X inside the interval, also one between
-    two scan samples.
+    two scan samples.  quad_points must be an integer >= 2.
     """
     _finite_strength(strength)
-    if quad_points < 2:
-        raise ValueError("quad_points must be at least 2")
+    if not float(quad_points).is_integer() or quad_points < 2:
+        raise ValueError(f"quad_points must be an integer >= 2, got {quad_points}")
     _check_no_interior_pole(sp)
     u, w = _gauss_legendre_quarter(quad_points)
     x_vals = _x_of(slab_entries(sp, sp.k * np.sin(u)))
@@ -435,10 +444,10 @@ def slab_defect_amplitudes(sp: SlabParams, strength: complex, p,
 
 def _threshold_gain(eta: float, thickness: float, sin_t, cos_t) -> np.ndarray:
     """The threshold-gain formula of threshold_gain, from sin and cos of theta."""
-    if not eta > 1:
-        raise ValueError("threshold gain requires eta > 1")
-    if not thickness > 0:
-        raise ValueError("thickness must be positive")
+    if not (np.isfinite(eta) and eta > 1):
+        raise ValueError(f"threshold gain requires a finite eta > 1, got {eta}")
+    if not (np.isfinite(thickness) and thickness > 0):
+        raise ValueError(f"thickness must be positive and finite, got {thickness}")
     root = np.sqrt(eta * eta - sin_t * sin_t)
     return (4.0 * root / (eta * thickness)) * np.log((root + np.abs(cos_t))
                                                      / np.sqrt(eta * eta - 1.0))
@@ -452,9 +461,10 @@ def threshold_gain(eta: float, theta, thickness: float) -> np.ndarray | float:
 
     Valid for eta > 1 and |kappa| << eta - 1; theta in radians is the
     direction of the scattered wave.  Maximal at theta = 0 and pi, zero at
-    theta = +-pi/2.
+    theta = +-pi/2.  A non-finite eta, theta or thickness raises ValueError
+    naming it.
     """
-    theta = np.asarray(theta, dtype=float)
+    theta = _finite("theta", theta)
     g = _threshold_gain(eta, thickness, np.sin(theta), np.cos(theta))
     return g if g.ndim else float(g)
 
@@ -464,7 +474,7 @@ def threshold_gain_curve(eta: float, thickness: float, theta_deg) -> np.ndarray:
 
     cos is exactly 0 at 90 + 180 m degrees, so the gain there is exactly zero.
     """
-    theta_deg = np.asarray(theta_deg, dtype=float)
+    theta_deg = _finite("theta_deg", theta_deg)
     rad = np.radians(theta_deg)
     cos_t = np.where(np.mod(theta_deg, 180.0) == 90.0, 0.0, np.cos(rad))
     return _threshold_gain(eta, thickness, np.sin(rad), cos_t)

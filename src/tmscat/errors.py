@@ -40,10 +40,6 @@ class ConsistencyError(TmscatError):
     """An internal cross-check identity failed beyond its tolerance."""
 
 
-class ResourceLimitError(TmscatError):
-    """Requested problem size exceeds the documented desk-scale bound."""
-
-
 class AccuracyWarning(UserWarning):
     """Step-halving check detected a result change above tolerance.
 

@@ -19,14 +19,15 @@ y-independent part of the potential drives a per-channel 2x2 evolution
 that becomes the operator's multiplication part.  A potential with no
 y-dependent member runs only that evolution and carries no kernel.  On a
 3D DiscGrid (x is then the layer axis z) only such potentials evolve, on
-at most MAX_CHANNELS_3D channels.  A channel's 2x2 evolution depends on
-it only through omega, so a layered piece costs one 2x2 evolution per
-distinct frequency, on the grid's distinct_omegas (found once, when the
-grid is built): n_radial + 1 on a DiscGrid (61 channels of a 10 x 6 disc
-evolve as 11), at most S + 1 on a MomentumGrid, whose +-p frequencies
-agree only where k sin(theta) rounds alike.  Between layer edges its steps
-differ by a phase conjugation, so a piece runs three and O(log n) products,
-each the per-channel 2x2 product operators._times that compose also uses.
+any number of channels: a channel's 2x2 evolution depends on it only
+through omega, so a layered piece costs one 2x2 evolution per distinct
+frequency, on the grid's distinct_omegas (found once, when the grid is
+built): n_radial + 1 on a DiscGrid (61 channels of a 10 x 6 disc evolve
+as 11, 257 of a 16 x 16 disc as 17), at most S + 1 on a MomentumGrid,
+whose +-p frequencies agree only where k sin(theta) rounds alike.  Between
+layer edges its steps differ by a phase conjugation, so a piece runs three
+and O(log n) products, each the per-channel 2x2 product operators._times
+that compose also uses.
 Its mult is scanned for finiteness once and becomes the operator's
 without a copy.
 
@@ -53,16 +54,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (AccuracyWarning, DivergenceError, ResourceLimitError,
-                     UnsupportedEvaluationError)
+from .errors import AccuracyWarning, DivergenceError, UnsupportedEvaluationError
 from .grid import DiscGrid, MomentumGrid
 from .operators import TransferOperator, _times, unit_mult
 from .potentials import (discontinuities, fourier_y, has_uniform_part, is_real,
                          is_x_singular, is_y_independent, smooth_members, uniform_part,
                          x_support)
 
-# 3D evolution is bounded to desk scale; stacked layers never need more channels
-MAX_CHANNELS_3D = 128
 # most bytes of stage matrices a dense piece builds per call (_advance_by_steps)
 BLOCK_BYTES = 2 ** 18
 # RK4 weights of a step's left, mid and right points, and the identity as
@@ -436,16 +434,12 @@ def evolve_transfer(pot, grid: MomentumGrid | DiscGrid, cfg: EvolutionConfig) ->
     operator of the restriction, suitable for composition.
 
     Zero potential gives exactly the identity, and a y-independent one a
-    purely multiplicative operator (kernel None).  On a DiscGrid any other
-    potential raises UnsupportedEvaluationError, and more than
-    MAX_CHANNELS_3D channels ResourceLimitError.  Non-finite values raise
-    DivergenceError; with check_tolerance set, a step-halving comparison
-    emits AccuracyWarning when the result is not converged.
+    purely multiplicative operator (kernel None).  On a DiscGrid, of any
+    size, any other potential raises UnsupportedEvaluationError.  Non-finite
+    values raise DivergenceError; with check_tolerance set, a step-halving
+    comparison emits AccuracyWarning when the result is not converged.
     """
     _check_representable(pot, grid)
-    if isinstance(grid, DiscGrid) and grid.size > MAX_CHANNELS_3D:
-        raise ResourceLimitError(
-            f"grid has {grid.size} channels; 3D evolution is capped at {MAX_CHANNELS_3D}")
     members = smooth_members(pot)
     if not members:
         return TransferOperator._of_checked_mult(grid, _checked(_layered_mult, pot, grid, cfg))
@@ -461,6 +455,7 @@ def evolve_transfer(pot, grid: MomentumGrid | DiscGrid, cfg: EvolutionConfig) ->
     return TransferOperator(grid=grid, mult=mult, kernel=kernel if kernel.any() else None)
 
 
+# read only by the benchmark's scripts; every other caller runs evolve_transfer
 def evolve_transfer_3d(pot, grid: DiscGrid, z_min: float, z_max: float,
                        steps: int) -> TransferOperator:
     """evolve_transfer of a layered potential over [z_min, z_max] on a DiscGrid."""

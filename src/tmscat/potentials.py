@@ -15,7 +15,6 @@ the fields in order as decimal strings ({re, im}, {x, y}): exact round trips.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, fields
 from itertools import combinations
@@ -299,11 +298,3 @@ def potential_from_document(doc: dict):
                                for f in fields(_KINDS[kind])})
     except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed {kind!r} potential document: {exc}") from exc
-
-
-def potential_to_json(pot, **kwargs) -> str:
-    return json.dumps(potential_to_document(pot), **kwargs)
-
-
-def potential_from_json(text: str):
-    return potential_from_document(json.loads(text))

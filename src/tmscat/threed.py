@@ -1,8 +1,8 @@
-"""The 3D names, re-exported from the modules of their layers, where each sits
-next to its 2D counterpart.  A DiscGrid carries the same TransferOperator as a
-MomentumGrid, so compose_3d and solve_outgoing_3d are compose and solve_outgoing."""
+"""The 3D names the benchmark's scripts read, re-exported from the modules of
+their layers, where each sits next to its 2D counterpart.  A DiscGrid carries
+the same TransferOperator as a MomentumGrid, so compose_3d and
+solve_outgoing_3d are compose and solve_outgoing."""
 
-from .closedforms import delta3d_amplitude, delta3d_operator, scattering_length
-from .evolution import MAX_CHANNELS_3D, evolve_transfer_3d
-from .grid import DiscGrid, build_disc_grid
+from .evolution import evolve_transfer_3d
+from .grid import build_disc_grid
 from .operators import amplitude3d, compose as compose_3d, solve_outgoing as solve_outgoing_3d

@@ -11,6 +11,7 @@ here.
 import ast
 import importlib
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -103,25 +104,30 @@ def test_surface_includes_traced_only_and_alias_names(reads):
             ("tmscat.cli", "main")} <= reads
 
 
-def test_threed_defines_nothing_and_re_exports_the_layer_modules():
-    # tmscat.threed keeps the import path the bench reads; a definition
-    # there would be a second copy of a layer module's 3D code
+def test_threed_defines_nothing_and_re_exports_the_layer_modules(reads):
+    # tmscat.threed keeps the import path the bench reads, and only that; a
+    # definition there would be a second copy of a layer module's 3D code
     tree = ast.parse((ROOT / "src" / "tmscat" / "threed.py").read_text())
     definitions = [type(node).__name__ for node in ast.walk(tree) if isinstance(
         node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef,
                ast.Assign, ast.AnnAssign, ast.AugAssign))]
     assert definitions == []
-    from tmscat import closedforms, evolution, grid, operators, threed
-    layers = {"DiscGrid": grid.DiscGrid, "build_disc_grid": grid.build_disc_grid,
-              "delta3d_operator": closedforms.point_operator,
-              "delta3d_amplitude": closedforms.delta3d_amplitude,
-              "scattering_length": closedforms.scattering_length,
-              "evolve_transfer_3d": evolution.evolve_transfer_3d,
-              "MAX_CHANNELS_3D": evolution.MAX_CHANNELS_3D,
-              "amplitude3d": operators.amplitude3d,
-              "compose_3d": operators.compose,
-              "solve_outgoing_3d": operators.solve_outgoing}
-    for name, obj in layers.items():
-        assert getattr(threed, name) is obj, name
+    from tmscat import threed
+    names = {name for module, name in reads if module == "tmscat.threed"}
+    assert names
+    layers = {f"tmscat.{m}" for m in ("closedforms", "evolution", "grid", "operators")}
+    for name in names:
+        obj = getattr(threed, name)
+        assert obj.__module__ in layers, name
+        assert getattr(importlib.import_module(obj.__module__), obj.__name__) is obj, name
     # and nothing else, private names included
-    assert {n for n in vars(threed) if not n.startswith("__")} == set(layers)
+    assert {n for n in vars(threed) if not n.startswith("__")} == names
+
+
+def test_root_exports_each_object_once_and_no_module():
+    # one name per operation: an alias or a submodule in __all__ would be a
+    # second way to spell what another export already names
+    import tmscat
+    values = [getattr(tmscat, name) for name in tmscat.__all__]
+    assert not [name for name, v in zip(tmscat.__all__, values) if isinstance(v, ModuleType)]
+    assert len({id(v) for v in values}) == len(values)

@@ -528,8 +528,8 @@ def test_import_leaves_scipy_unloaded(tmp_path):
             "def check(label):\n"
             "    print(label, 'scipy' in sys.modules)\n"
             "check('import')\n"
-            "tmscat.solve_outgoing(tmscat.delta2d_operator(1.0, tmscat.build_grid(2.0, 16)))\n"
-            "tmscat.solve_outgoing(tmscat.delta3d_operator(1.0, tmscat.build_disc_grid(2.0, 4, 4)))\n"
+            "tmscat.solve_outgoing(tmscat.point_operator(1.0, tmscat.build_grid(2.0, 16)))\n"
+            "tmscat.solve_outgoing(tmscat.point_operator(1.0, tmscat.build_disc_grid(2.0, 4, 4)))\n"
             "check('factored')\n"
             "grid = tmscat.build_grid(2.0, 16)\n"
             "tmscat.solve_outgoing(tmscat.slab_operator(tmscat.SlabParams(2.0, 1.0, 2.0), grid))\n"
@@ -550,12 +550,12 @@ def test_import_leaves_scipy_unloaded(tmp_path):
 
 def test_writer_refuses_a_singular_extraction(tmp_path):
     # the flag turns singular inside scattering_result; no file may appear
-    from tmscat import build_grid, delta2d_operator, scattering_result
+    from tmscat import build_grid, point_operator, scattering_result
     from tmscat.cli import _write_scattering
     from tmscat.errors import SpectralSingularityError
 
     thetas_deg = np.array([10.0, 40.0])
-    res = scattering_result(delta2d_operator(4.0j, build_grid(1.0, 12)), np.radians(thetas_deg))
+    res = scattering_result(point_operator(4.0j, build_grid(1.0, 12)), np.radians(thetas_deg))
     assert res.singularity_flag.is_singular
     out = tmp_path / "amp.csv"
     with pytest.raises(SpectralSingularityError):

@@ -3,9 +3,9 @@ import pytest
 
 from tmscat import (ConsistencyError, NearResonanceError, NoRootError,
                     SlabParams, SpectralSingularityError, born2d_amplitude,
-                    build_disc_grid, build_grid, delta2d_amplitude, slab_defect_amplitudes,
-                    slab_entries, slab_operator, slab_xyz, slab_y,
-                    spectral_singularity, threshold_gain, threshold_gain_curve,
+                    build_disc_grid, build_grid, compose, delta2d_amplitude,
+                    slab_defect_amplitudes, slab_entries, slab_operator, slab_xyz,
+                    slab_y, spectral_singularity, threshold_gain, threshold_gain_curve,
                     wire_modes)
 from tmscat import closedforms as cf
 from tmscat.closedforms import DefectParams
@@ -54,11 +54,45 @@ def test_couplings_refuse_a_non_finite_strength(call, strength):
         call(strength)
 
 
-def test_channel_factor_is_nilpotent():
-    # the 2x2 factor behind every point kernel squares to zero, which is why
-    # the evolution series for point potentials stops at first order
-    from tmscat.closedforms import CHANNEL_FACTOR
-    assert not (CHANNEL_FACTOR @ CHANNEL_FACTOR).any()
+SP = SlabParams(epsilon=2 + 0.01j, thickness=1.0, k=2.0)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: threshold_gain(1.5, 0.3, INF), "thickness"),
+    (lambda: threshold_gain(1.5, NAN, 1.0), "theta"),
+    (lambda: threshold_gain(INF, 0.3, 1.0), "eta"),
+    (lambda: threshold_gain_curve(1.5, INF, [0.0, 30.0]), "thickness"),
+    (lambda: threshold_gain_curve(1.5, 1.0, [0.0, NAN]), "theta_deg"),
+    (lambda: wire_modes(-INF, "lasing"), "zeta"),
+    (lambda: wire_modes(INF, "CPA"), "zeta"),
+    (lambda: slab_y(SP, 1.0, quad_points=2.5), "quad_points"),
+    (lambda: slab_y(SP, 1.0, quad_points=NAN), "quad_points"),
+    (lambda: DefectParams.from_wire(NAN, 2.0), "zeta"),
+    (lambda: DefectParams.from_wire(-1.0, INF), "k"),
+], ids=["gain-thickness", "gain-theta", "gain-eta", "curve-thickness", "curve-theta",
+        "lasing-zeta", "cpa-zeta", "slab_y-fraction", "slab_y-nan", "wire-zeta", "wire-k"])
+def test_closed_forms_refuse_non_finite_and_fractional_inputs(call, name):
+    # each returned a number (0, nan, or 2 quadrature nodes) or warned, or
+    # named another argument; now each refuses the input and names it
+    with pytest.raises(ValueError, match=f"\\b{name}\\b"):
+        call()
+
+
+@pytest.mark.parametrize("grid", [build_grid(2.0, 24), build_disc_grid(1.7, 6, 5)],
+                         ids=["2d", "3d"])
+def test_point_operators_at_one_x_compose_to_the_summed_strength(grid):
+    # the channel factor [[1, 1], [-1, -1]] of a point kernel squares to
+    # zero: the second point's row meets the first's column with zero weight,
+    # so the evolution series stops at first order and the product is one
+    # point of the summed strength
+    z1, z2 = 0.7 - 0.2j, 1.1 + 0.4j
+    first, second = cf.point_operator(z1, grid), cf.point_operator(z2, grid)
+    cross = np.einsum("rbl,blq->rq", second.kernel.right[:, :, :-1], first.kernel.left)
+    assert not cross.any()
+    got, want = compose(second, first), cf.point_operator(z1 + z2, grid)
+    assert np.array_equal(got.mult, want.mult)
+    dense = np.asarray(want.kernel)
+    assert np.max(np.abs(np.asarray(got.kernel) - dense)) <= 1e-14 * np.max(np.abs(dense))
 
 
 def test_born_values():
@@ -287,12 +321,11 @@ def test_angular_amplitude_matches_direct_closed_form():
     # pipeline f(theta) by interpolation vs the closed form at the same
     # momenta; the endpoint cusp of the reflected channel limits this to
     # algebraic accuracy, measured ~4e-6 at N = 128
-    from tmscat import amplitude, build_grid, compose, delta2d_operator, \
-        slab_operator, solve_outgoing
+    from tmscat import amplitude, point_operator, solve_outgoing
     sp = SlabParams(epsilon=2 + 0.01j, thickness=1.0, k=2.0)
     strength = 1.0
     g = build_grid(2.0, 128)
-    op = compose(slab_operator(sp, g), delta2d_operator(strength, g))
+    op = compose(slab_operator(sp, g), point_operator(strength, g))
     t_plus, t_minus, _ = solve_outgoing(op)
     thetas = np.radians(np.array([10.0, 30.0, 55.0, 110.0, 200.0, 340.0]))
     got = np.array([f for _, f in amplitude(t_plus, t_minus, 2.0, thetas)])

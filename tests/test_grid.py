@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from tmscat import (EvolutionConfig, Slab, SumPotential, barycentric_interpolate,
-                    build_disc_grid, build_grid, evolve_transfer, evolve_transfer_3d,
-                    quadrature)
+                    build_disc_grid, build_grid, evolve_transfer, quadrature)
 from tmscat.grid import SpectralAmplitude
 
 
@@ -184,5 +183,3 @@ def test_layered_evolution_runs_no_unique(make, monkeypatch):
 
     monkeypatch.setattr(np, "unique", unique)
     assert np.array_equal(evolve_transfer(pot, grid, cfg).mult, want)
-    if hasattr(grid, "n_radial"):
-        assert np.array_equal(evolve_transfer_3d(pot, grid, -0.2, 1.3, 60).mult, want)

@@ -9,8 +9,8 @@ from hypothesis.extra import numpy as hnp
 import tmscat.operators as ops
 from tmscat import (DivergenceError, LowRank, SlabParams, TransferOperator, amplitude,
                     build_disc_grid, build_grid, compose, delta2d_amplitude,
-                    delta2d_operator, delta3d_operator, identity_operator,
-                    scattering_result, slab_operator, solve_outgoing)
+                    identity_operator, point_operator, scattering_result, slab_operator,
+                    solve_outgoing)
 from tmscat.oracle import transfer_1d
 
 
@@ -27,8 +27,8 @@ def test_identity_extraction_is_zero(grid):
 
 
 @pytest.mark.parametrize("make", [
-    pytest.param(lambda: delta2d_operator(0.7 - 0.2j, build_grid(2.0, 24)), id="2d"),
-    pytest.param(lambda: delta3d_operator(0.7 - 0.2j, build_disc_grid(1.7, 6, 5)), id="3d"),
+    pytest.param(lambda: point_operator(0.7 - 0.2j, build_grid(2.0, 24)), id="2d"),
+    pytest.param(lambda: point_operator(0.7 - 0.2j, build_disc_grid(1.7, 6, 5)), id="3d"),
 ])
 def test_point_operator_row_is_the_grid_measure(make):
     # both column channels carry the channel average, then a unit beam weight
@@ -40,7 +40,7 @@ def test_point_operator_row_is_the_grid_measure(make):
 
 
 def test_identity_laws(grid):
-    m = delta2d_operator(0.7 - 0.2j, grid)
+    m = point_operator(0.7 - 0.2j, grid)
     ident = identity_operator(grid)
     for c in (compose(m, ident), compose(ident, m)):
         assert np.array_equal(c.kernel, m.kernel)
@@ -51,7 +51,7 @@ def test_identity_laws(grid):
 def test_compose_rejects_grid_mismatch(grid):
     other = build_grid(2.0, 8)
     with pytest.raises(ValueError):
-        compose(delta2d_operator(1.0, grid), delta2d_operator(1.0, other))
+        compose(point_operator(1.0, grid), point_operator(1.0, other))
 
 
 @pytest.mark.parametrize("n", [2, 24])
@@ -60,7 +60,7 @@ def test_point_potential_extraction_matches_closed_form(n):
     # exact at any grid size, so this holds even at N = 2
     strength = 2.0 - 3.0j
     g = build_grid(1.5, n)
-    t_plus, t_minus, flag = solve_outgoing(delta2d_operator(strength, g))
+    t_plus, t_minus, flag = solve_outgoing(point_operator(strength, g))
     want = -2j * strength / ((4 + 1j * strength) * g.omegas)
     assert np.max(np.abs(t_minus.smooth - want)) < 1e-10
     assert np.max(np.abs(t_plus.smooth - want)) < 1e-10
@@ -69,12 +69,12 @@ def test_point_potential_extraction_matches_closed_form(n):
 
 
 def test_point_potential_singular_coupling_flagged(grid):
-    _, _, flag = solve_outgoing(delta2d_operator(4.0j, grid))
+    _, _, flag = solve_outgoing(point_operator(4.0j, grid))
     assert flag.is_singular
 
 
 def test_near_singular_coupling_flagged(grid):
-    _, _, flag = solve_outgoing(delta2d_operator(4.0j * (1 + 1e-11), grid))
+    _, _, flag = solve_outgoing(point_operator(4.0j * (1 + 1e-11), grid))
     assert flag.kind in ("near-singular", "singular")
     assert flag.condition is not None and flag.condition > 1e9
 
@@ -94,7 +94,7 @@ def test_amplitude_excludes_grazing_angles(grid):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_amplitude_rejects_non_finite_angles(grid, bad):
-    t_plus, t_minus, _ = solve_outgoing(delta2d_operator(1.0j - 0.5, grid))
+    t_plus, t_minus, _ = solve_outgoing(point_operator(1.0j - 0.5, grid))
     with pytest.raises(ValueError, match="theta must be finite"):
         amplitude(t_plus, t_minus, grid.k, [0.3, bad])
 
@@ -103,12 +103,12 @@ def test_amplitude_rejects_non_finite_angles(grid, bad):
 def test_solve_outgoing_rejects_a_non_finite_incident(grid, incident):
     # not a spectral singularity: the input is at fault
     with pytest.raises(ValueError, match="incident must be finite"):
-        solve_outgoing(delta2d_operator(1.0j - 0.5, grid), incident)
+        solve_outgoing(point_operator(1.0j - 0.5, grid), incident)
 
 
 def test_point_potential_amplitude_is_isotropic(grid):
     strength = 1.0j - 0.5
-    t_plus, t_minus, _ = solve_outgoing(delta2d_operator(strength, grid))
+    t_plus, t_minus, _ = solve_outgoing(point_operator(strength, grid))
     want = delta2d_amplitude(strength)
     got = amplitude(t_plus, t_minus, grid.k, np.linspace(0.2, 6.1, 29))
     assert max(abs(f - want) for _, f in got) < 1e-12
@@ -134,7 +134,7 @@ def test_slab_is_purely_multiplicative(grid):
 
 
 def test_extraction_linearity(grid):
-    op = delta2d_operator(0.9 + 0.4j, grid)
+    op = point_operator(0.9 + 0.4j, grid)
     tp1, tm1, _ = solve_outgoing(op)
     c = -1.5 + 2.0j
     tpc, tmc, _ = solve_outgoing(op, incident=c)
@@ -146,7 +146,7 @@ def test_extraction_linearity(grid):
 
 def test_composition_associativity(grid):
     a = slab_operator(SlabParams(1.6 + 0.05j, 0.5, grid.k), grid, x0=1.0)
-    b = delta2d_operator(0.6 - 0.1j, grid)
+    b = point_operator(0.6 - 0.1j, grid)
     c = slab_operator(SlabParams(2.2, 0.3, grid.k), grid, x0=-2.0)
     left = compose(a, compose(b, c)).entries_on_grid()
     right = compose(compose(a, b), c).entries_on_grid()
@@ -154,19 +154,19 @@ def test_composition_associativity(grid):
 
 
 def test_scattering_result_pipeline(grid):
-    res = scattering_result(delta2d_operator(1.0, grid), np.array([0.4, 2.0, 4.2]))
+    res = scattering_result(point_operator(1.0, grid), np.array([0.4, 2.0, 4.2]))
     assert len(res.f_samples) == 3
     assert res.singularity_flag.kind == "none"
     want = delta2d_amplitude(1.0)
     assert all(abs(f - want) < 1e-12 for _, f in res.f_samples)
 
-    res_sing = scattering_result(delta2d_operator(4.0j, grid), np.array([0.4]))
+    res_sing = scattering_result(point_operator(4.0j, grid), np.array([0.4]))
     assert res_sing.singularity_flag.is_singular
     assert res_sing.f_samples == []
 
 
 def test_scattering_result_serialization(grid):
-    res = scattering_result(delta2d_operator(0.5, grid), np.array([0.4, 2.0]))
+    res = scattering_result(point_operator(0.5, grid), np.array([0.4, 2.0]))
     meta = res.metadata()
     assert meta["k"] == grid.k and meta["n"] == grid.size
     assert meta["singularity_flag"] == "none"
@@ -199,7 +199,7 @@ def assert_same_solution(op):
 
 def test_factored_solve_of_slab_and_defect(grid):
     op = compose(slab_operator(SlabParams(1.6 + 0.05j, 0.5, grid.k), grid),
-                 delta2d_operator(0.7 - 0.2j, grid))
+                 point_operator(0.7 - 0.2j, grid))
     assert isinstance(op.kernel, LowRank) and op.kernel.left.shape[2] == 1
     flag, _ = assert_same_solution(op)
     assert flag.condition >= exact_condition(op) / 2
@@ -207,8 +207,8 @@ def test_factored_solve_of_slab_and_defect(grid):
 
 @pytest.mark.parametrize("op", [
     pytest.param(compose(slab_operator(SlabParams(2.0 + 0.01j, 1.0, 2.0), build_grid(2.0, 256)),
-                         delta2d_operator(1.0, build_grid(2.0, 256))), id="slab-defect-256"),
-    pytest.param(delta3d_operator(1.0 + 0.5j, build_disc_grid(2.0, 16, 12)), id="delta3d"),
+                         point_operator(1.0, build_grid(2.0, 256))), id="slab-defect-256"),
+    pytest.param(point_operator(1.0 + 0.5j, build_disc_grid(2.0, 16, 12)), id="delta3d"),
 ])
 def test_condition_estimate_against_onenormest(op):
     # scipy's block estimator (Higham and Tisseur) on the dense system and its
@@ -246,7 +246,7 @@ def test_factored_solve_falls_back_where_m22_vanishes(grid):
     # a zero of mult_22 at one channel: no capacitance matrix, so the
     # factored kernel is densified and solved by LU
     op = compose(slab_operator(SlabParams(1.6 + 0.05j, 0.5, grid.k), grid),
-                 delta2d_operator(0.7 - 0.2j, grid))
+                 point_operator(0.7 - 0.2j, grid))
     mult = op.mult.copy()
     mult[1, 1, 5] = 0.0
     op = TransferOperator(grid=grid, mult=mult, kernel=op.kernel)
@@ -352,14 +352,14 @@ def test_lu_solve_is_numpy_solve_with_the_exact_condition(data):
 
 
 def test_point_kernel_is_stored_factored():
-    op = delta2d_operator(1.0, build_grid(2.0, 2048))
+    op = point_operator(1.0, build_grid(2.0, 2048))
     assert op.kernel.shape == (2, 2, 2048, 2049)
     assert op.kernel.nbytes < 1e6
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_factor_is_a_divergence(grid, bad):
-    kernel = delta2d_operator(1.0, grid).kernel
+    kernel = point_operator(1.0, grid).kernel
     left = kernel.left.copy()
     left[1, 3, 0] = bad
     with pytest.raises(DivergenceError):
@@ -375,7 +375,7 @@ def test_low_rank_rejects_mismatched_factors():
 
 
 def test_low_rank_densifies_only_with_a_copy(grid):
-    kernel = delta2d_operator(1.0, grid).kernel
+    kernel = point_operator(1.0, grid).kernel
     with pytest.raises(ValueError, match="copy"):
         np.asarray(kernel, copy=False)
     assert np.asarray(kernel).shape == kernel.shape
@@ -385,14 +385,14 @@ def test_operator_rejects_mult_and_kernel_of_another_grid(grid):
     small = build_grid(grid.k, grid.size - 2)
     with pytest.raises(ValueError, match="mult shape"):
         TransferOperator(grid=grid, mult=identity_operator(small).mult, kernel=None)
-    for kernel in (delta2d_operator(1.0, small).kernel,
-                   np.asarray(delta2d_operator(1.0, small).kernel)):
+    for kernel in (point_operator(1.0, small).kernel,
+                   np.asarray(point_operator(1.0, small).kernel)):
         with pytest.raises(ValueError, match="kernel shape"):
             TransferOperator(grid=grid, mult=identity_operator(grid).mult, kernel=kernel)
 
 
 def test_amplitude_refuses_disc_grid_amplitudes():
     disc = build_disc_grid(1.3, 4, 4)
-    t_plus, t_minus, _ = solve_outgoing(delta3d_operator(1.0, disc))
+    t_plus, t_minus, _ = solve_outgoing(point_operator(1.0, disc))
     with pytest.raises(ValueError, match="MomentumGrid"):
         amplitude(t_plus, t_minus, disc.k, [0.3])

@@ -17,7 +17,7 @@ from hypothesis.extra import numpy as hnp
 
 from tmscat import (GaussianBump, LowRank, Slab, SumPotential, TransferOperator,
                     auto_config, build_disc_grid, build_grid, compose,
-                    EvolutionConfig, evolve_transfer, evolve_transfer_3d,
+                    EvolutionConfig, evolve_transfer,
                     fourier_y, identity_operator, is_y_independent, potential_kernel,
                     solve_outgoing, uniform_part, x_support)
 import tmscat.evolution as evolution
@@ -316,9 +316,9 @@ def test_windowed_slab_composes_to_whole_3d(slab):
     pot, disc = Slab(epsilon=complex(re, im), thickness=length), build_disc_grid(1.7, 6, 4)
     op = None
     for a, b in windows(length):
-        piece = evolve_transfer_3d(pot, disc, a, b, STEPS // WINDOWS)
+        piece = evolve_transfer(pot, disc, EvolutionConfig(a, b, STEPS // WINDOWS))
         op = piece if op is None else compose(piece, op)
-    whole = evolve_transfer_3d(pot, disc, 0.0, length, STEPS)
+    whole = evolve_transfer(pot, disc, EvolutionConfig(0.0, length, STEPS))
     assert np.max(np.abs(op.mult - whole.mult)) < 1e-6
 
 

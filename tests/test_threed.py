@@ -3,12 +3,12 @@ import warnings
 import numpy as np
 import pytest
 
-from tmscat import (Delta3D, EvolutionConfig, GaussianBump, ResourceLimitError, Slab,
-                    SlabParams, SpectralAmplitude, UnsupportedEvaluationError, amplitude3d,
-                    build_disc_grid, build_grid, compose_3d, delta2d_operator,
-                    delta3d_amplitude, delta3d_operator, evolve_transfer, evolve_transfer_3d,
-                    compose, identity_operator, potential_kernel, quadrature,
-                    scattering_length, slab_entries, slab_operator, solve_outgoing_3d)
+from tmscat import (Delta3D, EvolutionConfig, GaussianBump, Slab, SlabParams,
+                    SpectralAmplitude, UnsupportedEvaluationError, amplitude3d,
+                    build_disc_grid, build_grid, compose, delta3d_amplitude,
+                    evolve_transfer, identity_operator, point_operator, potential_kernel,
+                    quadrature, scattering_length, slab_entries, slab_operator,
+                    solve_outgoing)
 from tmscat.operators import _trig_interpolate
 
 
@@ -62,13 +62,13 @@ def test_grid_rejects_non_integer_sizes(n_radial, n_azimuthal):
 
 
 def test_point_operator_zero_coupling_is_identity(disc):
-    op = delta3d_operator(0.0, disc)
+    op = point_operator(0.0, disc)
     assert op.kernel is None and op.kernel_at_zero is None
 
 
 def test_point_extraction_matches_self_consistent_solution(disc):
     strength = 0.8 - 0.3j
-    t_plus, t_minus, flag = solve_outgoing_3d(delta3d_operator(strength, disc))
+    t_plus, t_minus, flag = solve_outgoing(point_operator(strength, disc))
     b_plus_1 = 4 * np.pi / (4 * np.pi + 1j * strength * disc.k)
     want = -1j * strength * b_plus_1 / (2 * disc.omegas)
     assert np.max(np.abs(t_minus.smooth - want)) < 1e-10
@@ -85,16 +85,16 @@ def test_point_extraction_grid_size_independent():
     vals = []
     for nr, na in ((8, 4), (16, 10)):
         d = build_disc_grid(k, nr, na)
-        tp, tm, _ = solve_outgoing_3d(delta3d_operator(strength, d))
+        tp, tm, _ = solve_outgoing(point_operator(strength, d))
         vals.append(complex(tm.smooth[0] * d.omegas[0]))  # omega T is constant
     assert abs(vals[0] - vals[1]) < 1e-12
 
 
 def test_extraction_linearity(disc):
-    op = delta3d_operator(0.9j, disc)
-    tp1, tm1, _ = solve_outgoing_3d(op)
+    op = point_operator(0.9j, disc)
+    tp1, tm1, _ = solve_outgoing(op)
     c = 2.0 - 0.5j
-    tpc, tmc, _ = solve_outgoing_3d(op, incident=c)
+    tpc, tmc, _ = solve_outgoing(op, incident=c)
     assert np.allclose(tmc.smooth, c * tm1.smooth, rtol=1e-13, atol=1e-16)
     assert np.allclose(tpc.smooth, c * tp1.smooth, rtol=1e-13, atol=1e-16)
 
@@ -102,13 +102,13 @@ def test_extraction_linearity(disc):
 def test_compose_rejects_grid_mismatch(disc):
     other = build_disc_grid(disc.k, disc.n_radial, disc.n_azimuthal + 2)
     with pytest.raises(ValueError):
-        compose_3d(delta3d_operator(1.0, disc), delta3d_operator(1.0, other))
+        compose(point_operator(1.0, disc), point_operator(1.0, other))
     with pytest.raises(ValueError):
-        compose_3d(delta3d_operator(1.0, disc), identity_operator(build_grid(disc.k, disc.size)))
+        compose(point_operator(1.0, disc), identity_operator(build_grid(disc.k, disc.size)))
 
 
 def test_amplitude_zero_and_exclusion(disc):
-    tp, tm, _ = solve_outgoing_3d(identity_operator(disc))
+    tp, tm, _ = solve_outgoing(identity_operator(disc))
     assert amplitude3d(tp, tm, disc.k, 0.5, 1.0) == 0
     with pytest.raises(ValueError):
         amplitude3d(tp, tm, disc.k, np.pi / 2, 0.0)
@@ -117,7 +117,7 @@ def test_amplitude_zero_and_exclusion(disc):
 @pytest.mark.parametrize("theta, phi", [(np.nan, 0.0), (0.5, np.nan), (np.inf, 0.0),
                                         (0.5, -np.inf)])
 def test_amplitude_rejects_non_finite_angles(disc, theta, phi):
-    tp, tm, _ = solve_outgoing_3d(delta3d_operator(1.0 + 0.5j, disc))
+    tp, tm, _ = solve_outgoing(point_operator(1.0 + 0.5j, disc))
     with pytest.raises(ValueError, match="angles must be finite"):
         amplitude3d(tp, tm, disc.k, theta, phi)
 
@@ -178,7 +178,7 @@ def test_amplitude_on_a_radial_node_is_the_ring_interpolant(disc):
 
 def test_point_amplitude_matches_closed_form(disc):
     strength = 1.7
-    tp, tm, _ = solve_outgoing_3d(delta3d_operator(strength, disc))
+    tp, tm, _ = solve_outgoing(point_operator(strength, disc))
     want = delta3d_amplitude(strength, disc.k)
     for theta in (0.3, 1.2, 2.0, 2.8):
         for phi in (0.0, 1.1, 4.4):
@@ -186,18 +186,18 @@ def test_point_amplitude_matches_closed_form(disc):
 
 
 def test_amplitude_checks_wavenumber_and_grid(disc):
-    tp, tm, _ = solve_outgoing_3d(delta3d_operator(1.7, disc))
+    tp, tm, _ = solve_outgoing(point_operator(1.7, disc))
     with pytest.raises(ValueError, match="wavenumber"):
         amplitude3d(tp, tm, 2 * disc.k, 0.7, 0.4)
     # same channel count, different grid
-    _, other, _ = solve_outgoing_3d(delta3d_operator(1.7, build_disc_grid(disc.k, 8, 12)))
+    _, other, _ = solve_outgoing(point_operator(1.7, build_disc_grid(disc.k, 8, 12)))
     with pytest.raises(ValueError, match="different grids"):
         amplitude3d(tp, other, disc.k, 0.7, 0.4)
 
 
 def test_amplitude3d_refuses_momentum_grid_amplitudes():
     grid = build_grid(1.7, 12)
-    t_plus, t_minus, _ = solve_outgoing_3d(delta2d_operator(1.0, grid))
+    t_plus, t_minus, _ = solve_outgoing(point_operator(1.0, grid))
     with pytest.raises(ValueError, match="DiscGrid"):
         amplitude3d(t_plus, t_minus, grid.k, 0.7, 0.4)
 
@@ -217,7 +217,8 @@ def test_scattering_length_and_cross_section_scale():
 
 def test_layer_evolution_matches_channel_closed_form(disc):
     eps, length = 2 + 0.01j, 1.0
-    op = evolve_transfer_3d(Slab(epsilon=eps, thickness=length), disc, 0.0, length, 600)
+    op = evolve_transfer(Slab(epsilon=eps, thickness=length), disc,
+                         EvolutionConfig(0.0, length, 600))
     got = op.mult_on_grid()
     sp = SlabParams(epsilon=eps, thickness=length, k=disc.k)
     want = slab_entries(sp, disc.omegas.astype(complex))
@@ -229,27 +230,31 @@ def test_layer_evolution_matches_channel_closed_form(disc):
 
 def test_stacked_layers_compose(disc):
     pot = Slab(epsilon=2 + 0.01j, thickness=1.0)
-    full = evolve_transfer_3d(pot, disc, 0.0, 1.0, 800)
-    upper = evolve_transfer_3d(pot, disc, 0.5, 1.0, 400)
-    lower = evolve_transfer_3d(pot, disc, 0.0, 0.5, 400)
-    got = compose_3d(upper, lower).mult_on_grid()
+    full = evolve_transfer(pot, disc, EvolutionConfig(0.0, 1.0, 800))
+    upper = evolve_transfer(pot, disc, EvolutionConfig(0.5, 1.0, 400))
+    lower = evolve_transfer(pot, disc, EvolutionConfig(0.0, 0.5, 400))
+    got = compose(upper, lower).mult_on_grid()
     assert np.max(np.abs(got - full.mult_on_grid())) < 1e-6
 
 
 def test_windowed_layer_evolution_matches_slab_operator_on_the_disc(disc):
-    sp = SlabParams(epsilon=2.2 + 0.03j, thickness=0.9, k=disc.k)
-    pot = Slab(epsilon=sp.epsilon, thickness=sp.thickness)
+    # any disc evolves, 256 channels included: a layer costs one 2x2
+    # evolution per distinct frequency, 17 on the 16 x 16 disc
     edges = np.linspace(-0.3, 1.2, 6)
-    op = identity_operator(disc)
-    for a, b in zip(edges, edges[1:]):
-        op = compose(evolve_transfer(pot, disc, EvolutionConfig(a, b, 120)), op)
-    want = slab_operator(sp, disc)
-    assert want.kernel is None and op.kernel is None
-    assert np.max(np.abs(op.mult - want.mult)) < 1e-8
+    for grid in (disc, build_disc_grid(1.8, 16, 16)):
+        sp = SlabParams(epsilon=2.2 + 0.03j, thickness=0.9, k=grid.k)
+        pot = Slab(epsilon=sp.epsilon, thickness=sp.thickness)
+        op = identity_operator(grid)
+        for a, b in zip(edges, edges[1:]):
+            op = compose(evolve_transfer(pot, grid, EvolutionConfig(a, b, 120)), op)
+        want = slab_operator(sp, grid)
+        assert want.kernel is None and op.kernel is None
+        assert np.max(np.abs(op.mult - want.mult)) < 1e-8
     # two translated halves glue to the whole slab on the disc's channels
+    sp = SlabParams(epsilon=2.2 + 0.03j, thickness=0.9, k=disc.k)
     half = SlabParams(epsilon=sp.epsilon, thickness=sp.thickness / 2, k=disc.k)
     glued = compose(slab_operator(half, disc, x0=sp.thickness / 2), slab_operator(half, disc))
-    assert np.max(np.abs(glued.mult - want.mult)) < 1e-12
+    assert np.max(np.abs(glued.mult - slab_operator(sp, disc).mult)) < 1e-12
 
 
 def test_potential_kernel_on_the_disc_takes_layers_only(disc):
@@ -261,26 +266,27 @@ def test_potential_kernel_on_the_disc_takes_layers_only(disc):
 
 
 def test_resource_limit_and_unsupported():
+    # no channel cap: the 20 x 10 disc (200 channels) evolves a layer and
+    # matches the slab's closed form
     big = build_disc_grid(1.0, 20, 10)
-    with pytest.raises(ResourceLimitError):
-        evolve_transfer_3d(Slab(epsilon=2.0, thickness=1.0), big, 0.0, 1.0, 10)
+    sp = SlabParams(epsilon=2.0, thickness=1.0, k=big.k)
+    op = evolve_transfer(Slab(epsilon=2.0, thickness=1.0), big, EvolutionConfig(-0.5, 1.5, 400))
+    assert op.kernel is None
+    assert np.max(np.abs(op.mult - slab_operator(sp, big).mult)) < 1e-8
     small = build_disc_grid(1.0, 4, 4)
     # neither is transverse-uniform; the axis-singular point defect is
     # rejected by the same guard as the bump
     for pot in (GaussianBump(amplitude=1.0, center=(0, 0), widths=(1, 1)),
                 Delta3D(strength=1.7 + 0.2j)):
         with pytest.raises(UnsupportedEvaluationError, match="transverse-uniform"):
-            evolve_transfer_3d(pot, small, 0.0, 1.0, 10)
+            evolve_transfer(pot, small, EvolutionConfig(0.0, 1.0, 10))
     with pytest.raises(ValueError, match="below"):
-        evolve_transfer_3d(Slab(epsilon=2.0, thickness=1.0), small, 1.0, 0.0, 10)
+        EvolutionConfig(1.0, 0.0, 10)
 
 
 def test_evolve_transfer_applies_the_disc_grid_rules():
-    # the engine itself refuses what a disc grid cannot evolve, not only
-    # the evolve_transfer_3d entry point
+    # the engine itself refuses what a disc grid cannot evolve
     cfg = EvolutionConfig(-4.0, 4.0, 10)
     bump = GaussianBump(amplitude=1.0, center=(0, 0), widths=(1, 1))
     with pytest.raises(UnsupportedEvaluationError, match="transverse-uniform"):
         evolve_transfer(bump, build_disc_grid(1.3, 4, 4), cfg)
-    with pytest.raises(ResourceLimitError):
-        evolve_transfer(Slab(epsilon=2.0, thickness=1.0), build_disc_grid(1.0, 20, 10), cfg)
