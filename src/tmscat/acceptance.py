@@ -16,7 +16,7 @@ from . import oracle
 from .errors import SpectralSingularityError
 from .evolution import EvolutionConfig, auto_config, evolve_transfer
 from .grid import build_disc_grid, build_grid, quadrature
-from .operators import amplitude, amplitude3d, compose, identity_operator, solve_outgoing
+from .operators import amplitude, amplitude3d, compose, solve_outgoing
 from .potentials import GaussianBump, Slab
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import warnings
 
@@ -23,7 +22,7 @@ import numpy as np
 
 from . import _apply_thread_cap
 from . import closedforms as cf
-from .errors import AccuracyWarning, SpectralSingularityError, TmscatError
+from .errors import AccuracyWarning, SpectralSingularityError, TmscatError, finite, integer
 from .evolution import EvolutionConfig, auto_config, evolve_transfer
 from .grid import SpectralAmplitude, build_disc_grid, build_grid
 from .operators import (ScatteringResult, SingularityFlag, amplitude3d, scattering_result,
@@ -284,15 +283,11 @@ def main(argv=None) -> int:
         _apply_thread_cap()
         args = _build_parser().parse_args(argv)
         tol = getattr(args, "check_tolerance", None)
-        if tol is not None and not math.isfinite(tol):
-            raise ValueError(f"--check-tolerance must be finite, got {tol}")
-        if tol is not None and tol <= 0:
+        if tol is not None and finite("--check-tolerance", tol) <= 0:
             args.check_tolerance = None
-        numeric_knobs = [getattr(args, name, 1) for name in
-                         ("grid_size", "theta_samples", "quad_points", "steps",
-                          "n_radial", "n_azimuthal")]
-        if any(int(v) < 1 for v in numeric_knobs if v is not None):
-            raise ValueError("numeric knobs must be positive")
+        for name in ("grid_size", "theta_samples", "quad_points", "steps", "n_radial",
+                     "n_azimuthal"):
+            integer("--" + name.replace("_", "-"), getattr(args, name, 1), 1)
     except ValueError as exc:
         print(f"tmscat: {exc}", file=sys.stderr)
         return 2

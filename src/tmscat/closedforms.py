@@ -32,25 +32,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (ConsistencyError, NearResonanceError, NoRootError,
-                     SpectralSingularityError)
+                     SpectralSingularityError, finite, integer, positive)
 from .grid import DiscGrid, MomentumGrid
 from .operators import LowRank, TransferOperator, identity_operator, unit_mult
-
-def _finite(name: str, value) -> np.ndarray:
-    """value as a float array; ValueError naming it if an entry is not finite."""
-    arr = np.asarray(value, dtype=float)
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return arr
-
-
-def _finite_strength(strength: complex) -> complex:
-    """strength as a complex number; ValueError naming it if it is not finite.
-    Scalar, unlike _finite, as every point operator and defect amplitude runs it."""
-    z = complex(strength)
-    if not np.isfinite(z):
-        raise ValueError(f"strength must be finite, got {strength!r}")
-    return z
+from .potentials import _Record
 
 
 def point_operator(strength: complex, grid) -> TransferOperator:
@@ -65,7 +50,7 @@ def point_operator(strength: complex, grid) -> TransferOperator:
     1 appended: a unit coherent beam enters the channel average with weight
     one.
     """
-    strength = _finite_strength(strength)
+    strength = complex(finite("strength", strength))
     if strength == 0:
         return identity_operator(grid)
     col = -(0.5j * strength) / grid.omegas
@@ -91,7 +76,7 @@ def delta2d_amplitude(strength: complex) -> complex:
     zero-width resonance at strength = 4i (within a relative band of 1e-12,
     so results computed from wire parameters in floating point still raise).
     """
-    strength = _finite_strength(strength)
+    strength = complex(finite("strength", strength))
     denom = 4.0 + 1j * strength
     if abs(denom) <= _SINGULAR_BAND * (4.0 + abs(strength)):
         raise SpectralSingularityError(
@@ -101,7 +86,7 @@ def delta2d_amplitude(strength: complex) -> complex:
 
 def born2d_amplitude(strength: complex) -> complex:
     """First-order (weak-coupling) limit of delta2d_amplitude: -z / (2 sqrt(2 pi))."""
-    return -complex(strength) / (2.0 * np.sqrt(2.0 * np.pi))
+    return -complex(finite("strength", strength)) / (2.0 * np.sqrt(2.0 * np.pi))
 
 
 # read only by the benchmark's scripts; every other caller names point_operator
@@ -110,13 +95,13 @@ delta2d_operator = point_operator
 
 def delta3d_amplitude(strength: complex, k: float) -> complex:
     """Exact isotropic amplitude of the 3D point potential: -z / (4 pi + i k z)."""
-    strength = _finite_strength(strength)
-    return -strength / (4 * np.pi + 1j * k * strength)
+    strength = complex(finite("strength", strength))
+    return -strength / (4 * np.pi + 1j * finite("k", k) * strength)
 
 
 def scattering_length(strength: complex) -> complex:
     """Low-energy limit -f(k -> 0) of the 3D point potential: z / 4 pi."""
-    return _finite_strength(strength) / (4 * np.pi)
+    return complex(finite("strength", strength)) / (4 * np.pi)
 
 
 def wire_modes(zeta: float, mode: str) -> float:
@@ -129,7 +114,7 @@ def wire_modes(zeta: float, mode: str) -> float:
     conjugate coupling hits the same singularity).  A non-finite zeta raises
     ValueError.
     """
-    zeta = float(_finite("zeta", zeta))
+    zeta = float(finite("zeta", zeta))
     if mode == "lasing":
         if not zeta < 0:
             raise ValueError("lasing requires zeta < 0 (gain material)")
@@ -142,18 +127,14 @@ def wire_modes(zeta: float, mode: str) -> float:
 
 
 @dataclass(frozen=True)
-class DefectParams:
+class DefectParams(_Record):
     """Line-defect coupling, optionally derived from a wire permittivity parameter."""
 
     strength: complex
 
-    def __post_init__(self):
-        _finite_strength(self.strength)
-
     @classmethod
     def from_wire(cls, zeta: float, k: float) -> "DefectParams":
-        _finite("zeta", zeta)
-        _finite("k", k)
+        zeta, k = finite("zeta", zeta), finite("k", k)
         return cls(strength=-1j * zeta * k * k)
 
 
@@ -162,20 +143,12 @@ class DefectParams:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SlabParams:
+class SlabParams(_Record):
     """Slab of permittivity epsilon and thickness L probed at wavenumber k."""
 
     epsilon: complex
     thickness: float
     k: float
-
-    def __post_init__(self):
-        if not np.isfinite(complex(self.epsilon)):
-            raise ValueError("slab permittivity must be finite")
-        if not (np.isfinite(self.thickness) and self.thickness > 0):
-            raise ValueError("slab thickness must be positive and finite")
-        if not (np.isfinite(self.k) and self.k > 0):
-            raise ValueError("wavenumber must be positive and finite")
 
     @property
     def z_tilde(self) -> complex:
@@ -253,8 +226,7 @@ def slab_operator(sp: SlabParams, grid: MomentumGrid | DiscGrid,
     in its evolution; on a MomentumGrid they are omega(p) at the nodes.  A
     non-finite x0 raises ValueError.
     """
-    if not np.isfinite(x0):
-        raise ValueError(f"x0 must be finite, got {x0}")
+    finite("x0", x0)
     if not np.isclose(grid.k, sp.k, rtol=1e-12, atol=0.0):
         raise ValueError("slab parameters and grid carry different wavenumbers")
     if isinstance(grid, DiscGrid):
@@ -284,7 +256,7 @@ def slab_xyz(sp: SlabParams, omega: complex) -> SlabXZ:
 
     are evaluated and cross-checked to 1e-10.
     """
-    omega = complex(omega)
+    omega = complex(finite("omega", omega))
     m = slab_entries(sp, omega)[:, :, 0]
     z = _z_of(*_at_omega(sp, omega))
     if abs(m[1, 1]) <= 1e-13 or abs(z) <= 1e-13:
@@ -343,9 +315,8 @@ def slab_y(sp: SlabParams, strength: complex, quad_points: int = 200) -> complex
     polish, guards against a pole of X inside the interval, also one between
     two scan samples.  quad_points must be an integer >= 2.
     """
-    _finite_strength(strength)
-    if not float(quad_points).is_integer() or quad_points < 2:
-        raise ValueError(f"quad_points must be an integer >= 2, got {quad_points}")
+    finite("strength", strength)
+    quad_points = integer("quad_points", quad_points, 2)
     _check_no_interior_pole(sp)
     u, w = _gauss_legendre_quarter(quad_points)
     x_vals = _x_of(slab_entries(sp, sp.k * np.sin(u)))
@@ -411,7 +382,7 @@ def slab_defect_amplitudes(sp: SlabParams, strength: complex, p,
     The identity of defect_identity_residual must hold to 1e-10 (relative
     to 2 X(k) / Y(k) where that exceeds 1), or ConsistencyError is raised.
     """
-    p = np.atleast_1d(np.asarray(p, dtype=float))
+    p = np.atleast_1d(np.asarray(finite("p", p), dtype=float))
     if np.any(np.abs(p) >= sp.k):
         raise ValueError("channel momenta must satisfy |p| < k")
     omega = _channel_omega(sp.k, p)
@@ -444,10 +415,9 @@ def slab_defect_amplitudes(sp: SlabParams, strength: complex, p,
 
 def _threshold_gain(eta: float, thickness: float, sin_t, cos_t) -> np.ndarray:
     """The threshold-gain formula of threshold_gain, from sin and cos of theta."""
-    if not (np.isfinite(eta) and eta > 1):
-        raise ValueError(f"threshold gain requires a finite eta > 1, got {eta}")
-    if not (np.isfinite(thickness) and thickness > 0):
-        raise ValueError(f"thickness must be positive and finite, got {thickness}")
+    if not finite("eta", eta) > 1:
+        raise ValueError(f"threshold gain requires eta > 1, got {eta!r}")
+    positive("thickness", thickness)
     root = np.sqrt(eta * eta - sin_t * sin_t)
     return (4.0 * root / (eta * thickness)) * np.log((root + np.abs(cos_t))
                                                      / np.sqrt(eta * eta - 1.0))
@@ -464,7 +434,7 @@ def threshold_gain(eta: float, theta, thickness: float) -> np.ndarray | float:
     theta = +-pi/2.  A non-finite eta, theta or thickness raises ValueError
     naming it.
     """
-    theta = _finite("theta", theta)
+    theta = np.asarray(finite("theta", theta), dtype=float)
     g = _threshold_gain(eta, thickness, np.sin(theta), np.cos(theta))
     return g if g.ndim else float(g)
 
@@ -474,7 +444,7 @@ def threshold_gain_curve(eta: float, thickness: float, theta_deg) -> np.ndarray:
 
     cos is exactly 0 at 90 + 180 m degrees, so the gain there is exactly zero.
     """
-    theta_deg = _finite("theta_deg", theta_deg)
+    theta_deg = np.asarray(finite("theta_deg", theta_deg), dtype=float)
     rad = np.radians(theta_deg)
     cos_t = np.where(np.mod(theta_deg, 180.0) == 90.0, 0.0, np.cos(rad))
     return _threshold_gain(eta, thickness, np.sin(rad), cos_t)
@@ -541,6 +511,7 @@ def spectral_singularity(sp: SlabParams, unknown: str, guess: complex) -> Singul
     """
     if unknown not in ("omega", "k"):
         raise ValueError(f"unknown must be 'omega' or 'k', got {unknown!r}")
+    finite("guess", guess)
     # at normal incidence the channel index is sqrt(epsilon) for any k
     args = ((lambda w: _at_omega(sp, w)) if unknown == "omega"
             else (lambda kk: (sp.sqrt_epsilon, sp.thickness, kk)))

@@ -54,7 +54,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AccuracyWarning, DivergenceError, UnsupportedEvaluationError
+from .errors import (AccuracyWarning, DivergenceError, UnsupportedEvaluationError, finite,
+                     integer)
 from .grid import DiscGrid, MomentumGrid
 from .operators import TransferOperator, _times, unit_mult
 from .potentials import (discontinuities, fourier_y, has_uniform_part, is_real,
@@ -87,17 +88,12 @@ class EvolutionConfig:
     check_tolerance: float | None = None
 
     def __post_init__(self):
-        for name in ("x_min", "x_max"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not self.x_min < self.x_max:
+        if not finite("x_min", self.x_min) < finite("x_max", self.x_max):
             raise ValueError("x_min must be below x_max")
-        if not float(self.steps).is_integer() or self.steps < 1:
-            raise ValueError(f"steps must be an integer >= 1, got {self.steps}")
-        object.__setattr__(self, "steps", int(self.steps))
+        object.__setattr__(self, "steps", integer("steps", self.steps, 1))
         tol = self.check_tolerance
-        if tol is not None and not (np.isfinite(tol) and tol >= 0):
-            raise ValueError(f"check_tolerance must be finite and >= 0, got {tol}")
+        if tol is not None and not finite("check_tolerance", tol) >= 0:
+            raise ValueError(f"check_tolerance must be >= 0, got {tol!r}")
 
 
 def auto_config(pot, steps: int, check_tolerance: float | None = None) -> EvolutionConfig:

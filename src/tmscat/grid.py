@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import integer, positive
+
 
 @dataclass(frozen=True)
 class MomentumGrid:
@@ -61,13 +63,10 @@ class MomentumGrid:
 def build_grid(k: float, n: int) -> MomentumGrid:
     """Build the N-point Chebyshev-Gauss channel grid for wavenumber k.
 
-    Raises ValueError for k <= 0 or n < 2.
+    Raises ValueError unless k is positive and n an integer >= 2.
     """
-    if not np.isfinite(k) or k <= 0:
-        raise ValueError(f"wavenumber must be positive and finite, got {k}")
-    if int(n) != n or n < 2:
-        raise ValueError(f"grid size must be an integer >= 2, got {n}")
-    n = int(n)
+    positive("k", k)
+    n = integer("n", n, 2)
     j = np.arange(1, n + 1)
     theta = (2 * j - 1) * np.pi / (2 * n)
     nodes = k * np.cos(theta)
@@ -120,13 +119,9 @@ class DiscGrid:
 
 
 def build_disc_grid(k: float, n_radial: int, n_azimuthal: int) -> DiscGrid:
-    if not np.isfinite(k) or k <= 0:
-        raise ValueError(f"wavenumber must be positive and finite, got {k}")
-    if (int(n_radial) != n_radial or int(n_azimuthal) != n_azimuthal
-            or n_radial < 2 or n_azimuthal < 2):
-        raise ValueError("need integer sizes of at least 2 radial and 2 azimuthal points, "
-                         f"got {n_radial} and {n_azimuthal}")
-    n_radial, n_azimuthal = int(n_radial), int(n_azimuthal)
+    positive("k", k)
+    n_radial = integer("n_radial", n_radial, 2)
+    n_azimuthal = integer("n_azimuthal", n_azimuthal, 2)
     x, w = np.polynomial.legendre.leggauss(n_radial)
     omega_r = 0.5 * k * (x + 1.0)
     w_r = 0.5 * k * w

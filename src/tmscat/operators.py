@@ -42,7 +42,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DivergenceError
+from .errors import DivergenceError, finite
 from .grid import DiscGrid, MomentumGrid, SpectralAmplitude, barycentric_interpolate
 
 # rcond thresholds for the smooth-channel solve diagnostics
@@ -396,8 +396,7 @@ def solve_outgoing(op: TransferOperator, incident: complex = 1.0):
     every other case goes through a dense LU.  A non-finite incident raises
     ValueError.
     """
-    if not np.isfinite(incident):
-        raise ValueError(f"incident must be finite, got {incident}")
+    finite("incident", incident)
     m0, mult_grid = op.mult_at_zero(), op.mult_on_grid()
     kernel, k0 = op.kernel, op.kernel_at_zero
     if k0 is None:
@@ -476,9 +475,7 @@ def amplitude(t_plus: SpectralAmplitude, t_minus: SpectralAmplitude,
     non-finite angle raises ValueError.
     """
     grid = _checked_grid(t_plus, t_minus, k, MomentumGrid)
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    if not np.isfinite(thetas).all():
-        raise ValueError(f"theta must be finite, got {thetas[~np.isfinite(thetas)][0]}")
+    thetas = np.atleast_1d(np.asarray(finite("theta", thetas), dtype=float))
     thetas = thetas % (2 * np.pi)
     cos_t = np.cos(thetas)
     if np.any(np.abs(cos_t) < COS_EXCLUSION):
@@ -518,8 +515,7 @@ def amplitude3d(t_plus: SpectralAmplitude, t_minus: SpectralAmplitude,
     not finite.
     """
     grid = _checked_grid(t_plus, t_minus, k, DiscGrid)
-    if not (np.isfinite(theta) and np.isfinite(phi)):
-        raise ValueError(f"angles must be finite, got theta = {theta}, phi = {phi}")
+    theta, phi = finite("theta", theta), finite("phi", phi)
     cos_t = float(np.cos(theta))
     if abs(cos_t) < COS_EXCLUSION:
         raise ValueError("f(theta, phi) is undefined at cos(theta) = 0")

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError
+from .errors import DivergenceError, finite, integer, positive
 from .potentials import GaussianBump, Slab, SumPotential
 
 
@@ -44,13 +44,14 @@ def transfer_1d(v, support: tuple[float, float], k: float, steps: int = 4000,
     and U' = -i H U is stepped with classical RK4 from the left edge.  Pass
     the locations of jumps of v as breakpoints: the stepping then splits
     there and samples each piece one-sidedly, which keeps the fourth order
-    for piecewise-smooth potentials.
+    for piecewise-smooth potentials.  ValueError unless the support is a
+    finite nonempty interval, k positive and steps an integer >= 1.
     """
-    a, b = support
+    a, b = finite("support", support)
     if not a < b:
         raise ValueError("support must be a nonempty interval")
-    if not k > 0:
-        raise ValueError("wavenumber must be positive")
+    positive("k", k)
+    steps = integer("steps", steps, 1)
 
     def hmat(x: float) -> np.ndarray:
         val = v(x) / (2 * k)
@@ -104,8 +105,10 @@ def born1_transfer(pot, k: float, p: float) -> tuple[complex, complex]:
         T-(p) = -zt (e^{2 i omega L} - 1) / (2 omega)^2,
 
     which at p = 0 are the coefficients of the coherent beam.  Exactly
-    linear in the potential amplitude by construction.
+    linear in the potential amplitude by construction.  ValueError unless k
+    is positive and p finite.
     """
+    k, p = positive("k", k), finite("p", p)
     omega = math.sqrt(k * k - p * p)
     if isinstance(pot, GaussianBump):
         return (_born_gaussian(pot, omega - k, p, omega),
@@ -164,9 +167,10 @@ def convergence_report(fn, sizes) -> ConvergenceReport:
     """Tabulate fn over increasing sizes and estimate the convergence order.
 
     Successive deltas d_i = |fn(s_{i+1}) - fn(s_i)| are fitted pairwise to
-    d ~ C s^{-q}; zero deltas leave the order undefined.
+    d ~ C s^{-q}; zero deltas leave the order undefined.  Each size must be
+    an integer >= 1.
     """
-    sizes = [int(s) for s in sizes]
+    sizes = [integer("size", s, 1) for s in sizes]
     if sorted(sizes) != sizes or len(set(sizes)) != len(sizes):
         raise ValueError("sizes must be strictly increasing")
     if len(sizes) < 2:
@@ -180,8 +184,8 @@ def convergence_report(fn, sizes) -> ConvergenceReport:
                           / math.log(sizes[i + 1] / sizes[i]))
         else:
             orders.append(None)
-    finite = [o for o in orders if o is not None]
-    estimated = float(np.median(finite)) if finite else None
+    defined = [o for o in orders if o is not None]
+    estimated = float(np.median(defined)) if defined else None
     return ConvergenceReport(sizes=tuple(sizes), values=tuple(values),
                              deltas=tuple(deltas), orders=tuple(orders),
                              estimated_order=estimated)

@@ -15,13 +15,12 @@ the fields in order as decimal strings ({re, im}, {x, y}): exact round trips.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from itertools import combinations
 
 import numpy as np
 
-from .errors import UnsupportedEvaluationError
+from .errors import UnsupportedEvaluationError, finite, positive
 
 # Gaussian tails are truncated at this many sigmas when computing the
 # numeric x-support window; the neglected tail is below 1e-14 of the peak.
@@ -32,27 +31,27 @@ GAUSSIAN_SUPPORT_SIGMAS = 8.0
 _PAIR = "tuple[float, float]"
 
 
-class _Leaf:
+class _Record:
+    """Base of the parameter records, the leaves and closedforms' SlabParams
+    and DefectParams.  Its one check raises ValueError naming the first field
+    that is not a tuple of two real numbers where a pair is due, is not
+    finite, or, for a thickness, widths or k, is not positive."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            name, value = f"{type(self).__name__} {f.name}", getattr(self, f.name)
+            if f.type == _PAIR and not (type(value) is tuple and np.shape(value) == (2,)
+                                        and np.asarray(value).dtype.kind in "iuf"):
+                raise ValueError(f"{name} must be a tuple of two real numbers, got {value!r}")
+            (positive if f.name in ("thickness", "widths", "k") else finite)(name, value)
+
+
+class _Leaf(_Record):
     """Base of the leaf potentials, whose classes set `kind` and `role`; a leaf
-    with x-extent overrides span(), a point at the origin.  Its one check raises
-    ValueError naming the first field that is not finite, a pair that is not a
-    tuple of two real numbers, or a thickness or widths that is not positive."""
+    with x-extent overrides span(), a point at the origin."""
 
     def span(self) -> tuple[float, float]:
         return (0.0, 0.0)
-
-    def __post_init__(self):
-        name = type(self).__name__
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == _PAIR and not (type(value) is tuple and np.shape(value) == (2,)
-                                        and np.asarray(value).dtype.kind in "iuf"):
-                raise ValueError(f"{name} {f.name} must be a tuple of two real numbers, "
-                                 f"got {value!r}")
-            if not np.isfinite(value).all():
-                raise ValueError(f"{name} {f.name} must be finite, got {value!r}")
-            if f.name in ("thickness", "widths") and not np.all(np.greater(value, 0)):
-                raise ValueError(f"{name} {f.name} must be positive, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -139,8 +138,9 @@ class SumPotential:
     members: tuple
 
     def __post_init__(self):
-        if len(self.members) == 0:
-            raise ValueError("sum potential needs at least one member")
+        if type(self.members) is not tuple or not self.members:
+            raise ValueError("SumPotential members must be a nonempty tuple, "
+                             f"got {self.members!r}")
         for m in self.members:
             if isinstance(m, (SumPotential, Delta3D)):
                 raise ValueError(f"sum members of type {type(m).__name__} are not supported")
@@ -244,10 +244,7 @@ def _enc_complex(z) -> dict:
 
 
 def _dec_real(s) -> float:
-    x = float(s)
-    if not math.isfinite(x):
-        raise ValueError(f"value {s!r} is not finite")
-    return x
+    return finite("value", float(s))
 
 
 def _dec_complex(d) -> complex:

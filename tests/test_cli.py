@@ -487,10 +487,13 @@ def test_slab_overflow_exits_3(tmp_path, capsys):
     assert diag["error"] == "DivergenceError"
 
 
-def test_bad_knob_exits_2(tmp_path):
+def test_bad_knob_exits_2(tmp_path, capsys):
     inp = write_doc(tmp_path / "in.json", {"strength": cplx(1.0), "k": "1.0"})
-    assert main(["delta2d", "--input", inp, "--output",
-                 str(tmp_path / "o.csv"), "--grid-size", "0"]) == 2
+    for option, value in (("--grid-size", "0"), ("--theta-samples", "-3")):
+        assert main(["delta2d", "--input", inp, "--output",
+                     str(tmp_path / "o.csv"), option, value]) == 2
+        # the message names the option
+        assert f"{option} must be an integer >= 1, got {value}" in capsys.readouterr().err
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")

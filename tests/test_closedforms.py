@@ -41,12 +41,14 @@ NAN, INF = float("nan"), float("inf")
     lambda z: cf.point_operator(z, build_grid(1.3, 8)),
     lambda z: cf.point_operator(z, build_disc_grid(1.3, 2, 4)),
     delta2d_amplitude,
+    born2d_amplitude,
     lambda z: cf.delta3d_amplitude(z, 1.0),
     cf.scattering_length,
     lambda z: slab_y(SlabParams(2.0, 1.0, 1.5), z),
     lambda z: slab_defect_amplitudes(SlabParams(2.0, 1.0, 1.5), z, [0.0, 0.3]),
     DefectParams,
-], ids=["point_operator-2d", "point_operator-3d", "delta2d_amplitude", "delta3d_amplitude",
+], ids=["point_operator-2d", "point_operator-3d", "delta2d_amplitude", "born2d_amplitude",
+        "delta3d_amplitude",
         "scattering_length", "slab_y", "slab_defect_amplitudes", "DefectParams"])
 def test_couplings_refuse_a_non_finite_strength(call, strength):
     # an input error, not a numeric failure (DivergenceError) nor a nan result
@@ -67,13 +69,22 @@ SP = SlabParams(epsilon=2 + 0.01j, thickness=1.0, k=2.0)
     (lambda: wire_modes(INF, "CPA"), "zeta"),
     (lambda: slab_y(SP, 1.0, quad_points=2.5), "quad_points"),
     (lambda: slab_y(SP, 1.0, quad_points=NAN), "quad_points"),
+    (lambda: slab_y(SP, 1.0, quad_points=None), "quad_points"),
     (lambda: DefectParams.from_wire(NAN, 2.0), "zeta"),
     (lambda: DefectParams.from_wire(-1.0, INF), "k"),
+    (lambda: spectral_singularity(SP, "k", NAN), "guess"),
+    (lambda: spectral_singularity(SP, "omega", INF), "guess"),
+    (lambda: slab_defect_amplitudes(SP, 1.0, [0.3, NAN]), "p"),
+    (lambda: slab_xyz(SP, NAN), "omega"),
+    (lambda: cf.delta3d_amplitude(1.0, NAN), "k"),
 ], ids=["gain-thickness", "gain-theta", "gain-eta", "curve-thickness", "curve-theta",
-        "lasing-zeta", "cpa-zeta", "slab_y-fraction", "slab_y-nan", "wire-zeta", "wire-k"])
+        "lasing-zeta", "cpa-zeta", "slab_y-fraction", "slab_y-nan", "slab_y-none",
+        "wire-zeta", "wire-k", "singularity-k-guess", "singularity-omega-guess", "defect-p",
+        "xyz-omega", "delta3d-k"])
 def test_closed_forms_refuse_non_finite_and_fractional_inputs(call, name):
-    # each returned a number (0, nan, or 2 quadrature nodes) or warned, or
-    # named another argument; now each refuses the input and names it
+    # each returned a number (0, nan, or 2 quadrature nodes) or warned, raised
+    # NoRootError, or named another argument; now each refuses the input and
+    # names it
     with pytest.raises(ValueError, match=f"\\b{name}\\b"):
         call()
 
@@ -174,10 +185,12 @@ def test_derived_slab_parameters():
 @pytest.mark.parametrize("field, value", [
     ("epsilon", complex(np.nan, 0.01)), ("epsilon", complex(2.0, np.inf)),
     ("thickness", np.inf), ("thickness", np.nan), ("k", np.inf), ("k", np.nan),
+    ("epsilon", "2"), ("k", "2.0"),
 ])
 def test_slab_params_reject_non_finite_fields(field, value):
+    # a string epsilon was accepted and failed later in z_tilde
     params = {"epsilon": 2 + 0.01j, "thickness": 1.0, "k": 2.0, field: value}
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
         SlabParams(**params)
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -89,6 +90,19 @@ def test_quadrature_rejects_wrong_length():
 def test_build_grid_rejects_bad_arguments(k, n):
     with pytest.raises(ValueError):
         build_grid(k, n)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: build_grid(0.0, 8), "k must be positive, got 0.0"),
+    (lambda: build_grid("1.3", 8), "k must be finite, got '1.3'"),
+    (lambda: build_grid(1.3, "8"), "n must be an integer >= 2, got '8'"),
+    (lambda: build_disc_grid(1.3, 1, 4), "n_radial must be an integer >= 2, got 1"),
+    (lambda: build_disc_grid(1.3, 4, None), "n_azimuthal must be an integer >= 2, got None"),
+], ids=["k-zero", "k-string", "n-string", "n_radial-one", "n_azimuthal-none"])
+def test_grid_builders_word_each_rule_and_name_the_argument(call, message):
+    # one wording per rule, naming the argument; a string is not a number
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_zero_amplitude():

@@ -24,6 +24,27 @@ def test_rectangular_barrier_matches_channel_formula():
     assert np.max(np.abs(got - want)) < 1e-8
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: transfer_1d(lambda x: 1.0, (0.0, 1.0), 1.0, steps=0), "steps"),
+    (lambda: transfer_1d(lambda x: 1.0, (0.0, 1.0), 1.0, steps=-5), "steps"),
+    (lambda: transfer_1d(lambda x: 1.0, (0.0, 1.0), 1.0, steps=2.5), "steps"),
+    (lambda: transfer_1d(lambda x: 1.0, (0.0, 1.0), INF, steps=10), "k"),
+    (lambda: transfer_1d(lambda x: 1.0, (0.0, INF), 1.0, steps=10), "support"),
+    (lambda: born1_transfer(GaussianBump(0.3), NAN, 0.2), "k"),
+    (lambda: convergence_report(lambda n: 1.0 / n, [2.5, 4.7]), "size"),
+], ids=["steps-zero", "steps-negative", "steps-fraction", "k-inf", "support-inf", "born-k",
+        "size-fraction"])
+def test_oracle_refuses_bad_inputs(call, name):
+    # steps 0, -5 and 2.5 ran, k = inf diverged, an infinite support failed
+    # converting nan to an integer, a nan k returned nan amplitudes, and
+    # fractional sizes were truncated
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        call()
+
+
 def test_divergent_evolution_raises():
     # v = 1e300 overflows the first stages to non-finite entries
     with (pytest.warns(RuntimeWarning, match="overflow|invalid value"),

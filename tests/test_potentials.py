@@ -7,9 +7,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from tmscat import (Delta2D, Delta3D, GaussianBump, Slab, SlabWithDefect,
+from tmscat import (Delta2D, Delta3D, GaussianBump, Slab, SlabParams, SlabWithDefect,
                     SumPotential, UnsupportedEvaluationError, fourier_y,
                     potential_from_document, potential_to_document, x_support)
+from tmscat.closedforms import DefectParams
 from tmscat.evolution import EvolutionConfig, evolve_transfer
 from tmscat.grid import build_grid
 from tmscat.potentials import (_CODECS, _KINDS, _PAIR, discontinuities, has_uniform_part,
@@ -196,14 +197,35 @@ NAN, INF = float("nan"), float("inf")
     (lambda: GaussianBump(1.0, (NAN, 0.0)), "center"),
     (lambda: GaussianBump(1.0, (0.0, 0.0), (1.0, INF)), "widths"),
     (lambda: GaussianBump(complex(INF, 0.0)), "amplitude"),
+    (lambda: Slab("2", 1.0), "epsilon"),
+    (lambda: SumPotential([Slab(2.0, 1.0)]), "members"),
 ], ids=["delta2d", "delta3d", "slab-epsilon", "slab-thickness", "slab_with_defect-strength",
         "slab_with_defect-thickness", "gaussian_bump-center", "gaussian_bump-widths",
-        "gaussian_bump-amplitude"])
+        "gaussian_bump-amplitude", "slab-string-epsilon", "sum-list-members"])
 def test_leaf_constructors_reject_non_finite_fields(make, field):
     # a nan slab would otherwise evolve to a DivergenceError, and a nan
-    # centre would read as a potential with no x-support
-    with pytest.raises(ValueError, match=f"{field} must be finite"):
+    # centre would read as a potential with no x-support; a string epsilon
+    # raised numpy's TypeError, and a sum of a list failed only when hashed
+    with pytest.raises(ValueError, match=f"{field} must be (finite|a nonempty tuple)"):
         make()
+
+
+# a valid instance of every parameter record: the five leaves and the closed
+# forms' SlabParams and DefectParams
+RECORDS = [Delta2D(1.0), Delta3D(1.0), Slab(2.0, 1.0), SlabWithDefect(2.0, 1.0, 1.0),
+           GaussianBump(1.0), SlabParams(2.0, 1.0, 1.0), DefectParams(1.0)]
+NON_FINITE = st.sampled_from([NAN, -NAN, INF, -INF])
+
+
+@given(record=st.sampled_from(RECORDS), data=st.data(),
+       bad=(NON_FINITE | st.builds(complex, NON_FINITE, st.floats())
+            | st.builds(complex, st.floats(), NON_FINITE) | st.text()))
+def test_every_record_names_a_field_that_is_not_a_finite_number(record, data, bad):
+    # one field check serves every record: a non-finite float, a complex with
+    # a non-finite part, or a string in any field is refused by name
+    field = data.draw(st.sampled_from([f.name for f in dataclasses.fields(record)]))
+    with pytest.raises(ValueError, match=f"^{type(record).__name__} {field} must be"):
+        dataclasses.replace(record, **{field: bad})
 
 
 @pytest.mark.parametrize("make, field", [
@@ -357,7 +379,7 @@ def test_documents_with_a_non_finite_or_missing_field_raise(pot, data):
     with pytest.raises(ValueError):
         potential_from_document(replaced(doc, data.draw(st.sampled_from(keys)), None))
     bad = data.draw(st.sampled_from(["nan", "-nan", "inf", "-inf", "Infinity"]))
-    with pytest.raises(ValueError, match="not finite"):
+    with pytest.raises(ValueError, match="must be finite"):
         potential_from_document(replaced(doc, data.draw(st.sampled_from(numbers)), bad))
 
 

@@ -118,7 +118,8 @@ def test_amplitude_zero_and_exclusion(disc):
                                         (0.5, -np.inf)])
 def test_amplitude_rejects_non_finite_angles(disc, theta, phi):
     tp, tm, _ = solve_outgoing(point_operator(1.0 + 0.5j, disc))
-    with pytest.raises(ValueError, match="angles must be finite"):
+    name = "theta" if not np.isfinite(theta) else "phi"
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
         amplitude3d(tp, tm, disc.k, theta, phi)
 
 
