@@ -39,7 +39,7 @@ for z in (1e-1, 1e-2, 1e-3):
 # the amplitude diverges (zero-width resonance / spectral singularity)
 zeta = -1.0
 k_lase = tm.wire_modes(zeta, "lasing")
-coupling = tm.DefectParams.from_wire(zeta, k_lase).strength
+coupling = tm.wire_strength(zeta, k_lase)
 print(f"\nwire with permittivity 1 + i({zeta}) delta2: lasing at k = {k_lase}")
 print(f"coupling at threshold: {coupling} (singular denominator 4 + iz = "
       f"{4 + 1j * coupling})")

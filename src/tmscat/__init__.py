@@ -47,12 +47,13 @@ from .operators import (LowRank, ScatteringResult, SingularityFlag, TransferOper
                         scattering_result, solve_outgoing)
 from .evolution import (EvolutionConfig, auto_config, effective_hamiltonian,
                         evolve_transfer, potential_kernel)
-from .closedforms import (DefectAmplitudes, DefectParams, SingularitySearch,
-                          SlabParams, born2d_amplitude, delta2d_amplitude,
+from .closedforms import (DefectAmplitudes, SingularitySearch, SlabParams,
+                          born2d_amplitude, delta2d_amplitude,
                           delta3d_amplitude, point_operator, scattering_length,
                           slab_defect_amplitudes, slab_entries,
                           slab_operator, slab_xyz, slab_y, spectral_singularity,
-                          threshold_gain, threshold_gain_curve, wire_modes)
+                          threshold_gain, threshold_gain_curve, wire_modes,
+                          wire_strength)
 from .oracle import (ConvergenceReport, Transfer1D, born1_transfer,
                      convergence_report, transfer_1d)
 

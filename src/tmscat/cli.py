@@ -142,7 +142,7 @@ def _cmd_slab_defect(args) -> int:
     _write_scattering(args.output, thetas_deg, ScatteringResult(
         t_plus=SpectralAmplitude(grid, res.delta_plus, res.smooth_plus[m:]),
         t_minus=SpectralAmplitude(grid, res.delta_minus, res.smooth_minus[m:]),
-        f_samples=list(zip(rad, f)), singularity_flag=SingularityFlag.none()))
+        f_samples=list(zip(rad, f)), singularity_flag=SingularityFlag("none")))
     return 0
 
 

@@ -126,16 +126,10 @@ def wire_modes(zeta: float, mode: str) -> float:
     raise ValueError(f"mode must be 'lasing' or 'CPA', got {mode!r}")
 
 
-@dataclass(frozen=True)
-class DefectParams(_Record):
-    """Line-defect coupling, optionally derived from a wire permittivity parameter."""
-
-    strength: complex
-
-    @classmethod
-    def from_wire(cls, zeta: float, k: float) -> "DefectParams":
-        zeta, k = finite("zeta", zeta), finite("k", k)
-        return cls(strength=-1j * zeta * k * k)
+def wire_strength(zeta: float, k: float) -> complex:
+    """Point coupling -i zeta k^2 of a thin wire with permittivity 1 + i zeta delta(x) delta(y)."""
+    zeta, k = finite("zeta", zeta), finite("k", k)
+    return -1j * zeta * k * k
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +252,7 @@ def slab_xyz(sp: SlabParams, omega: complex) -> SlabXZ:
     """
     omega = complex(finite("omega", omega))
     m = slab_entries(sp, omega)[:, :, 0]
-    z = _z_of(*_at_omega(sp, omega))
+    z = complex(_z_of(*_at_omega(sp, omega))[0])
     if abs(m[1, 1]) <= 1e-13 or abs(z) <= 1e-13:
         raise SpectralSingularityError(
             f"m22 or Z vanishes at omega = {omega}: spectral singularity")
@@ -271,28 +265,19 @@ def slab_xyz(sp: SlabParams, omega: complex) -> SlabXZ:
     return SlabXZ(x=complex(x), z=complex(z))
 
 
-def _z_parts(n, length: float, omega):
-    """The two competing terms of Z at channel index n: round-trip phase and reflection factor."""
-    r = (n - 1) / (n + 1)
-    return np.exp(-2j * n * length * omega), r * r
-
-
 def _at_omega(sp: SlabParams, omega):
-    """Arguments (n, L, omega) of the Z helpers in the channel frequency at fixed potential."""
+    """Arguments (n, L, omega) of _z_of in the channel frequency at fixed potential."""
     omega = np.asarray(omega, dtype=complex)
     return sp.refraction(omega), sp.thickness, omega
 
 
-def _z_of(n, length: float, omega) -> np.ndarray | complex:
-    e, r2 = _z_parts(n, length, omega)
-    val = e - r2
-    return complex(val) if np.ndim(val) == 0 else val
-
-
-def _z_floor(n, length: float, omega) -> float:
-    """Roundoff floor of |Z(omega)|: below this, Z is zero to machine precision."""
-    e, r2 = _z_parts(n, length, omega)
-    return 1e-14 * float(np.abs(e) + np.abs(r2))
+def _z_of(n, length: float, omega):
+    """Z at channel index n and its roundoff floor, from the two competing terms
+    of Z, the round-trip phase and the reflection factor: where |Z| is at or
+    below the floor, Z is zero to machine precision."""
+    r = (n - 1) / (n + 1)
+    e, r2 = np.exp(-2j * n * length * omega), r * r
+    return e - r2, 1e-14 * (np.abs(e) + np.abs(r2))
 
 
 def _x_of(m: np.ndarray) -> np.ndarray:
@@ -325,7 +310,7 @@ def slab_y(sp: SlabParams, strength: complex, quad_points: int = 200) -> complex
 
 def _check_no_interior_pole(sp: SlabParams) -> None:
     omega = sp.k * np.sin(np.linspace(1e-3, np.pi / 2 - 1e-3, 1024))
-    z = _z_of(*_at_omega(sp, omega))
+    z = _z_of(*_at_omega(sp, omega))[0]
     zvals = np.abs(z)
     i = int(np.argmin(zvals))
     # polish from a suspicious dip and from every segment whose linear
@@ -338,8 +323,7 @@ def _check_no_interior_pole(sp: SlabParams) -> None:
     near = np.abs(z[:-1] + t * dz) <= np.abs(dz)
     for guess in guesses + list((omega[:-1] + t * np.diff(omega))[near]):
         try:
-            root = _secant(lambda w: _z_of(*_at_omega(sp, w)), complex(guess), max_iter=50,
-                           floor=lambda w: _z_floor(*_at_omega(sp, w)))[0]
+            root = _secant(lambda w: _z_of(*_at_omega(sp, w)), complex(guess), max_iter=50)[0]
         except NoRootError:
             continue
         if abs(root.imag) < 1e-6 * sp.k and 0 < root.real < sp.k:
@@ -460,36 +444,42 @@ class SingularitySearch:
     iterations: int
 
 
-def _secant(f, guess: complex, max_iter: int = 200,
-            f_tol: float = 1e-10, step_rtol: float = 1e-9, floor=None):
-    """Derivative-free complex root search.
+# secant convergence: a residual below _SECANT_F_TOL, and a step below
+# _SECANT_STEP_RTOL of the iterate or the residual at its roundoff floor
+_SECANT_F_TOL = 1e-10
+_SECANT_STEP_RTOL = 1e-9
+
+
+def _secant(f, guess: complex, max_iter: int = 200):
+    """Derivative-free complex root search of f, which maps an iterate to its
+    value and the roundoff floor of that value.
 
     Convergence needs a small residual together with a stalled step, so a
     function like e^{-2iLw} whose modulus merely decays (no finite root)
-    exhausts the iteration budget instead of fake-converging.  `floor`, when
-    given, maps an iterate to the roundoff level of f there; residuals at or
-    below it are accepted outright.
+    exhausts the iteration budget instead of fake-converging; a residual at or
+    below its floor is accepted outright.
     """
-    floor_at = floor if floor is not None else (lambda _x: 0.0)
+    def at(x):
+        with np.errstate(all="ignore"):
+            value, floor = f(x)
+            return complex(value), float(floor)
+
     x0 = complex(guess)
-    with np.errstate(all="ignore"):
-        f0 = complex(f(x0))
-    if f0 == 0 or abs(f0) <= floor_at(x0):
+    f0, floor = at(x0)
+    if f0 == 0 or abs(f0) <= floor:
         return x0, abs(f0), 0
     x1 = x0 * (1 + 1e-6) + 1e-9
-    with np.errstate(all="ignore"):
-        f1 = complex(f(x1))
+    f1, _ = at(x1)
     residual = abs(f1)
     for it in range(1, max_iter + 1):
         if f1 == f0 or not (np.isfinite(f0) and np.isfinite(f1)):
             break
         x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
-        with np.errstate(all="ignore"):
-            f2 = complex(f(x2))
+        f2, floor = at(x2)
         if np.isfinite(f2):
             residual = abs(f2)
-        step_ok = abs(x2 - x1) <= step_rtol * max(1.0, abs(x2))
-        if f2 == 0 or (abs(f2) < f_tol and (step_ok or abs(f2) <= floor_at(x2))):
+        step_ok = abs(x2 - x1) <= _SECANT_STEP_RTOL * max(1.0, abs(x2))
+        if f2 == 0 or (abs(f2) < _SECANT_F_TOL and (step_ok or abs(f2) <= floor)):
             return x2, abs(f2), it
         x0, f0, x1, f1 = x1, f1, x2, f2
     raise NoRootError(f"secant did not converge (last residual {residual:.3e})",
@@ -515,8 +505,7 @@ def spectral_singularity(sp: SlabParams, unknown: str, guess: complex) -> Singul
     # at normal incidence the channel index is sqrt(epsilon) for any k
     args = ((lambda w: _at_omega(sp, w)) if unknown == "omega"
             else (lambda kk: (sp.sqrt_epsilon, sp.thickness, kk)))
-    root, res, it = _secant(lambda x: _z_of(*args(x)), guess,
-                            floor=lambda x: _z_floor(*args(x)))
+    root, res, it = _secant(lambda x: _z_of(*args(x)), guess)
     if unknown == "omega":
         m22 = abs(complex(slab_entries(sp, np.array([root]))[1, 1, 0]))
     else:

@@ -191,10 +191,6 @@ class SpectralAmplitude:
         if np.asarray(self.smooth).shape != (self.grid.size,):
             raise ValueError("smooth sample count does not match the grid")
 
-    @classmethod
-    def zero(cls, grid: MomentumGrid | DiscGrid) -> "SpectralAmplitude":
-        return cls(grid=grid, delta_coeff=0.0 + 0.0j, smooth=np.zeros(grid.size, dtype=complex))
-
 
 def barycentric_interpolate(nodes: np.ndarray, bary_weights: np.ndarray,
                             values: np.ndarray, x: np.ndarray) -> np.ndarray:

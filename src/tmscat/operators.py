@@ -73,10 +73,6 @@ class SingularityFlag:
     def is_singular(self) -> bool:
         return self.kind == "singular"
 
-    @classmethod
-    def none(cls) -> "SingularityFlag":
-        return cls(kind="none")
-
 
 def _times(lhs, rhs, out=None):
     """lhs rhs per channel, for 2x2 maps laid out (row, column, channel): one
@@ -295,11 +291,11 @@ def _norm1_estimate(apply, adjoint, n: int, column: np.ndarray) -> float:
 
 
 def _solved(phi: np.ndarray, condition: float):
-    """(phi, rcond, condition), with rcond 0 and condition None where the
-    condition number is not a finite positive number."""
+    """(phi, condition), with condition None where the condition number is
+    not a finite positive number."""
     if not (np.isfinite(condition) and condition > 0):
-        return phi, 0.0, None
-    return phi, 1.0 / condition, float(condition)
+        return phi, None
+    return phi, float(condition)
 
 
 def _capacitance_solve(d: np.ndarray, u: np.ndarray, vt: np.ndarray, rhs: np.ndarray,
@@ -310,7 +306,7 @@ def _capacitance_solve(d: np.ndarray, u: np.ndarray, vt: np.ndarray, rhs: np.nda
 
         (D + U Vt)^-1 = D^-1 - (D^-1 U)(C^-1 Vt D^-1),
 
-    so nothing of size S x S is ever formed.  Returns (phi, rcond, condition)
+    so nothing of size S x S is ever formed.  Returns (phi, condition)
     with the 1-norm condition number estimated from the factors in O(S r),
     or None where the formula does not hold or may cancel (some
     |d_j| <= tol, C singular, or a rounding amplification above
@@ -370,15 +366,15 @@ def _diagonal_solve(d: np.ndarray, rhs: np.ndarray):
 
 
 def _lu_solve(a22: np.ndarray, rhs: np.ndarray):
-    """Solve a22 phi = rhs by LU (LAPACK gesv); returns (phi, rcond,
-    condition) with the exact 1-norm condition number from one inverse.  An
-    exactly singular a22 gives a NaN phi and no condition."""
+    """Solve a22 phi = rhs by LU (LAPACK gesv); returns (phi, condition)
+    with the exact 1-norm condition number from one inverse.  An exactly
+    singular a22 gives a NaN phi and no condition."""
     with np.errstate(all="ignore"):
         try:
             phi = np.linalg.solve(a22, rhs)
             condition = np.linalg.norm(a22, 1) * np.linalg.norm(np.linalg.inv(a22), 1)
         except np.linalg.LinAlgError:
-            return np.full_like(rhs, np.nan), 0.0, None
+            return np.full_like(rhs, np.nan), None
     return _solved(phi, condition)
 
 
@@ -423,8 +419,8 @@ def solve_outgoing(op: TransferOperator, incident: complex = 1.0):
     if solved is None:
         k22 = kernel.left[1] @ kernel.right[:, 1, :-1] if factored else kernel[1, 1, :, :-1]
         solved = _lu_solve(np.diag(m22) + k22, rhs)
-    phi, rcond, condition = solved
-
+    phi, condition = solved
+    rcond = 0.0 if condition is None else 1.0 / condition
     if rcond <= RCOND_SINGULAR or not np.all(np.isfinite(phi)):
         flag_kind = "singular"
     elif rcond <= RCOND_NEAR_SINGULAR and flag_kind == "none":

@@ -32,10 +32,10 @@ _PAIR = "tuple[float, float]"
 
 
 class _Record:
-    """Base of the parameter records, the leaves and closedforms' SlabParams
-    and DefectParams.  Its one check raises ValueError naming the first field
-    that is not a tuple of two real numbers where a pair is due, is not
-    finite, or, for a thickness, widths or k, is not positive."""
+    """Base of the parameter records, the leaves and closedforms' SlabParams.
+    Its one check raises ValueError naming the first field that is not a
+    tuple of two real numbers where a pair is due, is not finite, or, for a
+    thickness, widths or k, is not positive."""
 
     def __post_init__(self):
         for f in fields(self):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tmscat.acceptance import CRITERIA
 from tmscat.cli import main
 
 BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -581,5 +582,8 @@ def test_delta3d_singular_coupling_exits_3(tmp_path, capsys):
 @pytest.mark.slow
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
-    out = capsys.readouterr().out
-    assert out.count("PASS") == 11
+    lines = capsys.readouterr().out.splitlines()
+    # one line per row of the table, numbered 1-11 and named as there
+    assert [line.split(":")[0] for line in lines] == [
+        f"PASS criterion {i:2d} {name}" for i, (name, _, _) in enumerate(CRITERIA, start=1)]
+    assert len(lines) == 11

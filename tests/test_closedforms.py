@@ -6,9 +6,8 @@ from tmscat import (ConsistencyError, NearResonanceError, NoRootError,
                     build_disc_grid, build_grid, compose, delta2d_amplitude,
                     slab_defect_amplitudes, slab_entries, slab_operator, slab_xyz,
                     slab_y, spectral_singularity, threshold_gain, threshold_gain_curve,
-                    wire_modes)
+                    wire_modes, wire_strength)
 from tmscat import closedforms as cf
-from tmscat.closedforms import DefectParams
 
 
 # ---------------------------------------------------------------------------
@@ -46,10 +45,9 @@ NAN, INF = float("nan"), float("inf")
     cf.scattering_length,
     lambda z: slab_y(SlabParams(2.0, 1.0, 1.5), z),
     lambda z: slab_defect_amplitudes(SlabParams(2.0, 1.0, 1.5), z, [0.0, 0.3]),
-    DefectParams,
 ], ids=["point_operator-2d", "point_operator-3d", "delta2d_amplitude", "born2d_amplitude",
         "delta3d_amplitude",
-        "scattering_length", "slab_y", "slab_defect_amplitudes", "DefectParams"])
+        "scattering_length", "slab_y", "slab_defect_amplitudes"])
 def test_couplings_refuse_a_non_finite_strength(call, strength):
     # an input error, not a numeric failure (DivergenceError) nor a nan result
     with pytest.raises(ValueError, match="strength must be finite"):
@@ -70,8 +68,8 @@ SP = SlabParams(epsilon=2 + 0.01j, thickness=1.0, k=2.0)
     (lambda: slab_y(SP, 1.0, quad_points=2.5), "quad_points"),
     (lambda: slab_y(SP, 1.0, quad_points=NAN), "quad_points"),
     (lambda: slab_y(SP, 1.0, quad_points=None), "quad_points"),
-    (lambda: DefectParams.from_wire(NAN, 2.0), "zeta"),
-    (lambda: DefectParams.from_wire(-1.0, INF), "k"),
+    (lambda: wire_strength(NAN, 2.0), "zeta"),
+    (lambda: wire_strength(-1.0, INF), "k"),
     (lambda: spectral_singularity(SP, "k", NAN), "guess"),
     (lambda: spectral_singularity(SP, "omega", INF), "guess"),
     (lambda: slab_defect_amplitudes(SP, 1.0, [0.3, NAN]), "p"),
@@ -125,7 +123,7 @@ def test_wire_modes():
 def test_wire_lasing_round_trip_hits_singularity():
     for zeta in (-1.0, -0.37, -12.0):
         k = wire_modes(zeta, "lasing")
-        coupling = DefectParams.from_wire(zeta, k).strength
+        coupling = wire_strength(zeta, k)
         if zeta == -1.0:
             assert coupling == 4.0j
         with pytest.raises(SpectralSingularityError):

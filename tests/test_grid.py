@@ -107,9 +107,6 @@ def test_grid_builders_word_each_rule_and_name_the_argument(call, message):
 
 def test_zero_amplitude():
     g = build_grid(1.0, 6)
-    amp = SpectralAmplitude.zero(g)
-    assert amp.delta_coeff == 0
-    assert not amp.smooth.any()
     with pytest.raises(ValueError):
         SpectralAmplitude(grid=g, delta_coeff=0.0, smooth=np.zeros(5))
 

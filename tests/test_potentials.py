@@ -10,7 +10,6 @@ from scipy.integrate import quad
 from tmscat import (Delta2D, Delta3D, GaussianBump, Slab, SlabParams, SlabWithDefect,
                     SumPotential, UnsupportedEvaluationError, fourier_y,
                     potential_from_document, potential_to_document, x_support)
-from tmscat.closedforms import DefectParams
 from tmscat.evolution import EvolutionConfig, evolve_transfer
 from tmscat.grid import build_grid
 from tmscat.potentials import (_CODECS, _KINDS, _PAIR, discontinuities, has_uniform_part,
@@ -211,9 +210,9 @@ def test_leaf_constructors_reject_non_finite_fields(make, field):
 
 
 # a valid instance of every parameter record: the five leaves and the closed
-# forms' SlabParams and DefectParams
+# forms' SlabParams
 RECORDS = [Delta2D(1.0), Delta3D(1.0), Slab(2.0, 1.0), SlabWithDefect(2.0, 1.0, 1.0),
-           GaussianBump(1.0), SlabParams(2.0, 1.0, 1.0), DefectParams(1.0)]
+           GaussianBump(1.0), SlabParams(2.0, 1.0, 1.0)]
 NON_FINITE = st.sampled_from([NAN, -NAN, INF, -INF])
 
 
