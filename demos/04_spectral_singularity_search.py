@@ -12,7 +12,7 @@ import tmscat as tm
 
 # seed from the threshold-gain formula at normal emission
 eta, length, mode_index = 1.5, 10.0, 10
-gain = tm.threshold_gain(eta, 0.0, length)
+gain = float(tm.threshold_gain_curve(eta, length, [0.0])[0])
 k_seed = np.pi * mode_index / (eta * length)
 kappa = -gain / (2 * k_seed)
 print(f"eta = {eta}, L = {length}: threshold gain g = {gain:.6f}")

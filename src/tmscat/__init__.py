@@ -36,29 +36,26 @@ except ValueError:
 from .errors import (AccuracyWarning, ConsistencyError, DivergenceError,
                      NearResonanceError, NoRootError, SpectralSingularityError, TmscatError,
                      UnsupportedEvaluationError)
-from .grid import (DiscGrid, MomentumGrid, SpectralAmplitude, barycentric_interpolate,
-                   build_disc_grid, build_grid, quadrature)
+from .grid import (DiscGrid, MomentumGrid, SpectralAmplitude, build_disc_grid, build_grid,
+                   quadrature)
 from .potentials import (Delta2D, Delta3D, GaussianBump, Slab, SlabWithDefect,
-                         SumPotential, fourier_y, is_real, is_x_singular,
-                         is_y_independent, potential_from_document,
-                         potential_to_document, uniform_part, x_support)
+                         SumPotential, potential_from_document, potential_to_document)
 from .operators import (LowRank, ScatteringResult, SingularityFlag, TransferOperator,
-                        amplitude, amplitude3d, compose, identity_operator,
-                        scattering_result, solve_outgoing)
-from .evolution import (EvolutionConfig, auto_config, effective_hamiltonian,
-                        evolve_transfer, potential_kernel)
+                        amplitude, amplitude3d, compose, scattering_result, solve_outgoing)
+from .evolution import EvolutionConfig, auto_config, effective_hamiltonian, evolve_transfer
 from .closedforms import (DefectAmplitudes, SingularitySearch, SlabParams,
                           born2d_amplitude, delta2d_amplitude,
                           delta3d_amplitude, point_operator, scattering_length,
                           slab_defect_amplitudes, slab_entries,
                           slab_operator, slab_xyz, slab_y, spectral_singularity,
-                          threshold_gain, threshold_gain_curve, wire_modes,
-                          wire_strength)
+                          threshold_gain_curve, wire_modes, wire_strength)
 from .oracle import (ConvergenceReport, Transfer1D, born1_transfer,
                      convergence_report, transfer_1d)
 
 __version__ = "0.1.0"
 
-# each operation under one name; the submodules are reached as attributes
+# what a run is built from, each under one name: potentials and their documents,
+# grids, the operator pipeline, closed forms, the oracle, result types and errors;
+# engine helpers and the submodules are reached as module attributes
 __all__ = sorted(name for name, value in globals().items()
                  if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -152,16 +152,6 @@ class SlabParams(_Record):
     def sqrt_epsilon(self) -> complex:
         return complex(np.sqrt(complex(self.epsilon)))
 
-    @property
-    def kappa(self) -> float:
-        """Imaginary part of the refractive index."""
-        return self.sqrt_epsilon.imag
-
-    @property
-    def gain(self) -> float:
-        """Gain coefficient g = -2 k kappa (positive for gain material)."""
-        return -2.0 * self.k * self.kappa
-
     def refraction(self, omega) -> np.ndarray:
         """Channel index n(omega) = sqrt(1 - zt / omega^2), principal branch."""
         omega = np.asarray(omega, dtype=complex)
@@ -397,41 +387,28 @@ def slab_defect_amplitudes(sp: SlabParams, strength: complex, p,
 # threshold gain and spectral singularities
 # ---------------------------------------------------------------------------
 
-def _threshold_gain(eta: float, thickness: float, sin_t, cos_t) -> np.ndarray:
-    """The threshold-gain formula of threshold_gain, from sin and cos of theta."""
-    if not finite("eta", eta) > 1:
-        raise ValueError(f"threshold gain requires eta > 1, got {eta!r}")
-    positive("thickness", thickness)
-    root = np.sqrt(eta * eta - sin_t * sin_t)
-    return (4.0 * root / (eta * thickness)) * np.log((root + np.abs(cos_t))
-                                                     / np.sqrt(eta * eta - 1.0))
-
-
-def threshold_gain(eta: float, theta, thickness: float) -> np.ndarray | float:
-    """Gain coefficient at which the slab-with-defect starts lasing toward theta.
+def threshold_gain_curve(eta: float, thickness: float, theta_deg) -> np.ndarray:
+    """Gain coefficient at which the slab-with-defect starts lasing toward theta_deg.
 
     g(theta) = (4 sqrt(eta^2 - sin^2 theta) / (eta L))
                * ln[(sqrt(eta^2 - sin^2 theta) + |cos theta|) / sqrt(eta^2 - 1)]
 
-    Valid for eta > 1 and |kappa| << eta - 1; theta in radians is the
-    direction of the scattered wave.  Maximal at theta = 0 and pi, zero at
-    theta = +-pi/2.  A non-finite eta, theta or thickness raises ValueError
-    naming it.
-    """
-    theta = np.asarray(finite("theta", theta), dtype=float)
-    g = _threshold_gain(eta, thickness, np.sin(theta), np.cos(theta))
-    return g if g.ndim else float(g)
-
-
-def threshold_gain_curve(eta: float, thickness: float, theta_deg) -> np.ndarray:
-    """threshold_gain sampled at angles in degrees, exact at the quadrants.
-
-    cos is exactly 0 at 90 + 180 m degrees, so the gain there is exactly zero.
+    Valid for a refractive index eta + i kappa with eta > 1 and |kappa| <<
+    eta - 1; theta, in degrees, is the direction of the scattered wave.
+    Maximal at 0 and 180 degrees, exactly zero at 90 + 180 m degrees, where
+    cos is taken as exactly 0.  A non-finite eta, theta_deg or thickness, a
+    thickness not above 0 or eta not above 1 raises ValueError naming it.
     """
     theta_deg = np.asarray(finite("theta_deg", theta_deg), dtype=float)
+    if not finite("eta", eta) > 1:
+        raise ValueError(f"threshold gain requires eta > 1, got {eta!r}")
+    positive("thickness", thickness)
     rad = np.radians(theta_deg)
+    sin_t = np.sin(rad)
     cos_t = np.where(np.mod(theta_deg, 180.0) == 90.0, 0.0, np.cos(rad))
-    return _threshold_gain(eta, thickness, np.sin(rad), cos_t)
+    root = np.sqrt(eta * eta - sin_t * sin_t)
+    return (4.0 * root / (eta * thickness)) * np.log((root + np.abs(cos_t))
+                                                     / np.sqrt(eta * eta - 1.0))
 
 
 @dataclass(frozen=True)

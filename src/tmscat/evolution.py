@@ -58,9 +58,8 @@ from .errors import (AccuracyWarning, DivergenceError, UnsupportedEvaluationErro
                      integer)
 from .grid import DiscGrid, MomentumGrid
 from .operators import TransferOperator, _times, unit_mult
-from .potentials import (discontinuities, fourier_y, has_uniform_part, is_real,
-                         is_x_singular, is_y_independent, smooth_members, uniform_part,
-                         x_support)
+from .potentials import (discontinuities, has_uniform_part, is_real, is_x_singular,
+                         is_y_independent, smooth_members, uniform_part, x_support)
 
 # most bytes of stage matrices a dense piece builds per call (_advance_by_steps)
 BLOCK_BYTES = 2 ** 18
@@ -133,7 +132,7 @@ def potential_kernel(pot, x: float, grid: MomentumGrid | DiscGrid) -> np.ndarray
         out[np.diag_indices(n)] = u
     for member in smooth_members(pot):
         q = grid.nodes[:, None] - grid.nodes[None, :]
-        vt = fourier_y(member, x, q)
+        vt = member.profile(x) * member.transform_y(q)
         out = out + vt * grid.measure[None, :]
     return out
 

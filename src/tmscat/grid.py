@@ -180,7 +180,9 @@ class SpectralAmplitude:
     delta_coeff is the coefficient multiplying 2 pi delta(p) (the coherent
     plane-wave beam; 4 pi^2 delta2(pvec) on a 3D DiscGrid); smooth holds
     samples of the diffuse part on the grid nodes.  The delta factor itself
-    is never sampled numerically.
+    is never sampled numerically.  Non-finite samples are accepted, as
+    solve_outgoing builds them on a singular flag; amplitude and amplitude3d
+    refuse the samples they read unless finite.
     """
 
     grid: MomentumGrid | DiscGrid

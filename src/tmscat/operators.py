@@ -468,7 +468,7 @@ def amplitude(t_plus: SpectralAmplitude, t_minus: SpectralAmplitude,
     than T itself, since T generically carries a 1/omega factor.  theta =
     pi/2 and 3 pi/2 (omega = 0) are excluded; delta coefficients are not
     folded in (they modify the coherent beam, not the diffuse wave).  A
-    non-finite angle raises ValueError.
+    non-finite angle or smooth sample raises ValueError.
     """
     grid = _checked_grid(t_plus, t_minus, k, MomentumGrid)
     thetas = np.atleast_1d(np.asarray(finite("theta", thetas), dtype=float))
@@ -477,8 +477,8 @@ def amplitude(t_plus: SpectralAmplitude, t_minus: SpectralAmplitude,
     if np.any(np.abs(cos_t) < COS_EXCLUSION):
         raise ValueError("f(theta) is undefined at cos(theta) = 0")
 
-    u_plus = grid.omegas * t_plus.smooth
-    u_minus = grid.omegas * t_minus.smooth
+    u_plus = grid.omegas * finite("t_plus smooth", t_plus.smooth)
+    u_minus = grid.omegas * finite("t_minus smooth", t_minus.smooth)
     p_eval = k * np.sin(thetas)
     f = np.empty(thetas.size, dtype=complex)
     fwd = cos_t > 0
@@ -507,16 +507,17 @@ def amplitude3d(t_plus: SpectralAmplitude, t_minus: SpectralAmplitude,
     pi/2 (omega = 0) is excluded.  As in 2D, the omega-premultiplied samples
     are interpolated: barycentric in the radial omega variable, ring by
     ring, then trigonometric in azimuth.  ValueError if the amplitudes do
-    not live on one DiscGrid, k is not the grid's wavenumber or an angle is
-    not finite.
+    not live on one DiscGrid, k is not the grid's wavenumber, or an angle
+    or a smooth sample of the amplitude read is not finite.
     """
     grid = _checked_grid(t_plus, t_minus, k, DiscGrid)
     theta, phi = finite("theta", theta), finite("phi", phi)
     cos_t = float(np.cos(theta))
     if abs(cos_t) < COS_EXCLUSION:
         raise ValueError("f(theta, phi) is undefined at cos(theta) = 0")
-    amp = t_plus if cos_t > 0 else t_minus
-    u = (grid.omegas * amp.smooth).reshape(grid.n_radial, grid.n_azimuthal)
+    name, amp = ("t_plus", t_plus) if cos_t > 0 else ("t_minus", t_minus)
+    samples = finite(f"{name} smooth", amp.smooth)
+    u = (grid.omegas * samples).reshape(grid.n_radial, grid.n_azimuthal)
     ring = barycentric_interpolate(grid.omega_radial, grid.bary, u, k * abs(cos_t))[0]
     return complex(-1j / (2 * np.pi) * _trig_interpolate(ring, float(phi)))
 

@@ -20,7 +20,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import UnsupportedEvaluationError, finite, positive
+from .errors import finite, positive
 
 # Gaussian tails are truncated at this many sigmas when computing the
 # numeric x-support window; the neglected tail is below 1e-14 of the peak.
@@ -188,23 +188,6 @@ def is_real(pot) -> bool:
 def discontinuities(pot) -> tuple[float, ...]:
     """x locations where the potential jumps (layer edges)."""
     return tuple(sorted({x for m in _leaves(pot, "layered") for x in m.span()}))
-
-
-def fourier_y(pot, x: float, q) -> complex | np.ndarray:
-    """Transverse transform vt(x, q) = int dy e^{-iqy} v(x, y).
-
-    Only potentials whose transform is an ordinary function of q can be
-    sampled; y-independent potentials carry a symbolic 2 pi delta(q) factor
-    and x-singular ones a delta(x) factor, and both raise
-    UnsupportedEvaluationError.
-    """
-    leaves = _leaves(pot)
-    for m in leaves:
-        if m.role != "smooth":
-            raise UnsupportedEvaluationError(
-                f"{type(m).__name__} carries a symbolic delta factor and cannot be sampled")
-    vals = sum(m.profile(x) * m.transform_y(q) for m in leaves)
-    return vals if vals.ndim else complex(vals)
 
 
 def uniform_part(pot, x, k: float):

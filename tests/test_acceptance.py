@@ -3,6 +3,7 @@
 import pytest
 
 import tmscat.acceptance as acceptance
+import tmscat.closedforms as cf
 from tmscat.acceptance import CRITERIA
 
 
@@ -54,3 +55,11 @@ def test_a_budget_overrun_fails_with_its_runtime_figure(monkeypatch):
     assert not overrun.passed
     assert overrun.detail.startswith("err 0 (tol 1), runtime ")
     assert overrun.detail.endswith(" (tol 0)")
+
+
+def test_a_singularity_that_does_not_raise_fails_criterion_3(monkeypatch):
+    # a closed form that returns a number at strength = 4i, where it must raise
+    monkeypatch.setattr(cf, "delta2d_amplitude", lambda strength: 0.0j)
+    result = acceptance.run(3)
+    assert not result.passed
+    assert "closed-form raises False" in result.detail

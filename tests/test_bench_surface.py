@@ -124,10 +124,40 @@ def test_threed_defines_nothing_and_re_exports_the_layer_modules(reads):
     assert {n for n in vars(threed) if not n.startswith("__")} == names
 
 
+# what a run is built from; engine helpers are module attributes, not root names
+ROOT_NAMES = [
+    # potentials and their documents
+    "Delta2D", "Delta3D", "GaussianBump", "Slab", "SlabWithDefect", "SumPotential",
+    "potential_from_document", "potential_to_document",
+    # grids
+    "DiscGrid", "MomentumGrid", "build_disc_grid", "build_grid", "quadrature",
+    # the operator pipeline
+    "EvolutionConfig", "LowRank", "TransferOperator", "amplitude", "amplitude3d",
+    "auto_config", "compose", "effective_hamiltonian", "evolve_transfer",
+    "scattering_result", "solve_outgoing",
+    # closed forms
+    "SlabParams", "born2d_amplitude", "delta2d_amplitude", "delta3d_amplitude",
+    "point_operator", "scattering_length", "slab_defect_amplitudes", "slab_entries",
+    "slab_operator", "slab_xyz", "slab_y", "spectral_singularity", "threshold_gain_curve",
+    "wire_modes", "wire_strength",
+    # the oracle
+    "born1_transfer", "convergence_report", "transfer_1d",
+    # result types
+    "ConvergenceReport", "DefectAmplitudes", "ScatteringResult", "SingularityFlag",
+    "SingularitySearch", "SpectralAmplitude", "Transfer1D",
+    # errors
+    "AccuracyWarning", "ConsistencyError", "DivergenceError", "NearResonanceError",
+    "NoRootError", "SpectralSingularityError", "TmscatError", "UnsupportedEvaluationError",
+]
+
+
 def test_root_exports_each_object_once_and_no_module():
     # one name per operation: an alias or a submodule in __all__ would be a
-    # second way to spell what another export already names
+    # second way to spell what another export already names; and the root
+    # exports exactly the pinned list, so a helper cannot drift into it
     import tmscat
     values = [getattr(tmscat, name) for name in tmscat.__all__]
     assert not [name for name, v in zip(tmscat.__all__, values) if isinstance(v, ModuleType)]
     assert len({id(v) for v in values}) == len(values)
+    assert len(ROOT_NAMES) == 57
+    assert tmscat.__all__ == sorted(ROOT_NAMES)

@@ -5,7 +5,7 @@ from tmscat import (ConsistencyError, NearResonanceError, NoRootError,
                     SlabParams, SpectralSingularityError, born2d_amplitude,
                     build_disc_grid, build_grid, compose, delta2d_amplitude,
                     slab_defect_amplitudes, slab_entries, slab_operator, slab_xyz,
-                    slab_y, spectral_singularity, threshold_gain, threshold_gain_curve,
+                    slab_y, spectral_singularity, threshold_gain_curve,
                     wire_modes, wire_strength)
 from tmscat import closedforms as cf
 
@@ -58,9 +58,9 @@ SP = SlabParams(epsilon=2 + 0.01j, thickness=1.0, k=2.0)
 
 
 @pytest.mark.parametrize("call, name", [
-    (lambda: threshold_gain(1.5, 0.3, INF), "thickness"),
-    (lambda: threshold_gain(1.5, NAN, 1.0), "theta"),
-    (lambda: threshold_gain(INF, 0.3, 1.0), "eta"),
+    (lambda: threshold_gain_curve(1.5, INF, 17.0), "thickness"),
+    (lambda: threshold_gain_curve(1.5, 1.0, NAN), "theta_deg"),
+    (lambda: threshold_gain_curve(INF, 1.0, 17.0), "eta"),
     (lambda: threshold_gain_curve(1.5, INF, [0.0, 30.0]), "thickness"),
     (lambda: threshold_gain_curve(1.5, 1.0, [0.0, NAN]), "theta_deg"),
     (lambda: wire_modes(-INF, "lasing"), "zeta"),
@@ -177,7 +177,6 @@ def test_derived_slab_parameters():
     npl = (sp.sqrt_epsilon + 1 / sp.sqrt_epsilon) / 2
     nmi = (sp.sqrt_epsilon - 1 / sp.sqrt_epsilon) / 2
     assert abs(npl ** 2 - nmi ** 2 - 1.0) < 1e-14
-    assert sp.gain == -2 * sp.k * sp.kappa
 
 
 @pytest.mark.parametrize("field, value", [
@@ -440,7 +439,7 @@ def test_defect_amplitudes_raise_on_identity_mismatch(monkeypatch):
 def test_threshold_gain_normal_direction():
     eta, length = 1.5, 2.0
     want = (4 / length) * np.log((eta + 1) / np.sqrt(eta ** 2 - 1))
-    assert abs(threshold_gain(eta, 0.0, length) - want) < 1e-15
+    assert abs(threshold_gain_curve(eta, length, 0.0) - want) < 1e-15
 
 
 def test_threshold_gain_zero_at_grazing():
@@ -478,7 +477,7 @@ def test_threshold_gain_monotone_decreasing():
 
 def test_threshold_gain_rejects_eta_below_one():
     with pytest.raises(ValueError):
-        threshold_gain(1.0, 0.3, 1.0)
+        threshold_gain_curve(1.0, 1.0, 17.0)
     with pytest.raises(ValueError):
         threshold_gain_curve(0.9, 1.0, np.array([10.0]))
 
@@ -528,7 +527,7 @@ def test_singularity_seeded_by_threshold_gain():
     # pick the phase-matching wavenumber, and let the solver polish it;
     # the seed is within a percent of the true (complex) root
     eta, length, m = 1.5, 10.0, 10
-    g = threshold_gain(eta, 0.0, length)
+    g = float(threshold_gain_curve(eta, length, [0.0])[0])
     k0 = np.pi * m / (eta * length)
     kappa = -g / (2 * k0)
     assert abs(kappa) < (eta - 1) / 2  # regime the formula assumes

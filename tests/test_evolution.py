@@ -8,9 +8,9 @@ import tmscat.evolution as evolution
 from tmscat import (AccuracyWarning, Delta2D, DiscGrid, EvolutionConfig, GaussianBump,
                     Slab, SlabParams, SumPotential, UnsupportedEvaluationError,
                     auto_config, build_disc_grid, build_grid, compose,
-                    effective_hamiltonian, evolve_transfer, identity_operator,
-                    potential_kernel, slab_operator)
-from tmscat.evolution import _layered_mult, _pieces
+                    effective_hamiltonian, evolve_transfer, slab_operator)
+from tmscat.evolution import _layered_mult, _pieces, potential_kernel
+from tmscat.operators import identity_operator
 from tmscat.potentials import discontinuities
 
 

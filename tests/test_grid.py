@@ -4,9 +4,9 @@ import re
 import numpy as np
 import pytest
 
-from tmscat import (EvolutionConfig, Slab, SumPotential, barycentric_interpolate,
-                    build_disc_grid, build_grid, evolve_transfer, quadrature)
-from tmscat.grid import SpectralAmplitude
+from tmscat import (EvolutionConfig, Slab, SumPotential, build_disc_grid, build_grid,
+                    evolve_transfer, quadrature)
+from tmscat.grid import SpectralAmplitude, barycentric_interpolate
 
 
 def test_nodes_are_chebyshev_points():

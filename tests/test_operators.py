@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import tmscat.operators as ops
-from tmscat import (DivergenceError, LowRank, SlabParams, TransferOperator, amplitude,
-                    build_disc_grid, build_grid, compose, delta2d_amplitude,
-                    identity_operator, point_operator, scattering_result, slab_operator,
-                    solve_outgoing)
+from tmscat import (DivergenceError, LowRank, SlabParams, SpectralAmplitude, TransferOperator,
+                    amplitude, build_disc_grid, build_grid, compose, delta2d_amplitude,
+                    point_operator, scattering_result, slab_operator, solve_outgoing)
+from tmscat.operators import identity_operator
 from tmscat.oracle import transfer_1d
 
 
@@ -97,6 +97,18 @@ def test_amplitude_rejects_non_finite_angles(grid, bad):
     t_plus, t_minus, _ = solve_outgoing(point_operator(1.0j - 0.5, grid))
     with pytest.raises(ValueError, match="theta must be finite"):
         amplitude(t_plus, t_minus, grid.k, [0.3, bad])
+
+
+@pytest.mark.parametrize("side", ["t_plus", "t_minus"])
+def test_amplitude_rejects_non_finite_smooth_samples(grid, side):
+    # a SpectralAmplitude takes nan samples, so the reader checks them: one
+    # nan sample among finite ones returned f = nan+nanj without an error
+    amps = dict(zip(("t_plus", "t_minus"), solve_outgoing(point_operator(1.0j - 0.5, grid))))
+    smooth = amps[side].smooth.copy()
+    smooth[5] = np.nan
+    amps[side] = SpectralAmplitude(grid, 0j, smooth)
+    with pytest.raises(ValueError, match=f"{side} smooth must be finite"):
+        amplitude(amps["t_plus"], amps["t_minus"], grid.k, [0.3, 3.0])
 
 
 @pytest.mark.parametrize("incident", [np.nan, np.inf, complex(1.0, np.nan)])

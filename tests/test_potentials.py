@@ -8,22 +8,26 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from tmscat import (Delta2D, Delta3D, GaussianBump, Slab, SlabParams, SlabWithDefect,
-                    SumPotential, UnsupportedEvaluationError, fourier_y,
-                    potential_from_document, potential_to_document, x_support)
+                    SumPotential, potential_from_document, potential_to_document)
 from tmscat.evolution import EvolutionConfig, evolve_transfer
 from tmscat.grid import build_grid
 from tmscat.potentials import (_CODECS, _KINDS, _PAIR, discontinuities, has_uniform_part,
                                is_real, is_x_singular, is_y_independent, smooth_members,
-                               uniform_part)
+                               uniform_part, x_support)
 
 
 def gaussian(amp=1.0, center=(0.0, 0.0), widths=(1.0, 1.0)):
     return GaussianBump(amplitude=amp, center=center, widths=widths)
 
 
+def vt(member, x, q):
+    """Transverse transform of a smooth member: vt(x, q) = profile(x) transform_y(q)."""
+    return member.profile(x) * member.transform_y(q)
+
+
 def test_gaussian_transform_value():
     # int e^{-y^2/2} dy = sqrt(2 pi)
-    assert abs(fourier_y(gaussian(), 0.0, 0.0) - np.sqrt(2 * np.pi)) < 1e-14
+    assert abs(vt(gaussian(), 0.0, 0.0) - np.sqrt(2 * np.pi)) < 1e-14
 
 
 def test_gaussian_transform_numeric_oracle():
@@ -40,45 +44,26 @@ def test_gaussian_transform_numeric_oracle():
     for x, q in [(0.0, 0.0), (0.4, 1.7), (-0.2, -0.6)]:
         want = (quad(integrand_re, -12, 12, args=(x, q), limit=200)[0]
                 + 1j * quad(integrand_im, -12, 12, args=(x, q), limit=200)[0])
-        assert abs(fourier_y(pot, x, q) - want) < 1e-10
+        assert abs(vt(pot, x, q) - want) < 1e-10
 
 
 def test_transform_linearity_in_amplitude():
     q = np.linspace(-2, 2, 9)
-    base = fourier_y(gaussian(amp=1.0), 0.3, q)
-    scaled = fourier_y(gaussian(amp=2.5 - 1.0j), 0.3, q)
+    base = vt(gaussian(amp=1.0), 0.3, q)
+    scaled = vt(gaussian(amp=2.5 - 1.0j), 0.3, q)
     assert np.allclose(scaled, (2.5 - 1.0j) * base, rtol=1e-14)
 
 
 def test_transform_even_in_q_for_centered_potential():
     pot = gaussian(widths=(0.5, 1.5))
     q = np.array([0.3, 1.1, 2.7])
-    assert np.allclose(fourier_y(pot, 0.2, q), fourier_y(pot, 0.2, -q), rtol=1e-14)
+    assert np.allclose(vt(pot, 0.2, q), vt(pot, 0.2, -q), rtol=1e-14)
 
 
 def test_transform_conjugate_symmetry_for_real_potential():
     pot = gaussian(amp=0.7, center=(0.0, 0.45), widths=(1.0, 0.8))
     q = np.array([0.2, 1.4, 3.0])
-    assert np.allclose(fourier_y(pot, 0.1, -q), np.conj(fourier_y(pot, 0.1, q)), rtol=1e-14)
-
-
-def test_symbolic_transforms_refuse_sampling():
-    with pytest.raises(UnsupportedEvaluationError):
-        fourier_y(Slab(epsilon=2.0, thickness=1.0), 0.5, 0.0)
-    with pytest.raises(UnsupportedEvaluationError):
-        fourier_y(Delta2D(strength=1.0), 0.0, 0.0)
-    with pytest.raises(UnsupportedEvaluationError):
-        fourier_y(SumPotential(members=(gaussian(center=(-10.0, 0.0), widths=(0.5, 1.0)),
-                                        Slab(epsilon=2.0, thickness=1.0))), 0.5, 0.0)
-
-
-def test_sum_of_gaussians_transform_adds():
-    a = gaussian(amp=1.0, center=(-2.0, 0.0), widths=(0.2, 1.0))
-    b = gaussian(amp=0.5, center=(2.0, 0.3), widths=(0.2, 0.7))
-    s = SumPotential(members=(a, b))
-    q = np.array([0.0, 0.9])
-    assert np.allclose(fourier_y(s, -2.0, q),
-                       fourier_y(a, -2.0, q) + fourier_y(b, -2.0, q), rtol=1e-14)
+    assert np.allclose(vt(pot, 0.1, -q), np.conj(vt(pot, 0.1, q)), rtol=1e-14)
 
 
 def test_x_support():
@@ -93,12 +78,11 @@ class Unknown:
 
 
 @pytest.mark.parametrize("call", [
-    x_support, lambda pot: fourier_y(pot, 0.0, 0.5), potential_to_document,
-    is_x_singular, is_y_independent, discontinuities, lambda pot: uniform_part(pot, 0.5, 1.3),
-    has_uniform_part, smooth_members,
+    x_support, potential_to_document, is_x_singular, is_y_independent, discontinuities,
+    lambda pot: uniform_part(pot, 0.5, 1.3), has_uniform_part, smooth_members,
     lambda pot: evolve_transfer(pot, build_grid(1.3, 8), EvolutionConfig(0.0, 1.0, 10)),
     lambda pot: SumPotential((Slab(2.0, 1.0), pot)), is_real,
-], ids=["x_support", "fourier_y", "potential_to_document", "is_x_singular", "is_y_independent",
+], ids=["x_support", "potential_to_document", "is_x_singular", "is_y_independent",
         "discontinuities", "uniform_part", "has_uniform_part", "smooth_members",
         "evolve_transfer", "sum_member", "is_real"])
 def test_unknown_potential_types_raise_type_error(call):

@@ -17,13 +17,13 @@ from hypothesis.extra import numpy as hnp
 
 from tmscat import (GaussianBump, LowRank, Slab, SumPotential, TransferOperator,
                     auto_config, build_disc_grid, build_grid, compose,
-                    EvolutionConfig, evolve_transfer,
-                    fourier_y, identity_operator, is_y_independent, potential_kernel,
-                    solve_outgoing, uniform_part, x_support)
+                    EvolutionConfig, evolve_transfer, solve_outgoing)
 import tmscat.evolution as evolution
 import tmscat.operators as ops
-from tmscat.evolution import _assemble_blocks, _phases, _sources
-from tmscat.potentials import discontinuities, smooth_members
+from tmscat.evolution import _assemble_blocks, _phases, _sources, potential_kernel
+from tmscat.operators import identity_operator
+from tmscat.potentials import (discontinuities, is_y_independent, smooth_members,
+                               uniform_part, x_support)
 
 GRIDS = [pytest.param(build_grid(1.3, 3), id="2d"),
          pytest.param(build_disc_grid(1.3, 2, 2), id="3d")]
@@ -350,7 +350,7 @@ def dense_generator(pot, x, grid):
     blocks = _assemble_blocks(potential_kernel(pot, x, grid), x, grid.omegas)
     h[:2 * n, :2 * n] = np.block([[blocks[0, 0], blocks[0, 1]],
                                   [blocks[1, 0], blocks[1, 1]]])
-    v0 = sum(fourier_y(m, x, grid.nodes) for m in smooth_members(pot))
+    v0 = sum(m.profile(x) * m.transform_y(grid.nodes) for m in smooth_members(pot))
     dp = np.exp(1j * grid.omegas * x)
     ek = np.exp(1j * k * x)
     col = 0.5 / grid.omegas * v0

@@ -6,10 +6,10 @@ import pytest
 from tmscat import (Delta3D, EvolutionConfig, GaussianBump, Slab, SlabParams,
                     SpectralAmplitude, UnsupportedEvaluationError, amplitude3d,
                     build_disc_grid, build_grid, compose, delta3d_amplitude,
-                    evolve_transfer, identity_operator, point_operator, potential_kernel,
-                    quadrature, scattering_length, slab_entries, slab_operator,
-                    solve_outgoing)
-from tmscat.operators import _trig_interpolate
+                    evolve_transfer, point_operator, quadrature, scattering_length,
+                    slab_entries, slab_operator, solve_outgoing)
+from tmscat.evolution import potential_kernel
+from tmscat.operators import _trig_interpolate, identity_operator
 
 
 @pytest.fixture
@@ -121,6 +121,18 @@ def test_amplitude_rejects_non_finite_angles(disc, theta, phi):
     name = "theta" if not np.isfinite(theta) else "phi"
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         amplitude3d(tp, tm, disc.k, theta, phi)
+
+
+@pytest.mark.parametrize("side, theta", [("t_plus", 0.5), ("t_minus", np.pi - 0.5)],
+                         ids=["t_plus", "t_minus"])
+def test_amplitude_rejects_non_finite_smooth_samples(disc, side, theta):
+    # the amplitude read at theta holds one nan sample: ValueError, not nan
+    amps = dict(zip(("t_plus", "t_minus"), solve_outgoing(point_operator(1.0 + 0.5j, disc))))
+    smooth = amps[side].smooth.copy()
+    smooth[5] = np.nan
+    amps[side] = SpectralAmplitude(disc, 0j, smooth)
+    with pytest.raises(ValueError, match=f"{side} smooth must be finite"):
+        amplitude3d(amps["t_plus"], amps["t_minus"], disc.k, theta, 0.4)
 
 
 def test_amplitude_interpolation_exact_on_band_limited_data(disc):
