@@ -5,33 +5,11 @@ momentum-space evolution, exact closed forms for point potentials and for a
 slab with a surface line defect, angular scattering amplitudes, and
 spectral-singularity (laser / coherent-perfect-absorber threshold) analysis.
 
-The environment variable TMSCAT_THREADS caps BLAS parallelism.  It is
-applied here, before any submodule imports numpy, because BLAS reads its
-thread variables once, when it is loaded.
+Importing it leaves the process environment unchanged: BLAS threads follow
+the standard variables (OMP_NUM_THREADS and the like) set before numpy loads.
 """
 
-import os as _os
 from types import ModuleType as _ModuleType
-
-
-def _apply_thread_cap() -> None:
-    """Set the BLAS thread variables from TMSCAT_THREADS; ValueError if malformed."""
-    cap = _os.environ.get("TMSCAT_THREADS")
-    if not cap:
-        return
-    try:
-        n = max(1, int(cap))
-    except ValueError:
-        raise ValueError(f"TMSCAT_THREADS must be an integer, got {cap!r}") from None
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        _os.environ[var] = str(n)
-
-
-try:
-    _apply_thread_cap()
-except ValueError:
-    pass    # the CLI calls it again and exits 2 with the diagnostic
 
 from .errors import (AccuracyWarning, ConsistencyError, DivergenceError,
                      NearResonanceError, NoRootError, SpectralSingularityError, TmscatError,

@@ -6,9 +6,6 @@ potential documents).  CSV output uses 17 significant digits, '.' decimal
 separator and '\\n' line endings, so identical inputs give byte-identical
 files.  Exit codes: 0 success, 2 parse/configuration error, 3 numeric or
 singularity error (with a structured JSON diagnostic on stderr).
-
-The environment variable TMSCAT_THREADS caps BLAS parallelism (applied when
-the package is imported; a malformed value exits 2).
 """
 
 from __future__ import annotations
@@ -20,7 +17,6 @@ import warnings
 
 import numpy as np
 
-from . import _apply_thread_cap
 from . import closedforms as cf
 from .errors import AccuracyWarning, SpectralSingularityError, TmscatError, finite, integer
 from .evolution import EvolutionConfig, auto_config, evolve_transfer
@@ -280,19 +276,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        _apply_thread_cap()
         args = _build_parser().parse_args(argv)
         tol = getattr(args, "check_tolerance", None)
         if tol is not None and finite("--check-tolerance", tol) <= 0:
             args.check_tolerance = None
-        for name in ("grid_size", "theta_samples", "quad_points", "steps", "n_radial",
-                     "n_azimuthal"):
-            integer("--" + name.replace("_", "-"), getattr(args, name, 1), 1)
-    except ValueError as exc:
-        print(f"tmscat: {exc}", file=sys.stderr)
-        return 2
-
-    try:
+        for name, least in (("grid_size", 2), ("theta_samples", 1), ("quad_points", 2),
+                            ("steps", 1), ("n_radial", 2), ("n_azimuthal", 2)):
+            integer("--" + name.replace("_", "-"), getattr(args, name, least), least)
         return args.fn(args)
     except (ValueError, OSError) as exc:
         print(f"tmscat: {exc}", file=sys.stderr)

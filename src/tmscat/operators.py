@@ -92,8 +92,9 @@ class LowRank:
     """Factored smoothing kernel K[a, b, j, l] = sum_r left[a, j, r] right[r, b, l].
 
     left is a (2, S, r) array and right an (r, 2, S + 1) array, its last
-    column the beam channel.  shape is the dense (2, 2, S, S + 1) shape,
-    nbytes the storage of the factors, and np.asarray densifies the kernel.
+    column the beam channel, both made read-only in place.  shape is the
+    dense (2, 2, S, S + 1) shape, nbytes the storage of the factors, and
+    np.asarray densifies the kernel.
     """
 
     left: np.ndarray
@@ -105,8 +106,9 @@ class LowRank:
         if (left.ndim != 3 or left.shape[0] != 2
                 or right.shape != (left.shape[2], 2, left.shape[1] + 1)):
             raise ValueError(f"factor shapes {left.shape} and {right.shape} do not match")
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+        for name, factor in (("left", left), ("right", right)):
+            factor.setflags(write=False)
+            object.__setattr__(self, name, factor)
 
     @property
     def shape(self) -> tuple[int, int, int, int]:
@@ -131,9 +133,9 @@ class TransferOperator:
     mult is a read-only (2, 2, S + 1) array: the multiplication part on the
     S grid channels, then on the coherent channel p = 0.  kernel is a dense
     (2, 2, S, S + 1) array or its LowRank factors (None means zero), with
-    the same S + 1 columns.  Instances are immutable.  A non-finite mult or
-    LowRank factor raises DivergenceError; dense kernels are not scanned,
-    since they are large.
+    the same S + 1 columns, made read-only in place.  Instances are
+    immutable.  A non-finite mult or LowRank factor raises DivergenceError;
+    dense kernels are not scanned, since they are large.
     """
 
     grid: MomentumGrid | DiscGrid
@@ -151,6 +153,8 @@ class TransferOperator:
         object.__setattr__(self, "mult", mult)
         if self.kernel is not None and self.kernel.shape != (2, 2, n, n + 1):
             raise ValueError(f"kernel shape {self.kernel.shape} does not match the grid")
+        if isinstance(self.kernel, np.ndarray):
+            self.kernel.setflags(write=False)
         if isinstance(self.kernel, LowRank) and not (np.all(np.isfinite(self.kernel.left))
                                                      and np.all(np.isfinite(self.kernel.right))):
             raise DivergenceError("kernel factors have non-finite entries")

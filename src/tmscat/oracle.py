@@ -155,13 +155,6 @@ class ConvergenceReport:
         lines.append(tail)
         return "\n".join(lines)
 
-    def record(self) -> dict:
-        return {"sizes": list(self.sizes),
-                "values": [repr(v) for v in self.values],
-                "deltas": list(self.deltas),
-                "orders": [o for o in self.orders],
-                "estimated_order": self.estimated_order}
-
 
 def convergence_report(fn, sizes) -> ConvergenceReport:
     """Tabulate fn over increasing sizes and estimate the convergence order.

@@ -15,10 +15,6 @@ from hypothesis import strategies as st
 from tmscat.acceptance import CRITERIA
 from tmscat.cli import main
 
-BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                    "NUMEXPR_NUM_THREADS", "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
-
-
 def write_doc(path, doc):
     path.write_text(json.dumps(doc))
     return str(path)
@@ -490,33 +486,22 @@ def test_slab_overflow_exits_3(tmp_path, capsys):
 
 def test_bad_knob_exits_2(tmp_path, capsys):
     inp = write_doc(tmp_path / "in.json", {"strength": cplx(1.0), "k": "1.0"})
-    for option, value in (("--grid-size", "0"), ("--theta-samples", "-3")):
+    for option, value, least in (("--grid-size", "0", 2), ("--theta-samples", "-3", 1)):
         assert main(["delta2d", "--input", inp, "--output",
                      str(tmp_path / "o.csv"), option, value]) == 2
         # the message names the option
-        assert f"{option} must be an integer >= 1, got {value}" in capsys.readouterr().err
+        assert f"{option} must be an integer >= {least}, got {value}" in capsys.readouterr().err
 
 
-@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
-def test_thread_cap_env(tmp_path, monkeypatch):
-    # a fresh process importing tmscat first runs BLAS on one thread
-    import tmscat
-    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
-    env["TMSCAT_THREADS"] = "1"
-    src = os.path.dirname(os.path.dirname(tmscat.__file__))
-    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
-    code = ("import os, tmscat, numpy as np\n"
-            "a = np.random.default_rng(0).random((600, 600))\n"
-            "a @ a\n"
-            "print(len(os.listdir('/proc/self/task')))\n")
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=120)
-    assert run.returncode == 0, run.stderr
-    assert int(run.stdout.split()[-1]) == 1
-    inp = write_doc(tmp_path / "in.json", {"eta": "1.5", "thickness": "1.0"})
-    monkeypatch.setenv("TMSCAT_THREADS", "zebra")
-    assert main(["threshold-gain", "--input", inp,
-                 "--output", str(tmp_path / "g.csv")]) == 2
+@pytest.mark.parametrize("command, option", [
+    ("delta2d", "--grid-size"), ("delta3d", "--n-radial"), ("delta3d", "--n-azimuthal"),
+    ("slab-defect", "--quad-points")])
+def test_grid_and_quadrature_sizes_need_two_points(tmp_path, capsys, command, option):
+    # the engine's minimum, told under the option's name before any file is read
+    inp = write_doc(tmp_path / "in.json", VALID_DOCUMENTS[command])
+    assert main([command, "--input", inp, "--output", str(tmp_path / "o"), option, "1"]) == 2
+    assert f"tmscat: {option} must be an integer >= 2, got 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_import_leaves_scipy_unloaded(tmp_path):

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import tmscat.operators as ops
-from tmscat import (DivergenceError, LowRank, SlabParams, SpectralAmplitude, TransferOperator,
-                    amplitude, build_disc_grid, build_grid, compose, delta2d_amplitude,
+from tmscat import (DivergenceError, EvolutionConfig, GaussianBump, LowRank, SlabParams,
+                    SpectralAmplitude, TransferOperator, amplitude, auto_config,
+                    build_disc_grid, build_grid, compose, delta2d_amplitude, evolve_transfer,
                     point_operator, scattering_result, slab_operator, solve_outgoing)
 from tmscat.operators import identity_operator
 from tmscat.oracle import transfer_1d
@@ -377,6 +378,29 @@ def test_non_finite_factor_is_a_divergence(grid, bad):
     with pytest.raises(DivergenceError):
         TransferOperator(grid=grid, mult=identity_operator(grid).mult,
                          kernel=LowRank(left, kernel.right))
+
+
+def test_every_operator_array_is_read_only():
+    # products reuse their operands, so no array of an operator may change
+    g, disc = build_grid(1.3, 8), build_disc_grid(1.3, 4, 3)
+    bump = GaussianBump(0.4, (0.0, 0.2), (0.7, 0.9))
+    cfg = auto_config(bump, 80)
+    left, right = (evolve_transfer(bump, g, EvolutionConfig(a, b, 40))
+                   for a, b in ((cfg.x_min, 0.0), (0.0, cfg.x_max)))
+    sp = SlabParams(2.0 + 0.1j, 1.0, 1.3)
+    dense = [evolve_transfer(bump, g, cfg), compose(right, left)]
+    factored = [point_operator(1.0, g), point_operator(0.5j, disc),
+                compose(point_operator(1.0, g), point_operator(-0.3j, g))]
+    multiplicative = [slab_operator(sp, g), slab_operator(sp, disc)]
+    assert all(isinstance(op.kernel, np.ndarray) for op in dense)
+    assert all(isinstance(op.kernel, LowRank) for op in factored)
+    assert all(op.kernel is None for op in multiplicative)
+    arrays = ([op.mult for op in dense + factored + multiplicative]
+              + [op.kernel for op in dense]
+              + [f for op in factored for f in (op.kernel.left, op.kernel.right)])
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] += 1
 
 
 def test_low_rank_rejects_mismatched_factors():
