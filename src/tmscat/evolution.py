@@ -34,6 +34,11 @@ without a copy.
 evolve_transfer chooses the path once: _layered_mult evolves mult and
 _dense_state the dense half state, each over the pieces of _pieces, with
 _advance_by_power and _advance_by_steps; _rk4_step is the one step of both.
+It runs the four RK4 stages as two batched products, (k1, k3) and then
+(k2, k4): at one point a stage leaves P A + B as it is, so the third
+stage's input does not wait for the second.  Without a uniform part the
+dense stage matrices have a zero beam row, so they are built with the N
+grid rows only and the steps move only those rows of the state.
 A real (lossless) potential, one whose every complex field has imaginary
 part exactly 0 (potentials.is_real), evolves only the N + 1 plus columns
 of the dense state; time reversal, M* = Sigma M Sigma with Sigma swapping
@@ -77,7 +82,8 @@ class EvolutionConfig:
 
     check_tolerance, when set, re-runs the evolution at half the steps and
     emits an AccuracyWarning if any operator entry moves by more than it; a
-    non-finite bound, or a negative or non-finite tolerance, raises
+    non-finite bound, a negative or non-finite tolerance, or a tolerance
+    with fewer than 2 steps (which have no half to compare with) raises
     ValueError.
     """
 
@@ -93,6 +99,8 @@ class EvolutionConfig:
         tol = self.check_tolerance
         if tol is not None and not finite("check_tolerance", tol) >= 0:
             raise ValueError(f"check_tolerance must be >= 0, got {tol!r}")
+        if tol is not None and self.steps < 2:
+            raise ValueError(f"check_tolerance needs steps >= 2 to halve, got {self.steps}")
 
 
 def auto_config(pot, steps: int, check_tolerance: float | None = None) -> EvolutionConfig:
@@ -197,61 +205,72 @@ def _sources(pot, grid, members) -> np.ndarray:
     return sources
 
 
-def _by_step(a):
-    """Read-only view v of a contiguous array of 2n + 1 stage points with
-    v[s, i] = a[2 i + s]: step i's left, mid and right points on a leading
-    slot axis.  (np.ndarray builds it in a third of as_strided's time.)"""
+def _by_step(a, slots=3):
+    """Read-only view v of a contiguous array of stage points with
+    v[s, i] = a[2 i + s]: step i's left, mid and right points (2n + 1 of
+    them), or with two slots its pair of intervals (2n), on a leading slot
+    axis.  (np.ndarray builds it in a third of as_strided's time.)"""
     s = a.strides[0]
-    v = np.ndarray((3, len(a) // 2) + a.shape[1:], a.dtype, a, 0, (s, 2 * s) + a.strides[1:])
+    v = np.ndarray((slots, len(a) // 2) + a.shape[1:], a.dtype, a, 0,
+                   (s, 2 * s) + a.strides[1:])
     v.flags.writeable = False
     return v
 
 
-def _work(shape) -> tuple:
-    """Scratch views of _rk4_step on a state of the given shape, in one
-    stack of eight contiguous slots:
+def _work(y, rows=None) -> tuple:
+    """Scratch and state views of _rk4_step on the half state y = (A, B).
 
-        (z1 | w, z3 | b1, z4 | bs, z2 | b4, k3, k1, k2 | s, k4),
+    rows, when given, is the number of leading rows of A and B that the
+    stages move (all of them otherwise).  The scratch is one stack of q + 4
+    slots of those rows, laid out so that the multiplies' stacked slots are
+    contiguous (numpy runs them in about half the time of strided ones):
 
-    a slot after its bar reused once its first use is over.  So the z
-    slots P A + B are the first three, z2, z3 and k2, k3 are every other
-    slot, and each increment of A sits four slots after its increment of
-    B."""
-    st = np.empty((8,) + shape, dtype=complex)
-    return (st[:3], st[0], st[3:0:-2], st[3], st[1], st[2], st[5], st[6:3:-2], st[4],
-            st[6], st[7], st[5:], st[1:4], st[0], st[5:0:-4], st[6:1:-4], st[7:2:-4])
+        (z_l, z_m, z_r | b1, bs, b4), k1, k3 | s, w_m | k4, w_r | k2,
+
+    a slot after its bar reused once its earlier use is over.  The first q
+    slots hold the three z = P A + B, packed, each with every row, and later
+    the B increments; then (k1, k3) is one pair of slots, k1, s and k4 are
+    adjacent, and each increment of A sits q slots after its increment of B.
+    """
+    shape, moved = y.shape[1:], y.shape[1] if rows is None else rows
+    q = -(-3 * shape[0] // moved)           # slots of moved rows that hold the three z
+    st = np.empty((q + 4, moved) + shape[1:], dtype=complex)
+    z = np.ndarray((3,) + shape, complex, st)
+    return (y[0], y[1], y[:, :moved], z, z[:2], z[1:], z[1:, :moved], st[q:q + 2],
+            st[q + 2:q + 4], st[q + 3:q + 1:-1], st[q + 1], st[q + 3], st[q:q + 3], st[:3],
+            st[q::-q], st[q + 1::-q], st[q + 2::-q])
 
 
-def _rk4_step(apply, y, pw, pn, d, t, work) -> None:
+def _rk4_step(apply, pw, pn, d, t, work) -> None:
     """One RK4 step of the half state y = (A, B), in place.
 
     pw is (P_l, P_m, P_r), pn is -pw, d is (3 (P_m - P_l), 3 (P_r - P_m))
     and t is (T_l, T_m, T_r), at the step's left, mid and right points,
-    each broadcast against A; apply(T, z, out=) is T z, and work is _work
-    of A's shape.  A may carry leading axes, over which the step is
-    batched.
+    each broadcast against A (pn, d and t on its moved rows); apply(T, z,
+    out=) is T z, and work is _work of y.  A may carry leading axes, over
+    which the step is batched.
 
     T carries -i h / 6 (-i h / 3 at midpoints), so a stage's product k = T z
     is its A increment over 6 (both of the midpoint's over 3), and its B
     increment is -P k.  The z slots start as P A + B at the three points,
-    in one product.  z3 is then complete and z2 differs from it by
-    3 (P_m - P_l) k1, so the two run as one product.  With s = k2 + k3 the
-    increments of (A, B) are (k1, s, k4) and pn times them, added to A
-    and B together in the order k1, s, k4.  Where T vanishes A and B stay
-    exactly as they are.
+    in one product.  At one point a stage moves P A + B by P k - P k = 0,
+    so the third stage's input is P_m A + B as it stands, and k1 and k3
+    run as one product of the pair (T_l, T_m).  The second and fourth
+    inputs then differ from P_m A + B and P_r A + B by 3 (P_m - P_l) k1
+    and 3 (P_r - P_m) k3, added in one multiply and one add, and k2 and k4
+    run as one product of (T_m, T_r).  With s = k2 + k3 the increments of
+    (A, B) are (k1, s, k4) and pn times them, added to A and B together in
+    the order k1, s, k4.  Where T vanishes A and B stay exactly as they
+    are.
     """
-    zb, z1, z23, z2, z3, z4, k1, k23, k3, s, k4, ks, bs, w, *inc = work
-    (dm, dr), (tl, tm, tr) = d, t
-    np.multiply(pw, y[0], out=zb)
-    zb += y[1]
-    apply(tl, z1, out=k1)
-    np.multiply(dm, k1, out=z2)
-    z2 += z3
-    apply(tm, z23, out=k23)
-    np.multiply(dr, k3, out=w)
-    z4 += w
-    apply(tr, z4, out=k4)
-    s += k3
+    a, b, y, z, zlm, zmr, zmr_moved, k13, w, k24, s, k2, ks, bs, *inc = work
+    np.multiply(pw, a, out=z)
+    z += b
+    apply(t[:2], zlm, out=k13)
+    np.multiply(d, k13, out=w)
+    zmr_moved += w
+    apply(t[1:], zmr, out=k24)
+    s += k2
     np.multiply(pn, ks, out=bs)
     for i in inc:
         y += i
@@ -261,17 +280,18 @@ def _advance_by_steps(stage, phases, y) -> None:
     """Advance y through a piece one step after another, T a matrix.
 
     stage is (profiles, flat sources, rows, minus) at the piece's stage
-    points (_dense_state).  The stage matrices are built by blocks of as
+    points (_dense_state); T has as many rows as rows has columns, the rows
+    of y the stages move.  The stage matrices are built by blocks of as
     many steps as fit in BLOCK_BYTES (at least one) into the one buffer ts,
     each block by one product of its profiles with the sources and two
     scalings; a block's first point is the last of the block before,
     carried over in ts[0], so every point is built once.
     """
     profiles, flat, rows, minus = stage
-    n, c = phases[0].shape[1], y.shape[1]
-    # a block's 2 per + 1 stage matrices of 16 c^2 bytes each fit in BLOCK_BYTES
+    n, r, c = phases[0].shape[1], rows.shape[1], y.shape[1]
+    # a block's 2 per + 1 stage matrices of at most 16 c^2 bytes each fit in BLOCK_BYTES
     per = max(1, (BLOCK_BYTES // (16 * c * c) - 1) // 2)
-    work, ts = _work(y.shape[1:]), np.empty((2 * per + 1, c, c), dtype=complex)
+    work, ts = _work(y, r), np.empty((2 * per + 1, r, c), dtype=complex)
     for i in range(0, n, per):
         m = 2 * (min(i + per, n) - i)
         lo, hi = 2 * i + (i > 0), 2 * i + m + 1     # the first block builds point 0 too
@@ -281,7 +301,7 @@ def _advance_by_steps(stage, phases, y) -> None:
         t *= minus[lo:hi, None, :]
         block = [a[:, i:i + m // 2] for a in phases] + [_by_step(ts[:m + 1])]
         for step in zip(*(a.swapaxes(0, 1) for a in block)):
-            _rk4_step(np.matmul, y, *step, work)
+            _rk4_step(np.matmul, *step, work)
         ts[0] = ts[m]
 
 
@@ -302,7 +322,7 @@ def _advance_by_power(t, phases, y, n) -> None:
         return
     maps = np.empty((2, t.shape[1]) + y.shape[1:], dtype=complex)
     maps[...] = _EYE_MAPS
-    _rk4_step(np.multiply, maps, *phases, t, _work(maps.shape[1:]))
+    _rk4_step(np.multiply, *phases, t, _work(maps))
     pw = phases[0]
     _times(maps[:, 0], y, out=y)
     if n > 2:
@@ -334,10 +354,14 @@ def _dense_state(pot, grid, members, cfg: EvolutionConfig) -> np.ndarray:
     times -i h / 6 (-i h / 3 at midpoints).  Every smooth member is
     separable, vt(x, q) = profile(x) transform_y(q), so the S_m (_sources)
     are built once, and _advance_by_steps builds T from a piece's profiles,
-    u and phases at its 2n + 1 stage points.
+    u and phases at its 2n + 1 stage points.  Without a uniform part the
+    beam row of every S_m, and so of T, is zero: T keeps only its N grid
+    rows, the steps move only those rows of A and B, and the beam rows stay
+    the identity they start as, bitwise as if evolved.
     """
     c, omegas, uniform = grid.size + 1, grid.channel_omegas, has_uniform_part(pot)
-    sources = _sources(pot, grid, members)
+    moved = c if uniform else c - 1
+    sources = _sources(pot, grid, members)[:, :moved]
     flat = sources.reshape(len(sources), -1)
     halves = 1 if is_real(pot) else 2
     y = np.eye(2 * c, halves * c, dtype=complex).reshape(2, c, halves * c)
@@ -353,9 +377,10 @@ def _dense_state(pot, grid, members, cfg: EvolutionConfig) -> np.ndarray:
             rows, minus, p = _phases(omegas, xs, scale)
             u = [uniform_part(pot, xs, grid.k)] if uniform else []
             profiles = np.stack([m.profile(xs) for m in members] + u, axis=1)
-            pw = _by_step(p[:, :, None])
-            _advance_by_steps((profiles, flat, rows, minus),
-                              (pw, _by_step(-p[:, :, None]), 3 * (pw[1:] - pw[:-1])), y)
+            pm = p[:, :moved, None]
+            _advance_by_steps((profiles, flat, rows[:, :moved], minus),
+                              (_by_step(p[:, :, None]), _by_step(-pm),
+                               _by_step(3 * np.diff(pm, axis=0), 2)), y)
     return y if halves == 2 else _time_reversed(y, grid)
 
 
@@ -412,7 +437,7 @@ def _checked(path, *args) -> np.ndarray:
     u = path(*args)
     if not np.isfinite(u).all():
         raise DivergenceError("evolution produced non-finite values")
-    if cfg.check_tolerance is not None and cfg.steps >= 2:
+    if cfg.check_tolerance is not None:
         half = EvolutionConfig(cfg.x_min, cfg.x_max, cfg.steps // 2)
         delta = float(np.max(np.abs(u - path(*head, half))))
         if delta > cfg.check_tolerance:

@@ -447,6 +447,21 @@ def test_scatter_non_finite_check_tolerance_exits_2(tmp_path, capsys, tol):
     assert capsys.readouterr().err == ""
 
 
+def test_scatter_refuses_a_step_halving_check_on_one_step(tmp_path, capsys):
+    inp = write_doc(tmp_path / "in.json", {"potential": BUMP, "k": "1.5"})
+    out = tmp_path / "amp.csv"
+    args = ["scatter", "--input", inp, "--output", str(out), "--grid-size", "8",
+            "--steps", "1"]
+    # the default tolerance asks for a check that one step cannot halve
+    assert main(args) == 2
+    assert not out.exists()
+    assert "check_tolerance" in capsys.readouterr().err
+    # with the check disabled one step runs
+    assert main(args + ["--check-tolerance", "0"]) == 0
+    assert out.exists()
+    assert capsys.readouterr().err == ""
+
+
 def test_scattering_outputs_share_one_record(tmp_path):
     runs = {
         "delta2d": {"strength": cplx(1.0 - 0.5j), "k": "2.0"},

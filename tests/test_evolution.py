@@ -6,9 +6,10 @@ from scipy.integrate import quad
 
 import tmscat.evolution as evolution
 from tmscat import (AccuracyWarning, Delta2D, DiscGrid, EvolutionConfig, GaussianBump,
-                    Slab, SlabParams, SumPotential, UnsupportedEvaluationError,
+                    Slab, SlabParams, SumPotential, UnsupportedEvaluationError, amplitude,
                     auto_config, build_disc_grid, build_grid, compose,
-                    effective_hamiltonian, evolve_transfer, slab_operator)
+                    effective_hamiltonian, evolve_transfer, point_operator, slab_operator,
+                    solve_outgoing)
 from tmscat.evolution import _layered_mult, _pieces, potential_kernel
 from tmscat.operators import identity_operator
 from tmscat.potentials import discontinuities
@@ -193,6 +194,30 @@ def test_evolve_rejects_point_potentials():
         evolve_transfer(Delta2D(1.0), g, EvolutionConfig(-1.0, 1.0, 10))
 
 
+@pytest.mark.parametrize("strength", [1 - 0.5j, 0.8], ids=["complex", "real"])
+def test_narrow_bump_approaches_the_point_amplitude(strength):
+    # a bump of integral z, amplitude z / 2 pi sigma^2 and widths (sigma, sigma),
+    # tends to the point potential z delta(x) delta(y) as sigma -> 0; the
+    # difference from the point amplitude on the same grid halves with sigma
+    # (measured 2.8e-2, 1.3e-2, 6.5e-3 for the complex z, 2.2e-2, 1.05e-2,
+    # 5.3e-3 for the real one).  The real z runs the half-column path.
+    grid = build_grid(1.5, 32)
+    thetas = np.radians([10.0, 40.0, 75.0, 110.0, 150.0, 200.0])
+
+    def f(op):
+        t_plus, t_minus, _ = solve_outgoing(op)
+        return np.array([v for _, v in amplitude(t_plus, t_minus, grid.k, thetas)])
+
+    want = f(point_operator(strength, grid))
+    errs = []
+    for sigma in (0.1, 0.05, 0.025):
+        bump = GaussianBump(strength / (2 * np.pi * sigma ** 2), (0.0, 0.0), (sigma, sigma))
+        got = f(evolve_transfer(bump, grid, auto_config(bump, 1600)))
+        errs.append(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+    assert all(coarse >= 1.8 * fine for coarse, fine in zip(errs, errs[1:])), errs
+    assert errs[-1] < 1e-2, errs
+
+
 def test_mixed_sum_delta_channel_consistency():
     # slab plus a disjoint bump: the coherent channel sees the slab part only
     g = build_grid(1.5, 8)
@@ -372,6 +397,16 @@ def test_config_rejects_a_negative_check_tolerance():
     with pytest.raises(ValueError, match="check_tolerance"):
         auto_config(centered_bump(amp=0.5), 40, check_tolerance=-1e-300)
     assert EvolutionConfig(-5.6, 5.6, 40, check_tolerance=0.0).check_tolerance == 0.0
+
+
+def test_config_rejects_a_check_tolerance_on_one_step():
+    # one step has no half to compare with: the check cannot run
+    with pytest.raises(ValueError, match="check_tolerance"):
+        EvolutionConfig(-5.6, 5.6, 1, check_tolerance=1e-6)
+    with pytest.raises(ValueError, match="check_tolerance"):
+        auto_config(centered_bump(amp=0.5), 1, check_tolerance=0.0)
+    assert EvolutionConfig(-5.6, 5.6, 1).steps == 1
+    assert EvolutionConfig(-5.6, 5.6, 2, check_tolerance=1e-6).steps == 2
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,13 @@ methods that tmscat code calls directly, by name, and their total:
   N = 24 and on a 10 x 6 disc grid;
 - one compose of two multiplicative operators (two such windows);
 - one dense RK4 step (the first _rk4_step of a Gaussian bump's
-  evolve_transfer, N = 24), and the shape of the state the dense steps
-  evolve for a real and a complex bump: the plus columns alone (N + 1) for
-  the real one, whose minus columns come from time reversal, all 2N + 2 for
-  the complex one.
+  evolve_transfer, N = 24), and the shapes of the state the dense steps
+  evolve and of their stage matrices for a real bump, a complex bump and a
+  slab next to a bump.  The state has the plus columns alone (N + 1) for a
+  real potential, whose minus columns come from time reversal, and all
+  2N + 2 for a complex one.  A stage matrix has N rows, and the steps move
+  only the N grid rows of the state, for a potential with no uniform part,
+  whose beam row is zero; it has N + 1 with one (the slab).
 
 Each call runs once unmeasured first.  sys.setprofile sees numpy's Python
 functions (a dispatched function's __array_function__ dispatcher is not
@@ -129,13 +132,15 @@ def numpy_calls(run, within=None) -> Counter:
     return counts
 
 
-def evolved_shape(pot, grid, cfg) -> tuple:
-    """The shape of the state that evolve_transfer's dense steps advance."""
+def evolved_shapes(pot, grid, cfg) -> tuple:
+    """The shapes of the state that evolve_transfer's dense steps advance
+    and of one stage matrix T."""
     shapes = []
     advance = evolution._advance_by_steps
 
     def recording(stage, phases, y):
-        shapes.append(y.shape)
+        rows = stage[2]
+        shapes.append((y.shape, (rows.shape[1], y.shape[1])))
         advance(stage, phases, y)
 
     evolution._advance_by_steps = recording
@@ -168,11 +173,13 @@ def main() -> int:
     report("dense RK4 step, Gaussian bump, 2D N = 24",
            numpy_calls(lambda: tmscat.evolve_transfer(bump, grid, tmscat.auto_config(bump, 40)),
                        within=evolution._rk4_step))
-    for kind, pot in (("real", tmscat.GaussianBump(0.3, (0.2, 0.5), (0.6, 0.8))),
-                      ("complex", bump)):
-        shape = evolved_shape(pot, grid, tmscat.auto_config(pot, 40))
-        print(f"dense evolved state, {kind} bump, 2D N = 24: shape {shape}, "
-              f"{shape[-1]} columns")
+    slab_bump = tmscat.SumPotential((tmscat.Slab(2.0 + 0.1j, 1.0),
+                                     tmscat.GaussianBump(0.3, (4.0, 0.2), (0.3, 0.7))))
+    for kind, pot in (("real bump", tmscat.GaussianBump(0.3, (0.2, 0.5), (0.6, 0.8))),
+                      ("complex bump", bump), ("slab+bump", slab_bump)):
+        shape, stage = evolved_shapes(pot, grid, tmscat.auto_config(pot, 40))
+        print(f"dense evolved state, {kind}, 2D N = 24: shape {shape}, "
+              f"{shape[-1]} columns; stage matrices {stage[0]} x {stage[1]}")
     return 0
 
 
