@@ -96,7 +96,7 @@ delta2d_operator = point_operator
 def delta3d_amplitude(strength: complex, k: float) -> complex:
     """Exact isotropic amplitude of the 3D point potential: -z / (4 pi + i k z)."""
     strength = complex(finite("strength", strength))
-    return -strength / (4 * np.pi + 1j * finite("k", k) * strength)
+    return -strength / (4 * np.pi + 1j * positive("k", k) * strength)
 
 
 def scattering_length(strength: complex) -> complex:
@@ -128,7 +128,7 @@ def wire_modes(zeta: float, mode: str) -> float:
 
 def wire_strength(zeta: float, k: float) -> complex:
     """Point coupling -i zeta k^2 of a thin wire with permittivity 1 + i zeta delta(x) delta(y)."""
-    zeta, k = finite("zeta", zeta), finite("k", k)
+    zeta, k = finite("zeta", zeta), positive("k", k)
     return -1j * zeta * k * k
 
 

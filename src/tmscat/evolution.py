@@ -28,8 +28,7 @@ whose +-p frequencies agree only where k sin(theta) rounds alike.  Between
 layer edges its steps differ by a phase conjugation, so a piece runs three
 and O(log n) products, each the per-channel 2x2 product operators._times
 that compose also uses.
-Its mult is scanned for finiteness once and becomes the operator's
-without a copy.
+Its mult becomes the operator's without a copy.
 
 evolve_transfer chooses the path once: _layered_mult evolves mult and
 _dense_state the dense half state, each over the pieces of _pieces, with
@@ -462,7 +461,7 @@ def evolve_transfer(pot, grid: MomentumGrid | DiscGrid, cfg: EvolutionConfig) ->
     _check_representable(pot, grid)
     members = smooth_members(pot)
     if not members:
-        return TransferOperator._of_checked_mult(grid, _checked(_layered_mult, pot, grid, cfg))
+        return TransferOperator(grid, _checked(_layered_mult, pot, grid, cfg), None)
 
     n = grid.size
     y = _checked(_dense_state, pot, grid, members, cfg)

@@ -16,8 +16,10 @@ smooth function: K has S rows and S + 1 columns, the last one its response
 to a unit beam, so the delta function itself is never sampled.  K is stored
 dense, as a (2, 2, S, S + 1) array, or factored, as a LowRank pair of
 (2, S, r) and (r, 2, S + 1) factors: point defects are rank one, and a
-composition of factored kernels stays factored with the ranks added.  mult
-is tabulated once, when the operator is built.
+composition of factored kernels stays factored with the ranks added.  An
+operator, and a LowRank, keeps the arrays it is given (mult is tabulated
+once, and a complex array is not copied), makes them read-only in place
+and refuses any that is not finite with DivergenceError.
 
 Extraction solves one S x S system, diag(mult_22) + K_22.  With no kernel
 the system is diagonal and is solved in O(S), with its exact condition
@@ -92,9 +94,10 @@ class LowRank:
     """Factored smoothing kernel K[a, b, j, l] = sum_r left[a, j, r] right[r, b, l].
 
     left is a (2, S, r) array and right an (r, 2, S + 1) array, its last
-    column the beam channel, both made read-only in place.  shape is the
-    dense (2, 2, S, S + 1) shape, nbytes the storage of the factors, and
-    np.asarray densifies the kernel.
+    column the beam channel, both kept, made read-only in place and refused
+    with DivergenceError if not finite.  shape is the dense (2, 2, S, S + 1)
+    shape, nbytes the storage of the factors, and np.asarray densifies the
+    kernel.
     """
 
     left: np.ndarray
@@ -106,6 +109,8 @@ class LowRank:
         if (left.ndim != 3 or left.shape[0] != 2
                 or right.shape != (left.shape[2], 2, left.shape[1] + 1)):
             raise ValueError(f"factor shapes {left.shape} and {right.shape} do not match")
+        if not (np.isfinite(left).all() and np.isfinite(right).all()):
+            raise DivergenceError("kernel factors have non-finite entries")
         for name, factor in (("left", left), ("right", right)):
             factor.setflags(write=False)
             object.__setattr__(self, name, factor)
@@ -130,12 +135,13 @@ class LowRank:
 class TransferOperator:
     """mult + kernel split of a transfer operator on a MomentumGrid or DiscGrid.
 
-    mult is a read-only (2, 2, S + 1) array: the multiplication part on the
-    S grid channels, then on the coherent channel p = 0.  kernel is a dense
+    mult is a (2, 2, S + 1) array: the multiplication part on the S grid
+    channels, then on the coherent channel p = 0.  kernel is a dense
     (2, 2, S, S + 1) array or its LowRank factors (None means zero), with
-    the same S + 1 columns, made read-only in place.  Instances are
-    immutable.  A non-finite mult or LowRank factor raises DivergenceError;
-    dense kernels are not scanned, since they are large.
+    the same S + 1 columns.  Instances are immutable, and this is the only
+    way one is built: the operator keeps the arrays it is given (a complex
+    mult is not copied), makes them read-only in place, and refuses with
+    DivergenceError any that is not finite.
     """
 
     grid: MomentumGrid | DiscGrid
@@ -144,32 +150,17 @@ class TransferOperator:
 
     def __post_init__(self):
         n = self.grid.size
-        mult = np.array(self.mult, dtype=complex)
+        mult, kernel = np.asarray(self.mult, dtype=complex), self.kernel
         if mult.shape != (2, 2, n + 1):
             raise ValueError(f"mult shape {mult.shape} does not match the grid")
-        if not np.isfinite(mult).all():
-            raise DivergenceError("multiplication part has non-finite entries")
-        mult.setflags(write=False)
+        if kernel is not None and kernel.shape != (2, 2, n, n + 1):
+            raise ValueError(f"kernel shape {kernel.shape} does not match the grid")
+        arrays = (mult, kernel) if isinstance(kernel, np.ndarray) else (mult,)
+        if not all(np.isfinite(a).all() for a in arrays):
+            raise DivergenceError("operator has non-finite entries")
+        for a in arrays:
+            a.setflags(write=False)
         object.__setattr__(self, "mult", mult)
-        if self.kernel is not None and self.kernel.shape != (2, 2, n, n + 1):
-            raise ValueError(f"kernel shape {self.kernel.shape} does not match the grid")
-        if isinstance(self.kernel, np.ndarray):
-            self.kernel.setflags(write=False)
-        if isinstance(self.kernel, LowRank) and not (np.all(np.isfinite(self.kernel.left))
-                                                     and np.all(np.isfinite(self.kernel.right))):
-            raise DivergenceError("kernel factors have non-finite entries")
-
-    @classmethod
-    def _of_checked_mult(cls, grid, mult: np.ndarray) -> "TransferOperator":
-        """The kernel-free operator of mult, a finite complex (2, 2, S + 1)
-        array that its caller has just computed and scanned and holds no
-        other reference to: frozen in place, neither copied nor scanned
-        again."""
-        mult.setflags(write=False)
-        op = object.__new__(cls)
-        for name, value in (("grid", grid), ("mult", mult), ("kernel", None)):
-            object.__setattr__(op, name, value)
-        return op
 
     @property
     def kernel_at_zero(self) -> np.ndarray | None:
@@ -409,8 +400,9 @@ def solve_outgoing(op: TransferOperator, incident: complex = 1.0):
     else:
         b0 = -m0[1, 0] / m0[1, 1] * incident
 
-    # b0 = inf against a zero kernel column gives NaN: the flag is singular
-    with np.errstate(invalid="ignore"):
+    # b0 = inf against a zero kernel column gives NaN, and a finite incident
+    # against a finite column may overflow: either way the flag is singular
+    with np.errstate(over="ignore", invalid="ignore"):
         rhs = -(k0[1, 0] * incident + b0 * k0[1, 1])
     m22 = mult_grid[1, 1]
     factored = isinstance(kernel, LowRank)
@@ -435,7 +427,7 @@ def solve_outgoing(op: TransferOperator, incident: complex = 1.0):
     else:
         tp_delta = complex(np.nan)
 
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         tp_smooth = k0[0, 0] * incident + b0 * k0[0, 1] + mult_grid[0, 1] * phi
         if factored:
             tp_smooth = tp_smooth + kernel.left[0] @ (kernel.right[:, 1, :-1] @ phi)

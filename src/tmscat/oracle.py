@@ -106,9 +106,11 @@ def born1_transfer(pot, k: float, p: float) -> tuple[complex, complex]:
 
     which at p = 0 are the coefficients of the coherent beam.  Exactly
     linear in the potential amplitude by construction.  ValueError unless k
-    is positive and p finite.
+    is positive and p inside (-k, k), where omega is real and positive.
     """
     k, p = positive("k", k), finite("p", p)
+    if not abs(p) < k:
+        raise ValueError(f"p must be inside (-k, k), got {p!r}")
     omega = math.sqrt(k * k - p * p)
     if isinstance(pot, GaussianBump):
         return (_born_gaussian(pot, omega - k, p, omega),

@@ -70,19 +70,24 @@ SP = SlabParams(epsilon=2 + 0.01j, thickness=1.0, k=2.0)
     (lambda: slab_y(SP, 1.0, quad_points=None), "quad_points"),
     (lambda: wire_strength(NAN, 2.0), "zeta"),
     (lambda: wire_strength(-1.0, INF), "k"),
+    (lambda: wire_strength(-1.0, 0.0), "k"),
+    (lambda: wire_strength(-1.0, -1.0), "k"),
     (lambda: spectral_singularity(SP, "k", NAN), "guess"),
     (lambda: spectral_singularity(SP, "omega", INF), "guess"),
     (lambda: slab_defect_amplitudes(SP, 1.0, [0.3, NAN]), "p"),
     (lambda: slab_xyz(SP, NAN), "omega"),
     (lambda: cf.delta3d_amplitude(1.0, NAN), "k"),
+    (lambda: cf.delta3d_amplitude(1.0, 0.0), "k"),
+    (lambda: cf.delta3d_amplitude(1.0, -1.0), "k"),
 ], ids=["gain-thickness", "gain-theta", "gain-eta", "curve-thickness", "curve-theta",
         "lasing-zeta", "cpa-zeta", "slab_y-fraction", "slab_y-nan", "slab_y-none",
-        "wire-zeta", "wire-k", "singularity-k-guess", "singularity-omega-guess", "defect-p",
-        "xyz-omega", "delta3d-k"])
+        "wire-zeta", "wire-k", "wire-k-zero", "wire-k-negative", "singularity-k-guess",
+        "singularity-omega-guess", "defect-p", "xyz-omega", "delta3d-k", "delta3d-k-zero",
+        "delta3d-k-negative"])
 def test_closed_forms_refuse_non_finite_and_fractional_inputs(call, name):
     # each returned a number (0, nan, or 2 quadrature nodes) or warned, raised
-    # NoRootError, or named another argument; now each refuses the input and
-    # names it
+    # NoRootError, or named another argument; a wavenumber <= 0 gave an
+    # amplitude or a coupling; now each refuses the input and names it
     with pytest.raises(ValueError, match=f"\\b{name}\\b"):
         call()
 

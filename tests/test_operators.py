@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -315,12 +316,23 @@ def test_exactly_singular_dense_system_is_flagged():
 
 
 def test_non_finite_right_hand_side_is_flagged():
-    # a well-conditioned system whose beam column, and so rhs, holds an inf
+    # a finite, well-conditioned system whose beam column times the incident
+    # amplitude overflows: rhs holds an inf, and numpy says nothing of it
     beam = np.zeros((2, 2, 4), dtype=complex)
-    beam[1, 0, 2] = np.inf
-    _, t_minus, flag = solve_outgoing(dense_system(np.eye(4, dtype=complex), beam))
+    beam[1, 0, 2] = 1e10
+    op = dense_system(np.eye(4, dtype=complex), beam)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, t_minus, flag = solve_outgoing(op, incident=1e300)
     assert flag.is_singular
     assert not np.all(np.isfinite(t_minus.smooth))
+
+
+def test_non_finite_beam_column_is_a_divergence():
+    beam = np.zeros((2, 2, 4), dtype=complex)
+    beam[1, 0, 2] = np.inf
+    with pytest.raises(DivergenceError):
+        dense_system(np.eye(4, dtype=complex), beam)
 
 
 def test_kernel_free_system_is_solved_on_its_diagonal():
@@ -378,6 +390,45 @@ def test_non_finite_factor_is_a_divergence(grid, bad):
     with pytest.raises(DivergenceError):
         TransferOperator(grid=grid, mult=identity_operator(grid).mult,
                          kernel=LowRank(left, kernel.right))
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_low_rank_refuses_non_finite_factors(grid, side, bad):
+    factors = {"left": np.ones((2, grid.size, 1)), "right": np.ones((1, 2, grid.size + 1))}
+    factors[side][0, 1, 0] = bad
+    with pytest.raises(DivergenceError):
+        LowRank(**factors)
+
+
+def test_operator_keeps_a_complex_mult():
+    g = build_grid(1.3, 6)
+    m = np.ones((2, 2, 7), dtype=complex)
+    op = TransferOperator(g, m, None)
+    assert op.mult is m and not m.flags.writeable
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_dense_kernel_is_a_divergence(bad):
+    g = build_grid(1.3, 6)
+    kernel = np.zeros((2, 2, 6, 7), dtype=complex)
+    kernel[0, 1, 2, 3] = bad
+    with pytest.raises(DivergenceError):
+        TransferOperator(g, ops.unit_mult(g), kernel)
+
+
+@pytest.mark.parametrize("kernel", [
+    pytest.param(lambda: np.full((2, 2, 6, 7), 1e200, dtype=complex), id="dense"),
+    pytest.param(lambda: LowRank(np.full((2, 6, 1), 1e200 + 0j), np.full((1, 2, 7), 1e200 + 0j)),
+                 id="factored"),
+])
+def test_overflowing_compose_is_a_divergence(kernel):
+    # K2 K1 sums products of 1e200 entries: each form overflows to inf and
+    # must raise, not hand an inf kernel to the extraction
+    g = build_grid(1.3, 6)
+    second, first = (TransferOperator(g, ops.unit_mult(g), kernel()) for _ in range(2))
+    with pytest.raises(DivergenceError):
+        compose(second, first)
 
 
 def test_every_operator_array_is_read_only():

@@ -36,13 +36,19 @@ NAN, INF = float("nan"), float("inf")
     (lambda: transfer_1d(lambda x: 1.0, (0.0, 1.0), INF, steps=10), "k"),
     (lambda: transfer_1d(lambda x: 1.0, (0.0, INF), 1.0, steps=10), "support"),
     (lambda: born1_transfer(GaussianBump(0.3), NAN, 0.2), "k"),
+    (lambda: born1_transfer(GaussianBump(0.4, (0, 0), (0.7, 0.9)), 1.3, 1.3), "p"),
+    (lambda: born1_transfer(GaussianBump(0.4, (0, 0), (0.7, 0.9)), 1.3, -2.6), "p"),
+    (lambda: born1_transfer(Slab(2.0, 1.0), 1.3, -1.3), "p"),
+    (lambda: born1_transfer(Slab(2.0, 1.0), 1.3, 2.6), "p"),
     (lambda: convergence_report(lambda n: 1.0 / n, [2.5, 4.7]), "size"),
 ], ids=["steps-zero", "steps-negative", "steps-fraction", "k-inf", "support-inf", "born-k",
+        "born-bump-p-at-k", "born-bump-p-at-2k", "born-slab-p-at-k", "born-slab-p-at-2k",
         "size-fraction"])
 def test_oracle_refuses_bad_inputs(call, name):
     # steps 0, -5 and 2.5 ran, k = inf diverged, an infinite support failed
-    # converting nan to an integer, a nan k returned nan amplitudes, and
-    # fractional sizes were truncated
+    # converting nan to an integer, a nan k returned nan amplitudes, |p| = k
+    # divided by omega = 0 and |p| = 2k failed in math.sqrt, and fractional
+    # sizes were truncated
     with pytest.raises(ValueError, match=f"^{name} must be"):
         call()
 
