@@ -35,17 +35,26 @@ _dense_state the dense half state, each over the pieces of _pieces, with
 _advance_by_power and _advance_by_steps; _rk4_step is the one step of both.
 It runs the four RK4 stages as two batched products, (k1, k3) and then
 (k2, k4): at one point a stage leaves P A + B as it is, so the third
-stage's input does not wait for the second.  Without a uniform part the
-dense stage matrices have a zero beam row, so they are built with the N
-grid rows only and the steps move only those rows of the state.
+stage's input does not wait for the second.  A dense piece runs its n
+steps as m contiguous x-slices of ceil(n / m) steps, side by side on a
+leading slice axis of the state: the first slice from the state so far,
+the others from the identity, each of the ceil(n / m) batched steps
+advancing every slice at once.  The slice propagators then multiply in x
+order, as the transfer operators of a potential's x-pieces do.  m is
+SLICES where the batch fits in BLOCK_BYTES and 1 on larger states
+(_slices), a rule on the sizes alone, so an input gives the same bytes on
+every host.  Without a uniform part the dense stage matrices have a zero
+beam row, so they are built with the N grid rows only, and the stage
+products write only those rows of their slots.
 A real (lossless) potential, one whose every complex field has imaginary
 part exactly 0 (potentials.is_real), evolves only the N + 1 plus columns
 of the dense state; time reversal, M* = Sigma M Sigma with Sigma swapping
 the plus and minus channels under the node reflection p -> -p, gives the
-minus ones (_time_reversed), and the RK4 products run on half the
-columns.  The built columns agree with evolved ones to 3e-15 relative
-(real bumps centred, off-centre in y, strong, paired and next to a slab;
-N = 5 to 24).  Gain or loss potentials run all 2N + 2 columns.
+minus ones (_time_reversed), those of each later x-slice before the
+product too, and the RK4 products run on half the columns.  The built
+columns agree with evolved ones to 3e-15 relative (real bumps centred,
+off-centre in y, strong, paired and next to a slab; N = 5 to 24).  Gain
+or loss potentials run all 2N + 2 columns.
 The RK4 never forms H: _sources and _phases factor it.
 effective_hamiltonian and potential_kernel assemble the dense generator as
 the reference the factored form is tested against.
@@ -67,6 +76,8 @@ from .potentials import (discontinuities, has_uniform_part, is_real, is_x_singul
 
 # most bytes of stage matrices a dense piece builds per call (_advance_by_steps)
 BLOCK_BYTES = 2 ** 18
+# slices a dense piece runs side by side where their state fits in BLOCK_BYTES (_slices)
+SLICES = 8
 # RK4 weights of a step's left, mid and right points, and the identity as
 # (plus, minus) rows x steps x (plus, minus) columns x channels, for a layered piece
 _RK4_WEIGHTS = np.array([[1], [2], [1]])
@@ -219,25 +230,27 @@ def _by_step(a, slots=3):
 def _work(y, rows=None) -> tuple:
     """Scratch and state views of _rk4_step on the half state y = (A, B).
 
-    rows, when given, is the number of leading rows of A and B that the
-    stages move (all of them otherwise).  The scratch is one stack of q + 4
-    slots of those rows, laid out so that the multiplies' stacked slots are
-    contiguous (numpy runs them in about half the time of strided ones):
+    The scratch is one stack of seven slots shaped like A, laid out so that
+    the multiplies' stacked slots are contiguous (numpy runs them in about
+    half the time of strided ones):
 
         (z_l, z_m, z_r | b1, bs, b4), k1, k3 | s, w_m | k4, w_r | k2,
 
-    a slot after its bar reused once its earlier use is over.  The first q
-    slots hold the three z = P A + B, packed, each with every row, and later
-    the B increments; then (k1, k3) is one pair of slots, k1, s and k4 are
-    adjacent, and each increment of A sits q slots after its increment of B.
+    a slot after its bar reused once its earlier use is over.  The first
+    three slots hold the three z = P A + B and later the B increments; then
+    (k1, k3) is one pair of slots, k1, s and k4 are adjacent, and each
+    increment of A sits three slots after its increment of B.  A's leading
+    axes (the slices of _advance_by_steps) carry over to every slot.
+
+    rows, when given, is the number of leading rows of A that T can move:
+    the two stage products write only those rows of their slots, whose
+    other rows start as zero and stay so, and every elementwise call runs
+    on whole slots.
     """
-    shape, moved = y.shape[1:], y.shape[1] if rows is None else rows
-    q = -(-3 * shape[0] // moved)           # slots of moved rows that hold the three z
-    st = np.empty((q + 4, moved) + shape[1:], dtype=complex)
-    z = np.ndarray((3,) + shape, complex, st)
-    return (y[0], y[1], y[:, :moved], z, z[:2], z[1:], z[1:, :moved], st[q:q + 2],
-            st[q + 2:q + 4], st[q + 3:q + 1:-1], st[q + 1], st[q + 3], st[q:q + 3], st[:3],
-            st[q::-q], st[q + 1::-q], st[q + 2::-q])
+    st = np.zeros((7,) + y.shape[1:], dtype=complex)
+    z, moved = st[:3], st[..., :rows, :]
+    return (y[0], y[1], y, z, z[:2], z[1:], st[3:5], moved[3:5], st[5:7], moved[6:4:-1],
+            st[4], st[6], st[3:6], st[:3], st[3::-3], st[4::-3], st[5::-3])
 
 
 def _rk4_step(apply, pw, pn, d, t, work) -> None:
@@ -245,9 +258,10 @@ def _rk4_step(apply, pw, pn, d, t, work) -> None:
 
     pw is (P_l, P_m, P_r), pn is -pw, d is (3 (P_m - P_l), 3 (P_r - P_m))
     and t is (T_l, T_m, T_r), at the step's left, mid and right points,
-    each broadcast against A (pn, d and t on its moved rows); apply(T, z,
-    out=) is T z, and work is _work of y.  A may carry leading axes, over
-    which the step is batched.
+    each broadcast against A (t on the rows it moves); apply(T, z, out=) is
+    T z, and work is _work of y.  A may carry leading axes, over which the
+    step is batched: the slices of a dense piece, or a layered piece's
+    steps.
 
     T carries -i h / 6 (-i h / 3 at midpoints), so a stage's product k = T z
     is its A increment over 6 (both of the midpoint's over 3), and its B
@@ -262,13 +276,13 @@ def _rk4_step(apply, pw, pn, d, t, work) -> None:
     the order k1, s, k4.  Where T vanishes A and B stay exactly as they
     are.
     """
-    a, b, y, z, zlm, zmr, zmr_moved, k13, w, k24, s, k2, ks, bs, *inc = work
+    a, b, y, z, zlm, zmr, k13, k13_moved, w, k24_moved, s, k2, ks, bs, *inc = work
     np.multiply(pw, a, out=z)
     z += b
-    apply(t[:2], zlm, out=k13)
+    apply(t[:2], zlm, out=k13_moved)
     np.multiply(d, k13, out=w)
-    zmr_moved += w
-    apply(t[1:], zmr, out=k24)
+    zmr += w
+    apply(t[1:], zmr, out=k24_moved)
     s += k2
     np.multiply(pn, ks, out=bs)
     for i in inc:
@@ -276,32 +290,43 @@ def _rk4_step(apply, pw, pn, d, t, work) -> None:
 
 
 def _advance_by_steps(stage, phases, y) -> None:
-    """Advance y through a piece one step after another, T a matrix.
+    """Advance y through a piece one batched step after another, T a
+    matrix: y is the state, or with a leading slice axis, y[:, k], the
+    slices of _dense_state side by side.
 
-    stage is (profiles, flat sources, rows, minus) at the piece's stage
-    points (_dense_state); T has as many rows as rows has columns, the rows
-    of y the stages move.  The stage matrices are built by blocks of as
-    many steps as fit in BLOCK_BYTES (at least one) into the one buffer ts,
-    each block by one product of its profiles with the sources and two
-    scalings; a block's first point is the last of the block before,
-    carried over in ts[0], so every point is built once.
+    stage is (profiles, flat sources, rows, minus, short): _dense_state's
+    tables at the slices' 2L + 1 stage points, as (point[, slice]) rows,
+    and the real steps of the last slice, whose later steps are padding.  T
+    has as many rows as rows has columns, the rows of y that the products
+    move.  The stage matrices are built by blocks of as many batched steps
+    as fit in BLOCK_BYTES (at least one) into the one buffer ts, each block
+    by one product of its profiles with the sources and two scalings; a
+    block's first point is the last of the block before, carried over in
+    ts[0], so every point is built once.  A block also ends where the
+    padding begins, and the last slice's carried point is zeroed there: its
+    later points have zero rows, so every stage matrix of a padded step is
+    zero, and such a step leaves its slice exactly as it is.
     """
-    profiles, flat, rows, minus = stage
-    n, r, c = phases[0].shape[1], rows.shape[1], y.shape[1]
-    # a block's 2 per + 1 stage matrices of at most 16 c^2 bytes each fit in BLOCK_BYTES
-    per = max(1, (BLOCK_BYTES // (16 * c * c) - 1) // 2)
-    work, ts = _work(y, r), np.empty((2 * per + 1, r, c), dtype=complex)
-    for i in range(0, n, per):
-        m = 2 * (min(i + per, n) - i)
-        lo, hi = 2 * i + (i > 0), 2 * i + m + 1     # the first block builds point 0 too
-        t = ts[lo - 2 * i:m + 1]
-        np.matmul(profiles[lo:hi], flat, out=t.reshape(hi - lo, -1))
-        t *= rows[lo:hi, :, None]
-        t *= minus[lo:hi, None, :]
-        block = [a[:, i:i + m // 2] for a in phases] + [_by_step(ts[:m + 1])]
+    profiles, flat, rows, minus, short = stage
+    n, r, c = phases[0].shape[1], rows.shape[-1], minus.shape[-1]
+    # a block's 2 per + 1 points of stage matrices, at most 16 c^2 bytes a
+    # slice, fit in BLOCK_BYTES
+    per = max(1, (BLOCK_BYTES // (16 * c * minus[0].size) - 1) // 2)
+    work = _work(y, r)
+    ts = np.empty((2 * per + 1,) + rows.shape[1:-1] + (r, c), dtype=complex)
+    ends = sorted({*range(per, n, per), short, n})
+    for i, e in zip([0] + ends, ends):
+        if i == short:      # only a padded last slice (of several) has short < n
+            ts[0, -1] = 0
+        lo, hi = 2 * i + (i > 0), 2 * e + 1     # the first block builds point 0 too
+        t = ts[lo - 2 * i:2 * (e - i) + 1]
+        np.matmul(profiles[lo:hi].reshape(-1, len(flat)), flat, out=t.reshape(-1, r * c))
+        t *= rows[lo:hi, ..., None]
+        t *= minus[lo:hi, ..., None, :]
+        block = [a[:, i:e] for a in phases] + [_by_step(ts[:2 * (e - i) + 1])]
         for step in zip(*(a.swapaxes(0, 1) for a in block)):
             _rk4_step(np.matmul, *step, work)
-        ts[0] = ts[m]
+        ts[0] = ts[2 * (e - i)]
 
 
 def _advance_by_power(t, phases, y, n) -> None:
@@ -353,34 +378,68 @@ def _dense_state(pot, grid, members, cfg: EvolutionConfig) -> np.ndarray:
     times -i h / 6 (-i h / 3 at midpoints).  Every smooth member is
     separable, vt(x, q) = profile(x) transform_y(q), so the S_m (_sources)
     are built once, and _advance_by_steps builds T from a piece's profiles,
-    u and phases at its 2n + 1 stage points.  Without a uniform part the
-    beam row of every S_m, and so of T, is zero: T keeps only its N grid
-    rows, the steps move only those rows of A and B, and the beam rows stay
-    the identity they start as, bitwise as if evolved.
+    u and phases at its 2n + 1 stage points.
+
+    A piece's n steps run as m contiguous slices of L = ceil(n / m) steps
+    (_slices), evolved side by side on a leading slice axis of the state,
+    (2, m, S + 1, columns); the last slice is padded with steps whose stage
+    matrices are zero.  The first slice starts from the state so far, the
+    others from the identity, and their propagators then multiply in x
+    order.  For a real potential every slice evolves its plus columns, and
+    _time_reversed completes slices 2 ... m before the product.  One slice
+    steps the state itself, with no slice axis, by the arithmetic of
+    stepping it through the piece.
     """
     c, omegas, uniform = grid.size + 1, grid.channel_omegas, has_uniform_part(pot)
-    moved = c if uniform else c - 1
-    sources = _sources(pot, grid, members)[:, :moved]
-    flat = sources.reshape(len(sources), -1)
-    halves = 1 if is_real(pot) else 2
-    y = np.eye(2 * c, halves * c, dtype=complex).reshape(2, c, halves * c)
+    moved = c if uniform else c - 1         # without a uniform part T's beam row is zero
+    flat = _sources(pot, grid, members)[:, :moved].reshape(len(members) + uniform, -1)
+    real = is_real(pot)
+    cols = c if real else 2 * c
+    y = np.eye(2 * c, cols, dtype=complex).reshape(2, c, cols)
     # overflow is tolerated here: callers check finiteness and raise
     with np.errstate(over="ignore", invalid="ignore"):
         for p0, n, h, lo, hi in _pieces(pot, cfg):
+            m, length = _slices(n, c, cols)
+            # the piece's 2n + 1 stage points, then the padding's, at hi with scale 0
             left = p0 + np.arange(n) * h
-            xs = np.empty(2 * n + 1)
-            xs[0], xs[1::2], xs[2::2] = p0, left + h / 2, left + h
-            xs = np.clip(xs, lo, hi)
-            scale = np.full(2 * n + 1, -1j * h / 6)
-            scale[1::2] *= 2
+            xs = np.full(2 * m * length + 1, hi)
+            xs[0], xs[1:2 * n:2], xs[2:2 * n + 1:2] = p0, left + h / 2, left + h
+            scale = np.zeros(xs.size, dtype=complex)
+            scale[:2 * n + 1] = -1j * h / 6
+            scale[1:2 * n:2] *= 2
+            # (point, slice) tables: slice k's point j is the piece's point 2 k L + j
+            at = np.arange(2 * length + 1)[:, None] + 2 * length * np.arange(m)
+            if m == 1:                      # one slice steps the state itself
+                at, ys = at[:, 0], y
+            else:
+                ys = np.empty((2, m, c, cols), dtype=complex)
+                ys[:, 0], ys[:, 1:] = y, np.eye(2 * c, cols).reshape(2, 1, c, cols)
+            xs, scale = np.clip(xs, lo, hi)[at], scale[at]
             rows, minus, p = _phases(omegas, xs, scale)
             u = [uniform_part(pot, xs, grid.k)] if uniform else []
-            profiles = np.stack([m.profile(xs) for m in members] + u, axis=1)
-            pm = p[:, :moved, None]
-            _advance_by_steps((profiles, flat, rows[:, :moved], minus),
-                              (_by_step(p[:, :, None]), _by_step(-pm),
-                               _by_step(3 * np.diff(pm, axis=0), 2)), y)
-    return y if halves == 2 else _time_reversed(y, grid)
+            profiles = np.stack([member.profile(xs) for member in members] + u, axis=-1)
+            pt = p[..., None]
+            _advance_by_steps((profiles, flat, rows[..., :moved], minus, n - (m - 1) * length),
+                              (_by_step(pt), _by_step(-pt), _by_step(3 * np.diff(pt, axis=0), 2)),
+                              ys)
+            if m > 1:
+                y = ys[:, 0]
+            for k in range(1, m):
+                later = _time_reversed(ys[:, k], grid) if real else ys[:, k]
+                y = (later.reshape(2 * c, 2 * c) @ y.reshape(2 * c, cols)).reshape(2, c, cols)
+    return _time_reversed(y, grid) if real else y
+
+
+def _slices(n: int, c: int, cols: int) -> tuple:
+    """(m, L): a dense piece of n steps, on c channels and cols columns,
+    runs as m slices of L = ceil(n / m) steps.  m is SLICES where the
+    slices' plus rows, SLICES c x cols complex numbers, fit in BLOCK_BYTES
+    (N <= 44 for a real potential, N <= 31 for a complex one), and 1 on
+    larger states, which such a batch would push out of the cache; then no
+    more than ceil(n / L), so that no slice is all padding."""
+    m = SLICES if SLICES * 16 * c * cols <= BLOCK_BYTES else 1
+    length = -(-n // m)
+    return -(-n // length), length
 
 
 def _time_reversed(plus, grid) -> np.ndarray:

@@ -382,7 +382,8 @@ def solve_outgoing(op: TransferOperator, incident: complex = 1.0):
     into a delta coefficient and smooth node samples.  When the
     reflected-channel system is (near-)singular the flag reports it and
     values may be non-finite; such a point is a spectral singularity of the
-    potential.  With no kernel the system is diagonal; a factored kernel is
+    potential.  An amplitude that overflows is flagged singular too.  With
+    no kernel the system is diagonal; a factored kernel is
     solved by its capacitance matrix where _capacitance_solve accepts it;
     every other case goes through a dense LU.  A non-finite incident raises
     ValueError.
@@ -422,17 +423,18 @@ def solve_outgoing(op: TransferOperator, incident: complex = 1.0):
     elif rcond <= RCOND_NEAR_SINGULAR and flag_kind == "none":
         flag_kind = "near-singular"
 
-    if flag_kind != "singular":
-        tp_delta = m0[0, 0] * incident + m0[0, 1] * b0 - incident
-    else:
-        tp_delta = complex(np.nan)
-
+    # the transmitted amplitude may overflow too: a non-finite one is singular
     with np.errstate(over="ignore", invalid="ignore"):
+        tp_delta = m0[0, 0] * incident + m0[0, 1] * b0 - incident
         tp_smooth = k0[0, 0] * incident + b0 * k0[0, 1] + mult_grid[0, 1] * phi
         if factored:
             tp_smooth = tp_smooth + kernel.left[0] @ (kernel.right[:, 1, :-1] @ phi)
         elif kernel is not None:
             tp_smooth = tp_smooth + kernel[0, 1, :, :-1] @ phi
+    if not (np.isfinite(tp_delta) and np.all(np.isfinite(tp_smooth))):
+        flag_kind = "singular"
+    if flag_kind == "singular":
+        tp_delta = complex(np.nan)
     grid = op.grid
     t_minus = SpectralAmplitude(grid=grid, delta_coeff=complex(b0), smooth=phi)
     t_plus = SpectralAmplitude(grid=grid, delta_coeff=complex(tp_delta), smooth=tp_smooth)

@@ -328,6 +328,29 @@ def test_non_finite_right_hand_side_is_flagged():
     assert not np.all(np.isfinite(t_minus.smooth))
 
 
+@pytest.mark.parametrize("part", ["delta", "smooth"])
+def test_overflowing_transmitted_amplitude_is_flagged(part):
+    # finite, well-conditioned and with a finite reflected amplitude, but the
+    # transmitted one overflows at incident 1e300: in its delta coefficient
+    # (kernel-free, the beam's mult 1e10) or in its smooth part (a beam
+    # column entry 1e10)
+    if part == "delta":
+        mult = np.ones((2, 2, 5), dtype=complex)
+        mult[0, 0] = 1e10
+        mult[0, 1] = mult[1, 0] = 0
+        op = TransferOperator(grid=build_grid(1.3, 4), mult=mult, kernel=None)
+    else:
+        beam = np.zeros((2, 2, 4), dtype=complex)
+        beam[0, 0, 2] = 1e10
+        op = dense_system(np.eye(4, dtype=complex), beam)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t_plus, t_minus, flag = solve_outgoing(op, incident=1e300)
+    assert np.all(np.isfinite(t_minus.smooth)) and flag.condition == 1.0
+    assert flag.is_singular
+    assert not np.isfinite(t_plus.delta_coeff)
+
+
 def test_non_finite_beam_column_is_a_divergence():
     beam = np.zeros((2, 2, 4), dtype=complex)
     beam[1, 0, 2] = np.inf

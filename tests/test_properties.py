@@ -2,8 +2,8 @@
 factored kernels, composed and extracted against their dense forms; compose's
 mult against a per-channel matrix product, and its kernel affine in each
 operand's kernel), of the factored evolution generator and its RK4, stage
-matrices built by blocks of steps and real potentials' time-reversed
-columns included, against the dense ones, and of
+matrices built by blocks of steps, x-slices evolved side by side and real
+potentials' time-reversed columns included, against the dense ones, and of
 the layered path's powered step maps against a per-channel RK4."""
 
 from unittest import mock
@@ -421,9 +421,11 @@ def plain_rk4(pot, grid, cfg):
     return u
 
 
-def assert_matches_plain_rk4(pot, n):
+def assert_matches_plain_rk4(pot, n, steps=60, x_max=None):
     grid = build_grid(1.3, n)
-    cfg = auto_config(pot, 60)
+    cfg = auto_config(pot, steps)
+    if x_max is not None:
+        cfg = EvolutionConfig(cfg.x_min, x_max, steps)
     op = evolve_transfer(pot, grid, cfg)
     u = plain_rk4(pot, grid, cfg)
     # grid rows; columns (plus, minus) x (grid channels, beam)
@@ -459,12 +461,58 @@ def test_only_real_potentials_evolve_half_the_columns(pot, request, monkeypatch)
 
 @pytest.mark.parametrize("pot", GENERATOR_POTENTIALS[1:])
 def test_stage_matrix_blocks_match_plain_rk4(pot, monkeypatch):
-    # a cap of 15 stage matrices on C = 6 channels makes blocks of 7 steps,
-    # so each piece (60 steps; 9 and 51 either side of the slab edge) spans
-    # one or more full blocks and a partial last one
+    # a cap of 7 stage matrices a slice on C = 6 channels keeps 8 slices and
+    # makes blocks of 3 batched steps, so each piece (60 steps: 8 slices of
+    # 8; 9 and 51 either side of the slab edge: 5 slices of 2 and 8 of 7)
+    # spans full blocks, a block cut where the short last slice's padding
+    # begins and a partial last one
     n = 5
-    monkeypatch.setattr(evolution, "BLOCK_BYTES", 15 * 16 * (n + 1) ** 2)
+    monkeypatch.setattr(evolution, "BLOCK_BYTES", 7 * evolution.SLICES * 16 * (n + 1) ** 2)
     assert_matches_plain_rk4(pot, n)
+
+
+# the slab's edges split the window in three pieces, with a bump on either side
+SLICED_POTENTIALS = GENERATOR_POTENTIALS + [
+    pytest.param(SumPotential((GaussianBump(0.3, (-3.0, 0.2), (0.3, 0.7)), Slab(2.0 + 0.1j, 1.0),
+                               GaussianBump(0.25, (4.0, -0.4), (0.3, 0.6)))),
+                 id="bump+slab+bump"),
+    pytest.param(SumPotential((GaussianBump(0.3, (-3.0, 0.2), (0.3, 0.7)), Slab(2.0, 1.0),
+                               GaussianBump(0.25, (4.0, -0.4), (0.3, 0.6)))),
+                 id="real-bump+slab+bump"),
+]
+
+
+# at N = 5 a piece of n steps runs as ceil(n / ceil(n / 8)) slices: fewer
+# steps than slices (1, 3: one step a slice), 7 slices of one step, a short
+# last slice (9: 5 slices of 2, the last of 1; 61: 8 of 8, the last of 5),
+# and an exact multiple (64: 8 of 8).  The window is the whole support, or
+# ends at the last bump's centre, where the last stage matrix is far from
+# zero, so a padded step that kept it would show.
+@pytest.mark.parametrize("window", ["whole", "cut"])
+@pytest.mark.parametrize("steps", [1, 3, 7, 9, 61, 64])
+@pytest.mark.parametrize("pot", SLICED_POTENTIALS)
+def test_slices_match_plain_rk4(pot, steps, window):
+    x_max = smooth_members(pot)[-1].center[0] if window == "cut" else None
+    assert_matches_plain_rk4(pot, 5, steps, x_max)
+
+
+@pytest.mark.parametrize("n, slices", [(16, evolution.SLICES), (64, 1)])
+@pytest.mark.parametrize("amplitude", [0.4, 0.4 + 0.1j], ids=["real", "complex"])
+def test_slice_count_is_a_rule_on_sizes(amplitude, n, slices, monkeypatch):
+    # the spy records each dense piece's slice count, the leading axis of a
+    # batch of slices (a single slice steps the state itself)
+    counts, advance = [], evolution._advance_by_steps
+
+    def spy(stage, phases, y):
+        counts.append(y.shape[1] if y.ndim == 4 else 1)
+        advance(stage, phases, y)
+
+    monkeypatch.setattr(evolution, "_advance_by_steps", spy)
+    pot, grid = GaussianBump(amplitude, (0.2, 0.5), (0.6, 0.8)), build_grid(1.3, n)
+    ops = [evolve_transfer(pot, grid, auto_config(pot, 400)) for _ in range(2)]
+    assert counts == [slices, slices] and (n > 16 or slices > 1)
+    first, second = ([op.mult.tobytes(), op.kernel.tobytes()] for op in ops)
+    assert first == second
 
 
 # ---------------------------------------------------------------------------

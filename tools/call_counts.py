@@ -8,14 +8,17 @@ methods that tmscat code calls directly, by name, and their total:
 - one layered window of 50 steps (a slab, evolve_transfer) on a 2D grid of
   N = 24 and on a 10 x 6 disc grid;
 - one compose of two multiplicative operators (two such windows);
-- one dense RK4 step (the first _rk4_step of a Gaussian bump's
-  evolve_transfer, N = 24), and the shapes of the state the dense steps
-  evolve and of their stage matrices for a real bump, a complex bump and a
-  slab next to a bump.  The state has the plus columns alone (N + 1) for a
-  real potential, whose minus columns come from time reversal, and all
-  2N + 2 for a complex one.  A stage matrix has N rows, and the steps move
-  only the N grid rows of the state, for a potential with no uniform part,
-  whose beam row is zero; it has N + 1 with one (the slab).
+- one batched dense RK4 step (the first _rk4_step of a Gaussian bump's
+  evolve_transfer, N = 24), and for a real bump, a complex bump and a slab
+  next to a bump, evolved in 400 steps: each dense piece's slice count,
+  the batched steps of the whole evolution (the Python-level iterations of
+  _advance_by_steps, each advancing every slice of its piece by one step),
+  the numpy calls of one batched step, and the shapes of the state the
+  steps advance and of the stage matrices at one point, both with the
+  slice axis (a single slice has none).  The state has the plus columns alone (N + 1) for a real potential, whose
+  minus columns come from time reversal, and all 2N + 2 for a complex one.
+  A stage matrix has N rows for a potential with no uniform part, whose
+  beam row is zero, and N + 1 with one (the slab).
 
 Each call runs once unmeasured first.  sys.setprofile sees numpy's Python
 functions (a dispatched function's __array_function__ dispatcher is not
@@ -132,23 +135,29 @@ def numpy_calls(run, within=None) -> Counter:
     return counts
 
 
-def evolved_shapes(pot, grid, cfg) -> tuple:
-    """The shapes of the state that evolve_transfer's dense steps advance
-    and of one stage matrix T."""
-    shapes = []
-    advance = evolution._advance_by_steps
+def dense_pieces(pot, grid, cfg) -> tuple:
+    """(slice count, state shape, stage-matrix shape) of each dense piece
+    that evolve_transfer runs, and the batched steps of the evolution."""
+    pieces, steps = [], 0
+    advance, step = evolution._advance_by_steps, evolution._rk4_step
 
     def recording(stage, phases, y):
-        rows = stage[2]
-        shapes.append((y.shape, (rows.shape[1], y.shape[1])))
+        rows, minus = stage[2], stage[3]
+        pieces.append((y.shape[1] if y.ndim == 4 else 1, y.shape,
+                       rows.shape[1:] + minus.shape[-1:]))
         advance(stage, phases, y)
 
-    evolution._advance_by_steps = recording
+    def counting(*args):
+        nonlocal steps
+        steps += 1
+        step(*args)
+
+    evolution._advance_by_steps, evolution._rk4_step = recording, counting
     try:
         tmscat.evolve_transfer(pot, grid, cfg)
     finally:
-        evolution._advance_by_steps = advance
-    return shapes[0]
+        evolution._advance_by_steps, evolution._rk4_step = advance, step
+    return pieces, steps
 
 
 def report(title: str, counts: Counter) -> None:
@@ -170,16 +179,21 @@ def main() -> int:
     report("compose of two multiplicative operators, 2D N = 24",
            numpy_calls(lambda: tmscat.compose(second, first)))
     bump = tmscat.GaussianBump(0.3 + 0.1j, (0.2, 0.5), (0.6, 0.8))
-    report("dense RK4 step, Gaussian bump, 2D N = 24",
+    report("batched dense RK4 step, Gaussian bump, 2D N = 24",
            numpy_calls(lambda: tmscat.evolve_transfer(bump, grid, tmscat.auto_config(bump, 40)),
                        within=evolution._rk4_step))
     slab_bump = tmscat.SumPotential((tmscat.Slab(2.0 + 0.1j, 1.0),
                                      tmscat.GaussianBump(0.3, (4.0, 0.2), (0.3, 0.7))))
     for kind, pot in (("real bump", tmscat.GaussianBump(0.3, (0.2, 0.5), (0.6, 0.8))),
                       ("complex bump", bump), ("slab+bump", slab_bump)):
-        shape, stage = evolved_shapes(pot, grid, tmscat.auto_config(pot, 40))
-        print(f"dense evolved state, {kind}, 2D N = 24: shape {shape}, "
-              f"{shape[-1]} columns; stage matrices {stage[0]} x {stage[1]}")
+        cfg = tmscat.auto_config(pot, 400)
+        pieces, steps = dense_pieces(pot, grid, cfg)
+        calls = numpy_calls(lambda: tmscat.evolve_transfer(pot, grid, cfg),
+                            within=evolution._rk4_step)
+        slices = ", ".join(str(m) for m, _, _ in pieces)
+        shapes = "; ".join(f"state {shape}, stage matrices {stage}" for _, shape, stage in pieces)
+        print(f"dense evolution, {kind}, 2D N = 24, 400 steps: {slices} slices, "
+              f"{steps} batched steps of {sum(calls.values())} numpy calls; {shapes}")
     return 0
 
 
