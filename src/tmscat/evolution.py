@@ -14,38 +14,44 @@ transfer operator.  H is exactly zero wherever the potential vanishes, and
 the evolution there is exactly the identity.
 
 The coherent beam at p = 0 is evolved alongside the grid as one more
-channel: its response becomes the kernel's last column, and the
-y-independent part of the potential drives a per-channel 2x2 evolution
-that becomes the operator's multiplication part.  A potential with no
-y-dependent member runs only that evolution and carries no kernel.  On a
-3D DiscGrid (x is then the layer axis z) only such potentials evolve, on
-any number of channels: a channel's 2x2 evolution depends on it only
-through omega, so a layered piece costs one 2x2 evolution per distinct
-frequency, on the grid's distinct_omegas (found once, when the grid is
-built): n_radial + 1 on a DiscGrid (61 channels of a 10 x 6 disc evolve
-as 11, 257 of a 16 x 16 disc as 17), at most S + 1 on a MomentumGrid,
-whose +-p frequencies agree only where k sin(theta) rounds alike.  Between
-layer edges its steps differ by a phase conjugation, so a piece runs three
-and O(log n) products, each the per-channel 2x2 product operators._times
-that compose also uses.
-Its mult becomes the operator's without a copy.
+channel: its response becomes the kernel's last column.  The window is cut
+at the layer edges into pieces (_pieces), and the operator is the product
+of the pieces' operators in x order, the paper's composition rule.
+_evolve runs one loop over them:
 
-evolve_transfer chooses the path once: _layered_mult evolves mult and
-_dense_state the dense half state, each over the pieces of _pieces, with
-_advance_by_power and _advance_by_steps; _rk4_step is the one step of both.
-It runs the four RK4 stages as two batched products, (k1, k3) and then
-(k2, k4): at one point a stage leaves P A + B as it is, so the third
-stage's input does not wait for the second.  A dense piece runs its n
-steps as m contiguous x-slices of ceil(n / m) steps, side by side on a
-leading slice axis of the state: the first slice from the state so far,
-the others from the identity, each of the ceil(n / m) batched steps
-advancing every slice at once.  The slice propagators then multiply in x
-order, as the transfer operators of a potential's x-pieces do.  m is
-SLICES where the batch fits in BLOCK_BYTES and 1 on larger states
-(_slices), a rule on the sizes alone, so an input gives the same bytes on
-every host.  Without a uniform part the dense stage matrices have a zero
-beam row, so they are built with the N grid rows only, and the stage
-products write only those rows of their slots.
+- a piece inside a layer (u(x) != 0 there) has a purely multiplicative
+  operator, a 2x2 map per channel that depends on the channel only through
+  omega.  So it costs one 2x2 evolution per distinct frequency, on the
+  grid's distinct_omegas (found once, when the grid is built): n_radial + 1
+  on a DiscGrid (61 channels of a 10 x 6 disc evolve as 11, 257 of a 16 x
+  16 disc as 17), at most S + 1 on a MomentumGrid, whose +-p frequencies
+  agree only where k sin(theta) rounds alike.  Between layer edges its steps
+  differ by a phase conjugation, so a piece runs three and O(log n)
+  products (_advance_by_power), each the per-channel 2x2 product
+  operators._times that compose also uses.  The maps advance mult, the
+  operator's multiplication part, and multiply the dense state's rows,
+  channel by channel, with the same _times;
+- every other piece advances the dense half state by the smooth members
+  alone (_advance_by_steps).
+
+A potential with no smooth member has no dense state and carries no
+kernel; one with no layer keeps mult = unit_mult.  On a 3D DiscGrid (x is
+then the layer axis z) only layered potentials evolve, on any number of
+channels.
+
+_rk4_step is the one step of both kinds of piece.  It runs the four RK4
+stages as two batched products, (k1, k3) and then (k2, k4): at one point a
+stage leaves P A + B as it is, so the third stage's input does not wait
+for the second.  A dense piece runs its n steps as m contiguous x-slices of
+ceil(n / m) steps, side by side on a leading slice axis of the state: the
+first slice from the state so far, the others from the identity, each of
+the ceil(n / m) batched steps advancing every slice at once.  The slice
+propagators then multiply in x order, as the transfer operators of a
+potential's x-pieces do.  m is SLICES where the batch fits in BLOCK_BYTES
+and 1 on larger states (_slices), a rule on the sizes alone, never on the
+host.  Nothing maps the smooth channels into the beam, so the dense stage
+matrices have the N grid rows only, and the stage products write only
+those rows of their slots.
 A real (lossless) potential, one whose every complex field has imaginary
 part exactly 0 (potentials.is_real), evolves only the N + 1 plus columns
 of the dense state; time reversal, M* = Sigma M Sigma with Sigma swapping
@@ -71,12 +77,12 @@ from .errors import (AccuracyWarning, DivergenceError, UnsupportedEvaluationErro
                      integer)
 from .grid import DiscGrid, MomentumGrid
 from .operators import TransferOperator, _times, unit_mult
-from .potentials import (discontinuities, has_uniform_part, is_real, is_x_singular,
-                         is_y_independent, smooth_members, uniform_part, x_support)
+from .potentials import (discontinuities, is_real, is_x_singular, is_y_independent,
+                         smooth_members, uniform_part, x_support)
 
-# most bytes of stage matrices a dense piece builds per call (_advance_by_steps)
+# a dense piece runs SLICES slices side by side where their plus rows fit in
+# BLOCK_BYTES, and one slice beyond (_slices)
 BLOCK_BYTES = 2 ** 18
-# slices a dense piece runs side by side where their state fits in BLOCK_BYTES (_slices)
 SLICES = 8
 # RK4 weights of a step's left, mid and right points, and the identity as
 # (plus, minus) rows x steps x (plus, minus) columns x channels, for a layered piece
@@ -198,20 +204,17 @@ def _phases(omegas: np.ndarray, xs: np.ndarray, scale: np.ndarray) -> tuple:
     return (scale[..., None] * (0.5 / omegas)) * minus, minus, phase * phase
 
 
-def _sources(pot, grid, members) -> np.ndarray:
-    """The S_m of the smooth members on the S + 1 channels, then the
-    identity (weighted by u(x) as S_m by profile_m(x)) if pot has a uniform
-    part.  S_m is transform_y at p_j - p_l with grid.measure (w_l omega_l /
-    2 pi) in its columns and at p_j (the beam source) in its last column;
-    its beam row is zero: nothing maps smooth channels into the beam."""
-    n, uniform = grid.size, has_uniform_part(pot)
-    sources = np.zeros((len(members) + uniform, n + 1, n + 1), dtype=complex)
+def _sources(grid, members) -> np.ndarray:
+    """The S_m of the smooth members, N grid rows by S + 1 channels:
+    transform_y at p_j - p_l with grid.measure (w_l omega_l / 2 pi) in its
+    columns and at p_j (the beam source) in its last column.  There is no
+    beam row: nothing maps the smooth channels into the beam."""
+    n = grid.size
+    sources = np.empty((len(members), n, n + 1), dtype=complex)
     q = grid.nodes[:, None] - grid.nodes[None, :]
     for source, member in zip(sources, members):
-        source[:n, :n] = member.transform_y(q) * grid.measure
-        source[:n, n] = member.transform_y(grid.nodes)
-    if uniform:
-        sources[-1] = np.eye(n + 1)
+        source[:, :n] = member.transform_y(q) * grid.measure
+        source[:, n] = member.transform_y(grid.nodes)
     return sources
 
 
@@ -240,16 +243,16 @@ def _work(y, rows=None) -> tuple:
     three slots hold the three z = P A + B and later the B increments; then
     (k1, k3) is one pair of slots, k1, s and k4 are adjacent, and each
     increment of A sits three slots after its increment of B.  A's leading
-    axes (the slices of _advance_by_steps) carry over to every slot.
+    axes (the slices of a dense piece) carry over to every slot.
 
-    rows, when given, is the number of leading rows of A that T can move:
-    the two stage products write only those rows of their slots, whose
-    other rows start as zero and stay so, and every elementwise call runs
-    on whole slots.
+    rows, when given, is the number of T's rows, the leading rows of A (the
+    grid rows: a dense T has no beam row): the two stage products write
+    only those rows of their slots, whose other rows start as zero and stay
+    so, and every elementwise call runs on whole slots.
     """
     st = np.zeros((7,) + y.shape[1:], dtype=complex)
-    z, moved = st[:3], st[..., :rows, :]
-    return (y[0], y[1], y, z, z[:2], z[1:], st[3:5], moved[3:5], st[5:7], moved[6:4:-1],
+    z, written = st[:3], st[..., :rows, :]
+    return (y[0], y[1], y, z, z[:2], z[1:], st[3:5], written[3:5], st[5:7], written[6:4:-1],
             st[4], st[6], st[3:6], st[:3], st[3::-3], st[4::-3], st[5::-3])
 
 
@@ -258,7 +261,7 @@ def _rk4_step(apply, pw, pn, d, t, work) -> None:
 
     pw is (P_l, P_m, P_r), pn is -pw, d is (3 (P_m - P_l), 3 (P_r - P_m))
     and t is (T_l, T_m, T_r), at the step's left, mid and right points,
-    each broadcast against A (t on the rows it moves); apply(T, z, out=) is
+    each broadcast against A (t on the rows it has); apply(T, z, out=) is
     T z, and work is _work of y.  A may carry leading axes, over which the
     step is batched: the slices of a dense piece, or a layered piece's
     steps.
@@ -276,13 +279,13 @@ def _rk4_step(apply, pw, pn, d, t, work) -> None:
     the order k1, s, k4.  Where T vanishes A and B stay exactly as they
     are.
     """
-    a, b, y, z, zlm, zmr, k13, k13_moved, w, k24_moved, s, k2, ks, bs, *inc = work
+    a, b, y, z, zlm, zmr, k13, k13_rows, w, k24_rows, s, k2, ks, bs, *inc = work
     np.multiply(pw, a, out=z)
     z += b
-    apply(t[:2], zlm, out=k13_moved)
+    apply(t[:2], zlm, out=k13_rows)
     np.multiply(d, k13, out=w)
     zmr += w
-    apply(t[1:], zmr, out=k24_moved)
+    apply(t[1:], zmr, out=k24_rows)
     s += k2
     np.multiply(pn, ks, out=bs)
     for i in inc:
@@ -290,43 +293,34 @@ def _rk4_step(apply, pw, pn, d, t, work) -> None:
 
 
 def _advance_by_steps(stage, phases, y) -> None:
-    """Advance y through a piece one batched step after another, T a
-    matrix: y is the state, or with a leading slice axis, y[:, k], the
-    slices of _dense_state side by side.
+    """Advance the slices y[:, k] of a dense piece side by side, one batched
+    step after another, T a matrix.
 
-    stage is (profiles, flat sources, rows, minus, short): _dense_state's
-    tables at the slices' 2L + 1 stage points, as (point[, slice]) rows,
-    and the real steps of the last slice, whose later steps are padding.  T
-    has as many rows as rows has columns, the rows of y that the products
-    move.  The stage matrices are built by blocks of as many batched steps
-    as fit in BLOCK_BYTES (at least one) into the one buffer ts, each block
-    by one product of its profiles with the sources and two scalings; a
-    block's first point is the last of the block before, carried over in
-    ts[0], so every point is built once.  A block also ends where the
-    padding begins, and the last slice's carried point is zeroed there: its
-    later points have zero rows, so every stage matrix of a padded step is
-    zero, and such a step leaves its slice exactly as it is.
+    stage is (profiles, flat sources, rows, minus, short): _evolve's tables
+    at the slices' 2L + 1 stage points, as (point, slice) rows, and the
+    real steps of the last slice, whose later steps are padding.  T has as
+    many rows as rows has columns, the grid rows of y.  Each step builds
+    the stage matrices of its mid and right points, by one product of their
+    profiles with the sources and two scalings, and takes its left point
+    over from the step before, so every point is built once.  At step short
+    the last slice's carried point is zeroed: its later points have zero
+    rows, so every stage matrix of a padded step is zero, and such a step
+    leaves its slice exactly as it is.
     """
     profiles, flat, rows, minus, short = stage
-    n, r, c = phases[0].shape[1], rows.shape[-1], minus.shape[-1]
-    # a block's 2 per + 1 points of stage matrices, at most 16 c^2 bytes a
-    # slice, fit in BLOCK_BYTES
-    per = max(1, (BLOCK_BYTES // (16 * c * minus[0].size) - 1) // 2)
+    r, c = rows.shape[-1], minus.shape[-1]
     work = _work(y, r)
-    ts = np.empty((2 * per + 1,) + rows.shape[1:-1] + (r, c), dtype=complex)
-    ends = sorted({*range(per, n, per), short, n})
-    for i, e in zip([0] + ends, ends):
-        if i == short:      # only a padded last slice (of several) has short < n
+    ts = np.empty((3,) + rows.shape[1:-1] + (r, c), dtype=complex)
+    for i, step in enumerate(zip(*(a.swapaxes(0, 1) for a in phases))):
+        if i == short:      # only a padded last slice (of several) has short < L
             ts[0, -1] = 0
-        lo, hi = 2 * i + (i > 0), 2 * e + 1     # the first block builds point 0 too
-        t = ts[lo - 2 * i:2 * (e - i) + 1]
+        lo, hi = 2 * i + (i > 0), 2 * i + 3     # the first step builds point 0 too
+        t = ts[lo - 2 * i:]
         np.matmul(profiles[lo:hi].reshape(-1, len(flat)), flat, out=t.reshape(-1, r * c))
         t *= rows[lo:hi, ..., None]
         t *= minus[lo:hi, ..., None, :]
-        block = [a[:, i:e] for a in phases] + [_by_step(ts[:2 * (e - i) + 1])]
-        for step in zip(*(a.swapaxes(0, 1) for a in block)):
-            _rk4_step(np.matmul, *step, work)
-        ts[0] = ts[2 * (e - i)]
+        _rk4_step(np.matmul, *step, ts, work)
+        ts[0] = ts[2]
 
 
 def _advance_by_power(t, phases, y, n) -> None:
@@ -339,11 +333,9 @@ def _advance_by_power(t, phases, y, n) -> None:
     e^{2i omega a}), read off the phase table P, step i's map is
     D((i - 1) h) M_1 D(-(i - 1) h), so steps 1 ... n - 2 multiply to
     D((n - 2) h) (D(-h) M_1)^(n - 2), applied by squaring.  The first and
-    last steps, whose outer points are clamped, apply as they are.  Where
-    T vanishes y stays exactly as it is.  Extra memory O(C).
+    last steps, whose outer points are clamped, apply as they are.  Extra
+    memory O(C).
     """
-    if not t.any():
-        return
     maps = np.empty((2, t.shape[1]) + y.shape[1:], dtype=complex)
     maps[...] = _EYE_MAPS
     _rk4_step(np.multiply, *phases, t, _work(maps))
@@ -363,71 +355,98 @@ def _advance_by_power(t, phases, y, n) -> None:
         _times(maps[:, -1], y, out=y)
 
 
-def _dense_state(pot, grid, members, cfg: EvolutionConfig) -> np.ndarray:
-    """The half state evolved from the identity: plus and minus rows of the
-    S + 1 channels, columns (plus, minus) x channels.  For a real potential
-    only the plus columns evolve; _time_reversed builds the minus ones.
+def _evolve(pot, grid, members, cfg: EvolutionConfig) -> tuple:
+    """(mult, state), evolved from the identity piece by piece: the
+    operator's multiplication part, unit_mult(grid) where no piece lies
+    inside a layer, and for a potential with smooth members the dense half
+    state, else None.
 
-    With P = e^{2i omega x}, the plus rows of H U are T (P A + B) and the
-    minus rows -P times those, where A and B are the plus and minus rows of
-    U and
+    Each piece tabulates T = u(x) diag(e^{-i omega x} / 2 omega)
+    diag(e^{-i omega x}) at its first, second and last steps, as (slot,
+    step) rows, on grid.distinct_omegas.  Where T does not vanish the piece
+    lies inside a layer, which SumPotential keeps the smooth members' spans
+    out of (their tails there are below e^-32 of their peak), so its
+    operator is a 2x2 map per channel.  A channel evolves on its own and
+    only through omega: once per distinct omega, gathered by
+    grid.distinct_index, and bitwise as if per channel, every operation
+    being elementwise.  u (a stack of slabs) is constant between
+    discontinuities, so _advance_by_power advances mult in place by three
+    step maps and powers.  With a state it also evolves the piece's own
+    maps from the identity, and _times multiplies the state's rows by them,
+    channel by channel.
 
-        T = diag(e^{-i omega x} / 2 omega) (sum_m profile_m(x) S_m + u(x) I)
-            diag(e^{-i omega x}),
+    Every other piece advances the state by the smooth members alone.  The
+    state holds the plus and minus rows of the S + 1 channels, columns (plus,
+    minus) x channels; for a real potential only the plus columns, and
+    _time_reversed builds the minus ones.  With P = e^{2i omega x}, the
+    plus rows of H U are T (P A + B) and the minus rows -P times those,
+    where A and B are the plus and minus rows of U and
 
-    times -i h / 6 (-i h / 3 at midpoints).  Every smooth member is
-    separable, vt(x, q) = profile(x) transform_y(q), so the S_m (_sources)
-    are built once, and _advance_by_steps builds T from a piece's profiles,
-    u and phases at its 2n + 1 stage points.
+        T = diag(e^{-i omega x} / 2 omega) (sum_m profile_m(x) S_m) diag(e^{-i omega x}),
 
-    A piece's n steps run as m contiguous slices of L = ceil(n / m) steps
-    (_slices), evolved side by side on a leading slice axis of the state,
-    (2, m, S + 1, columns); the last slice is padded with steps whose stage
-    matrices are zero.  The first slice starts from the state so far, the
-    others from the identity, and their propagators then multiply in x
-    order.  For a real potential every slice evolves its plus columns, and
-    _time_reversed completes slices 2 ... m before the product.  One slice
-    steps the state itself, with no slice axis, by the arithmetic of
-    stepping it through the piece.
+    on the N grid rows (_sources), times -i h / 6 (-i h / 3 at midpoints).
+    Every smooth member is separable, vt(x, q) = profile(x) transform_y(q),
+    so the S_m are built once, and _advance_by_steps builds T from a piece's
+    profiles and phases at its 2n + 1 stage points.  The piece's n steps run
+    as m contiguous slices of L = ceil(n / m) steps (_slices), evolved side
+    by side on a leading slice axis, (2, m, S + 1, columns); the last slice
+    is padded with steps whose stage matrices are zero.  The first slice
+    starts from the state so far, the others from the identity, and their
+    propagators then multiply in x order; for a real potential
+    _time_reversed completes slices 2 ... m first.
     """
-    c, omegas, uniform = grid.size + 1, grid.channel_omegas, has_uniform_part(pot)
-    moved = c if uniform else c - 1         # without a uniform part T's beam row is zero
-    flat = _sources(pot, grid, members)[:, :moved].reshape(len(members) + uniform, -1)
-    real = is_real(pot)
-    cols = c if real else 2 * c
-    y = np.eye(2 * c, cols, dtype=complex).reshape(2, c, cols)
+    omegas, mult, y = grid.distinct_omegas, None, None
+    if members:
+        c, real = grid.size + 1, is_real(pot)
+        cols = c if real else 2 * c
+        flat = _sources(grid, members).reshape(len(members), -1)
+        y = np.eye(2 * c, cols, dtype=complex).reshape(2, c, cols)
     # overflow is tolerated here: callers check finiteness and raise
     with np.errstate(over="ignore", invalid="ignore"):
         for p0, n, h, lo, hi in _pieces(pot, cfg):
-            m, length = _slices(n, c, cols)
-            # the piece's 2n + 1 stage points, then the padding's, at hi with scale 0
-            left = p0 + np.arange(n) * h
-            xs = np.full(2 * m * length + 1, hi)
-            xs[0], xs[1:2 * n:2], xs[2:2 * n + 1:2] = p0, left + h / 2, left + h
-            scale = np.zeros(xs.size, dtype=complex)
-            scale[:2 * n + 1] = -1j * h / 6
-            scale[1:2 * n:2] *= 2
-            # (point, slice) tables: slice k's point j is the piece's point 2 k L + j
-            at = np.arange(2 * length + 1)[:, None] + 2 * length * np.arange(m)
-            if m == 1:                      # one slice steps the state itself
-                at, ys = at[:, 0], y
-            else:
+            starts = [p0 + i * h for i in (0, 1, n - 1)[:n]]
+            xs = np.array([[min(max(s + x, lo), hi) for x in starts] for s in (0.0, h / 2, h)])
+            rows, minus, p = _phases(omegas, xs, _RK4_WEIGHTS * (-1j * h / 6))
+            t = (uniform_part(pot, xs, grid.k)[..., None] * rows * minus)[..., None, :]
+            if t.any():
+                pw = p[..., None, :]
+                phases = (pw, -pw, 3 * (pw[1:] - pw[:-1]))
+                if mult is None:
+                    mult = np.zeros((2, 2, omegas.size), dtype=complex)
+                    mult[0, 0] = mult[1, 1] = 1
+                _advance_by_power(t, phases, mult, n)
+                if y is not None:       # the piece's own maps multiply the state's rows
+                    maps = np.zeros_like(mult)
+                    maps[0, 0] = maps[1, 1] = 1
+                    _advance_by_power(t, phases, maps, n)
+                    y_t = y.transpose(0, 2, 1)
+                    _times(maps.take(grid.distinct_index, axis=-1), y_t, out=y_t)
+            elif y is not None:
+                m, length = _slices(n, c, cols)
+                # the piece's 2n + 1 stage points, then the padding's, at hi with scale 0
+                left = p0 + np.arange(n) * h
+                xs = np.full(2 * m * length + 1, hi)
+                xs[0], xs[1:2 * n:2], xs[2:2 * n + 1:2] = p0, left + h / 2, left + h
+                scale = np.zeros(xs.size, dtype=complex)
+                scale[:2 * n + 1] = -1j * h / 6
+                scale[1:2 * n:2] *= 2
+                # (point, slice) tables: slice k's point j is the piece's point 2 k L + j
+                at = np.arange(2 * length + 1)[:, None] + 2 * length * np.arange(m)
+                xs, scale = np.clip(xs, lo, hi)[at], scale[at]
+                rows, minus, p = _phases(grid.channel_omegas, xs, scale)
+                profiles = np.stack([member.profile(xs) for member in members], axis=-1)
+                pt = p[..., None]
                 ys = np.empty((2, m, c, cols), dtype=complex)
                 ys[:, 0], ys[:, 1:] = y, np.eye(2 * c, cols).reshape(2, 1, c, cols)
-            xs, scale = np.clip(xs, lo, hi)[at], scale[at]
-            rows, minus, p = _phases(omegas, xs, scale)
-            u = [uniform_part(pot, xs, grid.k)] if uniform else []
-            profiles = np.stack([member.profile(xs) for member in members] + u, axis=-1)
-            pt = p[..., None]
-            _advance_by_steps((profiles, flat, rows[..., :moved], minus, n - (m - 1) * length),
-                              (_by_step(pt), _by_step(-pt), _by_step(3 * np.diff(pt, axis=0), 2)),
-                              ys)
-            if m > 1:
+                _advance_by_steps((profiles, flat, rows[..., :-1], minus, n - (m - 1) * length),
+                                  (_by_step(pt), _by_step(-pt),
+                                   _by_step(3 * np.diff(pt, axis=0), 2)), ys)
                 y = ys[:, 0]
-            for k in range(1, m):
-                later = _time_reversed(ys[:, k], grid) if real else ys[:, k]
-                y = (later.reshape(2 * c, 2 * c) @ y.reshape(2 * c, cols)).reshape(2, c, cols)
-    return _time_reversed(y, grid) if real else y
+                for k in range(1, m):
+                    later = _time_reversed(ys[:, k], grid) if real else ys[:, k]
+                    y = (later.reshape(2 * c, 2 * c) @ y.reshape(2 * c, cols)).reshape(2, c, cols)
+    mult = unit_mult(grid) if mult is None else mult.take(grid.distinct_index, axis=-1)
+    return mult, (_time_reversed(y, grid) if y is not None and real else y)
 
 
 def _slices(n: int, c: int, cols: int) -> tuple:
@@ -461,47 +480,22 @@ def _time_reversed(plus, grid) -> np.ndarray:
     return y.reshape(2, c, 2 * c)
 
 
-def _layered_mult(pot, grid, cfg: EvolutionConfig) -> np.ndarray:
-    """The uniform part's mult evolved from the identity, as a fresh array:
-    (plus, minus) rows x (plus, minus) columns x the S + 1 channels.
-
-    T is diagonal, so a channel evolves on its own and only through omega:
-    once per grid.distinct_omegas (n_radial + 1 on a DiscGrid), gathered by
-    grid.distinct_index, and bitwise as if per channel, every operation
-    being elementwise.  u (a stack of slabs) is constant between
-    discontinuities, so a step's map is the previous one's conjugated by a
-    phase; a piece is tabulated only at its first, second and last steps,
-    as (slot, step) rows, for _advance_by_power.
-    """
-    omegas = grid.distinct_omegas
-    y = np.zeros((2, 2, omegas.size), dtype=complex)
-    y[0, 0] = y[1, 1] = 1
-    # overflow is tolerated here: callers check finiteness and raise
-    with np.errstate(over="ignore", invalid="ignore"):
-        for p0, n, h, lo, hi in _pieces(pot, cfg):
-            left = [p0 + i * h for i in (0, 1, n - 1)[:n]]
-            xs = np.array([[min(max(s + x, lo), hi) for x in left] for s in (0.0, h / 2, h)])
-            rows, minus, p = _phases(omegas, xs, _RK4_WEIGHTS * (-1j * h / 6))
-            t = (uniform_part(pot, xs, grid.k)[..., None] * rows * minus)[..., None, :]
-            pw = p[..., None, :]
-            _advance_by_power(t, (pw, -pw, 3 * (pw[1:] - pw[:-1])), y, n)
-    return y.take(grid.distinct_index, axis=-1)
-
-
-def _checked(path, *args) -> np.ndarray:
-    """path(*args), refused when non-finite and, with check_tolerance set on
-    the config (the last argument), compared with path at half the steps."""
-    *head, cfg = args
-    u = path(*args)
+def _checked(pot, grid, members, cfg: EvolutionConfig) -> tuple:
+    """_evolve's (mult, state), refused when the state, or mult where there
+    is no state, is non-finite and, with check_tolerance set on the config,
+    compared with _evolve at half the steps."""
+    mult, y = _evolve(pot, grid, members, cfg)
+    u = mult if y is None else y
     if not np.isfinite(u).all():
         raise DivergenceError("evolution produced non-finite values")
     if cfg.check_tolerance is not None:
-        half = EvolutionConfig(cfg.x_min, cfg.x_max, cfg.steps // 2)
-        delta = float(np.max(np.abs(u - path(*head, half))))
+        half_mult, half_y = _evolve(pot, grid, members,
+                                    EvolutionConfig(cfg.x_min, cfg.x_max, cfg.steps // 2))
+        delta = float(np.max(np.abs(u - (half_mult if half_y is None else half_y))))
         if delta > cfg.check_tolerance:
             warnings.warn(AccuracyWarning(op="evolve_transfer", steps=cfg.steps,
                                           delta=delta), stacklevel=3)
-    return u
+    return mult, y
 
 
 def evolve_transfer(pot, grid: MomentumGrid | DiscGrid, cfg: EvolutionConfig) -> TransferOperator:
@@ -518,14 +512,11 @@ def evolve_transfer(pot, grid: MomentumGrid | DiscGrid, cfg: EvolutionConfig) ->
     comparison emits AccuracyWarning when the result is not converged.
     """
     _check_representable(pot, grid)
-    members = smooth_members(pot)
-    if not members:
-        return TransferOperator(grid, _checked(_layered_mult, pot, grid, cfg), None)
+    mult, y = _checked(pot, grid, smooth_members(pot), cfg)
+    if y is None:
+        return TransferOperator(grid, mult, None)
 
     n = grid.size
-    y = _checked(_dense_state, pot, grid, members, cfg)
-    mult = _layered_mult(pot, grid, cfg) if has_uniform_part(pot) else unit_mult(grid)
-
     # grid rows of both halves; columns (plus, minus) x (grid channels, beam)
     kernel = y[:, :n].reshape(2, n, 2, n + 1).transpose(0, 2, 1, 3)
     idx = np.arange(n)

@@ -201,10 +201,6 @@ def uniform_part(pot, x, k: float):
     return out[()]
 
 
-def has_uniform_part(pot) -> bool:
-    return bool(_leaves(pot, "layered"))
-
-
 def smooth_members(pot) -> list:
     """Members with an ordinary (samplable) transverse transform.
 

@@ -1,4 +1,7 @@
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,9 +13,9 @@ from tmscat import (AccuracyWarning, Delta2D, DiscGrid, EvolutionConfig, Gaussia
                     auto_config, build_disc_grid, build_grid, compose,
                     effective_hamiltonian, evolve_transfer, point_operator, slab_operator,
                     solve_outgoing)
-from tmscat.evolution import _layered_mult, _pieces, potential_kernel
+from tmscat.evolution import _evolve, _pieces, potential_kernel
 from tmscat.operators import identity_operator
-from tmscat.potentials import discontinuities
+from tmscat.potentials import discontinuities, smooth_members
 
 
 def centered_bump(amp=1.0, widths=(0.7, 0.9)):
@@ -276,10 +279,10 @@ def test_numeric_slab_mult_matches_closed_form_on_other_grids():
 
 def every_channel_mult(pot, grid, cfg):
     """The layered mult evolved on every channel in grid order, through the
-    engine's own layered path on a grid whose every channel is distinct."""
+    engine's own evolution on a grid whose every channel is distinct."""
     every = dataclasses.replace(grid, distinct_omegas=grid.channel_omegas,
                                 distinct_index=np.arange(grid.size + 1))
-    return _layered_mult(pot, every, cfg)
+    return _evolve(pot, every, smooth_members(pot), cfg)[0]
 
 
 def advanced_channels(monkeypatch):
@@ -325,6 +328,40 @@ def test_uniform_part_of_a_mixed_sum_evolves_once_per_frequency(monkeypatch):
     assert op.kernel is not None and seen
     assert set(seen) == {grid.distinct_omegas.size}
     assert np.array_equal(op.mult, want)
+
+
+# evolves one N = 128 bump twice and prints whether the kernels' bytes agree
+SAME_BYTES = """
+import sys
+import numpy as np
+import tmscat as tm
+pot = tm.GaussianBump(0.4 + 0.1j, (0.2, 0.5), (0.6, 0.8))
+grid = tm.build_grid(1.3, 128)
+first, second = (np.asarray(tm.evolve_transfer(pot, grid, tm.auto_config(pot, 8)).kernel)
+                 for _ in range(2))
+np.save(sys.argv[1], first)
+print(first.tobytes() == second.tobytes())
+"""
+
+
+def test_bytes_hold_for_one_blas_thread_count(tmp_path):
+    # the README's contract: the same bytes for the same inputs, numpy and
+    # BLAS build and BLAS thread count.  Between 1 and 2 threads (never more)
+    # the products split differently and the kernels move by roundoff only
+    src = os.path.dirname(os.path.dirname(evolution.__file__))
+    path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    kernels = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, OMP_NUM_THREADS=threads,
+                   OPENBLAS_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        out = tmp_path / f"kernel-{threads}.npy"
+        run = subprocess.run([sys.executable, "-c", SAME_BYTES, str(out)], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == ["True"]
+        kernels.append(np.load(out))
+    one, two = kernels
+    assert np.max(np.abs(one - two)) <= 1e-14 * np.max(np.abs(one))
 
 
 def test_divergent_evolution_raises():
@@ -441,21 +478,21 @@ SLAB_AND_BUMP = SumPotential((GaussianBump(0.4, (-6.0, 0.0), (0.5, 0.8)), Slab(1
 
 
 @pytest.mark.parametrize("pot, tol, runs", [
-    (SLAB_AND_BUMP, None, {"_dense_state": 1, "_layered_mult": 1}),
-    (SLAB_AND_BUMP, 1.0, {"_dense_state": 2, "_layered_mult": 1}),
-    (Slab(1.7, 1.0), None, {"_layered_mult": 1}),
-    (Slab(1.7, 1.0), 1.0, {"_layered_mult": 2}),
-    (GaussianBump(0.4, (-6.0, 0.0), (0.5, 0.8)), 1.0, {"_dense_state": 2}),
+    (SLAB_AND_BUMP, None, 1),
+    (SLAB_AND_BUMP, 1.0, 2),
+    (Slab(1.7, 1.0), None, 1),
+    (Slab(1.7, 1.0), 1.0, 2),
+    (GaussianBump(0.4, (-6.0, 0.0), (0.5, 0.8)), 1.0, 2),
 ], ids=["sum", "sum-checked", "slab", "slab-checked", "bump-checked"])
 def test_evolve_transfer_runs_each_path_as_chosen(pot, tol, runs, monkeypatch):
-    # the step-halving check re-runs only the checked path, at half the steps
-    seen = []
-    for name in ("_dense_state", "_layered_mult"):
-        def spy(*args, path=getattr(evolution, name), name=name):
-            seen.append((name, args[-1].steps))
-            return path(*args)
-        monkeypatch.setattr(evolution, name, spy)
+    # one evolution, mult and state together; the step-halving check re-runs
+    # it once, at half the steps
+    seen, evolve = [], evolution._evolve
+
+    def spy(pot, grid, members, cfg):
+        seen.append(cfg.steps)
+        return evolve(pot, grid, members, cfg)
+
+    monkeypatch.setattr(evolution, "_evolve", spy)
     evolve_transfer(pot, build_grid(1.5, 8), EvolutionConfig(-10.0, 1.0, 60, check_tolerance=tol))
-    assert {name: [n for m, n in seen if m == name] for name in runs} == {
-        name: [60, 30][:count] for name, count in runs.items()}
-    assert len(seen) == sum(runs.values())
+    assert seen == [60, 30][:runs]

@@ -11,9 +11,9 @@ from tmscat import (Delta2D, Delta3D, GaussianBump, Slab, SlabParams, SlabWithDe
                     SumPotential, potential_from_document, potential_to_document)
 from tmscat.evolution import EvolutionConfig, evolve_transfer
 from tmscat.grid import build_grid
-from tmscat.potentials import (_CODECS, _KINDS, _PAIR, discontinuities, has_uniform_part,
-                               is_real, is_x_singular, is_y_independent, smooth_members,
-                               uniform_part, x_support)
+from tmscat.potentials import (_CODECS, _KINDS, _PAIR, discontinuities, is_real,
+                               is_x_singular, is_y_independent, smooth_members, uniform_part,
+                               x_support)
 
 
 def gaussian(amp=1.0, center=(0.0, 0.0), widths=(1.0, 1.0)):
@@ -79,11 +79,11 @@ class Unknown:
 
 @pytest.mark.parametrize("call", [
     x_support, potential_to_document, is_x_singular, is_y_independent, discontinuities,
-    lambda pot: uniform_part(pot, 0.5, 1.3), has_uniform_part, smooth_members,
+    lambda pot: uniform_part(pot, 0.5, 1.3), smooth_members,
     lambda pot: evolve_transfer(pot, build_grid(1.3, 8), EvolutionConfig(0.0, 1.0, 10)),
     lambda pot: SumPotential((Slab(2.0, 1.0), pot)), is_real,
 ], ids=["x_support", "potential_to_document", "is_x_singular", "is_y_independent",
-        "discontinuities", "uniform_part", "has_uniform_part", "smooth_members",
+        "discontinuities", "uniform_part", "smooth_members",
         "evolve_transfer", "sum_member", "is_real"])
 def test_unknown_potential_types_raise_type_error(call):
     # one TypeError, whichever question is asked; evolve_transfer must not

@@ -2,9 +2,9 @@
 factored kernels, composed and extracted against their dense forms; compose's
 mult against a per-channel matrix product, and its kernel affine in each
 operand's kernel), of the factored evolution generator and its RK4, stage
-matrices built by blocks of steps, x-slices evolved side by side and real
+matrices carried from step to step, x-slices evolved side by side and real
 potentials' time-reversed columns included, against the dense ones, and of
-the layered path's powered step maps against a per-channel RK4."""
+the layered pieces' powered step maps against a per-channel RK4."""
 
 from unittest import mock
 
@@ -376,22 +376,23 @@ def positions(draw, pot):
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_factored_generator_matches_dense(pot, n, data):
+    # the dense pieces evolve by the smooth members alone (the layers' pieces
+    # by their channel maps), so the reference is the smooth members' generator
     grid = build_grid(1.3, n)
     x = data.draw(positions(pot))
     u = data.draw(entries((2 * n + 2, 2 * n + 2)))
-    want = dense_generator(pot, x, grid) @ u
-    # per point: plus rows T (P A + B), minus rows -P times them
     members = smooth_members(pot)
+    want = dense_generator(SumPotential(tuple(members)), x, grid) @ u
+    # per point: grid plus rows T (P A + B), grid minus rows -P times them,
+    # and beam rows zero
     rows, right, phases = _phases(grid.channel_omegas, np.array([x]), np.ones(1))
-    # the sources are weighted by the profiles, then by u if pot has a uniform part
-    weights = [m.profile(x) for m in members] + [uniform_part(pot, x, grid.k)]
-    t = sum(w * s for w, s in zip(weights, _sources(pot, grid, members)))
-    t = rows[0][:, None] * t * right[0][None, :]
+    t = sum(m.profile(x) * s for m, s in zip(members, _sources(grid, members)))
+    t = rows[0][:n, None] * t * right[0][None, :]
     plus, minus = np.r_[0:n, 2 * n], np.r_[n:2 * n, 2 * n + 1]
     p = phases[0][:, None]
-    got = np.empty_like(u)
-    got[plus] = t @ (p * u[plus] + u[minus])
-    got[minus] = -p * got[plus]
+    got = np.zeros_like(u)
+    got[:n] = t @ (p * u[plus] + u[minus])
+    got[n:2 * n] = -p[:n] * got[:n]
     # far out in a Gaussian tail the profile is subnormal, with no relative precision
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)) + np.finfo(float).tiny
 
@@ -461,14 +462,13 @@ def test_only_real_potentials_evolve_half_the_columns(pot, request, monkeypatch)
 
 @pytest.mark.parametrize("pot", GENERATOR_POTENTIALS[1:])
 def test_stage_matrix_blocks_match_plain_rk4(pot, monkeypatch):
-    # a cap of 7 stage matrices a slice on C = 6 channels keeps 8 slices and
-    # makes blocks of 3 batched steps, so each piece (60 steps: 8 slices of
-    # 8; 9 and 51 either side of the slab edge: 5 slices of 2 and 8 of 7)
-    # spans full blocks, a block cut where the short last slice's padding
-    # begins and a partial last one
-    n = 5
-    monkeypatch.setattr(evolution, "BLOCK_BYTES", 7 * evolution.SLICES * 16 * (n + 1) ** 2)
-    assert_matches_plain_rk4(pot, n)
+    # each batched step's block of stage matrices (T_l, T_m, T_r) builds its
+    # mid and right points and takes T_l over from the step before, zeroed in
+    # the last slice where its padding begins.  At 7 slices a piece of 60
+    # steps runs 7 slices of 9, the last of 6, and the bump piece of a
+    # slab+bump (51 steps) 7 slices of 8, the last of 3
+    monkeypatch.setattr(evolution, "SLICES", 7)
+    assert_matches_plain_rk4(pot, 5)
 
 
 # the slab's edges split the window in three pieces, with a bump on either side
@@ -499,12 +499,13 @@ def test_slices_match_plain_rk4(pot, steps, window):
 @pytest.mark.parametrize("n, slices", [(16, evolution.SLICES), (64, 1)])
 @pytest.mark.parametrize("amplitude", [0.4, 0.4 + 0.1j], ids=["real", "complex"])
 def test_slice_count_is_a_rule_on_sizes(amplitude, n, slices, monkeypatch):
-    # the spy records each dense piece's slice count, the leading axis of a
-    # batch of slices (a single slice steps the state itself)
+    # the spy records each dense piece's slice count, the leading axis of its
+    # batch of slices, which one slice has too
     counts, advance = [], evolution._advance_by_steps
 
     def spy(stage, phases, y):
-        counts.append(y.shape[1] if y.ndim == 4 else 1)
+        assert y.ndim == 4
+        counts.append(y.shape[1])
         advance(stage, phases, y)
 
     monkeypatch.setattr(evolution, "_advance_by_steps", spy)
@@ -513,6 +514,36 @@ def test_slice_count_is_a_rule_on_sizes(amplitude, n, slices, monkeypatch):
     assert counts == [slices, slices] and (n > 16 or slices > 1)
     first, second = ([op.mult.tobytes(), op.kernel.tobytes()] for op in ops)
     assert first == second
+
+
+@pytest.mark.parametrize("epsilon", [2.0 + 0.1j, 2.0], ids=["complex", "real"])
+def test_a_layer_piece_runs_by_channel_maps_alone(epsilon, monkeypatch):
+    # a slab next to a bump: the dense batched steps cover only the piece
+    # outside the layer, and every dense stage matrix has the N grid rows
+    n = 8
+    pot = SumPotential((Slab(epsilon, 1.0), GaussianBump(0.3, (4.0, 0.2), (0.3, 0.7))))
+    cfg = auto_config(pot, 400)
+    dense_steps, stage_rows = [], set()
+    advance, step = evolution._advance_by_steps, evolution._rk4_step
+
+    def advance_spy(stage, phases, y):
+        # (m - 1) L real steps in the full slices, short in the last one
+        dense_steps.append((y.shape[1] - 1) * phases[0].shape[1] + stage[4])
+        advance(stage, phases, y)
+
+    def step_spy(apply, pw, pn, d, t, work):
+        if apply is np.matmul:
+            stage_rows.add(t.shape[-2])
+        step(apply, pw, pn, d, t, work)
+
+    monkeypatch.setattr(evolution, "_advance_by_steps", advance_spy)
+    monkeypatch.setattr(evolution, "_rk4_step", step_spy)
+    evolve_transfer(pot, build_grid(1.3, n), cfg)
+    outside = [steps for p0, steps, h, lo, hi in evolution._pieces(pot, cfg)
+               if uniform_part(pot, (lo + hi) / 2, 1.3) == 0]
+    # 400 steps on [0, 6.4]: 62 inside the slab, 338 beyond it
+    assert dense_steps == outside == [338]
+    assert stage_rows == {n}
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,13 @@ methods that tmscat code calls directly, by name, and their total:
   next to a bump, evolved in 400 steps: each dense piece's slice count,
   the batched steps of the whole evolution (the Python-level iterations of
   _advance_by_steps, each advancing every slice of its piece by one step),
-  the numpy calls of one batched step, and the shapes of the state the
-  steps advance and of the stage matrices at one point, both with the
-  slice axis (a single slice has none).  The state has the plus columns alone (N + 1) for a real potential, whose
-  minus columns come from time reversal, and all 2N + 2 for a complex one.
-  A stage matrix has N rows for a potential with no uniform part, whose
-  beam row is zero, and N + 1 with one (the slab).
+  the numpy calls of one batched step, the pieces that run by their
+  channel maps instead (the slab's), and the shapes of the state the steps
+  advance and of the stage matrices at one point, both with the slice axis
+  that every dense piece has.  The state has the plus columns alone
+  (N + 1) for a real potential, whose minus columns come from time
+  reversal, and all 2N + 2 for a complex one.  A stage matrix has the N
+  grid rows: nothing maps a smooth channel into the beam.
 
 Each call runs once unmeasured first.  sys.setprofile sees numpy's Python
 functions (a dispatched function's __array_function__ dispatcher is not
@@ -143,8 +144,7 @@ def dense_pieces(pot, grid, cfg) -> tuple:
 
     def recording(stage, phases, y):
         rows, minus = stage[2], stage[3]
-        pieces.append((y.shape[1] if y.ndim == 4 else 1, y.shape,
-                       rows.shape[1:] + minus.shape[-1:]))
+        pieces.append((y.shape[1], y.shape, rows.shape[1:] + minus.shape[-1:]))
         advance(stage, phases, y)
 
     def counting(*args):
@@ -191,9 +191,11 @@ def main() -> int:
         calls = numpy_calls(lambda: tmscat.evolve_transfer(pot, grid, cfg),
                             within=evolution._rk4_step)
         slices = ", ".join(str(m) for m, _, _ in pieces)
+        by_maps = len(list(evolution._pieces(pot, cfg))) - len(pieces)
         shapes = "; ".join(f"state {shape}, stage matrices {stage}" for _, shape, stage in pieces)
         print(f"dense evolution, {kind}, 2D N = 24, 400 steps: {slices} slices, "
-              f"{steps} batched steps of {sum(calls.values())} numpy calls; {shapes}")
+              f"{steps} batched steps of {sum(calls.values())} numpy calls, "
+              f"pieces by channel maps: {by_maps}; {shapes}")
     return 0
 
 
