@@ -26,10 +26,10 @@ _evolve runs one loop over them:
   on a DiscGrid (61 channels of a 10 x 6 disc evolve as 11, 257 of a 16 x
   16 disc as 17), at most S + 1 on a MomentumGrid, whose +-p frequencies
   agree only where k sin(theta) rounds alike.  Between layer edges its steps
-  differ by a phase conjugation, so a piece runs three and O(log n)
-  products (_advance_by_power), each the per-channel 2x2 product
-  operators._times that compose also uses.  The maps advance mult, the
-  operator's multiplication part, and multiply the dense state's rows,
+  differ by a phase conjugation, so a piece's map takes one RK4 of three
+  steps and O(log n) products (_layer_map), each the per-channel 2x2
+  product operators._times that compose also uses.  The map multiplies
+  mult, the operator's multiplication part, and the dense state's rows,
   channel by channel, with the same _times;
 - every other piece advances the dense half state by the smooth members
   alone (_advance_by_steps).
@@ -218,18 +218,6 @@ def _sources(grid, members) -> np.ndarray:
     return sources
 
 
-def _by_step(a, slots=3):
-    """Read-only view v of a contiguous array of stage points with
-    v[s, i] = a[2 i + s]: step i's left, mid and right points (2n + 1 of
-    them), or with two slots its pair of intervals (2n), on a leading slot
-    axis.  (np.ndarray builds it in a third of as_strided's time.)"""
-    s = a.strides[0]
-    v = np.ndarray((slots, len(a) // 2) + a.shape[1:], a.dtype, a, 0,
-                   (s, 2 * s) + a.strides[1:])
-    v.flags.writeable = False
-    return v
-
-
 def _work(y, rows=None) -> tuple:
     """Scratch and state views of _rk4_step on the half state y = (A, B).
 
@@ -261,10 +249,10 @@ def _rk4_step(apply, pw, pn, d, t, work) -> None:
 
     pw is (P_l, P_m, P_r), pn is -pw, d is (3 (P_m - P_l), 3 (P_r - P_m))
     and t is (T_l, T_m, T_r), at the step's left, mid and right points,
-    each broadcast against A (t on the rows it has); apply(T, z, out=) is
-    T z, and work is _work of y.  A may carry leading axes, over which the
-    step is batched: the slices of a dense piece, or a layered piece's
-    steps.
+    each broadcast against A (t on the rows it has); a dense step's are
+    contiguous rows of its piece's point tables.  apply(T, z, out=) is T z,
+    and work is _work of y.  A may carry leading axes, over which the step
+    is batched: the slices of a dense piece, or a layered piece's steps.
 
     T carries -i h / 6 (-i h / 3 at midpoints), so a stage's product k = T z
     is its A increment over 6 (both of the midpoint's over 3), and its B
@@ -298,20 +286,23 @@ def _advance_by_steps(stage, phases, y) -> None:
 
     stage is (profiles, flat sources, rows, minus, short): _evolve's tables
     at the slices' 2L + 1 stage points, as (point, slice) rows, and the
-    real steps of the last slice, whose later steps are padding.  T has as
-    many rows as rows has columns, the grid rows of y.  Each step builds
-    the stage matrices of its mid and right points, by one product of their
-    profiles with the sources and two scalings, and takes its left point
-    over from the step before, so every point is built once.  At step short
-    the last slice's carried point is zeroed: its later points have zero
-    rows, so every stage matrix of a padded step is zero, and such a step
-    leaves its slice exactly as it is.
+    real steps of the last slice, whose later steps are padding.  phases is
+    (P, -P, 3 diff(P)) at those points, so step i's three points are the
+    rows 2i ... 2i + 2 of the first two and its two intervals the rows 2i,
+    2i + 1 of the third.  T has as many rows as rows has columns, the grid
+    rows of y.  Each step builds the stage matrices of its mid and right
+    points, by one product of their profiles with the sources and two
+    scalings, and takes its left point over from the step before, so every
+    point is built once.  At step short the last slice's carried point is
+    zeroed: its later points have zero rows, so every stage matrix of a
+    padded step is zero, and such a step leaves its slice exactly as it is.
     """
     profiles, flat, rows, minus, short = stage
+    pw, pn, d = phases
     r, c = rows.shape[-1], minus.shape[-1]
     work = _work(y, r)
     ts = np.empty((3,) + rows.shape[1:-1] + (r, c), dtype=complex)
-    for i, step in enumerate(zip(*(a.swapaxes(0, 1) for a in phases))):
+    for i in range(len(d) // 2):
         if i == short:      # only a padded last slice (of several) has short < L
             ts[0, -1] = 0
         lo, hi = 2 * i + (i > 0), 2 * i + 3     # the first step builds point 0 too
@@ -319,40 +310,38 @@ def _advance_by_steps(stage, phases, y) -> None:
         np.matmul(profiles[lo:hi].reshape(-1, len(flat)), flat, out=t.reshape(-1, r * c))
         t *= rows[lo:hi, ..., None]
         t *= minus[lo:hi, ..., None, :]
-        _rk4_step(np.matmul, *step, ts, work)
+        _rk4_step(np.matmul, pw[2 * i:hi], pn[2 * i:hi], d[2 * i:hi - 1], ts, work)
         ts[0] = ts[2]
 
 
-def _advance_by_power(t, phases, y, n) -> None:
-    """Advance y through a layered piece of n steps, T diagonal (rows of its
-    diagonal) and tabulated at the first, second and last steps only.
+def _layer_map(t, phases, n) -> np.ndarray:
+    """The 2x2 map per channel, (row, column, channel), of a layered piece
+    of n steps, T diagonal (rows of its diagonal) and tabulated at the
+    first, second and last steps only.
 
-    Each channel evolves on its own, a step being a 2x2 map per channel, and
-    one _rk4_step batched over those (at most three) steps evolves the
-    identity to their maps M_0, M_1 and M_{n-1}.  With D(a) = diag(1,
-    e^{2i omega a}), read off the phase table P, step i's map is
-    D((i - 1) h) M_1 D(-(i - 1) h), so steps 1 ... n - 2 multiply to
-    D((n - 2) h) (D(-h) M_1)^(n - 2), applied by squaring.  The first and
-    last steps, whose outer points are clamped, apply as they are.  Extra
-    memory O(C).
+    Each channel evolves on its own, and one _rk4_step batched over those
+    (at most three) steps evolves the identity to their maps M_0, M_1 and
+    M_{n-1}.  With D(a) = diag(1, e^{2i omega a}), read off the phase table
+    P, step i's map is D((i - 1) h) M_1 D(-(i - 1) h), so steps 1 ... n - 2
+    multiply to D((n - 2) h) (D(-h) M_1)^(n - 2), applied to M_0 by
+    squaring.  The last step, whose outer point is clamped as the first
+    one's is, applies as it is.  Extra memory O(C).
     """
-    maps = np.empty((2, t.shape[1]) + y.shape[1:], dtype=complex)
+    maps = np.empty((2, t.shape[1], 2, t.shape[-1]), dtype=complex)
     maps[...] = _EYE_MAPS
     _rk4_step(np.multiply, *phases, t, _work(maps))
-    pw = phases[0]
-    _times(maps[:, 0], y, out=y)
+    pw, out = phases[0], maps[:, 0]
     if n > 2:
         maps[1, 1] *= pw[0, 1] / pw[2, 1]
         power, e = maps[:, 1], n - 2
         while e:
             if e & 1:
-                _times(power, y, out=y)
+                out = _times(power, out)
             e >>= 1
             if e:
                 power = _times(power, power)
-        y[1] *= pw[0, 2] / pw[0, 1]
-    if n > 1:
-        _times(maps[:, -1], y, out=y)
+        out[1] *= pw[0, 2] / pw[0, 1]
+    return _times(maps[:, -1], out) if n > 1 else out
 
 
 def _evolve(pot, grid, members, cfg: EvolutionConfig) -> tuple:
@@ -370,10 +359,12 @@ def _evolve(pot, grid, members, cfg: EvolutionConfig) -> tuple:
     only through omega: once per distinct omega, gathered by
     grid.distinct_index, and bitwise as if per channel, every operation
     being elementwise.  u (a stack of slabs) is constant between
-    discontinuities, so _advance_by_power advances mult in place by three
-    step maps and powers.  With a state it also evolves the piece's own
-    maps from the identity, and _times multiplies the state's rows by them,
-    channel by channel.
+    discontinuities, so _layer_map builds the piece's map from three step
+    maps and powers.  mult is the first layer piece's map, times each later
+    one's on the left, and _times multiplies the state's rows by the same
+    map, channel by channel.  A window of one layer piece keeps mult's bytes
+    as if mult advanced step map by step map; with more, the pieces' maps
+    multiply as products and mult moves by roundoff.
 
     Every other piece advances the state by the smooth members alone.  The
     state holds the plus and minus rows of the S + 1 channels, columns (plus,
@@ -410,15 +401,9 @@ def _evolve(pot, grid, members, cfg: EvolutionConfig) -> tuple:
             t = (uniform_part(pot, xs, grid.k)[..., None] * rows * minus)[..., None, :]
             if t.any():
                 pw = p[..., None, :]
-                phases = (pw, -pw, 3 * (pw[1:] - pw[:-1]))
-                if mult is None:
-                    mult = np.zeros((2, 2, omegas.size), dtype=complex)
-                    mult[0, 0] = mult[1, 1] = 1
-                _advance_by_power(t, phases, mult, n)
-                if y is not None:       # the piece's own maps multiply the state's rows
-                    maps = np.zeros_like(mult)
-                    maps[0, 0] = maps[1, 1] = 1
-                    _advance_by_power(t, phases, maps, n)
+                maps = _layer_map(t, (pw, -pw, 3 * (pw[1:] - pw[:-1])), n)
+                mult = maps if mult is None else _times(maps, mult)
+                if y is not None:       # the piece's maps multiply the state's rows
                     y_t = y.transpose(0, 2, 1)
                     _times(maps.take(grid.distinct_index, axis=-1), y_t, out=y_t)
             elif y is not None:
@@ -439,8 +424,7 @@ def _evolve(pot, grid, members, cfg: EvolutionConfig) -> tuple:
                 ys = np.empty((2, m, c, cols), dtype=complex)
                 ys[:, 0], ys[:, 1:] = y, np.eye(2 * c, cols).reshape(2, 1, c, cols)
                 _advance_by_steps((profiles, flat, rows[..., :-1], minus, n - (m - 1) * length),
-                                  (_by_step(pt), _by_step(-pt),
-                                   _by_step(3 * np.diff(pt, axis=0), 2)), ys)
+                                  (pt, -pt, 3 * np.diff(pt, axis=0)), ys)
                 y = ys[:, 0]
                 for k in range(1, m):
                     later = _time_reversed(ys[:, k], grid) if real else ys[:, k]

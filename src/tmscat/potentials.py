@@ -223,6 +223,10 @@ def _enc_complex(z) -> dict:
 
 
 def _dec_real(s) -> float:
+    """A decimal string or a JSON number, refusing what float() also reads:
+    a bool (as 1 or 0) and a string with a digit separator ("1_0" as 10)."""
+    if isinstance(s, bool) or (isinstance(s, str) and "_" in s):
+        raise ValueError(f"value must be a decimal number, got {s!r}")
     return finite("value", float(s))
 
 

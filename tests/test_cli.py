@@ -222,6 +222,15 @@ def test_slab_non_finite_input_exits_2(tmp_path, capsys, field, value):
     assert field in capsys.readouterr().err
 
 
+def test_a_bool_number_exits_2(tmp_path, capsys):
+    # float(True) is 1.0: a document must not run at k = 1
+    inp = write_doc(tmp_path / "in.json", {"strength": cplx(1.0), "k": True})
+    out = tmp_path / "o.csv"
+    assert main(["delta2d", "--input", inp, "--output", str(out)]) == 2
+    assert not out.exists()
+    assert "field 'k'" in capsys.readouterr().err
+
+
 BUMP = {"kind": "gaussian_bump", "amplitude": cplx(0.5),
         "center": {"x": "0.0", "y": "0.0"}, "widths": {"x": "0.8", "y": "0.8"}}
 SLAB = {"kind": "slab", "epsilon": cplx(1.5), "thickness": "1.0"}

@@ -286,14 +286,15 @@ def every_channel_mult(pot, grid, cfg):
 
 
 def advanced_channels(monkeypatch):
-    """The channel counts of every _advance_by_power call from here on."""
-    seen, advance = [], evolution._advance_by_power
+    """The channel counts of every _layer_map call from here on."""
+    seen, layer_map = [], evolution._layer_map
 
-    def spy(t, phases, y, n):
-        seen.append(y.shape[-1])
-        advance(t, phases, y, n)
+    def spy(t, phases, n):
+        maps = layer_map(t, phases, n)
+        seen.append(maps.shape[-1])
+        return maps
 
-    monkeypatch.setattr(evolution, "_advance_by_power", spy)
+    monkeypatch.setattr(evolution, "_layer_map", spy)
     return seen
 
 

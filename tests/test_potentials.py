@@ -364,6 +364,10 @@ def test_documents_with_a_non_finite_or_missing_field_raise(pot, data):
     bad = data.draw(st.sampled_from(["nan", "-nan", "inf", "-inf", "Infinity"]))
     with pytest.raises(ValueError, match="must be finite"):
         potential_from_document(replaced(doc, data.draw(st.sampled_from(numbers)), bad))
+    # float() reads a bool as 1 or 0 and "1_0" as 10
+    odd = data.draw(st.sampled_from([True, False, "1_0", "2_0.5", "0.5_1"]))
+    with pytest.raises(ValueError, match="must be a decimal number"):
+        potential_from_document(replaced(doc, data.draw(st.sampled_from(numbers)), odd))
 
 
 def test_documents_use_decimal_strings():

@@ -528,7 +528,7 @@ def test_a_layer_piece_runs_by_channel_maps_alone(epsilon, monkeypatch):
 
     def advance_spy(stage, phases, y):
         # (m - 1) L real steps in the full slices, short in the last one
-        dense_steps.append((y.shape[1] - 1) * phases[0].shape[1] + stage[4])
+        dense_steps.append((y.shape[1] - 1) * (len(phases[0]) // 2) + stage[4])
         advance(stage, phases, y)
 
     def step_spy(apply, pw, pn, d, t, work):
@@ -544,6 +544,29 @@ def test_a_layer_piece_runs_by_channel_maps_alone(epsilon, monkeypatch):
     # 400 steps on [0, 6.4]: 62 inside the slab, 338 beyond it
     assert dense_steps == outside == [338]
     assert stage_rows == {n}
+
+
+@pytest.mark.parametrize("pot", [
+    SumPotential((Slab(2.0 + 0.1j, 1.0), GaussianBump(0.3, (4.0, 0.2), (0.3, 0.7)))),
+    SumPotential((GaussianBump(0.3, (-3.0, 0.2), (0.3, 0.7)), Slab(2.0 + 0.1j, 1.0),
+                  GaussianBump(0.25, (4.0, -0.4), (0.3, 0.6)))),
+    SumPotential((Slab(1.5, 0.4), Slab(2.2 + 0.05j, 1.1))),
+], ids=["slab+bump", "bump+slab+bump", "two-slabs"])
+def test_a_layer_piece_runs_one_rk4(pot, monkeypatch):
+    # one batched RK4 of a layer piece's step maps serves both mult and the
+    # dense state's rows
+    layer_steps, step = [], evolution._rk4_step
+
+    def spy(apply, *args):
+        layer_steps.append(apply is np.multiply)
+        step(apply, *args)
+
+    monkeypatch.setattr(evolution, "_rk4_step", spy)
+    cfg = auto_config(pot, 400)
+    evolve_transfer(pot, build_grid(1.3, 8), cfg)
+    layers = [n for p0, n, h, lo, hi in evolution._pieces(pot, cfg)
+              if uniform_part(pot, (lo + hi) / 2, 1.3) != 0]
+    assert sum(layer_steps) == len(layers) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -11,14 +11,15 @@ methods that tmscat code calls directly, by name, and their total:
 - one batched dense RK4 step (the first _rk4_step of a Gaussian bump's
   evolve_transfer, N = 24), and for a real bump, a complex bump and a slab
   next to a bump, evolved in 400 steps: each dense piece's slice count,
-  the batched steps of the whole evolution (the Python-level iterations of
-  _advance_by_steps, each advancing every slice of its piece by one step),
+  the batched dense steps of the whole evolution (the _rk4_step calls by
+  matrix products, each advancing every slice of its piece by one step),
   the numpy calls of one batched step, the pieces that run by their
-  channel maps instead (the slab's), and the shapes of the state the steps
-  advance and of the stage matrices at one point, both with the slice axis
-  that every dense piece has.  The state has the plus columns alone
-  (N + 1) for a real potential, whose minus columns come from time
-  reversal, and all 2N + 2 for a complex one.  A stage matrix has the N
+  channel maps instead (the slab's) and the RK4 runs of those maps (the
+  _rk4_step calls by elementwise products, one a piece), and the shapes of
+  the state the dense steps advance and of the stage matrices at one
+  point, both with the slice axis that every dense piece has.  The state
+  has the plus columns alone (N + 1) for a real potential, whose minus
+  columns come from time reversal, and all 2N + 2 for a complex one.  A stage matrix has the N
   grid rows: nothing maps a smooth channel into the beam.
 
 Each call runs once unmeasured first.  sys.setprofile sees numpy's Python
@@ -138,8 +139,9 @@ def numpy_calls(run, within=None) -> Counter:
 
 def dense_pieces(pot, grid, cfg) -> tuple:
     """(slice count, state shape, stage-matrix shape) of each dense piece
-    that evolve_transfer runs, and the batched steps of the evolution."""
-    pieces, steps = [], 0
+    that evolve_transfer runs, and the _rk4_step calls of the evolution by
+    kind: batched dense steps and layer-map runs."""
+    pieces, steps = [], Counter()
     advance, step = evolution._advance_by_steps, evolution._rk4_step
 
     def recording(stage, phases, y):
@@ -147,10 +149,9 @@ def dense_pieces(pot, grid, cfg) -> tuple:
         pieces.append((y.shape[1], y.shape, rows.shape[1:] + minus.shape[-1:]))
         advance(stage, phases, y)
 
-    def counting(*args):
-        nonlocal steps
-        steps += 1
-        step(*args)
+    def counting(apply, *args):
+        steps["dense" if apply is np.matmul else "layer"] += 1
+        step(apply, *args)
 
     evolution._advance_by_steps, evolution._rk4_step = recording, counting
     try:
@@ -194,8 +195,8 @@ def main() -> int:
         by_maps = len(list(evolution._pieces(pot, cfg))) - len(pieces)
         shapes = "; ".join(f"state {shape}, stage matrices {stage}" for _, shape, stage in pieces)
         print(f"dense evolution, {kind}, 2D N = 24, 400 steps: {slices} slices, "
-              f"{steps} batched steps of {sum(calls.values())} numpy calls, "
-              f"pieces by channel maps: {by_maps}; {shapes}")
+              f"{steps['dense']} batched steps of {sum(calls.values())} numpy calls, "
+              f"pieces by channel maps: {by_maps} in {steps['layer']} RK4 runs; {shapes}")
     return 0
 
 

@@ -11,16 +11,20 @@ a fresh Python process with one BLAS thread, it runs:
   its stdout and stderr (bench/ is only read);
 - demos 01-05: stdout, stderr, and the gain curve that demo 03 writes;
 - `tmscat selftest`;
-- a fixed operator set: the GENERATOR_POTENTIALS of tests/test_properties.py
-  (read from this checkout, so that both trees evolve the same potentials)
-  at N = 5, 16 and 24, a slab, a point, their product and a slab layer
-  composed with a point on a 10 x 6 disc.  The artefact holds every mult,
-  dense kernel and LowRank factor as exact floats, and the sha256 of their
-  bytes.
+- two fixed operator sets.  "operators": the GENERATOR_POTENTIALS of
+  tests/test_properties.py (read from this checkout, so that both trees
+  evolve the same potentials) at N = 5, 16 and 24, a slab, a point, their
+  product and a slab layer composed with a point on a 10 x 6 disc.  "layer
+  stacks": windows of two layer pieces, whose mult is the product of the
+  pieces' maps, at N = 24 and on a 10 x 6 disc.  Each artefact holds every
+  mult, dense kernel and LowRank factor as exact floats, and the sha256 of
+  their bytes.
 
 For each artefact it prints "identical", or how many of its numbers changed
 with the largest absolute and relative change (|a - b| / max(|a|, |b|)), or
-the first line where its text differs.  The temporary directory of each
+the first line where its text differs.  Below an operator set it prints
+each operator by name: "identical", or how many of its complex entries
+changed and the largest change relative to its largest entry.  The temporary directory of each
 tree and the selftest runtimes are masked first.  The output is a
 measurement, not a gate: the exit code is 0.  Stdlib only.
 """
@@ -57,18 +61,27 @@ import numpy as np
 import tmscat as tm
 from tmscat.closedforms import point_operator
 ops = []
-potentials = [(name, eval(expr, vars(tm))) for name, expr in json.loads(sys.argv[1])]
-for n in (5, 16, 24):
-    grid = tm.build_grid(1.3, n)
-    for name, pot in potentials:
-        ops.append((f"{name}/N={n}", tm.evolve_transfer(pot, grid, tm.auto_config(pot, 200))))
-grid = tm.build_grid(1.3, 24)
-slab = tm.slab_operator(tm.SlabParams(2.0 + 0.1j, 1.0, 1.3), grid)
-point = point_operator(1.0 - 0.5j, grid)
-disc = tm.build_disc_grid(1.3, 10, 6)
-layer = tm.evolve_transfer(tm.Slab(2.0 + 0.1j, 1.0), disc, tm.EvolutionConfig(0.0, 1.0, 50))
-ops += [("slab", slab), ("point", point), ("slab*point", tm.compose(slab, point)),
-        ("disc-layer*point", tm.compose(layer, point_operator(0.5j, disc)))]
+grid, disc = tm.build_grid(1.3, 24), tm.build_disc_grid(1.3, 10, 6)
+if sys.argv[2] == "operators":
+    potentials = [(name, eval(expr, vars(tm))) for name, expr in json.loads(sys.argv[1])]
+    for n in (5, 16, 24):
+        for name, pot in potentials:
+            ops.append((f"{name}/N={n}", tm.evolve_transfer(pot, tm.build_grid(1.3, n),
+                                                            tm.auto_config(pot, 200))))
+    slab = tm.slab_operator(tm.SlabParams(2.0 + 0.1j, 1.0, 1.3), grid)
+    point = point_operator(1.0 - 0.5j, grid)
+    layer = tm.evolve_transfer(tm.Slab(2.0 + 0.1j, 1.0), disc, tm.EvolutionConfig(0.0, 1.0, 50))
+    ops += [("slab", slab), ("point", point), ("slab*point", tm.compose(slab, point)),
+            ("disc-layer*point", tm.compose(layer, point_operator(0.5j, disc)))]
+else:
+    two = (tm.Slab(1.5, 0.4), tm.Slab(2.2 + 0.05j, 1.1))
+    lossy = (tm.Slab(2.0 + 0.1j, 0.6), tm.Slab(1.4 - 0.02j, 1.0))
+    bump = tm.GaussianBump(0.3, (4.0, 0.2), (0.3, 0.7))
+    for name, members, g in [("two-slabs/N=24", two, grid), ("lossy-two-slabs/N=24", lossy, grid),
+                             ("two-slabs+bump/N=24", two + (bump,), grid),
+                             ("two-slabs/disc-10x6", two, disc)]:
+        pot = tm.SumPotential(members)
+        ops.append((name, tm.evolve_transfer(pot, g, tm.auto_config(pot, 200))))
 digest, lines = hashlib.sha256(), []
 for name, op in ops:
     arrays = {"mult": op.mult}
@@ -84,6 +97,7 @@ print("sha256", digest.hexdigest())
 print("\\n".join(lines))
 """
 
+OPERATOR_SETS = ("operators", "layer stacks")
 RUNTIMES = [(re.compile(r"runtime [\d.e+-]+"), "runtime <s>"),
             (re.compile(r"\[\d+\.\d+s\]"), "[<s>]")]
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf)\b")
@@ -123,7 +137,8 @@ def artefacts(side: Path, seeds: list[int], potentials: str) -> dict[str, str]:
     for path in (tree / "demos").glob("*.csv"):
         found[f"demos/{path.name}"] = path.read_text()
     found["tmscat selftest"] = run([py, "-m", "tmscat.cli", "selftest"], tree)
-    found["operators"] = run([py, "-c", OPERATORS, potentials], tree)
+    for name in OPERATOR_SETS:
+        found[name] = run([py, "-c", OPERATORS, potentials, name], tree)
     for name, text in found.items():
         text = text.replace(str(side), "<dir>")
         for pattern, mask in RUNTIMES:
@@ -163,6 +178,38 @@ def difference(base: str, change: str) -> str:
             f"{largest:.3g}, relative {relative:.3g}")
 
 
+def entries(text: str) -> dict[str, list[tuple[str, str]]]:
+    """The (real, imaginary) strings of each operator's entries, by operator, from its lines."""
+    found = {}
+    for line in text.splitlines():
+        parts = line.split()
+        if len(parts) > 2 and parts[1] in ("mult", "kernel", "left", "right"):
+            found.setdefault(parts[0], []).extend(zip(parts[2::2], parts[3::2]))
+    return found
+
+
+def by_operator(base: str, change: str) -> list[str]:
+    """'name: identical', or how many of its entries changed and the largest
+    change relative to its largest entry, for each operator of a set."""
+    base_ops, change_ops = entries(base), entries(change)
+    lines = []
+    for name in dict.fromkeys([*base_ops, *change_ops]):
+        a, b = base_ops.get(name), change_ops.get(name)
+        if a is None or b is None or len(a) != len(b):
+            lines.append(f"{name}: shapes differ")
+            continue
+        moved = [(complex(*map(float, x)), complex(*map(float, y)))
+                 for x, y in zip(a, b) if x != y]
+        if not moved:
+            lines.append(f"{name}: identical")
+            continue
+        scale = max(abs(complex(*map(float, x))) for x in a)
+        largest = max(abs(x - y) for x, y in moved) / scale if scale else math.inf
+        lines.append(f"{name}: {len(moved)} of {len(a)} entries changed, largest change "
+                     f"{largest:.2g} of its largest entry")
+    return lines
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--base", default="HEAD", help="git revision to compare against")
@@ -186,13 +233,16 @@ def main(argv=None) -> int:
         if a is None or b is None:
             result = "only in the " + ("change" if a is None else "base")
         else:
-            note = ""
-            if name == "operators":     # its first line is the sha256 of the operator bytes
+            note, details = "", []
+            if name in OPERATOR_SETS:   # its first line is the sha256 of the operator bytes
                 (digest_a, a), (digest_b, b) = (t.split("\n", 1) for t in (a, b))
                 note = "; " + " -> ".join(dict.fromkeys(d[:23] for d in (digest_a, digest_b)))
+                details = by_operator(a, b)
             result = difference(a, b) + note
         same += result.startswith("identical")
         print(f"  {name:<{width}}  {result}")
+        for line in details:
+            print(f"      {line}")
     print(f"{same} of {len(names)} artefacts identical")
     return 0
 
